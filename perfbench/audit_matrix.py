@@ -11,7 +11,8 @@ store and no subset is examined.  A sweep change should move the first
 and leave the second alone; a store change the reverse.
 
 Reported as ``decide_ms`` (median matrix) and ``answer_ms`` (median
-restart).
+restart).  Every third cycle ends with a new set-up (a fresh store file),
+which the following restarts read.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from repro.store import VerdictStore
 #: Restarts per cold matrix: restarts are ~20x cheaper, so two per cycle
 #: give their median more samples at little cost.
 RESTARTS_PER_MATRIX = 2
+
+#: Cycles per interleaved set-up (which costs about one cycle).
+CYCLES_PER_SETUP = 3
 
 
 def clear_caches() -> None:
@@ -83,6 +87,8 @@ class AuditMatrix(InProcessWorkload):
     def prepare_setup(self) -> None:
         clear_caches()
         clear_service_caches()
+        if self.store_path:
+            shutil.rmtree(os.path.dirname(self.store_path), ignore_errors=True)
         self.setups += 1
         directory = os.path.join(self.scratch, f"store-{self.setups}")
         shutil.rmtree(directory, ignore_errors=True)
@@ -91,7 +97,8 @@ class AuditMatrix(InProcessWorkload):
 
     def setup(self) -> None:
         """One cold decision against a fresh disk store: it fills the store
-        the restarts read and becomes the reference matrix."""
+        the restarts read, and the first one becomes the reference matrix,
+        which every later set-up must reproduce."""
         store = VerdictStore(self.store_path)
         try:
             matrix = self._workspace(store).equivalences()
@@ -100,7 +107,10 @@ class AuditMatrix(InProcessWorkload):
         for pair, equivalent in self.expected.items():
             if matrix[pair].is_equivalent != equivalent:
                 raise CheckFailed(f"reference cell {pair} is {matrix[pair].verdict.value}")
-        self.reference = cells_of(matrix)
+        if not self.reference:
+            self.reference = cells_of(matrix)
+        elif cells_of(matrix) != self.reference:
+            raise CheckFailed("a set-up's matrix differs from the reference")
 
     def close(self) -> None:
         shutil.rmtree(self.scratch, ignore_errors=True)
@@ -110,7 +120,7 @@ class AuditMatrix(InProcessWorkload):
         require(len(matrix) == len(self.reference), f"{len(matrix)} cells")
         require(cells_of(matrix) == self.reference, "matrix differs from the reference")
 
-    def cycle(self, recorder: Recorder, _index: int) -> None:
+    def cycle(self, recorder: Recorder, index: int) -> None:
         def check_matrix(matrix: object) -> None:
             self._check_matrix(matrix)  # type: ignore[arg-type]
             recorder.extras["equivalence.unknown_cells"] += sum(
@@ -151,6 +161,9 @@ class AuditMatrix(InProcessWorkload):
             recorder.op("restart_ms", restart, check_restart, prepare=prepare_restart)
             for store in stores:
                 store.close()
+
+        if index % CYCLES_PER_SETUP == CYCLES_PER_SETUP - 1:
+            recorder.resetup(self)
 
     def end_to_end(self, recorder: Recorder) -> dict[str, float]:
         return {

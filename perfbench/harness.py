@@ -94,6 +94,20 @@ def require(condition: bool, message: str) -> None:
         raise CheckFailed(message)
 
 
+def timed_setup(workload) -> float:  # noqa: ANN001
+    """Set ``workload`` up (again); returns the seconds ``setup`` took.
+
+    ``prepare_setup`` (dropping the previous set-up) and ``finish_setup``
+    run off the clock, and garbage is collected before it starts."""
+    workload.prepare_setup()
+    gc.collect()
+    start = time.perf_counter()
+    workload.setup()
+    elapsed = time.perf_counter() - start
+    workload.finish_setup()
+    return elapsed
+
+
 class InProcessWorkload:
     """What the workloads that run the program in this process share: no
     per-phase hooks, and tracing by wrapping the program's functions here.
@@ -101,6 +115,9 @@ class InProcessWorkload:
     ``registry`` returns the counters each operation's delta is taken of."""
 
     registry: Optional[Callable[[], Mapping[str, int]]] = None
+
+    def finish_setup(self) -> None:
+        pass
 
     def close(self) -> None:
         pass
@@ -127,9 +144,17 @@ class Recorder:
     With ``registry`` set, each operation's counter delta is taken after
     its ``prepare`` step (the cache resets, which also reset the engine's
     counters) and summed into :attr:`counters`, and per kind of operation
-    into :attr:`op_counters` (with the operation count under ``ops``)."""
+    into :attr:`op_counters` (with the operation count under ``ops``).
 
-    def __init__(self, registry: Optional[Callable[[], Mapping[str, int]]] = None) -> None:
+    With ``resetup`` the workloads' calls of :meth:`resetup` set them up
+    again, timed into :attr:`setups`, so that ``setup_s`` samples the same
+    machine state as the operations it is interleaved with."""
+
+    def __init__(
+        self,
+        registry: Optional[Callable[[], Mapping[str, int]]] = None,
+        resetup: bool = False,
+    ) -> None:
         self.samples: dict[str, list[float]] = defaultdict(list)
         self.attempted = 0
         self.failed = 0
@@ -137,7 +162,9 @@ class Recorder:
         self.counters: dict[str, int] = defaultdict(int)
         self.op_counters: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
         self.extras: dict[str, float] = defaultdict(float)
+        self.setups: list[float] = []
         self._registry = registry
+        self._resetup = resetup
 
     def op(
         self,
@@ -171,6 +198,17 @@ class Recorder:
             return None
         self.samples[metric].append(elapsed * 1e3)
         return value
+
+    def resetup(self, workload) -> None:  # noqa: ANN001
+        """Set ``workload`` up again, if this phase times set-ups; a set-up
+        that raises counts as a failed operation."""
+        if not self._resetup:
+            return
+        self.attempted += 1
+        try:
+            self.setups.append(timed_setup(workload))
+        except Exception:  # noqa: BLE001 - a failed set-up is counted, not fatal
+            self.fail()
 
     def fail(self, message: Optional[str] = None) -> None:
         self.failed += 1

@@ -8,8 +8,9 @@ Run from a checkout of the repository (the program is imported from its
 ``src/``).  Every workload reports the same end-to-end metrics, defined
 per workload in its module: ``decide_ms``, the median of the operation
 that settles equivalences; ``answer_ms``, the median of the operation
-answered from what set-up prepared; and ``setup_s``, the median of
-:data:`SETUPS` set-ups.  Each operation's output is checked; a failed
+answered from what set-up prepared; and ``setup_s``, the median of the
+set-up before the operations and the set-ups each workload interleaves
+with them.  Each operation's output is checked; a failed
 check counts the operation as failed and makes the command exit nonzero.
 The last line of standard output is one JSON object: ``correct``,
 ``attempted``, ``failed`` and ``metrics`` (the end-to-end metrics with
@@ -23,14 +24,12 @@ from outside (see ``layers.py``) and the rest of the time is traced.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import platform
 import signal
 import statistics
 import sys
-import time
 from typing import Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -39,9 +38,6 @@ ROOT = os.path.dirname(HERE)
 #: Everything a run writes: scratch stores, server logs, traces.
 OUTPUT = os.path.join(ROOT, ".perfbench")
 TMP = os.path.join(OUTPUT, "tmp")
-
-#: Set-ups per run; ``setup_s`` is their median.
-SETUPS = 5
 
 #: Share of a traced run spent untraced, as the overhead reference.
 UNTRACED_SHARE = 1 / 3
@@ -61,22 +57,6 @@ def _pin_environment() -> None:
     sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
 
-def _calibration_ms() -> float:
-    """Median ms of a fixed pure-Python routine: how fast this machine runs
-    interpreter-bound code right now (shared machines drift by 2x), so runs
-    made in different machine states can be told apart."""
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        table: dict[tuple, int] = {}
-        for index in range(20000):
-            key = (index % 97, index % 89, str(index % 113))
-            table[key] = table.get(key, 0) + 1
-        {frozenset(key) for key, _count in sorted(table.items())}
-        times.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(times)
-
-
 def _fingerprint() -> dict[str, object]:
     import numpy
 
@@ -85,7 +65,6 @@ def _fingerprint() -> dict[str, object]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": platform.machine(),
-        "calibration_ms": round(_calibration_ms(), 2),
     }
 
 
@@ -103,18 +82,6 @@ def _workload(name: str, seed: int, scratch: str, trace_path: Optional[str]):  #
     return ServedChurn(seed, scratch, trace_path)
 
 
-def _setup_seconds(workload) -> float:  # noqa: ANN001
-    """Set the workload up :data:`SETUPS` times; the last set-up stays."""
-    times = []
-    for _ in range(SETUPS):
-        workload.prepare_setup()
-        gc.collect()
-        start = time.perf_counter()
-        workload.setup()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def _phase(workload, recorder, seconds: float, index: int = 0) -> int:  # noqa: ANN001
     workload.begin_phase(recorder)
     try:
@@ -127,27 +94,30 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict[str, obje
     # Import the whole program before any timing, so that compiling it on a
     # fresh checkout never lands in set-up.
     import repro.service  # noqa: F401
-    from harness import PER_LAYER_UNITS, Recorder, layer_metrics
+    from harness import PER_LAYER_UNITS, Recorder, layer_metrics, timed_setup
     from layers import Tracer, render_op_counts, render_table
 
     scratch = os.path.join(OUTPUT, f"{name}-{seed}-{os.getpid()}")
     trace_path = os.path.join(OUTPUT, f"trace-{name}-{seed}.json") if trace else None
     workload = _workload(name, seed, scratch, trace_path)
     try:
-        setup_s = _setup_seconds(workload)
+        # A set-up that fails here leaves nothing to measure: it ends the run.
+        first_setup_s = timed_setup(workload)
         if not trace:
-            recorder = Recorder()
+            recorder = Recorder(resetup=True)
+            recorder.setups.append(first_setup_s)
             _phase(workload, recorder, seconds)
             metrics = {
                 metric: {"value": value, "unit": "ms"}
                 for metric, value in workload.end_to_end(recorder).items()
             }
-            metrics["setup_s"] = {"value": setup_s, "unit": "s"}
+            metrics["setup_s"] = {"value": statistics.median(recorder.setups), "unit": "s"}
             for metric, meaning in workload.meaning.items():
                 print(f"# {metric} is {meaning}: {metrics[metric]['value']:.3f} ms")
             counts: dict[str, int] = {}
             for kind, values in recorder.samples.items():
                 counts[kind.split(":")[0]] = counts.get(kind.split(":")[0], 0) + len(values)
+            counts["setup"] = len(recorder.setups)
             print("# samples: " + " ".join(f"{kind}={count}" for kind, count in sorted(counts.items())))
             return _result(recorder.attempted, recorder.failed, metrics)
 

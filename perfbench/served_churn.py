@@ -14,7 +14,9 @@ speeds the writer but holds the interpreter lock longer shows up as a
 worse read latency.
 
 Reported as ``decide_ms`` (median writer round) and ``answer_ms`` (median
-read); the traced run adds the reads' 99th percentile.
+read); the traced run adds the reads' 99th percentile.  Every
+:data:`ROUNDS_PER_SETUP` rounds a second server is set up the same way,
+timed, and stopped, with the reader paused meanwhile.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ READ_CELLS = (
     ("unit_count", "unit_sum"),
     ("audit_05", "audit_keep"),
 )
+
+#: Writer rounds per interleaved set-up (which costs about as much).
+ROUNDS_PER_SETUP = 15
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _TIMEOUT_S = 60.0
@@ -188,8 +193,10 @@ class ServedChurn:
         self.setups = 0
         self.server: Optional[Server] = None
         self.writer: Optional[Client] = None
+        self.spare: Optional[tuple[Server, Client]] = None
         self.reader: Optional[threading.Thread] = None
         self.stop_reading = threading.Event()
+        self.may_read = threading.Event()
         self.reads: list[float] = []
         self.read_failures: list[str] = []
         self.metrics_before: dict[str, int] = {}
@@ -209,21 +216,24 @@ class ServedChurn:
                 f"cell {cell['first']}/{cell['second']} is {cell['verdict']}",
             )
 
-    def _add_catalog(self, tenant: str, suffix: str) -> None:
-        assert self.writer is not None
+    def _add_catalog(self, client: Client, tenant: str, suffix: str) -> None:
         for name, (text, _class) in audit_catalog(self.seed, suffix).items():
-            self.writer.request("POST", f"/tenant/{tenant}/add", {"query": text, "name": name})
+            client.request("POST", f"/tenant/{tenant}/add", {"query": text, "name": name})
+
+    @staticmethod
+    def _stop(server: Optional[Server], client: Optional[Client]) -> None:
+        if client is not None:
+            client.close()
+        if server is not None:
+            server.stop()
 
     def _shutdown(self) -> None:
-        if self.writer is not None:
-            self.writer.close()
-            self.writer = None
-        if self.server is not None:
-            self.server.stop()
-            self.server = None
+        self._stop(self.server, self.writer)
+        self.server = self.writer = None
 
     def prepare_setup(self) -> None:
-        self._shutdown()
+        """Pause the reader; a set-up never shares the machine with reads."""
+        self.may_read.clear()
         self.setups += 1
         directory = os.path.join(self.scratch, f"server-{self.setups}")
         shutil.rmtree(directory, ignore_errors=True)
@@ -231,21 +241,42 @@ class ServedChurn:
         self.store_path = os.path.join(directory, "verdicts.sqlite")
 
     def setup(self) -> None:
-        """Launch the server, fill the tenant LRU, warm ``main`` and run
-        one writer round."""
-        self.server = Server(self.root, self.store_path, self.trace_path)
-        self.writer = Client(self.server.port)
+        """Launch a server, fill its tenant LRU, warm ``main`` and run one
+        writer round.  The first server is the one measured; a later one,
+        set up between rounds, is stopped right after."""
+        measured = self.server is None
+        server = Server(self.root, self.store_path, self.trace_path if measured else None)
+        self.spare = (server, Client(server.port))
+        try:
+            self._warm(self.spare[1])
+        except BaseException:
+            self.finish_setup()
+            raise
+        if measured:
+            self.server, self.writer = self.spare
+            self.spare = None
+
+    def _warm(self, client: Client) -> None:
         for index in range(MAX_TENANTS - 1):
-            self.writer.request(
+            client.request(
                 "POST", f"/tenant/filler{index:02d}/add",
                 {"query": "fill(s, count()) :- premium_store(s)"},
             )
-        self._add_catalog("main", "")
-        self._check_matrix(self.writer.request("POST", "/tenant/main/equivalences"))
+        self._add_catalog(client, "main", "")
+        self._check_matrix(client.request("POST", "/tenant/main/equivalences"))
         # One writer round first: the store revalidates each stored witness
         # on its first serve only, so this makes every measured round alike.
-        self._add_catalog("prime", "p")
-        self._check_matrix(self.writer.request("POST", "/tenant/prime/equivalences"))
+        self._add_catalog(client, "prime", "p")
+        self._check_matrix(client.request("POST", "/tenant/prime/equivalences"))
+
+    def finish_setup(self) -> None:
+        """Stop a server set up between rounds, with its directory, and let
+        the reader go on."""
+        if self.spare is not None:
+            self._stop(*self.spare)
+            self.spare = None
+            shutil.rmtree(os.path.dirname(self.store_path), ignore_errors=True)
+        self.may_read.set()
 
     def close(self) -> None:
         self._shutdown()
@@ -263,6 +294,7 @@ class ServedChurn:
         index = 0
         try:
             while not self.stop_reading.is_set():
+                self.may_read.wait()
                 path, equivalent = paths[index % len(paths)]
                 index += 1
                 try:
@@ -293,6 +325,7 @@ class ServedChurn:
 
     def end_phase(self, recorder: Recorder) -> None:
         self.stop_reading.set()
+        self.may_read.set()
         if self.reader is not None:
             self.reader.join()
         self.metrics_after = self._scrape()
@@ -305,8 +338,8 @@ class ServedChurn:
         tenant = f"round{index:05d}"
 
         def round_trip() -> dict:
-            self._add_catalog(tenant, f"r{index}")
             assert self.writer is not None
+            self._add_catalog(self.writer, tenant, f"r{index}")
             return self.writer.request("POST", f"/tenant/{tenant}/equivalences")
 
         def check(response: object) -> None:
@@ -317,6 +350,8 @@ class ServedChurn:
             require(stats["store_hits"] == len(self.expected), f"{tenant}: {stats['store_hits']} store hits")
 
         recorder.op("round_ms", round_trip, check)
+        if index % ROUNDS_PER_SETUP == ROUNDS_PER_SETUP - 1:
+            recorder.resetup(self)
 
     def end_to_end(self, recorder: Recorder) -> dict[str, float]:
         reads = recorder.samples.get("read_ms", [])

@@ -9,6 +9,14 @@ five views registered; ``report_ms`` evaluates the report on the facts and
 its best rewriting on the materialized extents (twice per rewrite).  The
 six reports differ in cost, so ``decide_ms`` (rewrite) and ``answer_ms``
 (report) are the mean over reports of the per-report median.
+
+The first set-up is followed, off the clock, by a reference rewriting of
+every report through ``RewritingEngine`` directly, past the session layer,
+whose safe rewritings must each answer the report on the data; every
+``rewrite_ms`` operation must reproduce that outcome exactly (each
+candidate's bucket, verdict, method and cost rank, and the rejections).
+A cycle is one pass over the six reports, with a set-up before the first
+and the fourth.
 """
 
 from __future__ import annotations
@@ -21,11 +29,29 @@ from harness import InProcessWorkload, Recorder, require
 
 import repro
 from repro import Workspace
-from repro.core import Verdict
+from repro.rewriting import RewritingEngine, RewritingReport
 from repro.workloads.scenarios import build_view_scenario
 
 #: Report evaluations per rewrite: more answer samples per pass.
 REPORTS_PER_REWRITE = 2
+
+#: Positions in a pass over the reports where the workload is set up again.
+SETUP_BEFORE = (0, 3)
+
+
+def outcome_of(report: RewritingReport) -> tuple:
+    """What a rewriting report decided: every verified candidate in report
+    order (so the best one first) with its bucket, verdict, method and
+    estimated cost, and the rejected candidates."""
+    return (
+        tuple(
+            (bucket, verified.candidate.name, verified.result.verdict.value,
+             verified.result.method, verified.estimated_cost)
+            for bucket in ("safe", "not_equivalent", "unverified")
+            for verified in getattr(report, bucket)
+        ),
+        tuple(str(rejection) for rejection in report.rejected),
+    )
 
 
 class WarehouseRewrite(InProcessWorkload):
@@ -42,6 +68,7 @@ class WarehouseRewrite(InProcessWorkload):
         self.seed = seed
         self.scenario = None
         self.extents = None
+        self.reference: dict[str, tuple] = {}
 
     def prepare_setup(self) -> None:
         clear_caches()
@@ -54,9 +81,30 @@ class WarehouseRewrite(InProcessWorkload):
         )
         self.extents = self.scenario.materialized()
 
+    def finish_setup(self) -> None:
+        """After the first set-up: the reference outcome of every report,
+        whose safe rewritings must each answer the report on this data."""
+        if self.reference:
+            return
+        engine = RewritingEngine(self.scenario.views)
+        for name, report in self.scenario.queries.items():
+            clear_caches()
+            outcome = engine.rewrite(report, database=self.scenario.database, workers=1)
+            require(outcome.best is not None, f"{name}: no safe rewriting in the reference")
+            direct = repro.evaluate(report, self.scenario.database)
+            for verified in outcome.safe:
+                require(
+                    repro.evaluate(verified.candidate.query, self.extents) == direct,
+                    f"{name}: safe rewriting {verified.candidate.name} answers differently",
+                )
+            self.reference[name] = outcome_of(outcome)
+
     def cycle(self, recorder: Recorder, _index: int) -> None:
-        scenario = self.scenario
-        for name, report in scenario.queries.items():
+        for position, name in enumerate(self.reference):
+            if position in SETUP_BEFORE:
+                recorder.resetup(self)
+            scenario = self.scenario
+            report = scenario.queries[name]
             workspace: list[Workspace] = []
 
             def fresh_workspace() -> None:
@@ -67,12 +115,10 @@ class WarehouseRewrite(InProcessWorkload):
                 workspace[:] = [session]
 
             def check_rewriting(outcome: object) -> None:
-                require(outcome.best is not None, f"{name}: no safe rewriting")  # type: ignore[attr-defined]
-                for verified in outcome.safe:  # type: ignore[attr-defined]
-                    require(
-                        verified.result.verdict is Verdict.EQUIVALENT,
-                        f"{name}: emitted rewriting is {verified.result.verdict.value}",
-                    )
+                require(
+                    outcome_of(outcome) == self.reference[name],  # type: ignore[arg-type]
+                    f"{name}: rewriting outcome differs from the reference",
+                )
                 emitted = len(outcome.safe) + len(outcome.not_equivalent) + len(outcome.unverified)  # type: ignore[attr-defined]
                 recorder.extras["rewriting.safe"] += len(outcome.safe)  # type: ignore[attr-defined]
                 recorder.extras["rewriting.verified"] += emitted
