@@ -1,0 +1,114 @@
+"""Verdict parity between this checkout and another checkout of the repository.
+
+Decides a fixed set of comparisons with this checkout's ``src/`` and with the
+other checkout's, each in a fresh interpreter, and lists every comparison
+whose verdict, method, details or witness database differ:
+
+* the seeded 28-query audit catalog of ``perfbench/catalog.py`` (378 cells)
+  at seeds 1-3, through a cold ``Workspace(workers=1, store=False)``;
+* the warehouse catalog's ``equivalence_matrix`` with ``sweep=True`` and
+  with ``sweep=False``;
+* ``bounded_equivalence`` on the ``DIFFERENTIAL_PAIRS`` of
+  ``tests/test_parallel.py`` at seeds 0 and 5.
+
+Usage::
+
+    python benchmarks/verdict_parity.py --against /path/to/other/checkout
+
+The comparison inputs always come from this checkout, so the two sides decide
+the same catalogs.  Exits 1 when any comparison differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _witness(counterexample) -> object:
+    if counterexample is None:
+        return None
+    if counterexample.database is None:
+        return "symbolic"
+    return [repr(fact) for fact in counterexample.database.to_sorted_facts()]
+
+
+def _cell(result) -> list:
+    return [result.verdict.value, result.method, result.details, _witness(result.counterexample)]
+
+
+def _dump() -> dict[str, list]:
+    """Decide every comparison with the ``repro`` on ``sys.path``."""
+    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
+    from catalog import audit_catalog
+    from test_parallel import DIFFERENTIAL_PAIRS
+
+    from repro import Workspace, parse_query
+    from repro.core.bounded import bounded_equivalence
+    from repro.engine import clear_evaluation_caches, clear_symbolic_caches
+    from repro.workloads import build_warehouse, equivalence_matrix
+
+    def cold() -> None:
+        clear_symbolic_caches()
+        clear_evaluation_caches()
+
+    cells: dict[str, list] = {}
+    for seed in (1, 2, 3):
+        cold()
+        workspace = Workspace(workers=1, store=False)
+        for name, (text, _class) in audit_catalog(seed).items():
+            workspace.add(text, name=name)
+        for pair, result in workspace.equivalences().items():
+            cells[f"audit/{seed}/{pair}"] = _cell(result)
+    queries = build_warehouse().queries
+    for sweep in (True, False):
+        cold()
+        matrix = equivalence_matrix(queries, workers=1, seed=5, sweep=sweep)
+        for pair, result in matrix.items():
+            cells[f"warehouse/sweep={sweep}/{pair}"] = _cell(result)
+    for seed in (0, 5):
+        for index, (first, second, bound, semantics) in enumerate(DIFFERENTIAL_PAIRS):
+            cold()
+            report = bounded_equivalence(
+                parse_query(first), parse_query(second), bound,
+                semantics=semantics or "set", workers=1, seed=seed,
+            )
+            cells[f"bounded/{seed}/{index}"] = [report.equivalent, _witness(report.counterexample)]
+    return cells
+
+
+def _decide_with(checkout: str) -> dict[str, list]:
+    environment = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    environment["PYTHONPATH"] = os.path.join(checkout, "src")
+    output = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--dump"],
+        env=environment, check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(output.splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="CHECKOUT", help="the other checkout's root")
+    parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    arguments = parser.parse_args()
+    if arguments.dump:
+        print(json.dumps(_dump()))
+        return 0
+    if not arguments.against:
+        parser.error("--against is required")
+    ours, theirs = _decide_with(ROOT), _decide_with(os.path.abspath(arguments.against))
+    differing = sorted(key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key))
+    for key in differing:
+        print(f"DIFFERS {key}: {theirs.get(key)!r} -> {ours.get(key)!r}")
+    print(f"{len(ours) - len(differing)} of {len(ours)} comparisons match")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,7 +16,10 @@ decidable exactly when α is order-decidable, and its proof is a procedure:
 
 This module implements that procedure, plus the bounded-equivalence variants
 for non-aggregate queries under set and bag-set semantics that the other
-decision procedures build on.
+decision procedures build on.  There is one search loop: the catalog sweep
+(:func:`sweep_equivalence`) decides every assigned pair of a sub-catalog in a
+single enumeration, and :func:`bounded_equivalence` is its one-pair case —
+for two queries the catalog BASE is the pair BASE.
 
 Two search-space reductions keep the double-exponential procedure tractable:
 
@@ -24,17 +27,16 @@ Two search-space reductions keep the double-exponential procedure tractable:
   variables acts on BASE; only one representative per orbit of subsets needs
   to be checked.  :class:`CanonicalSubsetEnumerator` generates exactly the
   canonical representatives by orderly generation (grow subsets by appending
-  larger atoms, prune non-canonical prefixes), so nothing pays the per-subset
-  ``|fresh|!`` scan of the legacy :func:`_canonical_subset` reference (kept
-  for ablation and as the oracle the enumerator is pinned against).
+  larger atoms, prune non-canonical prefixes), so no subset pays a
+  ``|fresh|!`` canonicalization scan.
 * **Ordering classes.**  When neither query contains a comparison, the
   symbolic evaluation of ``S_L`` depends only on the *blocks* of ``L`` (which
   terms are equal), not on the order of the blocks; orderings are grouped by
   their block partition and each class is evaluated once.
 
 The per-(subset, ordering) checks are independent, so the whole search can be
-sharded across processes; ``bounded_equivalence(..., workers=N)`` routes
-through :mod:`repro.parallel`.
+sharded across processes; ``workers=N`` on either entry point routes the
+sweep through :mod:`repro.parallel`.
 """
 
 from __future__ import annotations
@@ -70,11 +72,6 @@ from ..orderings.complete_orderings import CompleteOrdering, enumerate_complete_
 #: Semantics under which non-aggregate queries are compared.
 SET_SEMANTICS = "set"
 BAG_SET_SEMANTICS = "bag-set"
-
-#: Enumeration strategies for the subset search.
-CANONICAL_ENUMERATION = "canonical"  # orbit representatives only (orderly generation)
-FULL_ENUMERATION = "full"  # every subset of BASE, no symmetry reduction
-SCAN_ENUMERATION = "scan"  # legacy: every subset, canonicalized by a |fresh|! scan
 
 #: Below this many subsets a parallel run is not worth the process overhead.
 DEFAULT_PARALLEL_THRESHOLD = 64
@@ -206,11 +203,11 @@ def build_base(
 
 
 # ----------------------------------------------------------------------
-# Subset enumeration: orbit-canonical (orderly generation) and legacy scan
+# Subset enumeration: orbit-canonical (orderly generation)
 # ----------------------------------------------------------------------
 def canonical_base_order(base: Sequence[RelationalAtom]) -> list[RelationalAtom]:
     """BASE sorted by the string form of its atoms — the fixed total order the
-    canonical enumeration (and the legacy scan signature) is defined against."""
+    canonical enumeration is defined against."""
     return sorted(base, key=str)
 
 
@@ -239,8 +236,8 @@ class CanonicalSubsetEnumerator:
     permutations of the fresh variables.
 
     A subset is *canonical* when its sorted index tuple (indices into the
-    str-sorted BASE) is lexicographically minimal in its orbit — the same
-    representative the legacy :func:`_canonical_subset` scan selects.  The
+    str-sorted BASE) is lexicographically minimal in its orbit — the
+    representative a brute-force scan over every permutation selects.  The
     enumerator uses orderly generation: subsets grow by appending an atom
     larger than their maximum, and a prefix that is not canonical is pruned
     together with its entire subtree.  This is sound because canonicity is
@@ -249,9 +246,9 @@ class CanonicalSubsetEnumerator:
     by larger atoms is non-canonical).
 
     Subsets are yielded in (size, lexicographic) order so counterexamples on
-    small databases surface first, matching the legacy enumeration.  After a
-    complete iteration, ``skipped`` holds the exact number of non-canonical
-    subsets that were never generated.
+    small databases surface first.  ``skipped`` counts the non-canonical
+    subsets passed over so far; after a complete iteration it is the exact
+    number that were never generated.
     """
 
     def __init__(self, base: Sequence[RelationalAtom], fresh: Sequence[Variable]):
@@ -296,82 +293,12 @@ class CanonicalSubsetEnumerator:
             yield frozenset(base[i] for i in indices)
 
 
-def _canonical_subset(
-    subset: frozenset[RelationalAtom], fresh: Sequence[Variable]
-) -> frozenset[RelationalAtom]:
-    """The canonical representative of a subset of BASE under permutations of
-    the interchangeable fresh variables.
-
-    Legacy reference implementation: a full ``|fresh|!`` scan per subset.  The
-    production path is :class:`CanonicalSubsetEnumerator`, which generates
-    only canonical representatives; this function remains as the oracle the
-    enumerator is pinned against and for the ``scan`` ablation mode.
-    """
-    best: Optional[tuple] = None
-    best_subset = subset
-    for permutation in itertools.permutations(fresh):
-        mapping = dict(zip(fresh, permutation))
-        renamed = frozenset(atom.substitute(mapping) for atom in subset)
-        signature = tuple(sorted(str(atom) for atom in renamed))
-        if best is None or signature < best:
-            best = signature
-            best_subset = renamed
-    return best_subset
-
-
-def _iterate_subsets(
-    base: Sequence[RelationalAtom],
-    fresh: Sequence[Variable],
-    symmetry_reduction: bool,
-) -> Iterator[tuple[frozenset[RelationalAtom], bool]]:
-    """Yield (subset, skipped) pairs; skipped subsets are symmetry duplicates.
-
-    Legacy enumeration (every subset tested, canonical ones kept), retained
-    for the ``scan`` ablation mode and the pinning tests.
-    """
-    for size in range(len(base) + 1):
-        for combination in itertools.combinations(base, size):
-            subset = frozenset(combination)
-            if symmetry_reduction and len(fresh) > 1:
-                canonical = _canonical_subset(subset, fresh)
-                if canonical != subset:
-                    # Only the canonical representative of each orbit under
-                    # permutations of the fresh variables is processed.
-                    yield subset, True
-                    continue
-            yield subset, False
-
-
 # ----------------------------------------------------------------------
 # Run preparation shared by the serial path and the parallel workers
 # ----------------------------------------------------------------------
 #: An ordering class: a representative ordering plus every (position,
 #: ordering) member sharing its block partition.
 OrderingClass = tuple[CompleteOrdering, tuple[tuple[int, CompleteOrdering], ...]]
-
-
-@dataclass
-class BoundedRunSetup:
-    """Everything a (subset, ordering) check needs, derivable deterministically
-    from (first, second, bound, domain, semantics, extra_constants) — workers
-    rebuild it locally instead of shipping it through pickles."""
-
-    first: Query
-    second: Query
-    function: Optional[AggregationFunction]
-    semantics: str
-    terms: list[Term]
-    base: list[RelationalAtom]  # canonical (str-sorted) order
-    fresh: list[Variable]
-    orderings: list[CompleteOrdering]
-    ordering_classes: tuple[OrderingClass, ...]
-    comparison_free: bool
-
-
-def _pair_is_comparison_free(first: Query, second: Query) -> bool:
-    return not any(
-        disjunct.comparisons for query in (first, second) for disjunct in query.disjuncts
-    )
 
 
 def _group_orderings(
@@ -399,38 +326,6 @@ def _group_orderings(
             order.append(key)
         classes[key].append((position, ordering))
     return tuple((classes[key][0][1], tuple(classes[key])) for key in order)
-
-
-def prepare_bounded_run(
-    first: Query,
-    second: Query,
-    bound: int,
-    domain: Domain,
-    semantics: str,
-    extra_constants: Iterable[Constant] = (),
-) -> BoundedRunSetup:
-    """Validate the pair and build the shared run state (terms, BASE in
-    canonical order, satisfiable orderings grouped into classes)."""
-    function = _resolve_function(first, second, domain)
-    terms, base, fresh = build_base(first, second, bound, extra_constants)
-    orderings = [
-        ordering
-        for ordering in enumerate_complete_orderings(terms, domain)
-        if ordering.is_satisfiable()
-    ]
-    comparison_free = _pair_is_comparison_free(first, second)
-    return BoundedRunSetup(
-        first=first,
-        second=second,
-        function=function,
-        semantics=semantics,
-        terms=terms,
-        base=canonical_base_order(base),
-        fresh=fresh,
-        orderings=orderings,
-        ordering_classes=_group_orderings(orderings, comparison_free),
-        comparison_free=comparison_free,
-    )
 
 
 @dataclass
@@ -461,12 +356,12 @@ def _record_search_counters(
     """Fold one finished search's effort into the metrics registry.
 
     Called exactly once per completed enumeration, from whichever process ran
-    it, with totals the search already accumulated (its ``CheckStats`` /
-    ``EquivalenceReport``) — never per subset, so the hot loops stay
-    uninstrumented and a parallel run's registry totals equal the serial
-    run's whenever the merged reports do.  A search that completes inside a
-    pool worker records into the worker's registry; the delta rides home on
-    the task outcome and lands under the parent's ``worker.`` scope.
+    it, with totals the search already accumulated (its ``CheckStats``) —
+    never per subset, so the hot loops stay uninstrumented and a parallel
+    run's registry totals equal the serial run's whenever the merged reports
+    do.  A search that completes inside a pool worker records into the
+    worker's registry; the delta rides home on the task outcome and lands
+    under the parent's ``worker.`` scope.
     """
     if subsets_examined:
         _OBS.inc("sweep.subsets.examined", subsets_examined)
@@ -476,60 +371,6 @@ def _record_search_counters(
         _OBS.inc("sweep.identities.checked", identities_checked)
     if subsets_skipped:
         _OBS.inc("sweep.subsets.skipped", subsets_skipped)
-
-
-def check_subset(
-    setup: BoundedRunSetup,
-    subset: frozenset[RelationalAtom],
-    stats,
-    seed: int = 0,
-) -> Optional[tuple[int, Counterexample]]:
-    """Check one subset of BASE against every ordering class.
-
-    Returns ``(ordering_position, counterexample)`` for the first failing
-    ordering (in enumeration order within each class), or ``None`` when the
-    queries agree on the subset.  ``stats`` needs ``orderings_examined`` and
-    ``identities_checked`` counters (an :class:`EquivalenceReport` or a
-    :class:`CheckStats`).
-    """
-    first, second, function, semantics = (
-        setup.first,
-        setup.second,
-        setup.function,
-        setup.semantics,
-    )
-    for representative, members in setup.ordering_classes:
-        database = SymbolicDatabase(subset, representative)
-        if function is None:
-            stats.orderings_examined += len(members)
-            counterexample = _compare_non_aggregate(first, second, database, semantics)
-            if counterexample is not None:
-                return members[0][0], counterexample
-            continue
-        left_groups = symbolic_groups(first, database)
-        right_groups = symbolic_groups(second, database)
-        if set(left_groups) != set(right_groups):
-            stats.orderings_examined += len(members)
-            concrete = database.instantiate()
-            return members[0][0], Counterexample(
-                database=concrete,
-                left_result=evaluate_aggregate(first, concrete, function),
-                right_result=evaluate_aggregate(second, concrete, function),
-                ordering=database.ordering,
-                symbolic_atoms=database.atoms,
-            )
-        for position, ordering in members:
-            stats.orderings_examined += 1
-            for key in left_groups:
-                stats.identities_checked += 1
-                if not function.decide_ordered_identity(
-                    ordering, left_groups[key], right_groups[key]
-                ):
-                    witness_database = SymbolicDatabase(subset, ordering)
-                    return position, _witness_for_identity_failure(
-                        first, second, witness_database, function, seed=seed
-                    )
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +402,6 @@ class SweepRunSetup:
     fresh: list[Variable]
     orderings: list[CompleteOrdering]
     ordering_classes: tuple[OrderingClass, ...]
-    comparison_free: bool
 
 
 def _catalog_is_comparison_free(queries: Iterable[Query]) -> bool:
@@ -589,7 +429,6 @@ def prepare_sweep_run(
         for ordering in enumerate_complete_orderings(terms, domain)
         if ordering.is_satisfiable()
     ]
-    comparison_free = _catalog_is_comparison_free(members)
     return SweepRunSetup(
         queries=catalog,
         function=function,
@@ -598,8 +437,7 @@ def prepare_sweep_run(
         base=canonical_base_order(base),
         fresh=fresh,
         orderings=orderings,
-        ordering_classes=_group_orderings(orderings, comparison_free),
-        comparison_free=comparison_free,
+        ordering_classes=_group_orderings(orderings, _catalog_is_comparison_free(members)),
     )
 
 
@@ -734,28 +572,25 @@ def sweep_equivalence(
     parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     warm_prefix: int = DEFAULT_SWEEP_WARM_PREFIX,
     extra_constants: Iterable[Constant] = (),
-    ship: str = "ranges",
 ) -> dict[tuple[str, str], EquivalenceReport]:
     """Decide ``first ≡_N second`` for every assigned pair of a sub-catalog
-    with **one** subset/ordering enumeration (the single-sweep variant of
-    :func:`bounded_equivalence`).
+    with **one** subset/ordering enumeration.
 
     All queries must share one shape (and, for aggregates, one
     order-decidable function); ``bound`` must dominate τ(q, q') for every
-    assigned pair, so the per-pair verdict coincides with the pair-local
+    assigned pair, so the per-pair verdict coincides with the pair's own
     bounded check (N-equivalence for N ≥ τ is equivalence, Section 4).  Each
     pair settles at its first failing (subset, ordering) — the same position
-    the pair-local enumeration would find when the BASEs coincide — and the
-    sweep stops as soon as every pair is settled.
+    :func:`bounded_equivalence` finds when the BASEs coincide — and the sweep
+    stops as soon as every pair is settled.
 
     ``seed`` is the catalog-level seed; per-pair witness searches use the
     same derived seeds as the pairwise matrix, so witnesses agree with the
     pair path wherever the enumerations align.  ``workers > 1`` shards the
     subset stream across processes after a serial *warm prefix* that
-    pre-warms the shared caches the forked workers inherit; ``ship``
-    selects the shard payload (``"ranges"``, the default, ships ``(start,
-    count)`` positions and re-enumerates per worker; ``"rows"`` ships the
-    materialized subset rows — the differential reference).
+    pre-warms the shared caches the forked workers inherit; each shard ships
+    ``(start, count)`` ranges of the canonical enumeration, which the worker
+    re-enumerates locally.
 
     .. deprecated:: callers holding a catalog across calls should reach this
        through :meth:`repro.session.Workspace.equivalences`, which plans the
@@ -768,27 +603,82 @@ def sweep_equivalence(
     for name_a, name_b in pair_list:
         if name_a not in catalog or name_b not in catalog:
             raise ReproError(f"sweep pair ({name_a!r}, {name_b!r}) names an unknown query")
-    members = list(catalog.values())
-    _resolve_catalog_function(members, domain)
-    base_size = _catalog_base_size(members, bound, extra_constants)
-    subset_count = 2**base_size
-    if subset_count > max_subsets:
-        raise SearchSpaceBudgetError(
-            f"the catalog-sweep search space has {subset_count} subsets of BASE "
-            f"(|BASE| = {base_size}), exceeding max_subsets={max_subsets}; "
-            "reduce the bound, shrink the sweep group, or raise max_subsets"
-        )
-    extra_constants = tuple(extra_constants)
-    setup = prepare_sweep_run(catalog, bound, domain, semantics, extra_constants)
+    _check_searchable(
+        list(catalog.values()), bound, domain, semantics, max_subsets, extra_constants,
+        space="catalog-sweep",
+        advice="reduce the bound, shrink the sweep group, or raise max_subsets",
+    )
 
     from ..parallel.tasks import derive_pair_seed
 
-    pair_seeds = {
-        pair: derive_pair_seed(seed, pair[0], pair[1]) or 0 for pair in pair_list
-    }
+    reports = _sweep(
+        catalog,
+        {pair: derive_pair_seed(seed, pair[0], pair[1]) or 0 for pair in pair_list},
+        bound, domain, semantics,
+        workers=workers,
+        executor=executor,
+        parallel_threshold=parallel_threshold,
+        warm_prefix=warm_prefix,
+        extra_constants=extra_constants,
+    )
+    for report in reports.values():
+        report.notes.append(
+            f"single-sweep over {len(catalog)} queries / {len(pair_list)} pairs"
+        )
+    return reports
+
+
+def _check_searchable(
+    queries: Sequence[Query],
+    bound: int,
+    domain: Domain,
+    semantics: str,
+    max_subsets: int,
+    extra_constants: Iterable[Constant],
+    *,
+    space: str,
+    advice: str,
+) -> None:
+    """Reject a search that cannot run — an unknown semantics, incomparable
+    queries, or a subset space beyond ``max_subsets`` — before anything is
+    enumerated.  The budget is checked arithmetically, BEFORE enumerating
+    orderings: Fubini(|T|) ordering enumeration on an over-budget instance
+    would burn minutes just to reach the guard."""
+    if semantics not in (SET_SEMANTICS, BAG_SET_SEMANTICS):
+        raise ReproError(f"unknown semantics {semantics!r}")
+    _resolve_catalog_function(queries, domain)
+    base_size = _catalog_base_size(queries, bound, extra_constants)
+    subset_count = 2**base_size
+    if subset_count > max_subsets:
+        raise SearchSpaceBudgetError(
+            f"the {space} search space has {subset_count} subsets of BASE "
+            f"(|BASE| = {base_size}), exceeding max_subsets={max_subsets}; {advice}"
+        )
+
+
+def _sweep(
+    catalog: dict[str, Query],
+    pair_seeds: dict[tuple[str, str], int],
+    bound: int,
+    domain: Domain,
+    semantics: str,
+    *,
+    workers: Optional[int],
+    executor,
+    parallel_threshold: int,
+    warm_prefix: int,
+    extra_constants: Iterable[Constant],
+) -> dict[tuple[str, str], EquivalenceReport]:
+    """The search loop behind :func:`sweep_equivalence` and
+    :func:`bounded_equivalence`: one canonical enumeration of the catalog
+    BASE, every still-open pair checked against each subset, serially or
+    sharded across a pool.  ``pair_seeds`` names the pairs to decide and the
+    seed of each pair's witness search."""
+    extra_constants = tuple(extra_constants)
+    setup = prepare_sweep_run(catalog, bound, domain, semantics, extra_constants)
     reports = {
         pair: EquivalenceReport(equivalent=True, bound=bound, domain=domain)
-        for pair in pair_list
+        for pair in pair_seeds
     }
 
     def settle(pair, counterexample) -> None:
@@ -800,7 +690,7 @@ def sweep_equivalence(
         # Degenerate corner: no terms at all (no constants and N = 0).  The
         # only database to compare over is the empty one.
         empty = Database(())
-        for pair in pair_list:
+        for pair in pair_seeds:
             counterexample = _compare_concrete(
                 catalog[pair[0]], catalog[pair[1]], empty, setup.function, semantics
             )
@@ -810,7 +700,7 @@ def sweep_equivalence(
 
     stats = CheckStats()
     enumerator = CanonicalSubsetEnumerator(setup.base, setup.fresh)
-    open_pairs: list[tuple[str, str]] = list(pair_list)
+    open_pairs: list[tuple[str, str]] = list(pair_seeds)
 
     if workers is None:
         from ..parallel.executor import default_workers, in_worker
@@ -818,9 +708,9 @@ def sweep_equivalence(
         workers = 1 if in_worker() else default_workers()
 
     def check_serial(subsets: Iterable[tuple[int, ...]]) -> None:
+        if not open_pairs:
+            return
         for indices in subsets:
-            if not open_pairs:
-                break
             stats.subsets_examined += 1
             hits = check_subset_sweep(
                 setup, frozenset(base[i] for i in indices), open_pairs, stats, pair_seeds
@@ -828,12 +718,16 @@ def sweep_equivalence(
             for pair, _ordering_position, counterexample in hits:
                 settle(pair, counterexample)
                 open_pairs.remove(pair)
+            if not open_pairs:
+                # Stop before pulling another subset: advancing a lazy
+                # enumerator would count skips past the work actually done.
+                return
 
     base = setup.base
     with _span(
         "sweep.enumerate",
         queries=len(catalog),
-        pairs=len(pair_list),
+        pairs=len(pair_seeds),
         bound=bound,
         base=len(base),
     ) as sweep_span:
@@ -857,27 +751,22 @@ def sweep_equivalence(
                     else []
                 )
                 check_serial(prefix)
-                remaining = subset_list[len(prefix) :]
-                if open_pairs and remaining:
+                if open_pairs and len(prefix) < len(subset_list):
                     from ..parallel.tasks import parallel_sweep_search
 
                     parallel_sweep_search(
-                        queries=tuple(catalog.items()),
-                        pairs=tuple(open_pairs),
+                        setup=setup,
+                        pair_seeds={pair: pair_seeds[pair] for pair in open_pairs},
                         bound=bound,
                         domain=domain,
                         semantics=semantics,
                         extra_constants=extra_constants,
-                        subsets=[
-                            (len(prefix) + offset, indices)
-                            for offset, indices in enumerate(remaining)
-                        ],
+                        start=len(prefix),
+                        count=len(subset_list) - len(prefix),
                         reports=reports,
                         stats=stats,
                         workers=workers,
                         executor=executor,
-                        seed=seed,
-                        ship=ship,
                     )
             else:
                 check_serial(subset_list)
@@ -902,9 +791,6 @@ def sweep_equivalence(
     for report in reports.values():
         stats.merge_into(report)
         report.subsets_skipped_by_symmetry = enumerator.skipped
-        report.notes.append(
-            f"single-sweep over {len(catalog)} queries / {len(pair_list)} pairs"
-        )
     return reports
 
 
@@ -917,10 +803,8 @@ def bounded_equivalence(
     bound: int,
     domain: Domain = Domain.RATIONALS,
     semantics: str = SET_SEMANTICS,
-    symmetry_reduction: bool = True,
     max_subsets: int = 2_000_000,
     *,
-    enumeration: Optional[str] = None,
     workers: Optional[int] = None,
     executor=None,
     seed: int = 0,
@@ -933,146 +817,27 @@ def bounded_equivalence(
     must be order-decidable over the domain.  For non-aggregate queries the
     ``semantics`` parameter selects set or bag-set semantics.
 
-    ``enumeration`` selects the subset strategy: ``"canonical"`` (default,
-    orbit representatives by orderly generation), ``"full"`` (no symmetry
-    reduction), or ``"scan"`` (the legacy per-subset permutation scan, kept
-    for ablation).  ``workers > 1`` shards the canonical subsets across a
-    process pool via :mod:`repro.parallel`; ``seed`` makes the fallback
-    witness search reproducible regardless of worker scheduling.
+    The check is the one-pair case of :func:`sweep_equivalence` — for two
+    queries the catalog BASE is the pair BASE — over the orbit-canonical
+    subsets.  ``workers > 1`` shards the subsets across a process pool via
+    :mod:`repro.parallel`; ``seed`` seeds the fallback witness search
+    directly, so it is reproducible regardless of worker scheduling.
     """
-    mode = enumeration
-    if mode is None:
-        mode = CANONICAL_ENUMERATION if symmetry_reduction else FULL_ENUMERATION
-    elif not symmetry_reduction and mode in (CANONICAL_ENUMERATION, SCAN_ENUMERATION):
-        mode = FULL_ENUMERATION
-    if mode not in (CANONICAL_ENUMERATION, FULL_ENUMERATION, SCAN_ENUMERATION):
-        raise ReproError(f"unknown enumeration mode {mode!r}")
-
-    extra_constants = tuple(extra_constants)
-    # Validate the pair, then budget-check the subset space arithmetically
-    # BEFORE enumerating orderings — Fubini(|T|) ordering enumeration on an
-    # over-budget instance would burn minutes just to reach the guard.
-    _resolve_function(first, second, domain)
-    base_size = _base_size(first, second, bound, extra_constants)
-    subset_count = 2**base_size
-    if subset_count > max_subsets:
-        raise SearchSpaceBudgetError(
-            f"the bounded-equivalence search space has {subset_count} subsets of BASE "
-            f"(|BASE| = {base_size}), exceeding max_subsets={max_subsets}; "
-            "reduce the bound or raise max_subsets explicitly"
-        )
-    setup = prepare_bounded_run(first, second, bound, domain, semantics, extra_constants)
-    report = EquivalenceReport(equivalent=True, bound=bound, domain=domain)
-    if not setup.orderings:
-        # Degenerate corner: no terms at all (no constants and N = 0).  The
-        # only database to compare over is the empty one.
-        counterexample = _compare_concrete(
-            first, second, Database(()), setup.function, semantics
-        )
-        if counterexample is not None:
-            report.equivalent = False
-            report.counterexample = counterexample
-        return report
-
-    if mode == SCAN_ENUMERATION:
-        return _finish_bounded_report(_scan_bounded_search(setup, report, seed))
-
-    enumerator: Optional[CanonicalSubsetEnumerator] = None
-    if mode == CANONICAL_ENUMERATION:
-        enumerator = CanonicalSubsetEnumerator(setup.base, setup.fresh)
-        subsets: Iterable[tuple[int, ...]] = iter(enumerator)
-    else:
-        subsets = (
-            combination
-            for size in range(len(setup.base) + 1)
-            for combination in itertools.combinations(range(len(setup.base)), size)
-        )
-
-    if workers is None:
-        from ..parallel.executor import default_workers, in_worker
-
-        workers = 1 if in_worker() else default_workers()
-    if workers > 1 or executor is not None:
-        # Sharding requires the materialized subset stream.  An explicitly
-        # supplied executor is always honored; with plain ``workers=N`` tiny
-        # spaces stay serial (over the already-built list) to skip the pool
-        # overhead.
-        subset_list = list(subsets)
-        if enumerator is not None:
-            report.subsets_skipped_by_symmetry = enumerator.skipped
-        if executor is not None or len(subset_list) >= parallel_threshold:
-            from ..parallel.tasks import parallel_bounded_search
-
-            return _finish_bounded_report(
-                parallel_bounded_search(
-                    first=first,
-                    second=second,
-                    bound=bound,
-                    domain=domain,
-                    semantics=semantics,
-                    extra_constants=extra_constants,
-                    subsets=subset_list,
-                    report=report,
-                    workers=workers,
-                    executor=executor,
-                    seed=seed,
-                )
-            )
-        subsets = iter(subset_list)
-
-    # Serial path: enumerate lazily, so an early counterexample (often on a
-    # tiny subset) is reported before the rest of the space is generated.
-    base = setup.base
-    with _span("bounded.enumerate", bound=bound, base=len(base)) as bounded_span:
-        for indices in subsets:
-            report.subsets_examined += 1
-            hit = check_subset(setup, frozenset(base[i] for i in indices), report, seed)
-            if hit is not None:
-                report.equivalent = False
-                report.counterexample = hit[1]
-                if enumerator is not None:
-                    report.subsets_skipped_by_symmetry = enumerator.skipped
-                bounded_span.note(subsets=report.subsets_examined, settled="counterexample")
-                return _finish_bounded_report(report)
-        if enumerator is not None:
-            report.subsets_skipped_by_symmetry = enumerator.skipped
-        bounded_span.note(subsets=report.subsets_examined, settled="exhausted")
-    return _finish_bounded_report(report)
-
-
-def _finish_bounded_report(report: EquivalenceReport) -> EquivalenceReport:
-    """Record a finished pair-local search into the metrics registry (the
-    report totals already include any worker-shipped stats)."""
-    _record_search_counters(
-        report.subsets_examined,
-        report.orderings_examined,
-        report.identities_checked,
-        report.subsets_skipped_by_symmetry,
+    pair = ("first", "second")
+    _check_searchable(
+        (first, second), bound, domain, semantics, max_subsets, extra_constants,
+        space="bounded-equivalence",
+        advice="reduce the bound or raise max_subsets explicitly",
     )
-    return report
-
-
-def _scan_bounded_search(
-    setup: BoundedRunSetup, report: EquivalenceReport, seed: int
-) -> EquivalenceReport:
-    """The legacy PR 1 search loop: every subset canonicalized by a
-    ``|fresh|!`` scan, every ordering evaluated individually."""
-    for subset, skipped in _iterate_subsets(setup.base, setup.fresh, True):
-        if skipped:
-            report.subsets_skipped_by_symmetry += 1
-            continue
-        report.subsets_examined += 1
-        for ordering in setup.orderings:
-            report.orderings_examined += 1
-            database = SymbolicDatabase(subset, ordering)
-            counterexample = _compare_over(
-                setup.first, setup.second, database, setup.function, setup.semantics, report, seed
-            )
-            if counterexample is not None:
-                report.equivalent = False
-                report.counterexample = counterexample
-                return report
-    return report
+    reports = _sweep(
+        {"first": first, "second": second}, {pair: seed}, bound, domain, semantics,
+        workers=workers,
+        executor=executor,
+        parallel_threshold=parallel_threshold,
+        warm_prefix=DEFAULT_SWEEP_WARM_PREFIX,
+        extra_constants=extra_constants,
+    )
+    return reports[pair]
 
 
 def local_equivalence(
@@ -1080,7 +845,6 @@ def local_equivalence(
     second: Query,
     domain: Domain = Domain.RATIONALS,
     semantics: str = SET_SEMANTICS,
-    symmetry_reduction: bool = True,
     max_subsets: int = 2_000_000,
     *,
     context: Optional[SharedBaseContext] = None,
@@ -1103,9 +867,9 @@ def local_equivalence(
     if (
         context is not None
         and context.bound >= bound
-        and _pair_is_comparison_free(first, second)
+        and _catalog_is_comparison_free((first, second))
     ):
-        shared_base_size = _base_size(first, second, context.bound, context.constants)
+        shared_base_size = _catalog_base_size((first, second), context.bound, context.constants)
         if 2**shared_base_size <= max_subsets:
             bound = context.bound
             extra_constants = context.constants
@@ -1115,7 +879,6 @@ def local_equivalence(
         bound,
         domain=domain,
         semantics=semantics,
-        symmetry_reduction=symmetry_reduction,
         max_subsets=max_subsets,
         workers=workers,
         executor=executor,
@@ -1135,14 +898,6 @@ def _catalog_base_size(
     term_count = len(constants) + bound
     arities = catalog_predicate_arities(queries)
     return sum(term_count**arity for arity in arities.values())
-
-
-def _base_size(
-    first: Query, second: Query, bound: int, extra_constants: Iterable[Constant]
-) -> int:
-    """|BASE| for the pair at the given bound (two-query case of
-    :func:`_catalog_base_size`)."""
-    return _catalog_base_size((first, second), bound, extra_constants)
 
 
 def _resolve_catalog_function(
@@ -1172,43 +927,6 @@ def _resolve_catalog_function(
             "bounded equivalence is undecidable for this class (Theorem 4.8)"
         )
     return function
-
-
-def _resolve_function(
-    first: Query, second: Query, domain: Domain
-) -> Optional[AggregationFunction]:
-    return _resolve_catalog_function((first, second), domain)
-
-
-def _compare_over(
-    first: Query,
-    second: Query,
-    database: SymbolicDatabase,
-    function: Optional[AggregationFunction],
-    semantics: str,
-    report: EquivalenceReport,
-    seed: int = 0,
-) -> Optional[Counterexample]:
-    if function is None:
-        return _compare_non_aggregate(first, second, database, semantics)
-    left_groups = symbolic_groups(first, database)
-    right_groups = symbolic_groups(second, database)
-    if set(left_groups) != set(right_groups):
-        concrete = database.instantiate()
-        return Counterexample(
-            database=concrete,
-            left_result=evaluate_aggregate(first, concrete, function),
-            right_result=evaluate_aggregate(second, concrete, function),
-            ordering=database.ordering,
-            symbolic_atoms=database.atoms,
-        )
-    for key in left_groups:
-        report.identities_checked += 1
-        if not function.decide_ordered_identity(
-            database.ordering, left_groups[key], right_groups[key]
-        ):
-            return _witness_for_identity_failure(first, second, database, function, seed=seed)
-    return None
 
 
 def _compare_concrete(

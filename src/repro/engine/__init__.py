@@ -107,7 +107,6 @@ from .symbolic import (
     clear_symbolic_caches,
     execute_symbolic_plan,
     relation_signature,
-    set_shared_gamma,
     symbolic_answer_multiset,
     symbolic_cache_stats,
     symbolic_groups,
@@ -157,7 +156,6 @@ __all__ = [
     "results_equal",
     "satisfying_assignments",
     "set_engine",
-    "set_shared_gamma",
     "store_cache_stats",
     "store_for",
     "symbolic_answer_multiset",

@@ -234,10 +234,6 @@ def relation_signature(query: Query, database: SymbolicDatabase) -> tuple:
     return _signature_for(database, _query_predicates(query))
 
 
-#: Whether the shared (relation-signature keyed) Γ caches are active.  The
-#: flag exists for ablation benchmarks; production code leaves it on.
-_SHARED_GAMMA_ENABLED = True
-
 #: Per-cache entry cap; dicts iterate in insertion order, so overflow evicts
 #: the oldest quarter (bounded memory for long-lived processes sweeping many
 #: catalogs, without the per-hit bookkeeping of a true LRU).
@@ -276,15 +272,6 @@ def _shared_cache_put(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def set_shared_gamma(enabled: bool) -> bool:
-    """Enable/disable the shared Γ caches (ablation hook); returns the
-    previous setting."""
-    global _SHARED_GAMMA_ENABLED
-    previous = _SHARED_GAMMA_ENABLED
-    _SHARED_GAMMA_ENABLED = enabled
-    return previous
-
-
 def symbolic_cache_stats() -> dict[str, int]:
     """Hit/miss counters and sizes of the shared symbolic caches."""
     return {
@@ -299,7 +286,7 @@ def symbolic_cache_stats() -> dict[str, int]:
 
 
 def _shares_by_relations(query: Query) -> bool:
-    return _SHARED_GAMMA_ENABLED and not query_uses_comparisons(query)
+    return not query_uses_comparisons(query)
 
 
 def symbolic_satisfying_assignments(
@@ -592,11 +579,7 @@ def _pair_signature(first: Query, second: Query, database: SymbolicDatabase) -> 
 
 
 def _shares_pair(first: Query, second: Query) -> bool:
-    return (
-        _SHARED_GAMMA_ENABLED
-        and not query_uses_comparisons(first)
-        and not query_uses_comparisons(second)
-    )
+    return not query_uses_comparisons(first) and not query_uses_comparisons(second)
 
 
 def compare_symbolic_groups(

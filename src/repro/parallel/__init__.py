@@ -2,14 +2,14 @@
 and equivalence matrices.
 
 The decision procedures of the paper enumerate huge but *independent* check
-spaces — (subset, ordering) pairs for bounded equivalence, query pairs for an
-equivalence matrix, and (subset, ordering-class) rows of a whole sub-catalog
-for the single-sweep engine.  This package splits those spaces into picklable
-shards (:mod:`repro.parallel.tasks`) and runs them through pluggable
-executors (:mod:`repro.parallel.executor`): serial for reference and
-debugging, or a multiprocessing pool with chunked dispatch, early exit via a
-shared cancellation event, and deterministic merging of verdicts and
-witnesses.  Sweep pools are forked after a serial warm prefix, so workers
+spaces — (subset, ordering-class) rows of a subset search (a catalog sweep,
+or the one-pair sweep behind bounded equivalence) and query pairs for an
+equivalence matrix.  This package splits those spaces into picklable shards
+(:mod:`repro.parallel.tasks`: :class:`SweepRangeCheckTask` and
+:class:`PairCheckTask`) and runs them through pluggable executors
+(:mod:`repro.parallel.executor`): serial for reference and debugging, or a
+multiprocessing pool with chunked dispatch, early exit via a shared
+cancellation event, and deterministic merging of verdicts and witnesses.  Sweep pools are forked after a serial warm prefix, so workers
 inherit the parent's shared Γ / comparison caches copy-on-write.
 
 Users normally reach this subsystem through ``workers=N`` on
@@ -29,58 +29,36 @@ from .executor import (
     resolve_executor,
 )
 from .tasks import (
-    SHIP_RANGES,
-    SHIP_ROWS,
-    BoundedCheckOutcome,
-    BoundedCheckTask,
     PairCheckTask,
     PairOutcome,
     SweepCheckOutcome,
-    SweepCheckTask,
     SweepRangeCheckTask,
     block_cyclic_ranges,
-    bounded_check_tasks,
     derive_pair_seed,
-    merge_bounded_outcomes,
     pair_check_tasks,
-    parallel_bounded_search,
     parallel_sweep_search,
-    run_bounded_check_task,
     run_pair_task,
-    run_sweep_check_task,
     run_sweep_range_task,
-    sweep_check_tasks,
     sweep_range_tasks,
 )
 
 __all__ = [
-    "BoundedCheckOutcome",
-    "BoundedCheckTask",
     "PairCheckTask",
     "PairOutcome",
     "PersistentProcessExecutor",
     "ProcessExecutor",
-    "SHIP_RANGES",
-    "SHIP_ROWS",
     "SerialExecutor",
     "SweepCheckOutcome",
-    "SweepCheckTask",
     "SweepRangeCheckTask",
     "block_cyclic_ranges",
-    "bounded_check_tasks",
     "cancellation_requested",
     "default_workers",
     "derive_pair_seed",
     "in_worker",
-    "merge_bounded_outcomes",
     "pair_check_tasks",
-    "parallel_bounded_search",
     "parallel_sweep_search",
     "resolve_executor",
-    "run_bounded_check_task",
     "run_pair_task",
-    "run_sweep_check_task",
     "run_sweep_range_task",
-    "sweep_check_tasks",
     "sweep_range_tasks",
 ]

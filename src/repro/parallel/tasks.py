@@ -2,11 +2,13 @@
 
 The decision procedures factor into independent, picklable check tasks:
 
-* :class:`BoundedCheckTask` — a shard of the bounded-equivalence search: a
-  chunk of orbit-canonical subsets of BASE (as index tuples into the
-  canonically ordered BASE), checked against every ordering class.  Workers
-  rebuild the run state (BASE, orderings, aggregation function) locally and
-  memoize it per process, so tasks stay small on the wire.
+* :class:`SweepRangeCheckTask` — a shard of a subset search (a catalog
+  sweep, or the one-pair sweep behind ``bounded_equivalence``):
+  ``(start, count)`` ranges of the orbit-canonical subset enumeration,
+  checked against every ordering class and every still-open pair.  Workers
+  rebuild the run state (BASE, orderings, aggregation function) and
+  re-enumerate the subset stream locally, memoizing the setup per process,
+  so tasks stay small on the wire.
 * :class:`PairCheckTask` — one (name_a, name_b) cell of an equivalence
   matrix, dispatched through :func:`repro.core.equivalence.are_equivalent`
   with a :class:`~repro.core.bounded.SharedBaseContext` so the symbolic
@@ -15,10 +17,10 @@ The decision procedures factor into independent, picklable check tasks:
 
 Outcomes carry global positions, so merging is deterministic: the verdict
 never depends on worker scheduling, and when several shards report
-counterexamples the one at the smallest (subset, ordering) position wins.
-(Under early-exit cancellation the set of *reporting* shards can depend on
-timing, so the chosen witness — always valid — may vary between runs; pair
-tasks have no early exit and are fully reproducible.)
+counterexamples for a pair the one at the smallest (subset, ordering)
+position wins.  (Under early-exit cancellation the set of *reporting* shards
+can depend on timing, so the chosen witness — always valid — may vary
+between runs; pair tasks have no early exit and are fully reproducible.)
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..core.bounded import (
-    BoundedRunSetup,
+    CanonicalSubsetEnumerator,
     CheckStats,
     Counterexample,
     EquivalenceReport,
     SharedBaseContext,
     SweepRunSetup,
-    check_subset,
     check_subset_sweep,
-    prepare_bounded_run,
     prepare_sweep_run,
 )
 from ..caches import register_cache
@@ -48,58 +48,6 @@ from ..engine.modes import DEFAULT_ENGINE, active_engine, engine_scope
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from .executor import Executor, cancellation_requested, in_worker, resolve_executor
-
-# ----------------------------------------------------------------------
-# Bounded-equivalence shards
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BoundedCheckTask:
-    """A picklable shard of a bounded-equivalence search.
-
-    ``chunk`` holds ``(position, subset_indices)`` pairs; positions are global
-    ranks in the canonical enumeration order and index tuples refer to the
-    canonically (str-)sorted BASE, which the worker re-derives.
-    """
-
-    index: int
-    first: Query
-    second: Query
-    bound: int
-    domain: Domain
-    semantics: str
-    extra_constants: tuple[Constant, ...]
-    seed: int
-    chunk: tuple[tuple[int, tuple[int, ...]], ...]
-    #: The evaluation engine the parent had active when the task was built;
-    #: the runner restores it around the shard so spawn-started workers (which
-    #: re-read ``REPRO_ENGINE`` at import) still decide under the same engine.
-    #: Deliberately absent from ``_setup_key``: setups hold engine-neutral
-    #: state (BASE, orderings), so shards of differing engines may share one.
-    engine: str = DEFAULT_ENGINE
-
-    def _setup_key(self) -> tuple:
-        return (
-            self.first,
-            self.second,
-            self.bound,
-            self.domain,
-            self.semantics,
-            self.extra_constants,
-        )
-
-
-@dataclass
-class BoundedCheckOutcome:
-    """The result of one shard: merged statistics plus, when the shard found
-    a counterexample, its global ``(subset_position, ordering_position)``."""
-
-    task_index: int
-    stats: CheckStats
-    found: Optional[tuple[tuple[int, int], Counterexample]] = None
-    cancelled: bool = False
-    #: The worker-side metrics-registry delta for this task (``None`` when the
-    #: task ran in the parent process); see :func:`absorb_worker_metrics`.
-    metrics: Optional[dict] = None
 
 
 def capture_worker_metrics() -> Optional[dict]:
@@ -133,12 +81,14 @@ def absorb_worker_metrics(outcomes: Iterable) -> None:
             _OBS.merge(delta, prefix="worker.")
 
 
-#: Per-process memo of run setups (bounded pairs and catalog sweeps share
-#: it, disambiguated by a type tag in the key), so a worker prepares BASE and
-#: the ordering classes once per (pair/catalog, bound) no matter how many
-#: shards it executes.  Setups are heavy (materialized BASE + orderings), so
-#: the memo is capped: on overflow the oldest entries are evicted (dicts
-#: iterate insertion-first).
+# ----------------------------------------------------------------------
+# Subset-search shards
+# ----------------------------------------------------------------------
+#: Per-process memo of sweep setups, so a worker prepares BASE and the
+#: ordering classes once per (catalog, bound) no matter how many shards it
+#: executes.  Setups are heavy (materialized BASE + orderings), so the memo
+#: is capped: on overflow the oldest entries are evicted (dicts iterate
+#: insertion-first).
 _SETUP_MEMO: dict[tuple, object] = {}
 _SETUP_MEMO_LIMIT = 64
 
@@ -159,176 +109,39 @@ def clear_setup_memo() -> None:
 register_cache("parallel/tasks.py:_SETUP_MEMO", "clear_evaluation_caches", clear_setup_memo)
 
 
-def _memoized_setup(key: tuple, build):
-    setup = _SETUP_MEMO.get(key)
-    if setup is None:
-        _OBS.inc("parallel.setup.builds")
-        setup = build()
-        if len(_SETUP_MEMO) >= _SETUP_MEMO_LIMIT:
-            for stale in list(_SETUP_MEMO)[: _SETUP_MEMO_LIMIT // 4]:
-                del _SETUP_MEMO[stale]
-        _SETUP_MEMO[key] = setup
-    else:
-        _OBS.inc("parallel.setup.hits")
-    return setup
-
-
-def _setup_for(task: BoundedCheckTask) -> BoundedRunSetup:
-    return _memoized_setup(
-        ("bounded",) + task._setup_key(),
-        lambda: prepare_bounded_run(
-            task.first, task.second, task.bound, task.domain, task.semantics, task.extra_constants
-        ),
-    )
-
-
-def run_bounded_check_task(task: BoundedCheckTask) -> BoundedCheckOutcome:
-    """Execute one shard; stops early on the first counterexample or when the
-    pool's cancellation event fires."""
-    before = capture_worker_metrics()
-    with engine_scope(task.engine):
-        outcome = _bounded_check_outcome(task)
-    return attach_worker_metrics(outcome, before)
-
-
-def _bounded_check_outcome(task: BoundedCheckTask) -> BoundedCheckOutcome:
-    setup = _setup_for(task)
-    stats = CheckStats()
-    base = setup.base
-    for position, indices in task.chunk:
-        if cancellation_requested():
-            return BoundedCheckOutcome(task.index, stats, cancelled=True)
-        stats.subsets_examined += 1
-        hit = check_subset(setup, frozenset(base[i] for i in indices), stats, task.seed)
-        if hit is not None:
-            return BoundedCheckOutcome(task.index, stats, ((position, hit[0]), hit[1]))
-    return BoundedCheckOutcome(task.index, stats)
-
-
-def bounded_check_tasks(
-    first: Query,
-    second: Query,
-    bound: int,
-    domain: Domain,
-    semantics: str,
-    extra_constants: tuple[Constant, ...],
-    subsets: Sequence[tuple[int, ...]],
-    shards: int,
-    seed: int = 0,
-) -> list[BoundedCheckTask]:
-    """Split an enumerated subset stream into round-robin shards.
-
-    Subsets arrive in (size, lex) order, so round-robin interleaving gives
-    every shard the same size profile — the cheap small subsets and the
-    expensive large ones are spread evenly.
-    """
-    shards = max(1, min(shards, len(subsets))) if subsets else 1
-    chunks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(shards)]
-    for position, indices in enumerate(subsets):
-        chunks[position % shards].append((position, indices))
-    return [
-        BoundedCheckTask(
-            index=index,
-            first=first,
-            second=second,
-            bound=bound,
-            domain=domain,
-            semantics=semantics,
-            extra_constants=extra_constants,
-            seed=seed,
-            chunk=tuple(chunk),
-            engine=active_engine(),
-        )
-        for index, chunk in enumerate(chunks)
-        if chunk
-    ]
-
-
-def merge_bounded_outcomes(
-    report: EquivalenceReport, outcomes: Sequence[BoundedCheckOutcome]
-) -> EquivalenceReport:
-    """Deterministically fold shard outcomes into the report: statistics are
-    summed and the counterexample at the smallest global position wins."""
-    best: Optional[tuple[tuple[int, int], Counterexample]] = None
-    cancelled = 0
-    absorb_worker_metrics(outcomes)
-    for outcome in outcomes:
-        outcome.stats.merge_into(report)
-        if outcome.cancelled:
-            cancelled += 1
-        if outcome.found is not None and (best is None or outcome.found[0] < best[0]):
-            best = outcome.found
-    if best is not None:
-        report.equivalent = False
-        report.counterexample = best[1]
-    if cancelled:
-        report.notes.append(
-            f"{cancelled} shard(s) cancelled after the first counterexample; "
-            "statistics cover the work actually performed"
-        )
-    return report
-
-
-def parallel_bounded_search(
-    *,
-    first: Query,
-    second: Query,
-    bound: int,
-    domain: Domain,
-    semantics: str,
-    extra_constants: tuple[Constant, ...],
-    subsets: Sequence[tuple[int, ...]],
-    report: EquivalenceReport,
-    workers: Optional[int],
-    executor: Optional[Executor],
-    seed: int,
-) -> EquivalenceReport:
-    """Shard an enumerated bounded-equivalence search across an executor and
-    merge the outcomes (called by :func:`repro.core.bounded.bounded_equivalence`
-    once it has validated the pair and enumerated the canonical subsets)."""
-    executor = resolve_executor(workers, executor)
-    shard_count = max(1, getattr(executor, "workers", 1)) * 4
-    tasks = bounded_check_tasks(
-        first, second, bound, domain, semantics, extra_constants, subsets, shard_count, seed
-    )
-    with _span("bounded.enumerate.parallel", shards=len(tasks)):
-        outcomes = executor.run(
-            run_bounded_check_task, tasks, stop=lambda outcome: outcome.found is not None
-        )
-    report.workers_used = getattr(executor, "workers", 1)
-    report.notes.append(
-        f"parallel search: {len(tasks)} shard(s) over {report.workers_used} worker(s)"
-    )
-    return merge_bounded_outcomes(report, outcomes)
-
-
-# ----------------------------------------------------------------------
-# Catalog-sweep shards
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class SweepCheckTask:
-    """A picklable shard of a single-sweep catalog search.
+class SweepRangeCheckTask:
+    """A picklable shard of a subset search, described by ``(start, count)``
+    ranges of the canonical enumeration.
 
-    A shard owns a slice of the (subset, ordering-class) grid for the whole
-    sub-catalog: ``chunk`` holds ``(position, subset_indices)`` rows, and the
-    worker checks every ordering class (and every still-open pair) against
-    each row.  Workers rebuild the sweep setup (BASE, ordering classes,
-    aggregation function) locally and memoize it per process — when the pool
-    was forked after the parent's warm prefix, they also inherit the already
-    populated shared Γ / comparison caches copy-on-write.
+    Workers re-derive the subset stream locally in one streaming pass
+    (:func:`_sweep_range_rows`), so the pickle carries a handful of integers
+    per shard instead of every subset's index tuple — for huge BASEs that is
+    the whole task payload.  The trade is redundant enumeration (each worker
+    walks the stream up to its last assigned position), so exactly one shard
+    is built per worker with finer-grained blocks inside; ranges are assigned
+    block-cyclically, so every shard sees the same size profile at block
+    granularity.  When the pool was forked after the parent's warm prefix,
+    workers also inherit the already populated shared Γ / comparison caches
+    copy-on-write.
+
+    ``pair_seeds`` maps every still-open pair to the seed of its witness
+    search.
     """
 
     index: int
     queries: tuple[tuple[str, Query], ...]
-    pairs: tuple[tuple[str, str], ...]
+    pair_seeds: dict[tuple[str, str], int]
     bound: int
     domain: Domain
     semantics: str
     extra_constants: tuple[Constant, ...]
-    seed: Optional[int]
-    chunk: tuple[tuple[int, tuple[int, ...]], ...]
-    #: Engine captured at build time; restored by the runner (see
-    #: :class:`BoundedCheckTask`).
+    ranges: tuple[tuple[int, int], ...]
+    #: The evaluation engine the parent had active when the task was built;
+    #: the runner restores it around the shard so spawn-started workers (which
+    #: re-read ``REPRO_ENGINE`` at import) still decide under the same engine.
+    #: Deliberately absent from ``_setup_key``: setups hold engine-neutral
+    #: state (BASE, orderings), so shards of differing engines may share one.
     engine: str = DEFAULT_ENGINE
 
     def _setup_key(self) -> tuple:
@@ -351,14 +164,28 @@ class SweepCheckOutcome:
     stats: CheckStats
     found: tuple[tuple[tuple[str, str], tuple[int, int], Counterexample], ...] = ()
     cancelled: bool = False
-    #: Worker-side registry delta (``None`` when run in the parent); see
-    #: :func:`absorb_worker_metrics`.
+    #: The worker-side metrics-registry delta for this task (``None`` when the
+    #: task ran in the parent process); see :func:`absorb_worker_metrics`.
     metrics: Optional[dict] = None
 
 
-def _sweep_setup_for(task: "SweepCheckTask | SweepRangeCheckTask") -> SweepRunSetup:
+def _memoized_setup(key: tuple, build):
+    setup = _SETUP_MEMO.get(key)
+    if setup is None:
+        _OBS.inc("parallel.setup.builds")
+        setup = build()
+        if len(_SETUP_MEMO) >= _SETUP_MEMO_LIMIT:
+            for stale in list(_SETUP_MEMO)[: _SETUP_MEMO_LIMIT // 4]:
+                del _SETUP_MEMO[stale]
+        _SETUP_MEMO[key] = setup
+    else:
+        _OBS.inc("parallel.setup.hits")
+    return setup
+
+
+def _sweep_setup_for(task: SweepRangeCheckTask) -> SweepRunSetup:
     return _memoized_setup(
-        ("sweep",) + task._setup_key(),
+        task._setup_key(),
         lambda: prepare_sweep_run(
             dict(task.queries), task.bound, task.domain, task.semantics, task.extra_constants
         ),
@@ -366,7 +193,7 @@ def _sweep_setup_for(task: "SweepCheckTask | SweepRangeCheckTask") -> SweepRunSe
 
 
 def _sweep_range_rows(
-    task: "SweepRangeCheckTask",
+    task: SweepRangeCheckTask,
 ) -> "Iterator[tuple[int, tuple[int, ...]]]":
     """The positioned subset rows a range shard owns, re-enumerated locally.
 
@@ -376,11 +203,8 @@ def _sweep_range_rows(
     instead of materialized subset rows.  The stream is *not* materialized:
     one pass yields only the positions inside the shard's (ascending) ranges
     and stops after the last of them, keeping worker memory O(1) in the
-    stream length instead of trading the O(subsets) pickle for O(subsets)
-    RSS per process.
+    stream length.
     """
-    from ..core.bounded import CanonicalSubsetEnumerator
-
     setup = _sweep_setup_for(task)
     spans = iter(task.ranges)
     span = next(spans, None)
@@ -394,92 +218,35 @@ def _sweep_range_rows(
             yield position, indices
 
 
-def _run_sweep_rows(
-    task: "SweepCheckTask | SweepRangeCheckTask",
-    rows: "Iterable[tuple[int, tuple[int, ...]]]",
-) -> SweepCheckOutcome:
-    """The shared shard loop: check positioned subset rows until every
-    assigned pair failed locally or the pool's cancellation event fires."""
+def run_sweep_range_task(task: SweepRangeCheckTask) -> SweepCheckOutcome:
+    """Execute one range shard: re-enumerate the canonical stream locally and
+    check the positions the ranges select, until every assigned pair failed
+    locally or the pool's cancellation event fires."""
+    before = capture_worker_metrics()
+    with engine_scope(task.engine):
+        outcome = _sweep_range_outcome(task)
+    return attach_worker_metrics(outcome, before)
+
+
+def _sweep_range_outcome(task: SweepRangeCheckTask) -> SweepCheckOutcome:
     setup = _sweep_setup_for(task)
     stats = CheckStats()
-    pair_seeds = {
-        pair: derive_pair_seed(task.seed, pair[0], pair[1]) or 0 for pair in task.pairs
-    }
-    open_pairs = list(task.pairs)
+    open_pairs = list(task.pair_seeds)
     found: list[tuple[tuple[str, str], tuple[int, int], Counterexample]] = []
     base = setup.base
-    for position, indices in rows:
+    for position, indices in _sweep_range_rows(task):
         if not open_pairs:
             break
         if cancellation_requested():
             return SweepCheckOutcome(task.index, stats, tuple(found), cancelled=True)
         stats.subsets_examined += 1
         hits = check_subset_sweep(
-            setup, frozenset(base[i] for i in indices), open_pairs, stats, pair_seeds
+            setup, frozenset(base[i] for i in indices), open_pairs, stats, task.pair_seeds
         )
         for pair, ordering_position, counterexample in hits:
             found.append((pair, (position, ordering_position), counterexample))
             open_pairs.remove(pair)
     return SweepCheckOutcome(task.index, stats, tuple(found))
-
-
-def run_sweep_check_task(task: SweepCheckTask) -> SweepCheckOutcome:
-    """Execute one row-shipping sweep shard."""
-    before = capture_worker_metrics()
-    with engine_scope(task.engine):
-        outcome = _run_sweep_rows(task, task.chunk)
-    return attach_worker_metrics(outcome, before)
-
-
-# ----------------------------------------------------------------------
-# Range-shipping sweep shards
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepRangeCheckTask:
-    """A sweep shard described by ``(start, count)`` ranges of the canonical
-    enumeration instead of materialized subset rows.
-
-    Workers re-derive the subset stream locally in one streaming pass
-    (:func:`_sweep_range_rows`), so the pickle carries a handful of integers
-    per shard where a :class:`SweepCheckTask` carries every subset's index
-    tuple — for huge BASEs the difference is the whole task payload.  The
-    trade is redundant enumeration (each worker walks the stream up to its
-    last assigned position), so range mode builds exactly one shard per
-    worker with finer-grained blocks inside; ranges are assigned
-    block-cyclically, preserving the round-robin size-profile balance of the
-    row-shipping path at block granularity.
-    """
-
-    index: int
-    queries: tuple[tuple[str, Query], ...]
-    pairs: tuple[tuple[str, str], ...]
-    bound: int
-    domain: Domain
-    semantics: str
-    extra_constants: tuple[Constant, ...]
-    seed: Optional[int]
-    ranges: tuple[tuple[int, int], ...]
-    #: Engine captured at build time; restored by the runner (see
-    #: :class:`BoundedCheckTask`).
-    engine: str = DEFAULT_ENGINE
-
-    def _setup_key(self) -> tuple:
-        return (
-            self.queries,
-            self.bound,
-            self.domain,
-            self.semantics,
-            self.extra_constants,
-        )
-
-
-def run_sweep_range_task(task: SweepRangeCheckTask) -> SweepCheckOutcome:
-    """Execute one range shard: re-enumerate the canonical stream locally and
-    check the positions the ranges select."""
-    before = capture_worker_metrics()
-    with engine_scope(task.engine):
-        outcome = _run_sweep_rows(task, _sweep_range_rows(task))
-    return attach_worker_metrics(outcome, before)
 
 
 def block_cyclic_ranges(
@@ -505,7 +272,7 @@ def block_cyclic_ranges(
 
 def sweep_range_tasks(
     queries: tuple[tuple[str, Query], ...],
-    pairs: tuple[tuple[str, str], ...],
+    pair_seeds: dict[tuple[str, str], int],
     bound: int,
     domain: Domain,
     semantics: str,
@@ -513,19 +280,17 @@ def sweep_range_tasks(
     start: int,
     count: int,
     shards: int,
-    seed: Optional[int] = None,
 ) -> list[SweepRangeCheckTask]:
     """Build range shards covering positions ``[start, start + count)``."""
     return [
         SweepRangeCheckTask(
             index=index,
             queries=queries,
-            pairs=pairs,
+            pair_seeds=pair_seeds,
             bound=bound,
             domain=domain,
             semantics=semantics,
             extra_constants=extra_constants,
-            seed=seed,
             ranges=ranges,
             engine=active_engine(),
         )
@@ -533,72 +298,37 @@ def sweep_range_tasks(
     ]
 
 
-def sweep_check_tasks(
-    queries: tuple[tuple[str, Query], ...],
-    pairs: tuple[tuple[str, str], ...],
-    bound: int,
-    domain: Domain,
-    semantics: str,
-    extra_constants: tuple[Constant, ...],
-    subsets: Sequence[tuple[int, tuple[int, ...]]],
-    shards: int,
-    seed: Optional[int] = None,
-) -> list[SweepCheckTask]:
-    """Split a positioned subset stream into round-robin sweep shards (same
-    size-profile balancing as :func:`bounded_check_tasks`)."""
-    shards = max(1, min(shards, len(subsets))) if subsets else 1
-    chunks: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(shards)]
-    for offset, positioned in enumerate(subsets):
-        chunks[offset % shards].append(positioned)
-    return [
-        SweepCheckTask(
-            index=index,
-            queries=queries,
-            pairs=pairs,
-            bound=bound,
-            domain=domain,
-            semantics=semantics,
-            extra_constants=extra_constants,
-            seed=seed,
-            chunk=tuple(chunk),
-            engine=active_engine(),
-        )
-        for index, chunk in enumerate(chunks)
-        if chunk
-    ]
-
-
-#: How sweep shards receive their share of the subset stream.
-SHIP_RANGES = "ranges"  # (start, count) ranges + per-worker re-enumeration
-SHIP_ROWS = "rows"  # materialized subset index tuples (the PR 3 path)
-
-
 def parallel_sweep_search(
     *,
-    queries: tuple[tuple[str, Query], ...],
-    pairs: tuple[tuple[str, str], ...],
+    setup: SweepRunSetup,
+    pair_seeds: dict[tuple[str, str], int],
     bound: int,
     domain: Domain,
     semantics: str,
     extra_constants: tuple[Constant, ...],
-    subsets: Sequence[tuple[int, tuple[int, ...]]],
+    start: int,
+    count: int,
     reports: "dict[tuple[str, str], EquivalenceReport]",
     stats: CheckStats,
     workers: Optional[int],
     executor: Optional[Executor],
-    seed: Optional[int],
-    ship: str = SHIP_RANGES,
 ) -> None:
-    """Shard a single-sweep catalog search across an executor and fold the
-    outcomes into the per-pair reports (called by
-    :func:`repro.core.bounded.sweep_equivalence` after the warm prefix).
+    """Shard positions ``[start, start + count)`` of a subset search across an
+    executor and fold the outcomes into the per-pair reports (called by
+    :func:`repro.core.bounded.sweep_equivalence` and
+    :func:`repro.core.bounded.bounded_equivalence` after the warm prefix).
 
-    ``ship`` selects the shard payload: ``"ranges"`` (default) ships
-    ``(start, count)`` positions and lets every worker re-enumerate the
-    canonical stream locally — the pickle stays O(shards) however large BASE
-    grows; ``"rows"`` ships the materialized subset index tuples (kept as the
-    differential reference).  Both decompose the identical positioned stream,
-    so their merges are interchangeable.
+    One shard per worker: a range worker re-enumerates the stream up to its
+    last assigned position, so extra shards would multiply that redundant
+    enumeration; load balance comes from the finer block-cyclic blocks
+    inside each shard instead.
+
+    ``setup`` is the parent's run state; it seeds the per-process setup memo
+    before the pool forks, so a worker's first lookup hands back the
+    parent's own query objects.  Every shared-cache entry the parent (or its
+    warm prefix) keyed by those objects then matches by identity, instead of
+    by a field-by-field comparison against equal unpickled copies on every
+    lookup.
 
     The merge is deterministic: for every pair the counterexample at the
     smallest global (subset, ordering) position wins, so verdicts never
@@ -608,36 +338,21 @@ def parallel_sweep_search(
     """
     executor = resolve_executor(workers, executor)
     pool_size = max(1, getattr(executor, "workers", 1))
-    if ship == SHIP_RANGES:
-        # The stream handed over is a contiguous positioned suffix (the warm
-        # prefix was consumed by the parent), so ranges describe it exactly.
-        # One shard per worker: a range worker re-enumerates the stream up to
-        # its last assigned position, so extra shards would multiply that
-        # redundant enumeration; load balance comes from the finer
-        # block-cyclic blocks inside each shard instead.
-        start = subsets[0][0] if subsets else 0
-        tasks = sweep_range_tasks(
-            queries, pairs, bound, domain, semantics, extra_constants,
-            start, len(subsets), pool_size, seed,
-        )
-        run = run_sweep_range_task
-    elif ship == SHIP_ROWS:
-        tasks = sweep_check_tasks(
-            queries, pairs, bound, domain, semantics, extra_constants, subsets,
-            pool_size * 4, seed,
-        )
-        run = run_sweep_check_task
-    else:
-        raise ValueError(f"unknown sweep shipping mode {ship!r}")
-    remaining = set(pairs)
+    tasks = sweep_range_tasks(
+        tuple(setup.queries.items()), pair_seeds, bound, domain, semantics, extra_constants,
+        start, count, pool_size,
+    )
+    if tasks:
+        _memoized_setup(tasks[0]._setup_key(), lambda: setup)
+    remaining = set(pair_seeds)
 
     def all_settled(outcome: SweepCheckOutcome) -> bool:
         for pair, _position, _counterexample in outcome.found:
             remaining.discard(pair)
         return not remaining
 
-    with _span("sweep.enumerate.parallel", shards=len(tasks), ship=ship):
-        outcomes = executor.run(run, tasks, stop=all_settled)
+    with _span("sweep.enumerate.parallel", shards=len(tasks)):
+        outcomes = executor.run(run_sweep_range_task, tasks, stop=all_settled)
     best: dict[tuple[str, str], tuple[tuple[int, int], Counterexample]] = {}
     cancelled = 0
     absorb_worker_metrics(outcomes)
@@ -683,7 +398,7 @@ class PairCheckTask:
     seed: Optional[int]
     context: Optional[SharedBaseContext]
     #: Engine captured at build time; restored by the runner (see
-    #: :class:`BoundedCheckTask`).
+    #: :class:`SweepRangeCheckTask`).
     engine: str = DEFAULT_ENGINE
 
 

@@ -1,13 +1,15 @@
 """Tests for the parallel decision subsystem (:mod:`repro.parallel`).
 
-Covers the orbit-canonical subset enumeration (pinned against the legacy
-permutation-scan canonicalization), differential serial-vs-parallel checks
+Covers the orbit-canonical subset enumeration (pinned against a brute-force
+permutation-scan canonicalization kept here as the reference), differential serial-vs-parallel checks
 for ``bounded_equivalence`` and ``equivalence_matrix``, executor behaviour
 (early exit, deterministic merge, worker defaults), seed threading, and the
 sum→count pre-dispatch normalization.
 """
 
+import itertools
 import os
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
@@ -15,26 +17,70 @@ from repro import Verdict, parse_query
 from repro.core import SharedBaseContext, normalize_for_dispatch
 from repro.core.bounded import (
     CanonicalSubsetEnumerator,
-    _canonical_subset,
-    _iterate_subsets,
     bounded_equivalence,
     build_base,
 )
+from repro.datalog.atoms import RelationalAtom
 from repro.datalog.queries import term_size_of_pair
+from repro.datalog.terms import Variable
 from repro.engine import evaluate_aggregate, evaluate_bag_set, evaluate_set
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
-    bounded_check_tasks,
     derive_pair_seed,
     resolve_executor,
-    run_bounded_check_task,
 )
 from repro.workloads import QueryGenerator, QueryProfile, build_warehouse, equivalence_matrix
 
 # ----------------------------------------------------------------------
 # Orbit-canonical enumeration
 # ----------------------------------------------------------------------
+def _canonical_subset(
+    subset: frozenset[RelationalAtom], fresh: Sequence[Variable]
+) -> frozenset[RelationalAtom]:
+    """The canonical representative of a subset of BASE under permutations of
+    the interchangeable fresh variables.
+
+    Brute-force reference: a full ``|fresh|!`` scan per subset.  The
+    production path is :class:`CanonicalSubsetEnumerator`, which generates
+    only canonical representatives; this function is the oracle the
+    enumerator is pinned against.
+    """
+    best: Optional[tuple] = None
+    best_subset = subset
+    for permutation in itertools.permutations(fresh):
+        mapping = dict(zip(fresh, permutation))
+        renamed = frozenset(atom.substitute(mapping) for atom in subset)
+        signature = tuple(sorted(str(atom) for atom in renamed))
+        if best is None or signature < best:
+            best = signature
+            best_subset = renamed
+    return best_subset
+
+
+def _iterate_subsets(
+    base: Sequence[RelationalAtom],
+    fresh: Sequence[Variable],
+    symmetry_reduction: bool,
+) -> Iterator[tuple[frozenset[RelationalAtom], bool]]:
+    """Yield (subset, skipped) pairs; skipped subsets are symmetry duplicates.
+
+    Reference enumeration (every subset tested, canonical ones kept) for the
+    pinning tests.
+    """
+    for size in range(len(base) + 1):
+        for combination in itertools.combinations(base, size):
+            subset = frozenset(combination)
+            if symmetry_reduction and len(fresh) > 1:
+                canonical = _canonical_subset(subset, fresh)
+                if canonical != subset:
+                    # Only the canonical representative of each orbit under
+                    # permutations of the fresh variables is processed.
+                    yield subset, True
+                    continue
+            yield subset, False
+
+
 ENUMERATION_CASES = [
     ("q(count()) :- p(y), not r(y)", "q(count()) :- p(y)", 2),
     ("q(max(y)) :- p(y), y > 3", "q(max(y)) :- p(y), r(y, y)", 2),
@@ -104,13 +150,15 @@ def _witness_is_valid(first, second, counterexample, semantics):
 
 
 class TestDifferentialBounded:
+    # An explicit executor skips the serial warm prefix, so even the small
+    # spaces here are searched by the pool.
     @pytest.mark.parametrize("first_text,second_text,bound,semantics", DIFFERENTIAL_PAIRS)
     def test_serial_and_parallel_agree(self, first_text, second_text, bound, semantics):
         first, second = parse_query(first_text), parse_query(second_text)
         kwargs = {"semantics": semantics} if semantics else {}
         serial = bounded_equivalence(first, second, bound, workers=1, **kwargs)
         parallel = bounded_equivalence(
-            first, second, bound, workers=2, parallel_threshold=0, **kwargs
+            first, second, bound, executor=ProcessExecutor(2), **kwargs
         )
         assert serial.equivalent == parallel.equivalent
         assert parallel.workers_used == 2
@@ -151,7 +199,7 @@ class TestDifferentialBounded:
             if 2 ** len(base) > 4096:
                 continue
             serial = bounded_equivalence(first, second, 2, workers=1)
-            parallel = bounded_equivalence(first, second, 2, workers=2, parallel_threshold=0)
+            parallel = bounded_equivalence(first, second, 2, executor=ProcessExecutor(2))
             assert serial.equivalent == parallel.equivalent, (first, second)
             if not serial.equivalent:
                 assert _witness_is_valid(first, second, parallel.counterexample, "set")
@@ -164,7 +212,7 @@ class TestDifferentialBounded:
         first = parse_query("q(sum(y)) :- p(y)")
         second = parse_query("q(sum(y)) :- p(y), not r(y)")
         runs = [
-            bounded_equivalence(first, second, 2, workers=2, parallel_threshold=0)
+            bounded_equivalence(first, second, 2, executor=ProcessExecutor(2))
             for _ in range(2)
         ]
         for report in runs:
@@ -288,26 +336,35 @@ class TestExecutors:
         monkeypatch.delenv("REPRO_WORKERS")
         assert isinstance(resolve_executor(None), SerialExecutor)
 
-    def test_bounded_tasks_round_robin_and_cover(self):
-        first = parse_query("q(count()) :- p(y), not r(y)")
-        second = parse_query("q(count()) :- p(y)")
+    def test_range_tasks_cover_and_run_independently(self):
+        from repro.core.bounded import prepare_sweep_run
         from repro.domains import Domain
+        from repro.parallel import run_sweep_range_task, sweep_range_tasks
 
-        _, base, fresh = build_base(first, second, 2)
-        enumerator = CanonicalSubsetEnumerator(base, fresh)
-        subsets = list(enumerator)
-        tasks = bounded_check_tasks(
-            first, second, 2, Domain.RATIONALS, "set", (), subsets, shards=3
+        catalog = {
+            "a": parse_query("q(count()) :- p(y), not r(y)"),
+            "b": parse_query("q(count()) :- not r(y), p(y)"),
+        }
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set", ())
+        count = len(list(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
+        tasks = sweep_range_tasks(
+            tuple(catalog.items()), {("a", "b"): 0}, 2, Domain.RATIONALS, "set", (),
+            0, count, shards=3,
         )
-        positions = sorted(
-            position for task in tasks for position, _ in task.chunk
+        owned = [
+            [position for start, length in task.ranges for position in range(start, start + length)]
+            for task in tasks
+        ]
+        assert sorted(position for positions in owned for position in positions) == list(
+            range(count)
         )
-        assert positions == list(range(len(subsets)))
-        sizes = [len(task.chunk) for task in tasks]
-        assert max(sizes) - min(sizes) <= 1
-        # Shards are independently executable.
-        outcome = run_bounded_check_task(tasks[0])
-        assert outcome.stats.subsets_examined == len(tasks[0].chunk)
+        sizes = [len(positions) for positions in owned]
+        assert max(sizes) - min(sizes) <= len(tasks[0].ranges)
+        # Shards are independently executable (an equivalent pair never
+        # stops a shard early).
+        outcome = run_sweep_range_task(tasks[0])
+        assert outcome.found == ()
+        assert outcome.stats.subsets_examined == len(owned[0])
 
 
 # ----------------------------------------------------------------------
@@ -487,7 +544,7 @@ class TestWorkerCrashRecovery:
 
 
 class TestRangeShippingShards:
-    """The (start, count) range shards vs the row-shipping reference."""
+    """The (start, count) range shards vs a serial in-test reference."""
 
     def test_block_cyclic_ranges_cover_the_span(self):
         from repro.parallel import block_cyclic_ranges
@@ -504,8 +561,7 @@ class TestRangeShippingShards:
             assert len(ranges) <= shards
         assert block_cyclic_ranges(0, 0, 4) == []
 
-    @pytest.mark.parametrize("ship", ["rows", "ranges"])
-    def test_sweep_ship_modes_agree(self, ship):
+    def test_parallel_sweep_settles_catalog(self):
         from repro.core.bounded import sweep_equivalence
 
         catalog = {
@@ -516,7 +572,7 @@ class TestRangeShippingShards:
         }
         pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")]
         reports = sweep_equivalence(
-            catalog, pairs, 2, executor=ProcessExecutor(2), seed=11, ship=ship
+            catalog, pairs, 2, executor=ProcessExecutor(2), seed=11
         )
         verdicts = {pair: report.equivalent for pair, report in reports.items()}
         assert verdicts == {
@@ -533,7 +589,7 @@ class TestRangeShippingShards:
         import pickle
 
         from repro.core.bounded import CanonicalSubsetEnumerator, prepare_sweep_run
-        from repro.parallel import sweep_check_tasks, sweep_range_tasks
+        from repro.parallel import sweep_range_tasks
         from repro.domains import Domain
 
         catalog = {
@@ -541,25 +597,26 @@ class TestRangeShippingShards:
             "b": parse_query("q(count()) :- p(y, x)"),
         }
         queries = tuple(catalog.items())
-        pairs = (("a", "b"),)
         setup = prepare_sweep_run(catalog, 4, Domain.RATIONALS, "set", ())
         subsets = [
             (position, indices)
             for position, indices in enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh))
         ]
         assert len(subsets) > 1000  # large enough for payloads to dominate
-        rows = sweep_check_tasks(
-            queries, pairs, 4, Domain.RATIONALS, "set", (), subsets, 4, seed=1
-        )
         ranges = sweep_range_tasks(
-            queries, pairs, 4, Domain.RATIONALS, "set", (), 0, len(subsets), 4, seed=1
+            queries, {("a", "b"): 1}, 4, Domain.RATIONALS, "set", (), 0, len(subsets), 4
         )
-        assert len(pickle.dumps(ranges)) < len(pickle.dumps(rows)) / 10
+        # The ranges stand in for the positioned subset rows they cover.
+        assert len(pickle.dumps(ranges)) < len(pickle.dumps(subsets)) / 10
 
     def test_range_worker_reenumerates_identically(self):
-        from repro.core.bounded import CanonicalSubsetEnumerator, prepare_sweep_run
-        from repro.parallel import run_sweep_check_task, run_sweep_range_task
-        from repro.parallel import sweep_check_tasks, sweep_range_tasks
+        from repro.core.bounded import (
+            CanonicalSubsetEnumerator,
+            CheckStats,
+            check_subset_sweep,
+            prepare_sweep_run,
+        )
+        from repro.parallel import run_sweep_range_task, sweep_range_tasks
         from repro.domains import Domain
 
         catalog = {
@@ -567,16 +624,26 @@ class TestRangeShippingShards:
             "b": parse_query("q(count()) :- p(y)"),
         }
         queries = tuple(catalog.items())
-        pairs = (("a", "b"),)
+        pair_seeds = {("a", "b"): 3}
         setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set", ())
         subsets = list(enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
-        (rows_task,) = sweep_check_tasks(
-            queries, pairs, 2, Domain.RATIONALS, "set", (), subsets, 1, seed=3
-        )
+        # Serial reference: walk the parent's positioned stream in order until
+        # the pair fails.
+        reference = CheckStats()
+        expected = []
+        for position, indices in subsets:
+            reference.subsets_examined += 1
+            hits = check_subset_sweep(
+                setup, frozenset(setup.base[i] for i in indices), list(pair_seeds),
+                reference, pair_seeds,
+            )
+            if hits:
+                expected = [(pair, (position, ordering)) for pair, ordering, _ in hits]
+                break
+        assert expected  # the pair is not equivalent
         (range_task,) = sweep_range_tasks(
-            queries, pairs, 2, Domain.RATIONALS, "set", (), 0, len(subsets), 1, seed=3
+            queries, pair_seeds, 2, Domain.RATIONALS, "set", (), 0, len(subsets), 1
         )
-        rows_outcome = run_sweep_check_task(rows_task)
         range_outcome = run_sweep_range_task(range_task)
-        assert [f[0:2] for f in rows_outcome.found] == [f[0:2] for f in range_outcome.found]
-        assert rows_outcome.stats.subsets_examined == range_outcome.stats.subsets_examined
+        assert [f[0:2] for f in range_outcome.found] == expected
+        assert range_outcome.stats.subsets_examined == reference.subsets_examined

@@ -331,6 +331,33 @@ class TestSweepEquivalence:
         with pytest.raises(ReproError):
             sweep_equivalence(catalog, [("agg", "plain")], 1)
 
+    def test_unknown_semantics_raises(self):
+        # An agreeing pair never reaches a comparison that could reject the
+        # semantics, so the check must come before enumeration.
+        query = parse_query("q(x) :- p(x)")
+        with pytest.raises(ReproError):
+            sweep_equivalence({"a": query, "b": query}, [("a", "b")], 1, semantics="three-valued")
+
+    def test_early_exit_counts_only_pulled_subsets(self):
+        # The serial sweep must stop right after the last pair settles: the
+        # skipped count is that of an enumerator advanced exactly
+        # subsets_examined items, for the catalog entry point and the pair
+        # entry point alike.
+        from itertools import islice
+
+        from repro.core.bounded import CanonicalSubsetEnumerator, bounded_equivalence, build_base
+
+        first = parse_query("q(sum(y)) :- p(y)")
+        second = parse_query("q(sum(y)) :- p(y) ; p(y)")
+        swept = sweep_equivalence({"a": first, "b": second}, [("a", "b")], 2, workers=1)
+        reports = [swept[("a", "b")], bounded_equivalence(first, second, 2, workers=1)]
+        _, base, fresh = build_base(first, second, 2)
+        for report in reports:
+            assert not report.equivalent
+            enumerator = CanonicalSubsetEnumerator(base, fresh)
+            assert len(list(islice(enumerator, report.subsets_examined))) == report.subsets_examined
+            assert report.subsets_skipped_by_symmetry == enumerator.skipped
+
     def test_matches_pair_local_reports(self):
         from repro.core.bounded import local_equivalence
 
