@@ -5,9 +5,9 @@ Each benchmark script emits a list of ``{"name": ..., "wall_s": ...,
 a perf trajectory can be tracked across PRs by collecting the files CI (or a
 developer) writes per run.  ``speedup`` is relative to the record's stated
 baseline (1.0 for the baselines themselves).  ``engine`` names the evaluation
-back end (``naive`` | ``planned`` | ``compiled``) that produced the
-measurement; records that do not pin one explicitly are stamped with the
-process-wide active engine, so a trajectory never silently mixes back ends.
+back end (``naive`` | ``compiled``) that produced the measurement; records
+that do not pin one explicitly are stamped with the process-wide active
+engine, so a trajectory never silently mixes back ends.
 ``counters`` snapshots the metrics registry (:data:`repro.obs.REGISTRY`) at
 record time, so a perf regression can be cross-read against the work the run
 actually performed (kernel compiles, subsets enumerated, pool forks, ...).

@@ -10,7 +10,7 @@ Three claims of the columnar-engine PR, each measured directly:
    in: thousands of (subset, ordering) evaluations through a handful of
    kernels.
 
-2. **Warm evaluation clears a speedup floor over the planned interpreter**
+2. **Warm evaluation clears a speedup floor over the naive reference**
    on the scaled warehouse (the representative per-cell cost once interning
    and compilation have amortized).  The primary >= 5x acceptance floor
    lives in ``bench_evaluator_scaling.py``; this benchmark re-measures with
@@ -19,8 +19,9 @@ Three claims of the columnar-engine PR, each measured directly:
 
 3. **The pure-python loop kernels stand alone.**  With ``REPRO_NO_NUMPY=1``
    (the CI configuration without NumPy installed) the compiled engine must
-   still beat the planned interpreter — the vectorized ``searchsorted`` path
-   is an accelerator, not a crutch.
+   still beat the naive reference by the same margin the numpy build had to
+   clear — the vectorized ``searchsorted`` path is an accelerator, not a
+   crutch.
 
 4. **Disabled instrumentation is free.**  The observability layer
    (:mod:`repro.obs`) threads counter increments and trace spans through the
@@ -67,12 +68,12 @@ SCALE = (
 #: Random databases per amortization batch (two batches are evaluated).
 BATCH = 12 if QUICK else 60
 
-#: Cross-check floor for the warm compiled/planned ratio (the primary 5x
+#: Cross-check floor for the warm naive/compiled ratio (the primary 5x
 #: floor is asserted by bench_evaluator_scaling.py; this one only has to
 #: catch a regression that would leave that file stale).
 WARM_FLOOR = 1.2 if QUICK else 3.0
 
-#: Floor for the loop-kernel (REPRO_NO_NUMPY=1) compiled/planned ratio.
+#: Floor for the loop-kernel (REPRO_NO_NUMPY=1) naive/compiled ratio.
 LOOP_FLOOR = 1.0 if QUICK else 2.0
 
 #: Ceiling for disabled-instrumentation overhead on the warm compiled path.
@@ -99,13 +100,13 @@ def _evaluate_batch(queries, databases, mode: str) -> float:
 
 
 def _measure_warm_total(warehouse, mode: str, repeats: int = 5) -> float:
-    """Catalog-wide warm ``evaluate()`` seconds (kernels/stores/indexes hot,
+    """Catalog-wide warm ``evaluate()`` seconds (kernels/stores/plans hot,
     memoized Γ dropped between repetitions)."""
     database = warehouse.database
     total = 0.0
     with engine_scope(mode):
         for _, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)  # warm kernels, store, plans, indexes
+            evaluate(query, database)  # warm kernels, store, plans
             best = float("inf")
             for _ in range(repeats):
                 _satisfying_assignments_cached.cache_clear()
@@ -176,23 +177,22 @@ def run_benchmark(quick: bool) -> dict:
     for seed in range(5):
         database = random_warehouse_database(seed)
         for query in queries:
-            with engine_scope("planned"):
-                planned_result = evaluate(query, database)
+            with engine_scope("naive"):
+                naive_result = evaluate(query, database)
             with engine_scope("compiled"):
                 compiled_result = evaluate(query, database)
-            with engine_scope("naive"):
-                naive_assignments = naive_satisfying_assignments(query, database)
-                planned_assignments = satisfying_assignments(query, database)
-            assert planned_result == compiled_result, (seed, query.name)
+                compiled_assignments = satisfying_assignments(query, database)
+            naive_assignments = naive_satisfying_assignments(query, database)
+            assert naive_result == compiled_result, (seed, query.name)
             assert sorted(naive_assignments, key=repr) == sorted(
-                planned_assignments, key=repr
+                compiled_assignments, key=repr
             ), (seed, query.name)
 
     # 1. Kernel amortization: two batches of fresh databases, one kernel set.
     first_batch = [random_warehouse_database(seed) for seed in range(batch)]
     second_batch = [random_warehouse_database(seed) for seed in range(batch, 2 * batch)]
     _cold()
-    multi_planned = _evaluate_batch(queries, first_batch + second_batch, "planned")
+    multi_naive = _evaluate_batch(queries, first_batch + second_batch, "naive")
     _cold()
     multi_compiled_first = _evaluate_batch(queries, first_batch, "compiled")
     stats_after_first = kernel_cache_stats()
@@ -202,7 +202,7 @@ def run_benchmark(quick: bool) -> dict:
 
     # 2. Warm catalog evaluation at scale.
     _cold()
-    warm_planned = _measure_warm_total(warehouse, "planned")
+    warm_naive = _measure_warm_total(warehouse, "naive")
     warm_compiled = _measure_warm_total(warehouse, "compiled")
 
     # 4. Disabled-instrumentation overhead on the (already warm) compiled path.
@@ -233,11 +233,11 @@ def run_benchmark(quick: bool) -> dict:
         "facts": warehouse.fact_count,
         "queries": len(queries),
         "batch": batch,
-        "multi_planned": multi_planned,
+        "multi_naive": multi_naive,
         "multi_compiled": multi_compiled,
         "stats_after_first": stats_after_first,
         "stats_after_second": stats_after_second,
-        "warm_planned": warm_planned,
+        "warm_naive": warm_naive,
         "warm_compiled": warm_compiled,
         "loop_compiled": loop_compiled,
         "obs_ops": obs_ops,
@@ -254,16 +254,16 @@ def _render(result: dict) -> list[str]:
         f"[E14:{mode}] kernel reuse: {result['queries']} queries x "
         f"{2 * result['batch']} databases -> {second['compiles']} compiles, "
         f"{second['hits']} hits ({second['compiles'] - first['compiles']} new "
-        f"compiles in batch 2); planned {result['multi_planned'] * 1000:.1f} ms, "
+        f"compiles in batch 2); naive {result['multi_naive'] * 1000:.1f} ms, "
         f"compiled {result['multi_compiled'] * 1000:.1f} ms",
-        f"[E14:{mode}] warm catalog ({result['facts']} facts): planned "
-        f"{result['warm_planned'] * 1000:.1f} ms, compiled "
+        f"[E14:{mode}] warm catalog ({result['facts']} facts): naive "
+        f"{result['warm_naive'] * 1000:.1f} ms, compiled "
         f"{result['warm_compiled'] * 1000:.1f} ms "
-        f"({result['warm_planned'] / result['warm_compiled']:.1f}x, floor "
+        f"({result['warm_naive'] / result['warm_compiled']:.1f}x, floor "
         f"{1.2 if result['quick'] else 3.0}x)",
         f"[E14:{mode}] loop kernels (REPRO_NO_NUMPY=1): compiled "
         f"{result['loop_compiled'] * 1000:.1f} ms "
-        f"({result['warm_planned'] / result['loop_compiled']:.1f}x vs planned, "
+        f"({result['warm_naive'] / result['loop_compiled']:.1f}x vs naive, "
         f"floor {1.0 if result['quick'] else 2.0}x)",
         f"[E14:{mode}] disabled instrumentation: {result['obs_ops']} ops per "
         f"warm pass, {result['obs_overhead_ratio'] * 100:.3f}% of wall "
@@ -283,13 +283,13 @@ def _check(result: dict) -> None:
     assert second["hits"] > first["hits"]
 
     warm_floor = 1.2 if result["quick"] else 3.0
-    warm_ratio = result["warm_planned"] / result["warm_compiled"]
+    warm_ratio = result["warm_naive"] / result["warm_compiled"]
     assert warm_ratio >= warm_floor, (
         f"warm compiled speedup {warm_ratio:.2f}x below the {warm_floor}x floor"
     )
 
     loop_floor = 1.0 if result["quick"] else 2.0
-    loop_ratio = result["warm_planned"] / result["loop_compiled"]
+    loop_ratio = result["warm_naive"] / result["loop_compiled"]
     assert loop_ratio >= loop_floor, (
         f"loop-kernel compiled speedup {loop_ratio:.2f}x below the {loop_floor}x floor"
     )
@@ -330,37 +330,37 @@ def main() -> int:
             arguments.json,
             [
                 json_record(
-                    "compiled_engine.multi_db_planned",
-                    result["multi_planned"],
+                    "compiled_engine.multi_db_naive",
+                    result["multi_naive"],
                     1.0,
-                    engine="planned",
+                    engine="naive",
                     counters=result["counters"],
                 ),
                 json_record(
                     "compiled_engine.multi_db_compiled",
                     result["multi_compiled"],
-                    result["multi_planned"] / result["multi_compiled"],
+                    result["multi_naive"] / result["multi_compiled"],
                     engine="compiled",
                     counters=result["counters"],
                 ),
                 json_record(
-                    "compiled_engine.warm_catalog_planned",
-                    result["warm_planned"],
+                    "compiled_engine.warm_catalog_naive",
+                    result["warm_naive"],
                     1.0,
-                    engine="planned",
+                    engine="naive",
                     counters=result["counters"],
                 ),
                 json_record(
                     "compiled_engine.warm_catalog_compiled",
                     result["warm_compiled"],
-                    result["warm_planned"] / result["warm_compiled"],
+                    result["warm_naive"] / result["warm_compiled"],
                     engine="compiled",
                     counters=result["counters"],
                 ),
                 json_record(
                     "compiled_engine.warm_catalog_loop_kernels",
                     result["loop_compiled"],
-                    result["warm_planned"] / result["loop_compiled"],
+                    result["warm_naive"] / result["loop_compiled"],
                     engine="compiled",
                     counters=result["counters"],
                 ),

@@ -2,24 +2,22 @@
 
 Two acceptance claims share this workload (a scaled :func:`build_warehouse`,
 default ``stores=50, sales_per_store=200``, ~8k facts, evaluated over the
-analyst catalog):
+analyst catalog), both measured against the naive nested-loop reference:
 
-* **naive -> planned** (PR 1): the planned, index-probing engine is >= 5x
-  faster than the nested-loop reference, measured *cold* — a fresh
-  ``Database`` with plan and Γ caches cleared, so the timing includes
-  planning and lazy index construction.
+* **cold**: the compiled engine computes Γ(q, D) >= 5x faster than the
+  reference on a fresh ``Database`` with the plan, Γ, kernel and store caches
+  cleared, so the timing includes planning, interning and kernel compilation.
 
-* **planned -> compiled** (the columnar-engine PR): the code-generated
-  columnar kernels are >= 5x faster than the planned interpreter at the
-  ``evaluate()`` level, measured *warm* — stores interned, kernels compiled,
-  memoized Γ dropped between repetitions.  Warm is the representative regime:
-  the counterexample sweep evaluates thousands of (subset, ordering) cells
+* **warm**: the compiled engine is >= 5x faster than the reference at the
+  ``evaluate()`` level with stores interned, kernels compiled, and memoized Γ
+  dropped between repetitions.  Warm is the representative regime: the
+  counterexample sweep evaluates thousands of (subset, ordering) cells
   through the same per-plan kernels, so interning and compilation amortize to
   noise while the per-evaluation cost is paid every cell.
 
 The residual gap on aggregate-heavy queries is dominated by exact
 ``Fraction`` arithmetic inside the aggregate functions — α-application cost
-both engines share — so the per-query floor is asserted only on the
+both engines share — so the warm per-query floor is asserted only on the
 kernel-dominated queries while the catalog-wide total must clear the floor.
 
 Run under pytest (``pytest benchmarks/bench_evaluator_scaling.py``) or
@@ -57,7 +55,7 @@ SCALE = (
 )
 
 #: Queries whose shape (joins on bound columns, pushed filters) the planner
-#: accelerates; the aggregate speedup is measured over the whole catalog.
+#: accelerates; each must clear SPEEDUP_FLOOR cold at full scale.
 JOIN_HEAVY = ["large_sales_count", "premium_returned_revenue", "premium_kept_products"]
 
 #: Queries where the compiled kernels dominate end-to-end time (small answer
@@ -66,17 +64,17 @@ JOIN_HEAVY = ["large_sales_count", "premium_returned_revenue", "premium_kept_pro
 #: held only to the catalog-wide COMPILED_FLOOR.
 KERNEL_WINS = ["premium_kept_products", "revenue_per_store", "revenue_per_store_alt"]
 
-#: Acceptance floor for the whole-catalog naive->planned speedup (ISSUE 1
-#: demands >= 5x at full scale; quick mode keeps a smaller cushion for noisy
-#: CI runners).
+#: Floor for the whole-catalog cold naive->compiled speedup (measured 19.5x
+#: full and 4.1x quick on a 2-core box; quick mode keeps a smaller cushion
+#: for noisy CI runners).
 SPEEDUP_FLOOR = 2.0 if QUICK else 5.0
 
-#: Acceptance floor for the whole-catalog planned->compiled speedup at the
-#: evaluate() level (this PR demands >= 5x warm at full scale; measured
-#: ~6.5x, with the shared Fraction-arithmetic α cost bounding the total).
+#: Floor for the whole-catalog warm naive->compiled speedup at the
+#: evaluate() level (measured 66.6x full and 14.8x quick on a 2-core box).
 COMPILED_FLOOR = 1.5 if QUICK else 5.0
 
-#: Per-query floor for the kernel-dominated queries (measured 40-60x).
+#: Warm per-query floor for the kernel-dominated queries (measured 93x and
+#: up).
 KERNEL_FLOOR = 10.0
 
 
@@ -90,11 +88,12 @@ def _best_of(callable_, repeats: int = 3) -> float:
 
 
 def _measure(warehouse) -> dict[str, tuple[float, float]]:
-    """Per-query ``(naive_seconds, planned_seconds)``, fully cold each run.
+    """Per-query ``(naive_seconds, compiled_seconds)``, fully cold each run.
 
-    The planned run is timed against a freshly rebuilt ``Database`` with the
-    plan and Γ caches cleared, so the measurement includes planning and lazy
-    index construction — not just probing warm indexes.
+    The compiled run is timed against a freshly rebuilt ``Database`` with the
+    plan, Γ, kernel and store caches cleared, so the measurement includes
+    planning, interning and kernel compilation — not just running warm
+    kernels.
     """
     from repro.datalog.database import Database
 
@@ -102,31 +101,32 @@ def _measure(warehouse) -> dict[str, tuple[float, float]]:
     for name, query in sorted(warehouse.queries.items()):
         naive = _best_of(lambda: naive_satisfying_assignments(query, warehouse.database))
 
-        planned = float("inf")
+        compiled = float("inf")
         for _ in range(3):
-            fresh_database = Database(warehouse.database.facts)  # no warm indexes
+            fresh_database = Database(warehouse.database.facts)  # no cached store
             clear_evaluation_caches()
             clear_plan_cache()
-            with engine_scope("planned"):
+            with engine_scope("compiled"):
                 start = time.perf_counter()
                 satisfying_assignments(query, fresh_database)
-            planned = min(planned, time.perf_counter() - start)
-        timings[name] = (naive, planned)
+            compiled = min(compiled, time.perf_counter() - start)
+        timings[name] = (naive, compiled)
     return timings
 
 
 def _measure_warm(warehouse, mode: str, repeats: int = 5) -> dict[str, float]:
     """Per-query warm ``evaluate()`` seconds under the given engine mode.
 
-    A first untimed call interns the store, compiles the kernels, plans the
-    conditions and builds the indexes; each timed repetition then drops only
-    the memoized Γ results so both engines recompute the evaluation proper.
+    A first untimed call interns the store, compiles the kernels and plans
+    the conditions; each timed repetition then drops only the memoized Γ
+    results so the evaluation proper is recomputed (the naive reference
+    memoizes nothing).
     """
     database = warehouse.database
     timings: dict[str, float] = {}
     with engine_scope(mode):
         for name, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)  # warm kernels, store, plans, indexes
+            evaluate(query, database)  # warm kernels, store, plans
             best = float("inf")
             for _ in range(repeats):
                 _satisfying_assignments_cached.cache_clear()
@@ -137,89 +137,89 @@ def _measure_warm(warehouse, mode: str, repeats: int = 5) -> dict[str, float]:
     return timings
 
 
-@pytest.mark.paper_artifact("Engine substrate — indexed/planned join evaluation")
-def test_planned_engine_speedup(report_lines):
+@pytest.mark.paper_artifact("Engine substrate — cold compiled evaluation")
+def test_cold_compiled_speedup(report_lines):
     warehouse = build_warehouse(**SCALE)
     mode = "quick" if QUICK else "full"
 
     # The two engines must agree before their timings mean anything.
-    with engine_scope("planned"):
+    with engine_scope("compiled"):
         for name, query in sorted(warehouse.queries.items()):
             naive = naive_satisfying_assignments(query, warehouse.database)
-            planned = satisfying_assignments(query, warehouse.database)
-            assert sorted(naive, key=repr) == sorted(planned, key=repr), name
+            compiled = satisfying_assignments(query, warehouse.database)
+            assert sorted(naive, key=repr) == sorted(compiled, key=repr), name
 
     timings = _measure(warehouse)
     total_naive = sum(naive for naive, _ in timings.values())
-    total_planned = sum(planned for _, planned in timings.values())
-    overall = total_naive / total_planned
+    total_compiled = sum(compiled for _, compiled in timings.values())
+    overall = total_naive / total_compiled
 
-    for name, (naive, planned) in sorted(timings.items()):
+    for name, (naive, compiled) in sorted(timings.items()):
         report_lines.append(
             f"[E9] {name:26s} ({mode}, {warehouse.fact_count} facts): "
-            f"naive {naive * 1000:8.2f} ms, planned {planned * 1000:7.2f} ms, "
-            f"speedup {naive / planned:6.1f}x"
+            f"naive {naive * 1000:8.2f} ms, compiled {compiled * 1000:7.2f} ms, "
+            f"speedup {naive / compiled:6.1f}x"
         )
     report_lines.append(
         f"[E9] {'TOTAL':26s} ({mode}, {warehouse.fact_count} facts): "
-        f"naive {total_naive * 1000:8.2f} ms, planned {total_planned * 1000:7.2f} ms, "
+        f"naive {total_naive * 1000:8.2f} ms, compiled {total_compiled * 1000:7.2f} ms, "
         f"speedup {overall:6.1f}x (floor {SPEEDUP_FLOOR}x)"
     )
 
     assert overall >= SPEEDUP_FLOOR, (
-        f"planned engine only {overall:.1f}x faster than the naive reference "
+        f"cold compiled engine only {overall:.1f}x faster than the naive reference "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
     # The join-heavy queries are where the indexes matter most; each must
     # individually clear the floor at full scale.
     if not QUICK:
         for name in JOIN_HEAVY:
-            naive, planned = timings[name]
-            assert naive / planned >= SPEEDUP_FLOOR, (
-                f"{name}: {naive / planned:.1f}x < {SPEEDUP_FLOOR}x"
+            naive, compiled = timings[name]
+            assert naive / compiled >= SPEEDUP_FLOOR, (
+                f"{name}: {naive / compiled:.1f}x < {SPEEDUP_FLOOR}x"
             )
 
 
-@pytest.mark.paper_artifact("Engine substrate — columnar compiled evaluation")
-def test_compiled_engine_speedup(report_lines):
+@pytest.mark.paper_artifact("Engine substrate — warm compiled evaluation")
+def test_warm_compiled_speedup(report_lines):
     warehouse = build_warehouse(**SCALE)
     mode = "quick" if QUICK else "full"
 
     # Agreement first: evaluate() must be engine-invariant on the catalog.
     for name, query in sorted(warehouse.queries.items()):
-        with engine_scope("planned"):
-            planned_result = evaluate(query, warehouse.database)
+        with engine_scope("naive"):
+            naive_result = evaluate(query, warehouse.database)
         with engine_scope("compiled"):
             compiled_result = evaluate(query, warehouse.database)
-        assert planned_result == compiled_result, name
+        assert naive_result == compiled_result, name
 
-    planned = _measure_warm(warehouse, "planned")
+    naive = _measure_warm(warehouse, "naive")
     compiled = _measure_warm(warehouse, "compiled")
-    total_planned = sum(planned.values())
+    total_naive = sum(naive.values())
     total_compiled = sum(compiled.values())
-    overall = total_planned / total_compiled
+    overall = total_naive / total_compiled
 
-    for name in sorted(planned):
+    for name in sorted(naive):
         report_lines.append(
             f"[E9c] {name:26s} ({mode}, {warehouse.fact_count} facts): "
-            f"planned {planned[name] * 1000:7.2f} ms, "
+            f"naive {naive[name] * 1000:8.2f} ms, "
             f"compiled {compiled[name] * 1000:7.2f} ms, "
-            f"speedup {planned[name] / compiled[name]:6.1f}x"
+            f"speedup {naive[name] / compiled[name]:6.1f}x"
         )
     report_lines.append(
         f"[E9c] {'TOTAL':26s} ({mode}, {warehouse.fact_count} facts): "
-        f"planned {total_planned * 1000:7.2f} ms, "
+        f"naive {total_naive * 1000:8.2f} ms, "
         f"compiled {total_compiled * 1000:7.2f} ms, "
         f"speedup {overall:6.1f}x (floor {COMPILED_FLOOR}x)"
     )
 
     assert overall >= COMPILED_FLOOR, (
-        f"compiled engine only {overall:.1f}x faster than the planned engine "
+        f"warm compiled engine only {overall:.1f}x faster than the naive reference "
         f"(floor {COMPILED_FLOOR}x)"
     )
     if not QUICK:
         for name in KERNEL_WINS:
-            ratio = planned[name] / compiled[name]
+            ratio = naive[name] / compiled[name]
             assert ratio >= KERNEL_FLOOR, f"{name}: {ratio:.1f}x < {KERNEL_FLOOR}x"
 
 
@@ -245,30 +245,30 @@ def main() -> int:
 
     timings = _measure(warehouse)
     total_naive = sum(naive for naive, _ in timings.values())
-    total_planned_cold = sum(planned for _, planned in timings.values())
-    for name, (naive, planned) in sorted(timings.items()):
+    total_compiled_cold = sum(compiled for _, compiled in timings.values())
+    for name, (naive, compiled) in sorted(timings.items()):
         print(
-            f"{name:26s} naive {naive * 1000:8.2f} ms  planned {planned * 1000:7.2f} ms  "
-            f"speedup {naive / planned:6.1f}x"
+            f"{name:26s} naive {naive * 1000:8.2f} ms  compiled {compiled * 1000:7.2f} ms  "
+            f"speedup {naive / compiled:6.1f}x"
         )
-    print(f"{'TOTAL':26s} naive {total_naive * 1000:8.2f} ms  planned "
-          f"{total_planned_cold * 1000:7.2f} ms  speedup "
-          f"{total_naive / total_planned_cold:6.1f}x")
+    print(f"{'TOTAL':26s} naive {total_naive * 1000:8.2f} ms  compiled "
+          f"{total_compiled_cold * 1000:7.2f} ms  speedup "
+          f"{total_naive / total_compiled_cold:6.1f}x")
 
-    planned_warm = _measure_warm(warehouse, "planned")
+    naive_warm = _measure_warm(warehouse, "naive")
     compiled_warm = _measure_warm(warehouse, "compiled")
-    total_planned = sum(planned_warm.values())
+    total_naive_warm = sum(naive_warm.values())
     total_compiled = sum(compiled_warm.values())
     print()
-    for name in sorted(planned_warm):
+    for name in sorted(naive_warm):
         print(
-            f"{name:26s} planned {planned_warm[name] * 1000:7.2f} ms  "
+            f"{name:26s} naive {naive_warm[name] * 1000:8.2f} ms  "
             f"compiled {compiled_warm[name] * 1000:7.2f} ms  "
-            f"speedup {planned_warm[name] / compiled_warm[name]:6.1f}x"
+            f"speedup {naive_warm[name] / compiled_warm[name]:6.1f}x"
         )
-    print(f"{'TOTAL':26s} planned {total_planned * 1000:7.2f} ms  compiled "
+    print(f"{'TOTAL':26s} naive {total_naive_warm * 1000:8.2f} ms  compiled "
           f"{total_compiled * 1000:7.2f} ms  speedup "
-          f"{total_planned / total_compiled:6.1f}x")
+          f"{total_naive_warm / total_compiled:6.1f}x")
 
     if arguments.json:
         from _jsonlog import json_record, write_json_records
@@ -278,18 +278,18 @@ def main() -> int:
             [
                 json_record("evaluator_scaling.naive_total", total_naive, 1.0, engine="naive"),
                 json_record(
-                    "evaluator_scaling.planned_total_cold",
-                    total_planned_cold,
-                    total_naive / total_planned_cold,
-                    engine="planned",
+                    "evaluator_scaling.compiled_total_cold",
+                    total_compiled_cold,
+                    total_naive / total_compiled_cold,
+                    engine="compiled",
                 ),
                 json_record(
-                    "evaluator_scaling.planned_total_warm", total_planned, 1.0, engine="planned"
+                    "evaluator_scaling.naive_total_warm", total_naive_warm, 1.0, engine="naive"
                 ),
                 json_record(
                     "evaluator_scaling.compiled_total_warm",
                     total_compiled,
-                    total_planned / total_compiled,
+                    total_naive_warm / total_compiled,
                     engine="compiled",
                 ),
             ],

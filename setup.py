@@ -14,8 +14,8 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.11",
     # The core is dependency-free by design: the decision procedures, the
-    # planned interpreter, and the compiled engine's pure-python loop kernels
-    # run on the standard library alone.
+    # naive reference engine, and the compiled engine's pure-python loop
+    # kernels run on the standard library alone.
     install_requires=[],
     extras_require={
         # Enables the vectorized searchsorted join path of

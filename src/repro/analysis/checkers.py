@@ -469,8 +469,7 @@ _BACKEND_DRIVERS = frozenset(
         "compiled_evaluate_set", "compiled_evaluate_bag_set", "compiled_evaluate_aggregate",
         "compiled_satisfying_assignments", "compiled_symbolic_assignments",
         "compiled_symbolic_groups", "compiled_symbolic_multiset",
-        "naive_satisfying_assignments", "execute_plan", "execute_plan_vector",
-        "execute_symbolic_plan",
+        "naive_satisfying_assignments", "execute_plan_vector",
     }
 )
 

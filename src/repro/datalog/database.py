@@ -21,7 +21,7 @@ class Database:
     ``(predicate, values)`` pairs; values are normalized to exact numbers.
     """
 
-    __slots__ = ("_facts", "_by_predicate", "_carrier", "_indexes", "_sorted_carrier", "_distincts")
+    __slots__ = ("_facts", "_by_predicate", "_carrier", "_sorted_carrier", "_distincts")
 
     def __init__(self, facts: Iterable = ()):  # noqa: ANN001 - heterogeneous input
         normalized: set[GroundAtom] = set()
@@ -37,7 +37,6 @@ class Database:
             predicate: frozenset(rows) for predicate, rows in by_predicate.items()
         }
         self._carrier: frozenset[NumericValue] = frozenset(carrier)
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, tuple[tuple, ...]]] = {}
         self._sorted_carrier: tuple[NumericValue, ...] | None = None
         self._distincts: dict[tuple[str, int], int] = {}
 
@@ -90,24 +89,6 @@ class Database:
             rows = self._by_predicate.get(predicate, frozenset())
             cached = len({row[column] for row in rows if column < len(row)})
             self._distincts[key] = cached
-        return cached
-
-    def index(
-        self, predicate: str, columns: tuple[int, ...]
-    ) -> Mapping[tuple, tuple[tuple, ...]]:
-        """A hash index of the predicate's relation on the given columns.
-
-        The index maps each projection ``tuple(row[c] for c in columns)`` to
-        the tuple of full rows sharing it.  Indexes are built lazily on first
-        use and cached for the lifetime of the database; the database being
-        immutable, a cached index can never go stale.  Probing a key absent
-        from the mapping means no row matches.
-        """
-        key = (predicate, columns)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = build_column_index(self._by_predicate.get(predicate, frozenset()), columns)
-            self._indexes[key] = cached
         return cached
 
     def __contains__(self, fact) -> bool:  # noqa: ANN001
@@ -187,20 +168,6 @@ class Database:
 
     def to_relations(self) -> dict[str, set[tuple]]:
         return {predicate: set(rows) for predicate, rows in self._by_predicate.items()}
-
-
-def build_column_index(
-    rows: Iterable[tuple], columns: tuple[int, ...]
-) -> dict[tuple, tuple[tuple, ...]]:
-    """Group ``rows`` by their projection onto ``columns``.
-
-    Shared by the concrete and symbolic database index caches so the two
-    engines can never diverge in how indexes are built.
-    """
-    buckets: dict[tuple, list[tuple]] = {}
-    for row in rows:
-        buckets.setdefault(tuple(row[c] for c in columns), []).append(row)
-    return {projection: tuple(bucket) for projection, bucket in buckets.items()}
 
 
 def _coerce_fact(fact) -> GroundAtom:  # noqa: ANN001

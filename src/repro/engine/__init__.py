@@ -3,9 +3,9 @@
 Architecture
 ============
 
-Evaluation is served by three engines sharing one pipeline, selected by the
+Evaluation is served by two engines sharing one pipeline, selected by the
 process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
-``naive`` | ``planned`` | ``compiled``, default ``compiled``):
+``naive`` | ``compiled``, default ``compiled``):
 
 1. **Planning** (:mod:`repro.engine.planner`).  Each condition (disjunct) is
    compiled once into a :class:`~repro.engine.planner.Plan`: positive atoms
@@ -18,15 +18,12 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
    only on the condition and the relations' size/distinct *statistics*, so
    they are cached per ``(condition, statistics signature)``.
 
-2. **Execution** — three interchangeable back ends:
+2. **Execution** — two back ends:
 
    * ``naive`` — the original nested-loop engine
      (``naive_satisfying_assignments``), kept verbatim as the executable
-     specification and differential oracle.
-   * ``planned`` — the step interpreters (``execute_plan`` for concrete
-     databases, ``execute_symbolic_plan`` for symbolic ones) extending
-     dict-shaped partial assignments step by step, probing lazy
-     per-``(predicate, columns)`` hash indexes supplied by the database.
+     specification and differential oracle.  It evaluates concrete
+     databases only; symbolic evaluation runs compiled under either mode.
    * ``compiled`` — the columnar engine.  :mod:`repro.engine.columnar`
      interns each database once into integer id columns whose order mirrors
      the value order (sorted-carrier rank concretely, block position
@@ -37,15 +34,15 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
      NumPy ``searchsorted`` join executor when NumPy is importable
      (``REPRO_NO_NUMPY=1`` forces the pure-python kernels).
 
-   Index invariants (planned and compiled alike): databases are immutable, so
-   an index never goes stale; an index maps each projection of a row onto the
-   indexed columns to the rows sharing that projection; a key absent from the
-   index means no row matches; the empty column tuple is never indexed (it
-   denotes a full scan).  Symbolic indexes hold block representatives — rows
-   are canonicalized through the ordering before indexing.
+   Index invariants: databases are immutable, so a store's index never goes
+   stale; an index maps each projection of a row onto the indexed columns to
+   the rows sharing that projection; a key absent from the index means no
+   row matches; the empty column tuple is never indexed (it denotes a full
+   scan).  Symbolic stores hold block representatives — rows are
+   canonicalized through the ordering before interning.
 
 3. **Memoization**.  ``Γ(q, D)`` (and its symbolic counterpart ``Γ(q, S_L)``)
-   is cached per ``(query, database, engine)``; the compiled engine
+   is cached per ``(query, database)`` under the compiled engine, which
    additionally caches the columnar store per database and the kernel per
    ``(plan, output terms)``.  ``clear_evaluation_caches`` /
    ``clear_symbolic_caches`` reset the caches (benchmarks use them for
@@ -71,7 +68,6 @@ from .evaluator import (
     evaluate_aggregate,
     evaluate_bag_set,
     evaluate_set,
-    execute_plan,
     group_assignments,
     naive_satisfying_assignments,
     results_equal,
@@ -82,7 +78,6 @@ from .modes import (
     ENGINE_COMPILED,
     ENGINE_MODES,
     ENGINE_NAIVE,
-    ENGINE_PLANNED,
     active_engine,
     engine_scope,
     set_engine,
@@ -98,14 +93,10 @@ from .planner import (
     plan_condition,
 )
 from .symbolic import (
-    GroupComparison,
     SymbolicAssignment,
     SymbolicDatabase,
-    catalog_symbolic_groups,
     compare_symbolic_answers,
-    compare_symbolic_groups,
     clear_symbolic_caches,
-    execute_symbolic_plan,
     relation_signature,
     symbolic_answer_multiset,
     symbolic_cache_stats,
@@ -122,15 +113,12 @@ __all__ = [
     "ENGINE_COMPILED",
     "ENGINE_MODES",
     "ENGINE_NAIVE",
-    "ENGINE_PLANNED",
-    "GroupComparison",
     "LabeledAssignment",
     "NegationStep",
     "Plan",
     "SymbolicAssignment",
     "SymbolicDatabase",
     "active_engine",
-    "catalog_symbolic_groups",
     "clear_evaluation_caches",
     "clear_kernel_cache",
     "clear_plan_cache",
@@ -138,15 +126,12 @@ __all__ = [
     "clear_store_cache",
     "clear_symbolic_caches",
     "compare_symbolic_answers",
-    "compare_symbolic_groups",
     "engine_scope",
     "evaluate",
     "evaluate_aggregate",
     "evaluate_bag_set",
     "evaluate_set",
-    "execute_plan",
     "execute_plan_vector",
-    "execute_symbolic_plan",
     "get_kernel",
     "group_assignments",
     "kernel_cache_stats",

@@ -1,11 +1,10 @@
 """Per-plan compiled kernels: plans code-generated into Python closures.
 
-The planned engine of PR 1 interprets each :class:`~repro.engine.planner.Plan`
-step by step, carrying dict-shaped partial assignments.  That interpretation
-overhead — step dispatch, dict copying, per-tuple term resolution — is paid
-again for *every* database a plan is executed over, and a bounded-equivalence
-sweep executes the same few plans over thousands of ``(subset, ordering)``
-pairs.
+Interpreting a :class:`~repro.engine.planner.Plan` step by step, carrying
+dict-shaped partial assignments, pays step dispatch, dict copying and
+per-tuple term resolution again for *every* database the plan is executed
+over, and a bounded-equivalence sweep executes the same few plans over
+thousands of ``(subset, ordering)`` pairs.
 
 This module pays the cost once: :func:`get_kernel` turns a plan (plus the
 output terms the caller wants projected) into a specialized Python function by
@@ -32,7 +31,7 @@ the public evaluation API: concrete set / bag-set / aggregate evaluation and
 Γ(q, D), plus the symbolic Γ / groups / answer-multiset triple.  They decode
 id rows back to values (or block representatives) only at the projection
 boundary — group keys once per distinct group, never per tuple — which is
-where the engine's end-to-end speedup over the interpreter comes from.  Each
+where much of the engine's end-to-end speed comes from.  Each
 driver routes through :func:`repro.engine.columnar.execute_plan_vector` first
 when the store's relations are large enough to clear the NumPy threshold.
 """

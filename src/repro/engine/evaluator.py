@@ -11,25 +11,17 @@ This module implements the semantics of Sections 3.2 and 3.4 of the paper:
   variables, restricting each group to the aggregation variables and applying
   the aggregation function.
 
-Assignments are enumerated by executing the plans produced by
-:mod:`repro.engine.planner`: positive atoms are joined in planner order,
-probing the database's per-column hash indexes on the already-bound columns,
-and comparisons / negated atoms filter as soon as their variables are bound.
-``Γ(q, D)`` is memoized per ``(query, database)`` pair — both are immutable —
-so repeated evaluations (counterexample searches, equivalence matrices) pay
-for each distinct pair once.
-
-:func:`naive_satisfying_assignments` retains the original nested-loop engine
-as an executable specification; the differential tests and the scaling
-benchmark compare the planned engine against it.
-
 Every public entry point dispatches on the active engine mode
-(:mod:`repro.engine.modes`): ``naive`` routes Γ through the nested-loop
-reference, ``planned`` through the plan interpreter below, and ``compiled``
-(the default) through the columnar kernels of :mod:`repro.engine.compile` —
-with the set / bag-set / aggregate evaluators additionally skipping
-:class:`LabeledAssignment` materialization entirely and projecting inside the
-kernels.
+(:mod:`repro.engine.modes`).  ``compiled`` (the default) runs the columnar
+kernels of :mod:`repro.engine.compile`, with the set / bag-set / aggregate
+evaluators skipping :class:`LabeledAssignment` materialization entirely and
+projecting inside the kernels; its ``Γ(q, D)`` is memoized per
+``(query, database)`` pair — both are immutable — so repeated evaluations
+(counterexample searches, equivalence matrices) pay for each distinct pair
+once.  ``naive`` routes Γ through :func:`naive_satisfying_assignments`, the
+original nested-loop engine, kept as an executable specification; the
+differential tests and the scaling benchmark compare the compiled engine
+against it.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from . import compile as _compile
 from .modes import ENGINE_COMPILED, ENGINE_NAIVE, active_engine
-from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan, plan_condition
+from .planner import plan_condition  # noqa: F401 -- unused; perfbench/layers.py wraps this binding
 
 
 @dataclass(frozen=True)
@@ -93,30 +85,21 @@ class LabeledAssignment:
 def satisfying_assignments(query: Query, database: Database) -> list[LabeledAssignment]:
     """Γ(q, D): all labeled satisfying assignments of the query over the
     database, computed by the active engine."""
-    mode = active_engine()
-    if mode == ENGINE_NAIVE:
+    if active_engine() == ENGINE_NAIVE:
         return naive_satisfying_assignments(query, database)
-    return list(_satisfying_assignments_cached(query, database, mode))
+    return list(_satisfying_assignments_cached(query, database))
 
 
 # A deliberately smaller cache than the symbolic engine's: concrete databases
 # from counterexample searches are mostly one-shot (each trial generates a
 # fresh random database, hit again only when it becomes a witness), so a large
-# cache would mainly retain dead (query, database, assignments) triples.  The
-# engine mode is part of the key so differential runs that switch modes never
-# read a result the other engine produced.
+# cache would mainly retain dead (query, database, assignments) triples.  Only
+# the compiled engine reads it; ``naive`` recomputes every time.
 @lru_cache(maxsize=4096)
 def _satisfying_assignments_cached(
-    query: Query, database: Database, mode: str
+    query: Query, database: Database
 ) -> tuple[LabeledAssignment, ...]:
-    if mode == ENGINE_COMPILED:
-        return tuple(_compile.compiled_satisfying_assignments(query, database))
-    results: list[LabeledAssignment] = []
-    for index, disjunct in enumerate(query.disjuncts):
-        plan = plan_condition(disjunct, lambda predicate: len(database.relation(predicate)))
-        for mapping in execute_plan(plan, database):
-            results.append(LabeledAssignment.from_dict(mapping, index))
-    return tuple(results)
+    return tuple(_compile.compiled_satisfying_assignments(query, database))
 
 
 def clear_evaluation_caches() -> None:
@@ -143,76 +126,6 @@ def clear_evaluation_caches() -> None:
     _satisfying_assignments_cached.cache_clear()
     run_registered_clears("clear_evaluation_caches")
     _OBS.reset("engine.dispatch.")
-
-
-# ----------------------------------------------------------------------
-# Plan execution (concrete engine)
-# ----------------------------------------------------------------------
-def execute_plan(plan: Plan, database: Database) -> Iterator[dict[Variable, NumericValue]]:
-    """Enumerate the assignments satisfying the plan's condition over ``database``."""
-    if not plan.resolvable:
-        return
-    partials: list[dict[Variable, NumericValue]] = [{}]
-    for step in plan.steps:
-        if isinstance(step, AtomStep):
-            partials = _join_atom(step, database, partials)
-        elif isinstance(step, BindStep):
-            source = step.source
-            if isinstance(source, Constant):
-                value = source.value
-                for partial in partials:
-                    partial[step.variable] = value
-            else:
-                for partial in partials:
-                    partial[step.variable] = partial[source]
-        elif isinstance(step, CompareStep):
-            comparison = step.comparison
-            op = comparison.op
-            partials = [
-                partial
-                for partial in partials
-                if op.holds(
-                    _require_value(comparison.left, partial),
-                    _require_value(comparison.right, partial),
-                )
-            ]
-        else:  # NegationStep
-            atom = step.atom
-            partials = [
-                partial
-                for partial in partials
-                if not database.contains(
-                    atom.predicate,
-                    tuple(_require_value(argument, partial) for argument in atom.arguments),
-                )
-            ]
-        if not partials:
-            return
-    yield from partials
-
-
-def _join_atom(
-    step: AtomStep, database: Database, partials: list[dict[Variable, NumericValue]]
-) -> list[dict[Variable, NumericValue]]:
-    atom = step.atom
-    extended: list[dict[Variable, NumericValue]] = []
-    if step.bound_columns:
-        index = database.index(atom.predicate, step.bound_columns)
-        arguments = [atom.arguments[column] for column in step.bound_columns]
-        for partial in partials:
-            key = tuple(_require_value(argument, partial) for argument in arguments)
-            for row in index.get(key, ()):
-                match = _match_atom(atom, row, partial)
-                if match is not None:
-                    extended.append(match)
-    else:
-        relation = database.relation(atom.predicate)
-        for partial in partials:
-            for row in relation:
-                match = _match_atom(atom, row, partial)
-                if match is not None:
-                    extended.append(match)
-    return extended
 
 
 def _match_atom(
@@ -257,7 +170,7 @@ def naive_satisfying_assignments(query: Query, database: Database) -> list[Label
     atoms by full relation scans (largest arity first), resolves
     equality-defined variables afterwards, and only then filters by the
     comparisons and negated atoms.  The differential property tests and
-    ``benchmarks/bench_evaluator_scaling.py`` compare the planned engine
+    ``benchmarks/bench_evaluator_scaling.py`` compare the compiled engine
     against this reference.
     """
     results: list[LabeledAssignment] = []

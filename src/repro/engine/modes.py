@@ -1,11 +1,10 @@
-"""Engine selection: ``naive`` | ``planned`` | ``compiled``.
+"""Engine selection: ``naive`` | ``compiled``.
 
-Three engines answer every evaluation request in the system:
+Two engines answer every evaluation request in the system:
 
-* ``naive`` — the original nested-loop engine, kept verbatim as the
-  executable specification (the differential oracle).
-* ``planned`` — the PR 1 engine: per-condition plans executed by a step
-  interpreter over dict-shaped partial assignments.
+* ``naive`` — the original nested-loop engine over concrete databases, kept
+  verbatim as the executable specification (the differential oracle).
+  It has no symbolic counterpart: Γ(q, S_L) always runs the compiled kernels.
 * ``compiled`` (default) — the columnar engine: relations are interned into
   integer id columns (:mod:`repro.engine.columnar`) and each plan is code-
   generated once into a specialized Python function
@@ -28,11 +27,10 @@ from typing import Iterator, Optional
 from ..errors import ReproError
 
 ENGINE_NAIVE = "naive"
-ENGINE_PLANNED = "planned"
 ENGINE_COMPILED = "compiled"
 
-#: Recognized engine modes, in increasing order of sophistication.
-ENGINE_MODES = (ENGINE_NAIVE, ENGINE_PLANNED, ENGINE_COMPILED)
+#: Recognized engine modes: the reference first, then the default.
+ENGINE_MODES = (ENGINE_NAIVE, ENGINE_COMPILED)
 
 DEFAULT_ENGINE = ENGINE_COMPILED
 

@@ -13,14 +13,14 @@ representative of its block, so a subset ``S`` paired with an ordering that
 equates terms behaves exactly like its instantiation with a non-injective
 assignment.
 
-The engine executes the same plans as the concrete engine (see
-:mod:`repro.engine.planner`): positive atoms are matched by probing hash
-indexes of the canonical relations on the already-bound columns, and
-comparisons — decided by the ordering ``L`` rather than by numeric values —
-and negated atoms filter as soon as their variables are bound.  Symbolic
-``Γ(q, S_L)`` is memoized per ``(query, database)`` pair, so the thousands of
-evaluations performed by one bounded-equivalence run (and across runs sharing
-subsets, e.g. an equivalence matrix over a catalog) are each paid for once.
+Evaluation runs the compiled kernels of :mod:`repro.engine.compile` under
+every engine mode (the ``naive`` reference exists only over concrete
+databases): the symbolic database is interned into a columnar store whose id
+order mirrors the block order of ``L``, so comparisons decided by the
+ordering become integer comparisons on ids.  Symbolic ``Γ(q, S_L)`` is
+memoized per ``(query, database)`` pair, so the thousands of evaluations
+performed by one bounded-equivalence run (and across runs sharing subsets,
+e.g. an equivalence matrix over a catalog) are each paid for once.
 
 For *comparison-free* queries the memoization is sharper: the satisfying
 assignments, groups, and answer multisets depend only on the canonical
@@ -30,9 +30,9 @@ keyed by that *restricted relation signature* instead of the full
 ``(atoms, ordering)`` pair.  One Γ computation is then shared across every
 ordering of a block partition, across subsets that merge to the same
 relations, and — with a catalog-wide BASE — across every catalog pair that
-mentions the query (the ROADMAP's shared-BASE item).
-:func:`catalog_symbolic_groups` is the batched, BASE-sharing entry point that
-evaluates a whole catalog over one ``S_L`` through that cache.
+mentions the query.  :func:`symbolic_group_index` is the form the catalog
+sweep compares: each query's groups as ``{key: Counter(bag)}``, interned by
+content so that equal groups are one shared object.
 """
 
 from __future__ import annotations
@@ -40,20 +40,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping, Optional
 
 from ..caches import register_cache, run_registered_clears
 from ..datalog.atoms import RelationalAtom
-from ..datalog.conditions import Condition
-from ..datalog.database import Database, build_column_index
+from ..datalog.database import Database
 from ..datalog.queries import Query
 from ..datalog.terms import Constant, Term, Variable
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from ..orderings.complete_orderings import CompleteOrdering
 from . import compile as _compile
-from .modes import ENGINE_COMPILED, active_engine
-from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan, plan_condition
+from .planner import plan_condition  # noqa: F401 -- unused; perfbench/layers.py wraps this binding
 
 
 @lru_cache(maxsize=8192)
@@ -114,10 +111,6 @@ class SymbolicDatabase:
         return frozenset(carrier)
 
     @cached_property
-    def _indexes(self) -> dict[tuple[str, tuple[int, ...]], dict[tuple, tuple[tuple, ...]]]:
-        return {}
-
-    @cached_property
     def _signature_memo(self) -> dict[tuple[str, ...], tuple]:
         # Restricted relation signatures by predicate tuple.  One database
         # instance serves every query and pair of a catalog sweep, so the
@@ -129,22 +122,6 @@ class SymbolicDatabase:
 
     def contains(self, predicate: str, row: tuple[Term, ...]) -> bool:
         return row in self.canonical_relations.get(predicate, frozenset())
-
-    def index(
-        self, predicate: str, columns: tuple[int, ...]
-    ) -> Mapping[tuple, tuple[tuple, ...]]:
-        """A hash index of the canonical relation on the given columns, built
-        lazily and cached (the database is immutable, so it never goes stale).
-        Keys and rows hold block representatives, mirroring
-        :meth:`repro.datalog.database.Database.index`."""
-        key = (predicate, columns)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = build_column_index(
-                self.canonical_relations.get(predicate, frozenset()), columns
-            )
-            self._indexes[key] = cached
-        return cached
 
     def instantiate(self) -> Database:
         """A concrete database δ(S) for the canonical satisfying assignment δ
@@ -175,11 +152,6 @@ class SymbolicAssignment:
         # Dict-backed lookup for term_of; equality and hashing still use the
         # canonical sorted tuple.
         object.__setattr__(self, "_lookup", dict(self.mapping))
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[Variable, Term], disjunct_index: int):
-        ordered = tuple(sorted(mapping.items(), key=lambda item: item[0].name))
-        return cls(ordered, disjunct_index)
 
     def as_dict(self) -> dict[Variable, Term]:
         return dict(self.mapping)
@@ -242,7 +214,6 @@ _SHARED_CACHE_LIMIT = 65536
 _ASSIGNMENTS_BY_RELATIONS: dict[tuple, tuple[SymbolicAssignment, ...]] = {}
 _GROUPS_BY_RELATIONS: dict[tuple, dict] = {}
 _MULTISET_BY_RELATIONS: dict[tuple, dict] = {}
-_GROUP_COMPARISON_BY_RELATIONS: dict[tuple, "GroupComparison"] = {}
 _ANSWER_COMPARISON_BY_RELATIONS: dict[tuple, bool] = {}
 _GROUP_INDEX_BY_RELATIONS: dict[tuple, dict] = {}
 _GROUP_INDEX_INTERN: dict[frozenset, dict] = {}
@@ -255,8 +226,6 @@ register_cache("engine/symbolic.py:_GROUPS_BY_RELATIONS", "clear_symbolic_caches
                _GROUPS_BY_RELATIONS.clear)
 register_cache("engine/symbolic.py:_MULTISET_BY_RELATIONS", "clear_symbolic_caches",
                _MULTISET_BY_RELATIONS.clear)
-register_cache("engine/symbolic.py:_GROUP_COMPARISON_BY_RELATIONS", "clear_symbolic_caches",
-               _GROUP_COMPARISON_BY_RELATIONS.clear)
 register_cache("engine/symbolic.py:_ANSWER_COMPARISON_BY_RELATIONS", "clear_symbolic_caches",
                _ANSWER_COMPARISON_BY_RELATIONS.clear)
 register_cache("engine/symbolic.py:_GROUP_INDEX_BY_RELATIONS", "clear_symbolic_caches",
@@ -280,7 +249,6 @@ def symbolic_cache_stats() -> dict[str, int]:
         "assignments_entries": len(_ASSIGNMENTS_BY_RELATIONS),
         "groups_entries": len(_GROUPS_BY_RELATIONS),
         "multiset_entries": len(_MULTISET_BY_RELATIONS),
-        "group_comparison_entries": len(_GROUP_COMPARISON_BY_RELATIONS),
         "answer_comparison_entries": len(_ANSWER_COMPARISON_BY_RELATIONS),
     }
 
@@ -298,7 +266,7 @@ def symbolic_satisfying_assignments(
         cached = _ASSIGNMENTS_BY_RELATIONS.get(key)
         if cached is None:
             _OBS.inc("engine.gamma.shared_misses")
-            cached = _compute_symbolic_assignments(query, database)
+            cached = _compile.compiled_symbolic_assignments(query, database)
             _shared_cache_put(_ASSIGNMENTS_BY_RELATIONS, key, cached)
         else:
             _OBS.inc("engine.gamma.shared_hits")
@@ -310,23 +278,7 @@ def symbolic_satisfying_assignments(
 def _symbolic_assignments_cached(
     query: Query, database: SymbolicDatabase
 ) -> tuple[SymbolicAssignment, ...]:
-    return _compute_symbolic_assignments(query, database)
-
-
-def _compute_symbolic_assignments(
-    query: Query, database: SymbolicDatabase
-) -> tuple[SymbolicAssignment, ...]:
-    # ``naive`` has no symbolic counterpart (the reference engine only exists
-    # over concrete databases), so anything but ``compiled`` runs the plan
-    # interpreter below.
-    if active_engine() == ENGINE_COMPILED:
-        return _compile.compiled_symbolic_assignments(query, database)
-    results: list[SymbolicAssignment] = []
-    for index, disjunct in enumerate(query.disjuncts):
-        plan = plan_condition(disjunct, lambda predicate: len(database.relation(predicate)))
-        for mapping in execute_symbolic_plan(plan, database):
-            results.append(SymbolicAssignment.from_dict(mapping, index))
-    return tuple(results)
+    return _compile.compiled_symbolic_assignments(query, database)
 
 
 def clear_symbolic_caches() -> None:
@@ -340,128 +292,6 @@ def clear_symbolic_caches() -> None:
 
 
 # ----------------------------------------------------------------------
-# Plan execution (symbolic engine)
-# ----------------------------------------------------------------------
-def execute_symbolic_plan(
-    plan: Plan, database: SymbolicDatabase
-) -> Iterator[dict[Variable, Term]]:
-    """Enumerate the symbolic assignments satisfying the plan's condition.
-
-    Identical in structure to the concrete executor, except that terms are
-    block representatives (constants canonicalize through the ordering) and
-    comparisons are decided by the ordering ``L`` instead of numerically.
-    """
-    if not plan.resolvable:
-        return
-    ordering = database.ordering
-    partials: list[dict[Variable, Term]] = [{}]
-    for step in plan.steps:
-        if isinstance(step, AtomStep):
-            partials = _join_symbolic_atom(step, database, partials)
-        elif isinstance(step, BindStep):
-            source = step.source
-            if isinstance(source, Constant):
-                value = database.canonical(source)
-                for partial in partials:
-                    partial[step.variable] = value
-            else:
-                for partial in partials:
-                    partial[step.variable] = partial[source]
-        elif isinstance(step, CompareStep):
-            comparison = step.comparison
-            partials = [
-                partial
-                for partial in partials
-                if ordering.satisfies(
-                    type(comparison)(
-                        _require_symbolic(comparison.left, partial, database),
-                        comparison.op,
-                        _require_symbolic(comparison.right, partial, database),
-                    )
-                )
-            ]
-        else:  # NegationStep
-            atom = step.atom
-            partials = [
-                partial
-                for partial in partials
-                if not database.contains(
-                    atom.predicate,
-                    tuple(
-                        _require_symbolic(argument, partial, database)
-                        for argument in atom.arguments
-                    ),
-                )
-            ]
-        if not partials:
-            return
-    yield from partials
-
-
-def _join_symbolic_atom(
-    step: AtomStep, database: SymbolicDatabase, partials: list[dict[Variable, Term]]
-) -> list[dict[Variable, Term]]:
-    atom = step.atom
-    extended: list[dict[Variable, Term]] = []
-    if step.bound_columns:
-        index = database.index(atom.predicate, step.bound_columns)
-        arguments = [atom.arguments[column] for column in step.bound_columns]
-        for partial in partials:
-            key = tuple(_require_symbolic(argument, partial, database) for argument in arguments)
-            for row in index.get(key, ()):
-                match = _match_symbolic_atom(atom, row, partial, database)
-                if match is not None:
-                    extended.append(match)
-    else:
-        relation = database.relation(atom.predicate)
-        for partial in partials:
-            for row in relation:
-                match = _match_symbolic_atom(atom, row, partial, database)
-                if match is not None:
-                    extended.append(match)
-    return extended
-
-
-def _match_symbolic_atom(
-    atom: RelationalAtom,
-    row: tuple[Term, ...],
-    partial: Mapping[Variable, Term],
-    database: SymbolicDatabase,
-) -> Optional[dict[Variable, Term]]:
-    if len(row) != atom.arity:
-        return None
-    extended = dict(partial)
-    for argument, value in zip(atom.arguments, row):
-        if isinstance(argument, Constant):
-            if database.canonical(argument) != value:
-                return None
-        else:
-            bound = extended.get(argument)
-            if bound is None:
-                extended[argument] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-def _maybe_symbolic(
-    term: Term, assignment: Mapping[Variable, Term], database: SymbolicDatabase
-) -> Optional[Term]:
-    if isinstance(term, Constant):
-        return database.canonical(term)
-    return assignment.get(term)
-
-
-def _require_symbolic(
-    term: Term, assignment: Mapping[Variable, Term], database: SymbolicDatabase
-) -> Term:
-    value = _maybe_symbolic(term, assignment, database)
-    if value is None:
-        raise EvaluationError(f"unbound term {term} during symbolic evaluation")
-    return value
-
-
-# ----------------------------------------------------------------------
 # Groups and result signatures
 # ----------------------------------------------------------------------
 def symbolic_groups(
@@ -472,31 +302,17 @@ def symbolic_groups(
 
     For comparison-free queries the result is cached by the restricted
     relation signature and shared; callers must treat it as read-only.
+    Grouping happens on interned id keys inside the compiled driver, so Γ is
+    never materialized as :class:`SymbolicAssignment` objects.
     """
     if _shares_by_relations(query):
         key = (query, relation_signature(query, database))
         cached = _GROUPS_BY_RELATIONS.get(key)
         if cached is None:
-            cached = _compute_symbolic_groups(query, database)
+            cached = _compile.compiled_symbolic_groups(query, database)
             _shared_cache_put(_GROUPS_BY_RELATIONS, key, cached)
         return cached
-    return _compute_symbolic_groups(query, database)
-
-
-def _compute_symbolic_groups(
-    query: Query, database: SymbolicDatabase
-) -> dict[tuple[Term, ...], list[tuple[Term, ...]]]:
-    if active_engine() == ENGINE_COMPILED:
-        # Grouping happens on interned id keys inside the compiled driver;
-        # Γ is never materialized as SymbolicAssignment objects.
-        return _compile.compiled_symbolic_groups(query, database)
-    aggregation_variables = query.aggregation_variables()
-    groups: dict[tuple[Term, ...], list[tuple[Term, ...]]] = {}
-    for assignment in symbolic_satisfying_assignments(query, database):
-        key = assignment.terms_of(query.head_terms, database)
-        bag_element = assignment.terms_of(aggregation_variables, database)
-        groups.setdefault(key, []).append(bag_element)
-    return groups
+    return _compile.compiled_symbolic_groups(query, database)
 
 
 def symbolic_answer_multiset(
@@ -512,61 +328,15 @@ def symbolic_answer_multiset(
         key = (query, relation_signature(query, database))
         cached = _MULTISET_BY_RELATIONS.get(key)
         if cached is None:
-            cached = _compute_answer_multiset(query, database)
+            cached = _compile.compiled_symbolic_multiset(query, database)
             _shared_cache_put(_MULTISET_BY_RELATIONS, key, cached)
         return cached
-    return _compute_answer_multiset(query, database)
-
-
-def _compute_answer_multiset(
-    query: Query, database: SymbolicDatabase
-) -> dict[tuple[Term, ...], int]:
-    if active_engine() == ENGINE_COMPILED:
-        return _compile.compiled_symbolic_multiset(query, database)
-    result: dict[tuple[Term, ...], int] = {}
-    for assignment in symbolic_satisfying_assignments(query, database):
-        key = assignment.terms_of(query.head_terms, database)
-        result[key] = result.get(key, 0) + 1
-    return result
-
-
-def catalog_symbolic_groups(
-    queries: Mapping[str, Query], database: SymbolicDatabase
-) -> dict[str, dict[tuple[Term, ...], list[tuple[Term, ...]]]]:
-    """BASE-sharing entry point: the symbolic groups of every query of a
-    catalog over one ``S_L``.
-
-    When the catalog is checked pairwise over a shared BASE (see
-    :class:`repro.core.bounded.SharedBaseContext`), each Γ(q, S_L) is computed
-    once here and every pair mentioning ``q`` reuses it through the
-    restricted-relation-signature cache.
-    """
-    return {name: symbolic_groups(query, database) for name, query in queries.items()}
+    return _compile.compiled_symbolic_multiset(query, database)
 
 
 # ----------------------------------------------------------------------
 # Group-comparison kernels (single-sweep catalog engine)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GroupComparison:
-    """The ordering-independent part of comparing two queries over one S_L.
-
-    ``keys_match`` is whether the two queries produce the same group keys;
-    ``residual`` lists the groups whose bags differ *as multisets* — only
-    those can fail an ordered identity (``α(B) = α(B)`` is trivially valid),
-    so only those need the per-ordering deciders.  An instance with matching
-    keys and an empty residual certifies agreement under *every* ordering of
-    the block partition.
-    """
-
-    keys_match: bool
-    residual: tuple[tuple[tuple[Term, ...], tuple[tuple[Term, ...], ...], tuple[tuple[Term, ...], ...]], ...] = ()
-
-    @property
-    def agree_everywhere(self) -> bool:
-        return self.keys_match and not self.residual
-
-
 @lru_cache(maxsize=16384)
 def _pair_predicates(first: Query, second: Query) -> tuple[str, ...]:
     return tuple(sorted(set(_query_predicates(first)) | set(_query_predicates(second))))
@@ -580,29 +350,6 @@ def _pair_signature(first: Query, second: Query, database: SymbolicDatabase) -> 
 
 def _shares_pair(first: Query, second: Query) -> bool:
     return not query_uses_comparisons(first) and not query_uses_comparisons(second)
-
-
-def compare_symbolic_groups(
-    first: Query, second: Query, database: SymbolicDatabase
-) -> GroupComparison:
-    """Compare the symbolic groups of two aggregate queries over one ``S_L``,
-    separating the ordering-independent part (group keys and multiset-equal
-    bags) from the residual groups that still need ordered-identity checks.
-
-    For comparison-free pairs the result is cached by the pair's joint
-    restricted relation signature, so one comparison serves every ordering of
-    a block partition, every subset merging to the same canonical relations,
-    and — in a catalog sweep — every (subset, ordering-class) cell the pair
-    is re-examined under.
-    """
-    if _shares_pair(first, second):
-        key = (first, second, _pair_signature(first, second, database))
-        cached = _GROUP_COMPARISON_BY_RELATIONS.get(key)
-        if cached is None:
-            cached = _compute_group_comparison(first, second, database)
-            _shared_cache_put(_GROUP_COMPARISON_BY_RELATIONS, key, cached)
-        return cached
-    return _compute_group_comparison(first, second, database)
 
 
 def symbolic_group_index(
@@ -646,33 +393,19 @@ def _compute_group_index(query: Query, database: SymbolicDatabase) -> dict:
     }
 
 
-def _compute_group_comparison(
-    first: Query, second: Query, database: SymbolicDatabase
-) -> GroupComparison:
-    left_index = symbolic_group_index(first, database)
-    right_index = symbolic_group_index(second, database)
-    if left_index is right_index or left_index == right_index:
-        # The common case for equivalent rewritings: identical groups, so
-        # every ordered identity holds trivially under every ordering.
-        return GroupComparison(keys_match=True)
-    if left_index.keys() != right_index.keys():
-        return GroupComparison(keys_match=False)
-    left_groups = symbolic_groups(first, database)
-    right_groups = symbolic_groups(second, database)
-    residual = tuple(
-        (group_key, tuple(left_groups[group_key]), tuple(right_groups[group_key]))
-        for group_key in left_groups
-        if left_index[group_key] != right_index[group_key]
-    )
-    return GroupComparison(keys_match=True, residual=residual)
-
-
 def compare_symbolic_answers(
     first: Query, second: Query, database: SymbolicDatabase, semantics: str
 ) -> bool:
     """Whether two non-aggregate queries produce the same symbolic answers
     over one ``S_L`` (as a set for ``"set"`` semantics, with multiplicities
-    for ``"bag-set"``), cached like :func:`compare_symbolic_groups`."""
+    for ``"bag-set"``).
+
+    For comparison-free pairs the result is cached by the pair's joint
+    restricted relation signature, so one comparison serves every ordering of
+    a block partition, every subset merging to the same canonical relations,
+    and every (subset, ordering-class) cell of a catalog sweep that
+    re-examines the pair.
+    """
     if _shares_pair(first, second):
         key = (first, second, semantics, _pair_signature(first, second, database))
         cached = _ANSWER_COMPARISON_BY_RELATIONS.get(key)

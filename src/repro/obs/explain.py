@@ -72,7 +72,7 @@ class CellExplanation:
     dispatch_class: str
     #: The count-form normalization annotation, or ``None`` when none applied.
     normalization: Optional[str]
-    #: Engine mode the decision ran under (``naive``/``planned``/``compiled``).
+    #: Engine mode the decision ran under (``naive``/``compiled``).
     engine: str
     #: ``True`` when the verdict was served from the structural verdict
     #: cache; ``False`` when this cell was freshly decided.

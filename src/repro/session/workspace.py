@@ -148,7 +148,7 @@ class Workspace:
     ``unknown_bound``, ``seed``, ``normalize``, ``shared_base``, ``sweep``)
     mirror :func:`repro.workloads.batch.equivalence_matrix` and apply to
     every decision the session makes.  ``engine`` pins the evaluation engine
-    (``"naive"`` | ``"planned"`` | ``"compiled"``) for every decision and
+    (``"naive"`` | ``"compiled"``) for every decision and
     rewriting verification of the session; ``None`` follows the process-wide
     mode (``REPRO_ENGINE``, default ``compiled``).  ``store`` selects the
     second verdict tier behind the structural cache: a

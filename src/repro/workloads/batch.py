@@ -5,7 +5,7 @@ named families of queries posed against one database.  This module provides
 the batched entry points the examples and benchmarks drive:
 
 * :func:`evaluate_many` — evaluate every query of a catalog over a database
-  (the memoized, planned engine makes repeated and overlapping evaluations
+  (the memoized, compiled engine makes repeated and overlapping evaluations
   cheap), and
 * :func:`equivalence_matrix` — run the paper's strongest applicable decision
   procedure on every unordered pair of catalog queries, the bulk analogue of
@@ -77,7 +77,7 @@ def evaluate_many(
     Returns ``{name: result}`` where each result follows
     :func:`repro.engine.evaluate` (a dict for aggregate queries, a set of
     tuples otherwise).  ``engine`` pins the evaluation engine for this batch
-    (``"naive"`` | ``"planned"`` | ``"compiled"``); ``None`` uses the active
+    (``"naive"`` | ``"compiled"``); ``None`` uses the active
     mode.
     """
     with engine_scope(engine):

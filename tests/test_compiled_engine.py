@@ -2,14 +2,15 @@
 
 The compiled engine — interned columnar stores plus per-plan code-generated
 kernels, with an optional NumPy join path — must be observationally identical
-to the planned interpreter and to the naive nested-loop reference on every
-semantics the package exposes: ``evaluate_set`` / ``evaluate_bag_set`` /
-``evaluate_aggregate``, Γ(q, D) as a multiset, the symbolic sweep verdicts,
-and the counterexample witnesses the sweep path reports.  The tests here pin
-that three-way agreement on the deterministic scenario catalogs and on
-adversarial random instances, force both compiled back ends (the vectorized
-path and the pure-python loop kernels), and check the cache-hygiene contract
-of ``clear_evaluation_caches``.
+to the naive nested-loop reference on every semantics the package exposes:
+``evaluate_set`` / ``evaluate_bag_set`` / ``evaluate_aggregate``, Γ(q, D) as a
+multiset, the sweep verdicts, and the counterexample witnesses the sweep path
+reports.  The tests here pin that agreement on the deterministic scenario
+catalogs and on adversarial random instances, force both compiled back ends
+(the vectorized path and the pure-python loop kernels), and check the
+cache-hygiene contract of ``clear_evaluation_caches``.  The symbolic
+counterpart, Γ(q, S_L) against its definition over δ(S), lives in
+``tests/test_symbolic.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from collections import Counter
 
 import pytest
 
-from repro import Domain
+from repro import Domain, Workspace
 from repro.engine import (
+    ENGINE_MODES,
     clear_evaluation_caches,
     clear_symbolic_caches,
     engine_scope,
@@ -29,7 +31,9 @@ from repro.engine import (
     satisfying_assignments,
     store_cache_stats,
 )
+from repro.engine import modes
 from repro.engine.columnar import numpy_module
+from repro.errors import ReproError
 from repro.parallel.tasks import pair_check_tasks
 from repro.workloads import (
     build_view_scenario,
@@ -38,7 +42,7 @@ from repro.workloads import (
     random_warehouse_database,
 )
 
-ENGINES = ("naive", "planned", "compiled")
+ENGINES = ("naive", "compiled")
 
 
 def _clean() -> None:
@@ -71,14 +75,13 @@ def test_scenario_catalogs_agree_across_engines(label, queries, database):
     _clean()
     for name, query in sorted(queries.items()):
         results = {mode: _evaluate_under(mode, query, database) for mode in ENGINES}
-        assert results["naive"] == results["planned"], (label, name)
         assert results["naive"] == results["compiled"], (label, name)
 
 
 def test_random_instances_agree_across_engines():
     """Adversarial random instances (empty relations, dangling returns,
     repeated and negative amounts): identical Γ multisets and identical
-    derived semantics across all three engines."""
+    derived semantics across both engines."""
     _clean()
     queries = sorted(build_warehouse(stores=3, products=4, sales_per_store=6).queries.items())
     for seed in range(30):
@@ -86,14 +89,10 @@ def test_random_instances_agree_across_engines():
         for name, query in queries:
             with engine_scope("naive"):
                 naive_gamma = Counter(naive_satisfying_assignments(query, database))
-            with engine_scope("planned"):
-                planned_gamma = Counter(satisfying_assignments(query, database))
             with engine_scope("compiled"):
                 compiled_gamma = Counter(satisfying_assignments(query, database))
-            assert naive_gamma == planned_gamma, (seed, name)
             assert naive_gamma == compiled_gamma, (seed, name)
             results = {mode: _evaluate_under(mode, query, database) for mode in ENGINES}
-            assert results["naive"] == results["planned"], (seed, name)
             assert results["naive"] == results["compiled"], (seed, name)
 
 
@@ -130,19 +129,19 @@ def _summarize(results) -> dict:
 
 def test_decide_pairs_parity_across_engines_and_workers():
     """The sweep path must produce identical verdicts, methods, and witness
-    presence under the planned interpreter, the compiled engine, and the
-    compiled engine sharded over two workers."""
+    presence serially, sharded over two workers, and with the concrete
+    counterexample search run by the naive reference."""
     queries = _catalog_for_sweep()
 
-    _clean()
-    planned = decide_pairs(queries, seed=11, engine="planned")
     _clean()
     compiled = decide_pairs(queries, seed=11, engine="compiled")
     _clean()
     compiled_parallel = decide_pairs(queries, seed=11, workers=2, engine="compiled")
+    _clean()
+    naive = decide_pairs(queries, seed=11, engine="naive")
 
-    assert _summarize(planned) == _summarize(compiled)
-    assert _summarize(planned) == _summarize(compiled_parallel)
+    assert _summarize(compiled) == _summarize(compiled_parallel)
+    assert _summarize(compiled) == _summarize(naive)
 
     # Witness exactness: every concrete witness the compiled sweep reports
     # must be confirmed by the naive oracle — the queries really differ on it.
@@ -243,7 +242,7 @@ def test_task_builders_capture_active_engine():
             sorted(build_warehouse(stores=2, products=3, sales_per_store=4).queries.items())
         )[:2]
     }
-    for mode in ("planned", "compiled"):
+    for mode in ENGINES:
         with engine_scope(mode):
             tasks = pair_check_tasks(
                 queries,
@@ -257,3 +256,18 @@ def test_task_builders_capture_active_engine():
             )
         assert tasks, mode
         assert all(task.engine == mode for task in tasks)
+
+
+def test_only_naive_and_compiled_are_selectable(monkeypatch):
+    """The naive reference and the compiled engine are the two modes; any
+    other value — through the scope, a workspace, or ``REPRO_ENGINE`` — is
+    rejected with a message naming both."""
+    assert ENGINE_MODES == ENGINES
+    with pytest.raises(ReproError, match="expected one of naive, compiled"):
+        with engine_scope("planned"):
+            pass
+    with pytest.raises(ReproError, match="expected one of naive, compiled"):
+        Workspace(engine="planned")
+    monkeypatch.setenv("REPRO_ENGINE", "planned")
+    with pytest.raises(ReproError, match="expected one of naive, compiled"):
+        modes._initial_engine()

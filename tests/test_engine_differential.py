@@ -1,4 +1,4 @@
-"""Differential tests: the planned/indexed engine against the naive reference.
+"""Differential tests: the compiled engine against the naive reference.
 
 The naive nested-loop engine (``naive_satisfying_assignments``) is retained as
 an executable specification of the Section 3 semantics.  These tests drive
@@ -56,8 +56,8 @@ def test_engines_agree_on_random_workloads(profile_name):
         database = random_database(dict(profile.predicates), values, rng, max_facts=10)
 
         naive = naive_satisfying_assignments(query, database)
-        planned = satisfying_assignments(query, database)
-        assert _gamma_multiset(naive) == _gamma_multiset(planned), (
+        compiled = satisfying_assignments(query, database)
+        assert _gamma_multiset(naive) == _gamma_multiset(compiled), (
             f"Γ mismatch for {query} over {database}"
         )
 
@@ -98,8 +98,8 @@ def test_engines_agree_on_fractional_values():
     query = parse_query("q(x, sum(y)) :- p(x, y), y > 1/2")
     database = parse_database("p(1, 1/2). p(1, 3/4). p(2, 2). p(2, 1/4).")
     naive = naive_satisfying_assignments(query, database)
-    planned = satisfying_assignments(query, database)
-    assert _gamma_multiset(naive) == _gamma_multiset(planned)
+    compiled = satisfying_assignments(query, database)
+    assert _gamma_multiset(naive) == _gamma_multiset(compiled)
     assert evaluate_aggregate(query, database) == {(1,): Fraction(3, 4), (2,): 2}
 
 

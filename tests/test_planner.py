@@ -5,8 +5,6 @@ import pytest
 from repro import parse_database, parse_query
 from repro.datalog.atoms import Comparison, ComparisonOp, RelationalAtom
 from repro.datalog.conditions import Condition
-from repro.datalog.database import Database
-from repro.datalog.queries import conjunctive_query
 from repro.datalog.terms import Constant, Variable
 from repro.engine import (
     AtomStep,
@@ -14,9 +12,11 @@ from repro.engine import (
     CompareStep,
     NegationStep,
     evaluate_set,
+    get_kernel,
     naive_satisfying_assignments,
     plan_condition,
     satisfying_assignments,
+    store_for,
 )
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -72,15 +72,12 @@ class TestPlanShape:
 
     def test_unsafe_condition_is_unresolvable(self):
         # Constructed directly (make_condition would reject it): y is never
-        # bound, so the plan must be flagged and execution must yield nothing.
+        # bound, so the plan must be flagged and its kernel must yield nothing.
         condition = Condition((RelationalAtom("p", (x,)), Comparison(y, ComparisonOp.LT, x)))
         plan = _plan(condition, {"p": 1})
         assert not plan.resolvable
-        query = conjunctive_query("q", (x,), [RelationalAtom("p", (x,))])
-        database = parse_database("p(1).")
-        from repro.engine import execute_plan
-
-        assert list(execute_plan(plan, database)) == []
+        kernel = get_kernel(plan, (x,))
+        assert kernel(store_for(parse_database("p(1)."))) == []
 
 
 class TestJoinSelectivity:
@@ -166,19 +163,3 @@ class TestEngineCorners:
         query = parse_query("q(x, y) :- p(x, y), r(y, y)")
         database = parse_database("p(1, 2). p(1, 3). r(2, 2). r(3, 4).")
         assert evaluate_set(query, database) == {(1, 2)}
-
-
-class TestDatabaseIndex:
-    def test_index_groups_rows_by_projection(self):
-        database = Database([("p", (1, 2)), ("p", (1, 3)), ("p", (2, 5))])
-        index = database.index("p", (0,))
-        assert sorted(index[(1,)]) == [(1, 2), (1, 3)]
-        assert index[(2,)] == ((2, 5),)
-        assert (7,) not in index
-
-    def test_index_on_missing_predicate_is_empty(self):
-        assert Database([]).index("p", (0,)) == {}
-
-    def test_index_is_cached(self):
-        database = Database([("p", (1, 2))])
-        assert database.index("p", (1,)) is database.index("p", (1,))

@@ -22,7 +22,7 @@ from repro.core.equivalence import (
 )
 from repro.datalog.terms import Constant
 from repro.engine import clear_symbolic_caches
-from repro.engine.symbolic import SymbolicDatabase, compare_symbolic_groups, symbolic_group_index
+from repro.engine.symbolic import SymbolicDatabase, symbolic_group_index
 from repro.errors import ReproError, SearchSpaceBudgetError
 from repro.parallel.executor import default_workers
 from repro.workloads import build_warehouse, equivalence_matrix
@@ -394,10 +394,8 @@ class TestComparisonKernels:
         left = symbolic_group_index(first, database)
         right = symbolic_group_index(second, database)
         assert left is right  # interned: equal content, one object
-        comparison = compare_symbolic_groups(first, second, database)
-        assert comparison.keys_match and not comparison.residual
 
-    def test_key_mismatch_and_residual(self):
+    def test_doubled_bags_keep_keys(self):
         clear_symbolic_caches()
         from repro.core.bounded import build_base
         from repro.orderings.complete_orderings import enumerate_complete_orderings
@@ -408,12 +406,12 @@ class TestComparisonKernels:
         terms, base, fresh = build_base(first, second, 2)
         ordering = next(iter(enumerate_complete_orderings(terms, Domain.RATIONALS)))
         database = SymbolicDatabase(frozenset(base), ordering)
-        comparison = compare_symbolic_groups(first, second, database)
-        # Same keys, doubled bags: every group lands in the residual.
-        assert comparison.keys_match
-        assert comparison.residual
-        for _key, left_bag, right_bag in comparison.residual:
-            assert len(right_bag) == 2 * len(left_bag)
+        left = symbolic_group_index(first, database)
+        right = symbolic_group_index(second, database)
+        # Same keys, doubled bags: every group differs as a multiset.
+        assert left and left.keys() == right.keys()
+        for key, bag in left.items():
+            assert right[key] == bag + bag
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,25 @@
 """Tests for symbolic evaluation over S_L databases (Theorem 4.8 machinery)."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from repro.core.bounded import build_base, canonical_base_order
 from repro.datalog import Constant, RelationalAtom, Variable, parse_query
 from repro.domains import Domain
 from repro.engine import (
+    SymbolicAssignment,
     SymbolicDatabase,
+    naive_satisfying_assignments,
     symbolic_answer_multiset,
     symbolic_groups,
     symbolic_satisfying_assignments,
 )
+from repro.engine.symbolic import symbolic_group_index
 from repro.errors import EvaluationError
 from repro.orderings import CompleteOrdering
+from repro.orderings.complete_orderings import enumerate_complete_orderings
 
 U0, U1, U2 = Variable("_u0"), Variable("_u1"), Variable("_u2")
 
@@ -134,23 +142,64 @@ class TestSymbolicEvaluation:
         assert len(groups[(U0,)]) == 2
 
     def test_symbolic_agrees_with_concrete_on_instantiation(self):
-        from repro.engine import evaluate_aggregate
+        """Γ(q, S_L) against its definition: naive Γ(q, δ(S)) with every value
+        mapped back to the representative of its block, over every complete
+        ordering L of T (two fresh terms and the constant 0 beside the
+        queries' own) and the subsets S of BASE with at most two atoms or
+        all of them."""
+        evaluations = 0
+        for first, second in ORACLE_PAIRS:
+            first, second = parse_query(first), parse_query(second)
+            terms, base, _fresh = build_base(first, second, 2, (Constant(0),))
+            subsets = [
+                frozenset(subset)
+                for size in range(3)
+                for subset in itertools.combinations(canonical_base_order(base), size)
+            ] + [frozenset(base)]
+            for ordering in enumerate_complete_orderings(terms, Domain.RATIONALS):
+                for atoms in subsets:
+                    database = SymbolicDatabase(atoms, ordering)
+                    for query in (first, second):
+                        _assert_matches_definition(query, database)
+                        evaluations += 1
+        assert evaluations > 10000
 
-        query = parse_query("q(x, count()) :- p(x, y), not r(y), y > 0")
-        zero = Constant(0)
-        database = sdb(
-            [
-                RelationalAtom("p", (U0, U1)),
-                RelationalAtom("p", (U0, U2)),
-                RelationalAtom("r", (U2,)),
-            ],
-            [{zero}, {U0}, {U1}, {U2}],
+
+#: Query pairs the symbolic oracle runs over: negation, ``<``, ``>``, ``!=``,
+#: constant equalities, and a non-aggregate disjunction.
+ORACLE_PAIRS = (
+    ("q(x, count()) :- p(x, y), not r(y), y > 0", "q(x, count()) :- p(x, y), not r(y), 0 < y"),
+    ("q(x, sum(y)) :- p(x, y), x < y", "q(x, sum(y)) :- p(x, y), not r(x), y > x"),
+    ("q(x, max(y)) :- p(x, y), x != y", "q(x, max(y)) :- p(x, y), p(y, x)"),
+    ("q(x, count()) :- p(x, y), y = 1", "q(x, count()) :- p(x, 1), not r(x)"),
+    ("q(x) :- p(x, y), not p(y, x)", "q(x) :- p(x, y), x != y ; r(x), x > 0"),
+)
+
+
+def _assert_matches_definition(query, database):
+    """Compare the engine's Γ(q, S_L), groups and answer multiset with the
+    ones derived from naive Γ(q, δ(S)).  Distinct blocks get distinct values
+    under δ, so mapping a value back to its block is well defined."""
+    values = database.ordering.instantiate()
+    block_of = {value: database.canonical(term) for term, value in values.items()}
+    expected = Counter()
+    for assignment in naive_satisfying_assignments(query, database.instantiate()):
+        mapping = tuple((variable, block_of[value]) for variable, value in assignment.mapping)
+        expected[SymbolicAssignment(mapping, assignment.disjunct_index)] += 1
+    assert Counter(symbolic_satisfying_assignments(query, database)) == expected, (
+        query,
+        database,
+    )
+
+    if query.is_aggregate:
+        groups: dict = {}
+        for assignment in expected.elements():
+            key = assignment.terms_of(query.head_terms, database)
+            bag_element = assignment.terms_of(query.aggregation_variables(), database)
+            groups.setdefault(key, Counter())[bag_element] += 1
+        assert symbolic_group_index(query, database) == groups, (query, database)
+    else:
+        answers = Counter(
+            assignment.terms_of(query.head_terms, database) for assignment in expected.elements()
         )
-        groups = symbolic_groups(query, database)
-        concrete = evaluate_aggregate(query, database.instantiate())
-        assignment = database.ordering.instantiate()
-        translated = {
-            tuple(assignment[t] if t in assignment else t.value for t in key): len(bag)
-            for key, bag in groups.items()
-        }
-        assert translated == concrete
+        assert symbolic_answer_multiset(query, database) == dict(answers), (query, database)
