@@ -5,7 +5,7 @@ BASE, but every cell still ran its *own* subset/ordering enumeration: the
 per-(S, L) work — symbolic database construction, canonical relations,
 restricted signatures, group comparisons, ordered-identity checks — was paid
 O(pairs) times even though the Γ caches already shared the evaluations
-themselves.  The single-sweep engine (``equivalence_matrix(sweep=True)``,
+themselves.  The single-sweep engine (``equivalence_matrix``,
 :func:`repro.core.bounded.sweep_equivalence`) pays it O(queries) times: one
 enumeration per same-dispatch-class sub-catalog, all queries evaluated per
 (S, L) through the shared caches, pairs compared in-loop via interned group
@@ -18,8 +18,9 @@ equivalent, which is the expensive case because equivalent cells must sweep
 the *entire* space), plus deliberately non-equivalent variants and a pinned
 ``sum``/``count`` pair settled by the widened normalization.
 
-The baseline is the PR 2 path (``sweep=False``) on one core with identical
-settings; the acceptance floor is a ≥3x total speedup at full scale with
+The baseline is the per-pair path: every cell one pair task through the full
+dispatcher under the catalog's shared BASE, run through the serial executor
+with identical settings; the acceptance floor is a ≥3x total speedup at full scale with
 verdicts identical cell for cell.  Quick mode shrinks the catalog and the
 floor for CI smoke runs.  Worker scaling of the sweep is reported but not
 asserted (CI boxes may have a single core).
@@ -35,7 +36,11 @@ import os
 import time
 
 from repro import parse_query
+from repro.core.bounded import SharedBaseContext
+from repro.domains import Domain
 from repro.engine import clear_evaluation_caches, clear_symbolic_caches
+from repro.parallel import SerialExecutor
+from repro.parallel.tasks import pair_check_tasks, run_pair_task
 from repro.workloads import equivalence_matrix
 from repro.workloads.batch import plan_catalog_sweep
 
@@ -92,6 +97,22 @@ def build_audit_catalog(quick: bool) -> dict:
     return catalog
 
 
+def pairwise_matrix(catalog: dict, seed: int) -> dict:
+    """Every cell as one pair task under the catalog's shared BASE, run
+    serially: the path the sweep planner sends the cells no group owns."""
+    tasks = pair_check_tasks(
+        catalog,
+        domain=Domain.RATIONALS,
+        counterexample_trials=400,
+        max_subsets=2_000_000,
+        unknown_bound=None,
+        seed=seed,
+        context=SharedBaseContext.from_catalog(catalog.values()),
+    )
+    outcomes = SerialExecutor().run(run_pair_task, tasks)
+    return {(outcome.name_a, outcome.name_b): outcome.result for outcome in outcomes}
+
+
 def _cold() -> None:
     clear_symbolic_caches()
     clear_evaluation_caches()
@@ -110,24 +131,22 @@ def run_benchmark(quick: bool) -> dict:
     swept_cells = sum(len(group.pairs) for group in plan.groups)
 
     sweep_serial, sweep_results = _timed(
-        lambda: equivalence_matrix(catalog, workers=1, seed=7, sweep=True)
+        lambda: equivalence_matrix(catalog, workers=1, seed=7)
     )
     sweep_parallel, parallel_results = _timed(
-        lambda: equivalence_matrix(catalog, workers=WORKERS, seed=7, sweep=True)
+        lambda: equivalence_matrix(catalog, workers=WORKERS, seed=7)
     )
     # The same sweep under the naive reference: symbolic Γ(q, S_L) runs the
     # compiled kernels under either mode, while concrete evaluation (the
     # counterexample searches) runs the nested-loop engine — verdicts must
     # not move.
     sweep_naive, naive_engine_results = _timed(
-        lambda: equivalence_matrix(catalog, workers=1, seed=7, sweep=True, engine="naive")
+        lambda: equivalence_matrix(catalog, workers=1, seed=7, engine="naive")
     )
-    pairwise, pairwise_results = _timed(
-        lambda: equivalence_matrix(catalog, workers=1, seed=7, sweep=False)
-    )
+    pairwise, pairwise_results = _timed(lambda: pairwise_matrix(catalog, seed=7))
 
-    # Hard acceptance requirement: cell-for-cell identical verdicts (and the
-    # replicated method strings) between the sweep and the PR 2 path.
+    # Hard acceptance requirement: cell-for-cell identical verdicts and
+    # method strings between the sweep and the per-pair path.
     assert sweep_results.keys() == pairwise_results.keys()
     for pair, sweep_cell in sweep_results.items():
         pairwise_cell = pairwise_results[pair]
@@ -165,7 +184,7 @@ def _render(result: dict) -> list[str]:
         f"[E11:{mode}] catalog: {result['queries']} queries, {result['cells']} cells "
         f"({result['swept_cells']} swept in {result['groups']} group(s), "
         f"{result['equivalent_cells']} equivalent)",
-        f"[E11:{mode}] pairwise (PR 2) {result['pairwise']:.2f}s -> single-sweep "
+        f"[E11:{mode}] pairwise {result['pairwise']:.2f}s -> single-sweep "
         f"{result['sweep_serial']:.2f}s on one core ({result['speedup']:.1f}x, "
         f"floor {_floor(result['quick'])}x); sweep with {WORKERS} workers "
         f"{result['sweep_parallel']:.2f}s",

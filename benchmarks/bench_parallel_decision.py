@@ -17,10 +17,8 @@ The gates are deterministic, so they hold on any machine:
   canonical subsets examined plus the orbit duplicates never generated must
   add up to ``2**|BASE|``, with a nonzero number of duplicates skipped, for
   the serial run and every worker count alike;
-* the parallel matrix (sweep, normalization, shared BASE) must agree cell by
-  cell with a serial pairwise matrix without normalization, except where the
-  normalization legitimately strengthens the verdict (cells involving the
-  pinned-sum query), and the pinned-sum cell must settle EQUIVALENT.
+* the parallel matrix must agree cell by cell with the serial matrix, and
+  the pinned-sum cell must settle EQUIVALENT.
 
 Wall times and worker scaling are reported, not asserted (CI boxes may have
 a single core).
@@ -133,15 +131,12 @@ def run_benchmark(quick: bool) -> dict:
     gamma_stats = symbolic_cache_stats()
     scaling[1] = serial_bounded
 
-    # --- matrix parity against a serial pairwise matrix ----------------
-    pairwise_matrix, pairwise_results = _timed(
-        lambda: equivalence_matrix(catalog, workers=1, normalize=False, shared_base=False)
-    )
-    assert pairwise_results.keys() == parallel_results.keys()
-    for pair, pairwise_cell in pairwise_results.items():
-        if "unit_sales_per_store" in pair:
-            continue
-        assert pairwise_cell.verdict is parallel_results[pair].verdict, pair
+    # --- matrix parity against the serial matrix ----------------------
+    serial_matrix, serial_results = _timed(lambda: equivalence_matrix(catalog, workers=1))
+    assert serial_results.keys() == parallel_results.keys()
+    for pair, serial_cell in serial_results.items():
+        assert serial_cell.verdict is parallel_results[pair].verdict, pair
+        assert serial_cell.method == parallel_results[pair].method, pair
 
     normalized_cell = parallel_results[
         ("sales_count_per_store", "unit_sales_per_store")
@@ -152,11 +147,11 @@ def run_benchmark(quick: bool) -> dict:
         "base_size": len(base),
         "serial_bounded": serial_bounded,
         "parallel_bounded": parallel_bounded,
-        "pairwise_matrix": pairwise_matrix,
+        "serial_matrix": serial_matrix,
         "parallel_matrix": parallel_matrix,
         "scaling": scaling,
         "speedup_bounded": serial_bounded / parallel_bounded,
-        "speedup_matrix": pairwise_matrix / parallel_matrix,
+        "speedup_matrix": serial_matrix / parallel_matrix,
         "subsets_examined": serial_report.subsets_examined,
         "subsets_skipped": serial_report.subsets_skipped_by_symmetry,
         "gamma_misses": gamma_stats["shared_misses"],
@@ -180,7 +175,7 @@ def _render(result: dict) -> list[str]:
         f"= 2^{result['base_size']}, {result['gamma_misses']} shared-Γ computations for "
         f"{result['orderings_examined']} ordering checks)",
         f"[E10:{mode}] worker scaling: {scaling}",
-        f"[E10:{mode}] catalog matrix: serial pairwise {result['pairwise_matrix']:.2f}s -> "
+        f"[E10:{mode}] catalog matrix: serial {result['serial_matrix']:.2f}s -> "
         f"{WORKERS} workers {result['parallel_matrix']:.2f}s "
         f"({result['speedup_matrix']:.1f}x); pinned-sum cell: "
         f"{result['normalized_verdict']} [{result['normalized_method']}]",
@@ -218,7 +213,7 @@ def main() -> int:
                     result["parallel_bounded"],
                     result["speedup_bounded"],
                 ),
-                json_record("parallel_decision.matrix_pairwise", result["pairwise_matrix"], 1.0),
+                json_record("parallel_decision.matrix_serial", result["serial_matrix"], 1.0),
                 json_record(
                     "parallel_decision.matrix_parallel",
                     result["parallel_matrix"],

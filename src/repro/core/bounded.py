@@ -869,8 +869,8 @@ def local_equivalence(
         and context.bound >= bound
         and _catalog_is_comparison_free((first, second))
     ):
-        shared_base_size = _catalog_base_size((first, second), context.bound, context.constants)
-        if 2**shared_base_size <= max_subsets:
+        widened_size = _catalog_base_size((first, second), context.bound, context.constants)
+        if 2**widened_size <= max_subsets:
             bound = context.bound
             extra_constants = context.constants
     return bounded_equivalence(

@@ -20,8 +20,8 @@ Pairs using *different* aggregation functions are also outside the paper's
 decidable classes (differing names do not imply differing semantics — a ``sum``
 of values pinned to 1 is a ``count``), so they get the same treatment as the
 open fragment: ``NOT_EQUIVALENT`` with a concrete witness when the search finds
-one, ``UNKNOWN`` otherwise.  Before dispatching, a sound semantic
-normalization rewrites exactly that common case: when both queries reduce to
+one, ``UNKNOWN`` otherwise.  The routing applies a sound semantic
+normalization to exactly that common case: when both queries reduce to
 *count forms* with one shared nonzero multiplier ``c`` — a ``count()`` query
 trivially (``c = 1``), a ``sum`` query whose aggregation variable every
 disjunct pins to ``c``, directly (``y = c``) or through an equality chain
@@ -31,18 +31,24 @@ any witness transfer both ways).  Such pairs land in the decidable
 same-function classes instead of the open fragment.  Pins to 0 and pairs with
 differing multipliers are excluded: no single verdict-preserving reduction
 exists there (see :func:`aggregation_pin` / :func:`pair_count_reduction`).
+
+:func:`route_pair` is the one place that choice is made.  :func:`are_equivalent`
+routes a pair and runs the chosen procedure; the catalog sweep planner
+(:func:`repro.workloads.batch.plan_catalog_sweep`) groups the cells whose route
+is local equivalence and states each sweep report through :func:`local_result`,
+so a swept cell carries the method, details and witness the pair path gives.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..aggregates.functions import AggregationFunction, PAPER_FUNCTIONS, get_function
 from ..datalog.atoms import ComparisonOp
 from ..datalog.database import Database
-from ..datalog.queries import AggregateTerm, Query, term_size_of_pair
+from ..datalog.queries import AggregateTerm, Query
 from ..datalog.terms import Constant
 from ..domains import Domain
 from ..errors import SearchSpaceBudgetError, UndecidableError, UnsupportedAggregateError
@@ -178,30 +184,6 @@ def sum_count_reduction(query: Query) -> Optional[tuple[Query, Constant, Optiona
     return rewritten, pin, note
 
 
-def normalize_for_dispatch(query: Query) -> tuple[Query, Optional[str]]:
-    """Semantic normalization applied before dispatch (sound rewriting).
-
-    ``sum`` over an aggregation variable that every disjunct pins to the
-    constant 1 — directly (``y = 1``) or through an equality chain
-    (``y = z, z = 1``) — is rewritten to ``count()``: each satisfying
-    assignment contributes exactly 1 to the sum, so the two queries return
-    identical results on every database.  Returns the (possibly rewritten)
-    query and a human-readable note when the rule fired.
-
-    Pins to constants other than 1 are *not* rewritten here: the standalone
-    rewrite is only result-preserving for ``c = 1``.  The general
-    ``sum ≡ c·count`` relation is applied pair-wise by
-    :func:`are_equivalent` (both sides must share the multiplier ``c``).
-    """
-    reduction = sum_count_reduction(query)
-    if reduction is None:
-        return query, None
-    rewritten, multiplier, note = reduction
-    if note is None or multiplier.value != 1:
-        return query, None
-    return rewritten, note
-
-
 def normalization_method_suffix(multiplier: Constant) -> str:
     """The method annotation for a verdict transferred from the count forms."""
     if multiplier.value == 1:
@@ -248,28 +230,162 @@ def _decidable_by_local_equivalence(function: AggregationFunction, domain: Domai
     return False
 
 
+#: The method strings of the decision procedures, one per dispatch branch.
+#: ``repro.obs.explain`` maps each back to its dispatch class, since verdicts
+#: served from the verdict store carry only the method string.
+SET_LOCAL_EQUIVALENCE = "local-equivalence (set semantics)"
+AGGREGATE_LOCAL_EQUIVALENCE = "local-equivalence (Theorem 6.5/6.6)"
+QUASILINEAR_ISOMORPHISM = "quasilinear isomorphism"
+DIFFERENT_FUNCTIONS = "different aggregation functions"
+UNDECIDED_FRAGMENT = "undecided fragment"
+#: Every procedure :func:`route_pair` can choose.
+PROCEDURES = (
+    SET_LOCAL_EQUIVALENCE, AGGREGATE_LOCAL_EQUIVALENCE, QUASILINEAR_ISOMORPHISM,
+    DIFFERENT_FUNCTIONS, UNDECIDED_FRAGMENT,
+)
+#: The procedures that run the bounded local-equivalence search: the cells
+#: a catalog sweep can decide.
+LOCAL_PROCEDURES = (SET_LOCAL_EQUIVALENCE, AGGREGATE_LOCAL_EQUIVALENCE)
+#: The method of a NOT_EQUIVALENT verdict settled by a witness search alone.
+COUNTEREXAMPLE_SEARCH = "counterexample search"
+
+
+@dataclass(frozen=True)
+class PairRoute:
+    """How :func:`are_equivalent` decides one pair.
+
+    ``procedure`` is one of :data:`PROCEDURES`; ``first`` and ``second`` are
+    the query forms it runs on — the count forms when
+    :func:`pair_count_reduction` applies, the originals otherwise.  For count
+    forms ``multiplier`` is the shared ``c`` and ``notes`` describes the
+    rewriting; both are ``None`` when the originals are decided directly.
+    """
+
+    procedure: str
+    first: Query
+    second: Query
+    multiplier: Optional[Constant] = None
+    notes: Optional[str] = None
+
+
+def route_pair(first: Query, second: Query, domain: Domain = Domain.RATIONALS) -> PairRoute:
+    """The strongest decision procedure the paper provides for the pair.
+
+    Pairs that reduce to count forms with one shared multiplier are routed
+    on those forms: that moves a sum/count pair out of the open fragment
+    into the decidable count/count class, and the verdict transfers both
+    ways.  A same-function sum/sum pair without a shared pin keeps its
+    originals (normalizing one side would push it into the open fragment).
+    """
+    if first.is_aggregate != second.is_aggregate:
+        raise UnsupportedAggregateError(
+            "cannot compare an aggregate query with a non-aggregate query"
+        )
+    reduction = pair_count_reduction(first, second)
+    if reduction is not None:
+        return _route(*reduction, domain=domain)
+    return _route(first, second, domain=domain)
+
+
+def _route(
+    first: Query,
+    second: Query,
+    multiplier: Optional[Constant] = None,
+    notes: Optional[str] = None,
+    *,
+    domain: Domain,
+) -> PairRoute:
+    if not first.is_aggregate:
+        procedure = SET_LOCAL_EQUIVALENCE
+    elif first.aggregate.function != second.aggregate.function:
+        # Differing function names do NOT imply non-equivalence (a sum of
+        # values pinned to 1 is a count); the paper only settles pairs
+        # sharing a function.
+        procedure = DIFFERENT_FUNCTIONS
+    else:
+        function = get_function(first.aggregate.function)
+        if is_quasilinear_decidable(first, second, function, domain):
+            procedure = QUASILINEAR_ISOMORPHISM
+        elif _decidable_by_local_equivalence(function, domain):
+            procedure = AGGREGATE_LOCAL_EQUIVALENCE
+        else:
+            procedure = UNDECIDED_FRAGMENT
+    return PairRoute(procedure, first, second, multiplier, notes)
+
+
+def _witness(
+    first: Query, second: Query, database: Database, ordering=None, symbolic_atoms=None
+) -> Counterexample:
+    """A counterexample over ``database`` recording the original queries'
+    results on it."""
+    from ..engine.evaluator import evaluate
+
+    return Counterexample(
+        database=database,
+        left_result=evaluate(first, database),
+        right_result=evaluate(second, database),
+        ordering=ordering,
+        symbolic_atoms=symbolic_atoms,
+    )
+
+
+def _normalized(route: PairRoute, result: EquivalenceResult) -> EquivalenceResult:
+    """Annotate a verdict reached on count forms with the normalization."""
+    if route.multiplier is not None:
+        result.method += normalization_method_suffix(route.multiplier)
+        result.details = f"{result.details}; {route.notes}" if result.details else route.notes
+    return result
+
+
+def local_result(
+    route: PairRoute, report: EquivalenceReport, domain: Domain, first: Query, second: Query
+) -> EquivalenceResult:
+    """A local-equivalence report on the route's query forms, stated as the
+    result for the original pair ``first``/``second``.
+
+    Count forms return ``c ·`` their originals' values with ``c ≠ 0``, so the
+    verdict and the witness database transfer verbatim; the witness results
+    are re-evaluated through the originals (for ``c ≠ 1`` the count forms
+    return different *values* on the same database).
+    """
+    witness = report.counterexample
+    if route.multiplier is not None and witness is not None and witness.database is not None:
+        report.counterexample = _witness(
+            first, second, witness.database, witness.ordering, witness.symbolic_atoms
+        )
+    return _normalized(
+        route,
+        EquivalenceResult(
+            Verdict.EQUIVALENT if report.equivalent else Verdict.NOT_EQUIVALENT,
+            method=route.procedure,
+            domain=domain,
+            report=report,
+            counterexample=report.counterexample,
+            details=f"bound τ = {report.bound}",
+        ),
+    )
+
+
 def are_equivalent(
     first: Query,
     second: Query,
     domain: Domain = Domain.RATIONALS,
-    prefer_quasilinear: bool = True,
     max_subsets: int = 2_000_000,
     counterexample_trials: int = 400,
     unknown_bound: Optional[int] = None,
     *,
-    normalize: bool = True,
     seed: Optional[int] = None,
     context: Optional[SharedBaseContext] = None,
     workers: Optional[int] = None,
 ) -> EquivalenceResult:
     """Decide (when the paper's results allow it) whether ``first ≡ second``.
 
-    ``unknown_bound`` optionally requests a bounded-equivalence check with the
-    given N before reporting UNKNOWN for the undecided classes.  ``normalize``
-    applies the sound pre-dispatch rewritings (:func:`normalize_for_dispatch`);
-    ``seed`` makes every randomized witness search reproducible; ``context``
-    shares a catalog-wide BASE across matrix cells; ``workers`` shards any
-    bounded-equivalence search the dispatch performs.
+    The pair is routed once (:func:`route_pair`) and decided by the chosen
+    procedure.  ``unknown_bound`` optionally requests a bounded-equivalence
+    check with the given N before reporting UNKNOWN for the undecided
+    classes; ``seed`` makes every randomized witness search reproducible;
+    ``context`` shares a catalog-wide BASE across matrix cells; ``workers``
+    shards any bounded-equivalence search the dispatch performs.
 
     .. deprecated:: for repeated checks over a growing catalog prefer
        :class:`repro.session.Workspace` — each one-shot call here re-warms
@@ -280,221 +396,102 @@ def are_equivalent(
     with _span(
         "dispatch.classify", first=first.name, second=second.name
     ) as dispatch_span:
-        result = _dispatch_equivalence(
-            first,
-            second,
-            domain=domain,
-            prefer_quasilinear=prefer_quasilinear,
-            max_subsets=max_subsets,
-            counterexample_trials=counterexample_trials,
-            unknown_bound=unknown_bound,
-            normalize=normalize,
-            seed=seed,
-            context=context,
-            workers=workers,
-        )
+
+        def decide(route: PairRoute) -> EquivalenceResult:
+            return _decide(
+                route, first, second, domain, max_subsets, counterexample_trials,
+                unknown_bound, seed, context, workers,
+            )
+
+        route = route_pair(first, second, domain)
+        try:
+            result = decide(route)
+        except SearchSpaceBudgetError:
+            if route.multiplier is None:
+                raise
+            # The count forms reached a bounded search whose subset space
+            # exceeds max_subsets.  The normalization is opportunistic: decide
+            # the originals instead (for a sum/count pair that is the
+            # counterexample-search/UNKNOWN path).
+            result = decide(_route(first, second, domain=domain))
         dispatch_span.note(verdict=result.verdict.value, method=result.method)
     return result
 
 
-def _dispatch_equivalence(
+def _decide(
+    route: PairRoute,
     first: Query,
     second: Query,
-    domain: Domain = Domain.RATIONALS,
-    prefer_quasilinear: bool = True,
-    max_subsets: int = 2_000_000,
-    counterexample_trials: int = 400,
-    unknown_bound: Optional[int] = None,
-    *,
-    normalize: bool = True,
-    seed: Optional[int] = None,
-    context: Optional[SharedBaseContext] = None,
-    workers: Optional[int] = None,
+    domain: Domain,
+    max_subsets: int,
+    counterexample_trials: int,
+    unknown_bound: Optional[int],
+    seed: Optional[int],
+    context: Optional[SharedBaseContext],
+    workers: Optional[int],
 ) -> EquivalenceResult:
-    """The dispatch body of :func:`are_equivalent` (which wraps it in the
-    ``dispatch.classify`` trace span)."""
-    if first.is_aggregate != second.is_aggregate:
-        raise UnsupportedAggregateError(
-            "cannot compare an aggregate query with a non-aggregate query"
-        )
-    if normalize:
-        # Rewrite only when both sides reduce to count forms with one shared
-        # multiplier: that is the case the rewriting *helps* (it moves the
-        # pair into the decidable count/count class, and the verdict
-        # transfers both ways).  Normalizing one side of a same-function
-        # sum/sum pair would do the opposite — push a decidable pair into
-        # the open fragment.
-        reduction = pair_count_reduction(first, second)
-        if reduction is not None:
-            normalized_first, normalized_second, multiplier, notes = reduction
-            try:
-                with _span("dispatch.normalize", multiplier=str(multiplier)):
-                    result = are_equivalent(
-                        normalized_first,
-                        normalized_second,
-                        domain=domain,
-                        prefer_quasilinear=prefer_quasilinear,
-                        max_subsets=max_subsets,
-                        counterexample_trials=counterexample_trials,
-                        unknown_bound=unknown_bound,
-                        normalize=False,
-                        seed=seed,
-                        context=context,
-                        workers=workers,
-                    )
-            except SearchSpaceBudgetError:
-                # The count forms reached a bounded search whose subset space
-                # exceeds max_subsets.  The normalization is opportunistic —
-                # fall back to dispatching the originals (for a sum/count
-                # pair that is the counterexample-search/UNKNOWN path, which
-                # is where such pairs landed before the rewriting existed).
-                result = None
-            if result is not None:
-                # q_i ≡ c·count_i with c ≠ 0, so the verdict (and any witness
-                # database) transfers verbatim to the originals.  The recorded
-                # results are re-evaluated through the original queries — for
-                # c ≠ 1 the count forms return different *values* on the same
-                # witness.
-                result.method += normalization_method_suffix(multiplier)
-                result.details = (
-                    f"{result.details}; {notes}" if result.details else notes
-                )
-                if (
-                    result.counterexample is not None
-                    and result.counterexample.database is not None
-                ):
-                    from ..engine.evaluator import evaluate
-
-                    witness_database = result.counterexample.database
-                    result.counterexample = Counterexample(
-                        database=witness_database,
-                        left_result=evaluate(first, witness_database),
-                        right_result=evaluate(second, witness_database),
-                        ordering=result.counterexample.ordering,
-                        symbolic_atoms=result.counterexample.symbolic_atoms,
-                    )
-                return result
+    """Run the route's procedure on its query forms and state the outcome
+    for the original pair."""
     search_seed = 0 if seed is None else seed
-
-    if not first.is_aggregate:
+    if route.procedure in LOCAL_PROCEDURES:
         report = local_equivalence(
-            first,
-            second,
+            route.first,
+            route.second,
             domain=domain,
             max_subsets=max_subsets,
             context=context,
             workers=workers,
             seed=search_seed,
         )
-        verdict = Verdict.EQUIVALENT if report.equivalent else Verdict.NOT_EQUIVALENT
-        return EquivalenceResult(
-            verdict,
-            method="local-equivalence (set semantics)",
-            domain=domain,
-            report=report,
-            counterexample=report.counterexample,
-            details=f"bound τ = {report.bound}",
-        )
+        return local_result(route, report, domain, first, second)
 
-    assert first.aggregate is not None and second.aggregate is not None
-    if first.aggregate.function != second.aggregate.function:
-        # Differing function names do NOT imply non-equivalence: e.g.
-        # q(s, sum(a)) :- r(s, a), a = 1  and  q(s, count()) :- r(s, a), a = 1
-        # agree on every database.  The paper only settles same-function
-        # pairs, so search for a concrete witness and otherwise report
-        # UNKNOWN instead of claiming NOT_EQUIVALENT without one.
+    def search() -> Optional[Counterexample]:
         witness = find_counterexample(
-            first, second, domain=domain, trials=counterexample_trials, seed=seed
+            route.first, route.second, domain=domain, trials=counterexample_trials, seed=seed
         )
-        if witness is not None:
-            from ..engine.evaluator import evaluate
+        return None if witness is None else _witness(first, second, witness)
 
-            return EquivalenceResult(
-                Verdict.NOT_EQUIVALENT,
-                method="counterexample search (different aggregation functions)",
+    if route.procedure == QUASILINEAR_ISOMORPHISM:
+        verdict = quasilinear_equivalent(route.first, route.second, domain)
+        return _normalized(
+            route,
+            EquivalenceResult(
+                Verdict.EQUIVALENT if verdict.equivalent else Verdict.NOT_EQUIVALENT,
+                method=QUASILINEAR_ISOMORPHISM,
                 domain=domain,
-                counterexample=Counterexample(
-                    database=witness,
-                    left_result=evaluate(first, witness),
-                    right_result=evaluate(second, witness),
-                ),
-                details="a distinguishing database was found",
-            )
+                details=verdict.reason,
+                quasilinear=verdict,
+                # The isomorphism argument is non-constructive; attach a
+                # concrete witness when a quick search finds one.
+                counterexample=None if verdict.equivalent else search(),
+            ),
+        )
+
+    # Different functions, or the undecided fragment (avg / cntd beyond the
+    # quasilinear case, prod over Z): a witness settles NOT_EQUIVALENT.
+    counterexample = search()
+    if counterexample is not None:
+        method = COUNTEREXAMPLE_SEARCH
+        if route.procedure == DIFFERENT_FUNCTIONS:
+            method += f" ({DIFFERENT_FUNCTIONS})"
+        return EquivalenceResult(
+            Verdict.NOT_EQUIVALENT,
+            method=method,
+            domain=domain,
+            counterexample=counterexample,
+            details="a distinguishing database was found",
+        )
+    if route.procedure == DIFFERENT_FUNCTIONS:
         return EquivalenceResult(
             Verdict.UNKNOWN,
-            method="different aggregation functions",
+            method=DIFFERENT_FUNCTIONS,
             domain=domain,
             details=(
                 "the queries use different aggregation functions; the paper only "
                 "settles pairs sharing a function, and no counterexample was found"
             ),
         )
-    function = get_function(first.aggregate.function)
-
-    if prefer_quasilinear and is_quasilinear_decidable(first, second, function, domain):
-        verdict = quasilinear_equivalent(first, second, domain)
-        counterexample = None
-        if not verdict.equivalent:
-            # The isomorphism argument is non-constructive; attach a concrete
-            # witness when a quick search finds one.
-            witness = find_counterexample(
-                first, second, domain=domain, trials=counterexample_trials, seed=seed
-            )
-            if witness is not None:
-                from ..engine.evaluator import evaluate
-
-                counterexample = Counterexample(
-                    database=witness,
-                    left_result=evaluate(first, witness),
-                    right_result=evaluate(second, witness),
-                )
-        return EquivalenceResult(
-            Verdict.EQUIVALENT if verdict.equivalent else Verdict.NOT_EQUIVALENT,
-            method="quasilinear isomorphism",
-            domain=domain,
-            details=verdict.reason,
-            quasilinear=verdict,
-            counterexample=counterexample,
-        )
-
-    if _decidable_by_local_equivalence(function, domain):
-        report = local_equivalence(
-            first,
-            second,
-            domain=domain,
-            max_subsets=max_subsets,
-            context=context,
-            workers=workers,
-            seed=search_seed,
-        )
-        verdict = Verdict.EQUIVALENT if report.equivalent else Verdict.NOT_EQUIVALENT
-        return EquivalenceResult(
-            verdict,
-            method="local-equivalence (Theorem 6.5/6.6)",
-            domain=domain,
-            report=report,
-            counterexample=report.counterexample,
-            details=f"bound τ = {report.bound}",
-        )
-
-    # Undecided fragment: avg / cntd beyond the quasilinear case, prod over Z.
-    witness = find_counterexample(
-        first, second, domain=domain, trials=counterexample_trials, seed=seed
-    )
-    if witness is not None:
-        from ..engine.evaluator import evaluate
-
-        return EquivalenceResult(
-            Verdict.NOT_EQUIVALENT,
-            method="counterexample search",
-            domain=domain,
-            counterexample=Counterexample(
-                database=witness,
-                left_result=evaluate(first, witness),
-                right_result=evaluate(second, witness),
-            ),
-            details="a distinguishing database was found",
-        )
+    function = get_function(route.first.aggregate.function)
     details = (
         f"equivalence of {function.name}-queries outside the quasilinear fragment "
         "is not settled by the paper"
@@ -502,8 +499,8 @@ def _dispatch_equivalence(
     report = None
     if unknown_bound is not None:
         report = bounded_equivalence(
-            first,
-            second,
+            route.first,
+            route.second,
             unknown_bound,
             domain=domain,
             max_subsets=max_subsets,
@@ -520,7 +517,7 @@ def _dispatch_equivalence(
             )
         details += f"; the queries are {unknown_bound}-equivalent"
     return EquivalenceResult(
-        Verdict.UNKNOWN, method="undecided fragment", domain=domain, details=details, report=report
+        Verdict.UNKNOWN, method=UNDECIDED_FRAGMENT, domain=domain, details=details, report=report
     )
 
 

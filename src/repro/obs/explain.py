@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple
 
 #: method-string prefix -> dispatch class, in match order (first hit wins).
-#: Mirrors the branch structure of ``core.equivalence.are_equivalent``.
+#: Mirrors the procedure constants of ``core.equivalence`` (importing them
+#: here would close a ``repro.obs`` <-> ``repro.core`` import cycle; a test
+#: pins the two together).
 _DISPATCH_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("local-equivalence (set semantics)", "set-semantics"),
     ("local-equivalence (Theorem 6.5/6.6)", "aggregate-local"),
@@ -30,6 +32,7 @@ _DISPATCH_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("different aggregation functions", "different-aggregates"),
     ("counterexample search", "undecided-fragment"),
     ("bounded equivalence", "undecided-fragment"),
+    ("undecided fragment", "undecided-fragment"),
     ("search-space budget exceeded", "budget-exceeded"),
 )
 

@@ -394,7 +394,6 @@ class PairCheckTask:
     counterexample_trials: int
     max_subsets: int
     unknown_bound: Optional[int]
-    normalize: bool
     seed: Optional[int]
     context: Optional[SharedBaseContext]
     #: Engine captured at build time; restored by the runner (see
@@ -443,7 +442,6 @@ def run_pair_task(task: PairCheckTask) -> PairOutcome:
                 counterexample_trials=task.counterexample_trials,
                 max_subsets=task.max_subsets,
                 unknown_bound=task.unknown_bound,
-                normalize=task.normalize,
                 seed=derive_pair_seed(task.seed, task.name_a, task.name_b),
                 context=task.context,
             )
@@ -459,7 +457,6 @@ def pair_check_tasks(
     counterexample_trials: int,
     max_subsets: int,
     unknown_bound: Optional[int],
-    normalize: bool,
     seed: Optional[int],
     context: Optional[SharedBaseContext],
     pairs: Optional[Sequence[tuple[str, str]]] = None,
@@ -490,7 +487,6 @@ def pair_check_tasks(
                 counterexample_trials=counterexample_trials,
                 max_subsets=max_subsets,
                 unknown_bound=unknown_bound,
-                normalize=normalize,
                 seed=seed,
                 context=context,
                 engine=active_engine(),

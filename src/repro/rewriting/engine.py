@@ -7,8 +7,8 @@
 2. **verifies** each candidate by unfolding it to base predicates and
    deciding ``query ≡ unfolded`` with the strongest applicable procedure —
    the whole verification batch is planned with
-   :func:`repro.workloads.batch.plan_catalog_sweep`, so same-dispatch-class
-   candidates share one subset/ordering sweep, and everything (sweep shards
+   :func:`repro.workloads.batch.plan_catalog_sweep`, so candidates the
+   dispatcher routes to the same local-equivalence class share one subset/ordering sweep, and everything (sweep shards
    and per-pair cells alike) fans out over :mod:`repro.parallel` workers —
 3. partitions the candidates into *safe* (proved EQUIVALENT), *not
    equivalent* (with a witness database where one was found), *unverified*
@@ -203,21 +203,15 @@ class RewritingEngine:
         max_subsets: int = 2_000_000,
         counterexample_trials: int = 400,
         unknown_bound: Optional[int] = None,
-        normalize: bool = True,
-        shared_base: bool = True,
-        sweep: bool = True,
     ):
         self.views = as_view_catalog(views)
         self.domain = domain
         self.max_subsets = max_subsets
         self.counterexample_trials = counterexample_trials
-        # Decision knobs forwarded to every verification batch, so a session
-        # configuring them (repro.session.Workspace) gets the same dispatch
-        # behavior from rewrite verification as from its equivalence matrix.
+        # Forwarded to every verification batch, so a session configuring it
+        # (repro.session.Workspace) gets the same dispatch behavior from
+        # rewrite verification as from its equivalence matrix.
         self.unknown_bound = unknown_bound
-        self.normalize = normalize
-        self.shared_base = shared_base
-        self.sweep = sweep
 
     # ------------------------------------------------------------------
     # Candidate synthesis
@@ -267,8 +261,8 @@ class RewritingEngine:
 
         The (target, candidate) cells are decided exactly like an equivalence
         matrix restricted to one row (:func:`repro.workloads.batch.decide_pairs`
-        with ``pairs=`` the row): :func:`plan_catalog_sweep` groups cells the
-        dispatcher would decide by the bounded procedure into single-sweep
+        with ``pairs=`` the row): :func:`plan_catalog_sweep` groups the cells
+        the dispatcher routes to the bounded procedure into single-sweep
         groups (one subset/ordering enumeration per group), and the leftover
         cells run as parallel pair tasks through the full dispatcher — with
         budget-blown cells degraded to UNKNOWN instead of aborting the batch.
@@ -298,9 +292,6 @@ class RewritingEngine:
                 workers=workers,
                 executor=executor,
                 seed=seed,
-                normalize=self.normalize,
-                shared_base=self.shared_base,
-                sweep=self.sweep,
                 pair_runner=_run_pair_task_guarded,
             )
             verify_span.note(

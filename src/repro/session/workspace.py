@@ -145,9 +145,9 @@ class Workspace:
     consults ``REPRO_WORKERS``; 1 means serial); ``schema`` declares base
     tables for the SQL front door (``{table: [column, ...]}``); the decision
     parameters (``domain``, ``max_subsets``, ``counterexample_trials``,
-    ``unknown_bound``, ``seed``, ``normalize``, ``shared_base``, ``sweep``)
-    mirror :func:`repro.workloads.batch.equivalence_matrix` and apply to
-    every decision the session makes.  ``engine`` pins the evaluation engine
+    ``unknown_bound``, ``seed``) mirror
+    :func:`repro.workloads.batch.equivalence_matrix` and apply to every
+    decision the session makes.  ``engine`` pins the evaluation engine
     (``"naive"`` | ``"compiled"``) for every decision and
     rewriting verification of the session; ``None`` follows the process-wide
     mode (``REPRO_ENGINE``, default ``compiled``).  ``store`` selects the
@@ -171,9 +171,6 @@ class Workspace:
         counterexample_trials: int = 400,
         unknown_bound: Optional[int] = None,
         seed: Optional[int] = None,
-        normalize: bool = True,
-        shared_base: bool = True,
-        sweep: bool = True,
         rewrite_limit: int = 32,
         engine: Optional[str] = None,
         store: Union[VerdictStore, bool, None] = None,
@@ -188,9 +185,6 @@ class Workspace:
         self._counterexample_trials = counterexample_trials
         self._unknown_bound = unknown_bound
         self._seed = seed
-        self._normalize = normalize
-        self._shared_base = shared_base
-        self._sweep = sweep
         self._rewrite_limit = rewrite_limit
         if executor is not None:
             self._executor: Optional[Executor] = executor
@@ -534,9 +528,6 @@ class Workspace:
                     workers=self._workers,
                     executor=self._executor,
                     seed=self._seed,
-                    normalize=self._normalize,
-                    shared_base=self._shared_base,
-                    sweep=self._sweep,
                     context=self._current_context(),
                     engine=self._engine_mode,
                     provenance=decision_paths,
@@ -616,8 +607,6 @@ class Workspace:
         delta decision re-derives exactly the BASE recipes — hence the warmed
         Γ / signature / group-index cache entries — of the earlier calls.
         """
-        if not self._shared_base:
-            return None
         fresh = SharedBaseContext.from_catalog(self._queries.values())
         if fresh is None:
             return self._context
@@ -690,9 +679,6 @@ class Workspace:
                 max_subsets=self._max_subsets,
                 counterexample_trials=self._counterexample_trials,
                 unknown_bound=self._unknown_bound,
-                normalize=self._normalize,
-                shared_base=self._shared_base,
-                sweep=self._sweep,
             )
         return self._engine
 

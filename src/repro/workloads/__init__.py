@@ -2,7 +2,6 @@
 APIs used by examples, property-based tests, and the benchmark harness."""
 
 from .batch import (
-    SweepCell,
     SweepGroup,
     SweepPlan,
     decide_pairs,
@@ -30,7 +29,6 @@ from .scenarios import (
 __all__ = [
     "QueryGenerator",
     "QueryProfile",
-    "SweepCell",
     "SweepGroup",
     "SweepPlan",
     "WAREHOUSE_SCHEMA",

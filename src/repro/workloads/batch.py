@@ -11,29 +11,24 @@ the batched entry points the examples and benchmarks drive:
   procedure on every unordered pair of catalog queries, the bulk analogue of
   :func:`repro.core.equivalence.are_equivalent`.
 
-Two execution strategies back the matrix:
+The planner (:func:`plan_catalog_sweep`) asks the dispatcher how each cell
+is decided (:func:`repro.core.equivalence.route_pair`).  Every cell routed to
+bounded local equivalence joins a *sweep group* of same-shape, same-function
+query forms (count forms for normalized pairs).  Each group is decided by
+:func:`repro.core.bounded.sweep_equivalence` — **one** subset/ordering
+enumeration for the whole group, with all queries evaluated per (S, L) via
+the shared Γ caches and the pairs compared in-loop — turning the Γ work from
+O(pairs) into O(queries); :func:`repro.core.equivalence.local_result` states
+each report as the pair path would.  Cells outside every group (mixed shapes,
+different functions, quasilinear pairs, undecided fragments, groups whose
+BASE would blow the subset budget) run as independent, picklable pair tasks
+through :func:`repro.core.equivalence.are_equivalent`.
 
-* **Single-sweep groups** (``sweep=True``, the default).  The planner
-  (:func:`plan_catalog_sweep`) partitions the cells by dispatch class: every
-  pair that the dispatcher would send to the bounded local-equivalence
-  procedure joins a *sweep group* of same-shape, same-function (after
-  normalization unification) queries.  Each group is decided by
-  :func:`repro.core.bounded.sweep_equivalence` — **one** subset/ordering
-  enumeration for the whole group, with all queries evaluated per (S, L) via
-  the shared Γ caches and the pairs compared in-loop — turning the Γ work
-  from O(pairs) into O(queries).  Cells outside every group (mixed shapes,
-  different functions, quasilinear pairs, undecided fragments, groups whose
-  BASE would blow the subset budget) fall back to the per-pair task path,
-  whose verdicts and methods the sweep reproduces cell for cell.
-* **Pair tasks** (``sweep=False``, the PR 2 path).  Every cell is an
-  independent, picklable task dispatched through
-  :func:`repro.core.equivalence.are_equivalent`.
-
-Both strategies route through the parallel subsystem (:mod:`repro.parallel`):
-``workers=N`` shards the sweep's subset stream and the pair tasks across a
-process pool; ``workers=None`` honours the ``REPRO_WORKERS`` environment
-variable; the serial path runs the very same work items through the serial
-executor, so the two can never diverge.
+Both kinds of work route through the parallel subsystem
+(:mod:`repro.parallel`): ``workers=N`` shards the sweep's subset stream and
+the pair tasks across a process pool; ``workers=None`` honours the
+``REPRO_WORKERS`` environment variable; the serial path runs the very same
+work items through the serial executor, so the two can never diverge.
 """
 
 from __future__ import annotations
@@ -49,14 +44,13 @@ from ..core.bounded import (
     sweep_equivalence,
 )
 from ..core.equivalence import (
+    LOCAL_PROCEDURES,
+    SET_LOCAL_EQUIVALENCE,
     EquivalenceResult,
-    Verdict,
-    _decidable_by_local_equivalence,
-    normalization_method_suffix,
-    pair_count_reduction,
+    PairRoute,
+    local_result,
+    route_pair,
 )
-from ..core.quasilinear import is_quasilinear_decidable
-from ..aggregates.functions import get_function
 from ..datalog.database import Database
 from ..datalog.queries import Query, term_size_of_pair
 from ..datalog.terms import Constant
@@ -88,24 +82,15 @@ def evaluate_many(
 # Sweep planning
 # ----------------------------------------------------------------------
 @dataclass
-class SweepCell:
-    """Per-pair presentation metadata: the method/details strings the pair
-    path would emit, replicated so sweep cells are indistinguishable."""
-
-    method: str
-    notes: Optional[str] = None
-    normalized: bool = False
-
-
-@dataclass
 class SweepGroup:
     """One single-sweep sub-catalog: the effective query forms, the cells the
-    sweep decides, and the BASE recipe (bound + extra constants)."""
+    sweep decides with each cell's dispatcher route, and the BASE recipe
+    (bound + extra constants)."""
 
     key: tuple
     queries: dict[str, Query]
     pairs: list[tuple[str, str]]
-    cells: dict[tuple[str, str], SweepCell]
+    routes: dict[tuple[str, str], PairRoute]
     semantics: str
     bound: int
     extra_constants: tuple[Constant, ...] = ()
@@ -120,33 +105,26 @@ class SweepPlan:
     pair_path: list[tuple[str, str]] = field(default_factory=list)
 
 
-#: Method strings of the pair path, replicated by the sweep cells.
-_METHOD_PLAIN = "local-equivalence (set semantics)"
-_METHOD_LOCAL = "local-equivalence (Theorem 6.5/6.6)"
-
-
 def plan_catalog_sweep(
     queries: Mapping[str, Query],
     domain: Domain = Domain.RATIONALS,
     max_subsets: int = 2_000_000,
     *,
-    normalize: bool = True,
     context: Optional[SharedBaseContext] = None,
     pairs: Optional[Sequence[tuple[str, str]]] = None,
 ) -> SweepPlan:
     """Partition the matrix cells of a catalog into single-sweep groups and
     per-pair fallbacks.
 
-    A cell joins a sweep group exactly when the dispatcher
-    (:func:`repro.core.equivalence.are_equivalent`) would decide it by the
-    bounded local-equivalence procedure: both queries non-aggregate, or both
-    aggregate with one shared function — possibly after the sum ≡ c·count
-    normalization unifies them — outside the quasilinear fragment.  Groups
-    collect the *effective* query forms (count forms for normalized pairs,
-    originals otherwise); a query may appear in several groups under
-    different forms (a pinned sum meets counts in count form and unpinned
-    sums in sum form), but every cell is owned by exactly one group or by
-    the pair path.
+    A cell joins a sweep group exactly when its dispatcher route
+    (:func:`repro.core.equivalence.route_pair`) is bounded local
+    equivalence: both queries non-aggregate, or both aggregate with one
+    shared function — possibly after the sum ≡ c·count normalization unifies
+    them — outside the quasilinear fragment.  Groups collect the route's
+    query forms (count forms for normalized pairs, originals otherwise); a
+    query may appear in several groups under different forms (a pinned sum
+    meets counts in count form and unpinned sums in sum form), but every
+    cell is owned by exactly one group or by the pair path.
 
     Groups are additionally keyed by the queries' exact predicate signature:
     a group BASE is the union of its members' vocabularies, so sweeping
@@ -192,11 +170,18 @@ def plan_catalog_sweep(
     for name_a, name_b in cells:
         first, second = queries[name_a], queries[name_b]
         pair = (name_a, name_b)
-        route = _route_pair(first, second, domain, normalize)
-        if route is None:
+        # Mixed shapes have no route; their pair task records them.
+        shapes_match = first.is_aggregate == second.is_aggregate
+        route = route_pair(first, second, domain) if shapes_match else None
+        if route is None or route.procedure not in LOCAL_PROCEDURES:
             plan.pair_path.append(pair)
             continue
-        key, effective_first, effective_second, cell = route
+        effective_first, effective_second = route.first, route.second
+        key: tuple = (
+            ("plain",)
+            if route.procedure == SET_LOCAL_EQUIVALENCE
+            else ("agg", effective_first.aggregate.function)
+        )
         first_signature = frozenset(effective_first.predicates())
         if first_signature != frozenset(effective_second.predicates()):
             plan.pair_path.append(pair)
@@ -219,7 +204,7 @@ def plan_catalog_sweep(
                 key=key,
                 queries={},
                 pairs=[],
-                cells={},
+                routes={},
                 semantics=SET_SEMANTICS,
                 bound=0,
             )
@@ -228,8 +213,8 @@ def plan_catalog_sweep(
         group.queries[name_a] = effective_first
         group.queries[name_b] = effective_second
         group.pairs.append(pair)
-        group.cells[pair] = cell
-        group.bound = max(group.bound, term_size_of_pair(effective_first, effective_second))
+        group.routes[pair] = route
+        group.bound = max(group.bound, pair_bound)
 
     for key in order:
         _finalize_group(grouped[key], context, max_subsets, plan)
@@ -267,42 +252,6 @@ def _finalize_group(
     plan.pair_path.extend(group.pairs)
 
 
-def _route_pair(
-    first: Query, second: Query, domain: Domain, normalize: bool
-) -> Optional[tuple[tuple, Query, Query, SweepCell]]:
-    """The sweep routing of one cell: ``(group key, effective forms, cell
-    metadata)``, or ``None`` for the pair path.  Mirrors the dispatch order
-    of :func:`repro.core.equivalence.are_equivalent` exactly."""
-    if first.is_aggregate != second.is_aggregate:
-        return None
-    if not first.is_aggregate:
-        return ("plain",), first, second, SweepCell(method=_METHOD_PLAIN)
-    effective_first, effective_second = first, second
-    cell = SweepCell(method=_METHOD_LOCAL)
-    if normalize:
-        reduction = pair_count_reduction(first, second)
-        if reduction is not None:
-            effective_first, effective_second, multiplier, notes = reduction
-            cell = SweepCell(
-                method=_METHOD_LOCAL + normalization_method_suffix(multiplier),
-                notes=notes,
-                normalized=True,
-            )
-    if effective_first.aggregate.function != effective_second.aggregate.function:
-        return None
-    function = get_function(effective_first.aggregate.function)
-    if is_quasilinear_decidable(effective_first, effective_second, function, domain):
-        return None
-    if not _decidable_by_local_equivalence(function, domain):
-        return None
-    return (
-        ("agg", effective_first.aggregate.function),
-        effective_first,
-        effective_second,
-        cell,
-    )
-
-
 def sweep_group_label(group: SweepGroup) -> str:
     """A human-readable identity for a sweep group, used by trace spans and
     by ``Workspace.explain`` provenance: the dispatch kind, the member
@@ -310,48 +259,6 @@ def sweep_group_label(group: SweepGroup) -> str:
     kind = group.key[0]
     tag = kind if kind != "agg" else f"agg:{group.key[1]}"
     return f"{tag}({'+'.join(sorted(group.queries))})τ={group.bound}"
-
-
-def _sweep_cell_result(
-    group: SweepGroup,
-    pair: tuple[str, str],
-    report,
-    domain: Domain,
-    originals: Mapping[str, Query],
-) -> EquivalenceResult:
-    """Convert a sweep report into the EquivalenceResult the pair path would
-    produce for this cell (same method, details, and — for normalized cells —
-    witness results re-evaluated through the original queries)."""
-    cell = group.cells[pair]
-    verdict = Verdict.EQUIVALENT if report.equivalent else Verdict.NOT_EQUIVALENT
-    details = f"bound τ = {report.bound}"
-    if cell.notes:
-        details = f"{details}; {cell.notes}"
-    counterexample = report.counterexample
-    if (
-        cell.normalized
-        and counterexample is not None
-        and counterexample.database is not None
-    ):
-        from ..core.bounded import Counterexample
-
-        witness_database = counterexample.database
-        counterexample = Counterexample(
-            database=witness_database,
-            left_result=evaluate(originals[pair[0]], witness_database),
-            right_result=evaluate(originals[pair[1]], witness_database),
-            ordering=counterexample.ordering,
-            symbolic_atoms=counterexample.symbolic_atoms,
-        )
-        report.counterexample = counterexample
-    return EquivalenceResult(
-        verdict,
-        method=cell.method,
-        domain=domain,
-        report=report,
-        counterexample=counterexample,
-        details=details,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -368,9 +275,6 @@ def decide_pairs(
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
     seed: Optional[int] = None,
-    normalize: bool = True,
-    shared_base: bool = True,
-    sweep: bool = True,
     pair_runner=run_pair_task,
     context: Optional[SharedBaseContext] = None,
     engine: Optional[str] = None,
@@ -394,8 +298,8 @@ def decide_pairs(
     rebuilding one from the catalog — a workspace deciding only its delta
     cells still widens them to the *full* catalog's BASE, so the sweep-group
     recipes (and the Γ cache entries keyed under them) match the ones its
-    earlier calls already warmed.  ``None`` keeps the one-shot behavior:
-    derive the context from ``queries`` when ``shared_base`` is set.
+    earlier calls already warmed.  ``None`` derives the context from
+    ``queries``.
 
     ``engine`` pins the evaluation engine for the whole batch (``None`` keeps
     the active mode); the task builders capture it, so worker processes decide
@@ -407,51 +311,49 @@ def decide_pairs(
     tasks.  The session layer feeds this into ``Workspace.explain``.
     """
     with engine_scope(engine):
-        if context is None and shared_base:
+        if context is None:
             context = SharedBaseContext.from_catalog(queries.values())
         results: dict[tuple[str, str], EquivalenceResult] = {}
-        pair_subset = pairs
-        if sweep:
-            with _span("sweep.plan", cells=-1 if pairs is None else len(pairs)) as plan_span:
-                plan = plan_catalog_sweep(
-                    queries,
+        with _span("sweep.plan", cells=-1 if pairs is None else len(pairs)) as plan_span:
+            plan = plan_catalog_sweep(
+                queries,
+                domain=domain,
+                max_subsets=max_subsets,
+                context=context,
+                pairs=pairs,
+            )
+            plan_span.note(groups=len(plan.groups), pair_path=len(plan.pair_path))
+        for group in plan.groups:
+            label = sweep_group_label(group)
+            with _span("sweep.group", group=label, pairs=len(group.pairs)):
+                reports = sweep_equivalence(
+                    group.queries,
+                    group.pairs,
+                    group.bound,
                     domain=domain,
+                    semantics=group.semantics,
                     max_subsets=max_subsets,
-                    normalize=normalize,
-                    context=context,
-                    pairs=pairs,
+                    workers=workers,
+                    executor=executor,
+                    seed=seed,
+                    extra_constants=group.extra_constants,
                 )
-                plan_span.note(groups=len(plan.groups), pair_path=len(plan.pair_path))
-            for group in plan.groups:
-                label = sweep_group_label(group)
-                with _span("sweep.group", group=label, pairs=len(group.pairs)):
-                    reports = sweep_equivalence(
-                        group.queries,
-                        group.pairs,
-                        group.bound,
-                        domain=domain,
-                        semantics=group.semantics,
-                        max_subsets=max_subsets,
-                        workers=workers,
-                        executor=executor,
-                        seed=seed,
-                        extra_constants=group.extra_constants,
-                    )
-                for pair, report in reports.items():
-                    results[pair] = _sweep_cell_result(group, pair, report, domain, queries)
-                    if provenance is not None:
-                        provenance[pair] = f"sweep:{label}"
-            pair_subset = plan.pair_path
+            for (name_a, name_b), report in reports.items():
+                results[(name_a, name_b)] = local_result(
+                    group.routes[(name_a, name_b)], report, domain,
+                    queries[name_a], queries[name_b],
+                )
+                if provenance is not None:
+                    provenance[(name_a, name_b)] = f"sweep:{label}"
         tasks = pair_check_tasks(
             queries,
             domain=domain,
             counterexample_trials=counterexample_trials,
             max_subsets=max_subsets,
             unknown_bound=unknown_bound,
-            normalize=normalize,
             seed=seed,
             context=context,
-            pairs=pair_subset,
+            pairs=plan.pair_path,
         )
         outcomes = resolve_executor(workers, executor).run(pair_runner, tasks)
         absorb_worker_metrics(outcomes)
@@ -472,9 +374,6 @@ def equivalence_matrix(
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
     seed: Optional[int] = None,
-    normalize: bool = True,
-    shared_base: bool = True,
-    sweep: bool = True,
     engine: Optional[str] = None,
 ) -> dict[tuple[str, str], EquivalenceResult]:
     """Pairwise equivalence over a query catalog.
@@ -486,16 +385,15 @@ def equivalence_matrix(
     agree) rather than raising, so one odd catalog entry does not abort the
     whole sweep.
 
-    ``sweep=True`` (default) decides same-dispatch-class sub-catalogs with
-    one subset/ordering enumeration each (:func:`plan_catalog_sweep`) and
-    only the leftover cells as per-pair tasks; ``sweep=False`` forces the
-    PR 2 all-pairs task path.  ``workers=N`` shards both the sweep streams
-    and the cell tasks across N processes (``None`` consults
-    ``REPRO_WORKERS``); ``seed`` derives a deterministic per-pair seed for
-    the randomized witness searches, so results are reproducible regardless
-    of worker scheduling; ``shared_base`` activates the catalog-wide BASE
-    that aligns the sweeps with the pair tasks and lets pairs reaching the
-    bounded procedure reuse memoized Γ(q, S_L).
+    Same-dispatch-class sub-catalogs are decided with one subset/ordering
+    enumeration each (:func:`plan_catalog_sweep`) and only the leftover
+    cells as per-pair tasks, all under the catalog-wide shared BASE that
+    aligns the sweeps with the pair tasks and lets pairs reaching the
+    bounded procedure reuse memoized Γ(q, S_L).  ``workers=N`` shards both
+    the sweep streams and the cell tasks across N processes (``None``
+    consults ``REPRO_WORKERS``); ``seed`` derives a deterministic per-pair
+    seed for the randomized witness searches, so results are reproducible
+    regardless of worker scheduling.
 
     .. deprecated:: prefer :class:`repro.session.Workspace` for anything
        beyond a one-shot matrix — this function is now a thin shim over an
@@ -515,9 +413,6 @@ def equivalence_matrix(
         max_subsets=max_subsets,
         unknown_bound=unknown_bound,
         seed=seed,
-        normalize=normalize,
-        shared_base=shared_base,
-        sweep=sweep,
         engine=engine,
         # One-shot matrices stay self-contained: no verdict-store tier, so
         # this entry point's results never depend on process-wide state

@@ -250,7 +250,6 @@ def test_task_builders_capture_active_engine():
                 counterexample_trials=5,
                 max_subsets=100,
                 unknown_bound=None,
-                normalize=True,
                 seed=3,
                 context=None,
             )

