@@ -70,6 +70,19 @@ class TestDispatcher:
         assert result.verdict is Verdict.EQUIVALENT
         assert "normalization" in result.method
 
+    def test_different_functions_agreeing_everywhere_report_unknown_unnormalized(self):
+        # max and min of a column pinned to 1 agree on every database, and the
+        # normalization pass (sum = c·count only) leaves the pair as it is: it
+        # stays in the open fragment, no witness exists, so the dispatcher
+        # must fall back to UNKNOWN rather than a witness-less NOT_EQUIVALENT.
+        first = parse_query("q(s, max(a)) :- r(s, a), a = 1")
+        second = parse_query("q(s, min(a)) :- r(s, a), a = 1")
+        route = route_pair(first, second)
+        assert (route.first, route.second, route.multiplier) == (first, second, None)
+        result = are_equivalent(first, second)
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.counterexample is None
+
     def test_counterexample_trials_threaded_through_quasilinear_branch(self, monkeypatch):
         import repro.core.equivalence as equivalence_module
 
