@@ -129,6 +129,9 @@ def run_benchmark(quick: bool) -> dict:
     )
     _check_full_sweep(serial_report, len(base), "workers=1")
     gamma_stats = symbolic_cache_stats()
+    # The serial audit sweep builds its group indexes through the shared
+    # table; a zero here means the sweep stopped asking for them.
+    assert gamma_stats["shared_misses"] > 0, gamma_stats
     scaling[1] = serial_bounded
 
     # --- matrix parity against the serial matrix ----------------------
@@ -172,7 +175,7 @@ def _render(result: dict) -> list[str]:
         f"{result['parallel_bounded']:.2f}s ({result['speedup_bounded']:.1f}x; "
         f"{result['subsets_examined']} canonical subsets + "
         f"{result['subsets_skipped']} orbit duplicates never generated "
-        f"= 2^{result['base_size']}, {result['gamma_misses']} shared-Γ computations for "
+        f"= 2^{result['base_size']}, {result['gamma_misses']} group-index computations for "
         f"{result['orderings_examined']} ordering checks)",
         f"[E10:{mode}] worker scaling: {scaling}",
         f"[E10:{mode}] catalog matrix: serial {result['serial_matrix']:.2f}s -> "

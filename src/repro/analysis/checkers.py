@@ -468,7 +468,7 @@ _BACKEND_DRIVERS = frozenset(
     {
         "compiled_evaluate_set", "compiled_evaluate_bag_set", "compiled_evaluate_aggregate",
         "compiled_satisfying_assignments", "compiled_symbolic_assignments",
-        "compiled_symbolic_groups", "compiled_symbolic_multiset",
+        "compiled_symbolic_group_index",
         "naive_satisfying_assignments", "execute_plan_vector",
     }
 )

@@ -57,13 +57,7 @@ from ..datalog.queries import (
 from ..datalog.terms import Constant, Term, Variable
 from ..domains import Domain
 from ..engine.evaluator import evaluate_aggregate, evaluate_bag_set, evaluate_set
-from ..engine.symbolic import (
-    SymbolicDatabase,
-    compare_symbolic_answers,
-    symbolic_answer_multiset,
-    symbolic_group_index,
-    symbolic_groups,
-)
+from ..engine.symbolic import SymbolicDatabase, symbolic_group_index
 from ..errors import ReproError, SearchSpaceBudgetError, UnsupportedAggregateError
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
@@ -378,7 +372,7 @@ def _record_search_counters(
 # ----------------------------------------------------------------------
 #: Subsets processed by the parent before forking a sweep pool: they settle
 #: quick counterexamples without paying for the pool, and they pre-warm the
-#: shared Γ / comparison caches (fork inherits them copy-on-write), so the
+#: shared group-index cache (fork inherits it copy-on-write), so the
 #: workers stop re-deriving the heavily shared merged-partition signatures.
 #: Under the compiled engine the prefix also populates the module-level
 #: kernel and columnar-store caches (:mod:`repro.engine.compile` /
@@ -450,12 +444,15 @@ def check_subset_sweep(
 ) -> list[tuple[tuple[str, str], int, Counterexample]]:
     """Check every still-open catalog pair against one subset of BASE.
 
-    The sub-catalog is evaluated *once* per ordering class
-    (:func:`repro.engine.symbolic.symbolic_groups` keyed by restricted
-    relation signatures) and the pairs are compared in-loop through the
-    group-comparison kernels — the Γ work is O(catalog) instead of O(pairs).
-    Returns ``(pair, ordering_position, counterexample)`` settlements for the
-    pairs that fail on this subset; pairs absent from the result remain open.
+    The sub-catalog is evaluated *once* per ordering class — one
+    :func:`repro.engine.symbolic.symbolic_group_index` per query, keyed by
+    restricted relation signatures — and the pairs are compared in-loop on
+    those indexes, so the Γ work is O(catalog) instead of O(pairs).
+    Aggregate and non-aggregate pairs share the form: a non-aggregate index
+    maps each answer to ``Counter({(): multiplicity})``, so set semantics
+    compares the keys and bag-set semantics the whole index.  Returns
+    ``(pair, ordering_position, counterexample)`` settlements for the pairs
+    that fail on this subset; pairs absent from the result remain open.
 
     Statistics count the *shared* work actually performed (one evaluation per
     (subset, ordering) regardless of how many pairs consume it), so sweep
@@ -470,31 +467,30 @@ def check_subset_sweep(
             break
         stats.orderings_examined += len(members)
         database = SymbolicDatabase(subset, representative)
-        indexes: dict[str, dict] = {}
-        if function is not None:
-            # One group index per *query* per ordering class — the in-loop
-            # pair comparisons below reuse them, so the Γ-derived work stays
-            # O(catalog) even when the group carries comparisons and the
-            # signature-keyed caches (and their interning, which turns the
-            # agreement check into an identity check) cannot apply.
-            for name in {name for pair in open_pairs for name in pair}:
-                indexes[name] = symbolic_group_index(setup.queries[name], database)
+        # One group index per *query* per ordering class — the in-loop pair
+        # comparisons below reuse them, so the Γ-derived work stays
+        # O(catalog) even when the group carries comparisons and the
+        # signature-keyed cache (and its interning, which turns the
+        # agreement check into an identity check) cannot apply.
+        indexes = {
+            name: symbolic_group_index(setup.queries[name], database)
+            for name in {name for pair in open_pairs for name in pair}
+        }
         still_open: list[tuple[str, str]] = []
         for pair in open_pairs:
             first, second = setup.queries[pair[0]], setup.queries[pair[1]]
-            if function is None:
-                if compare_symbolic_answers(first, second, database, semantics):
-                    still_open.append(pair)
-                    continue
-                counterexample = _compare_non_aggregate(first, second, database, semantics)
-                assert counterexample is not None
-                settled.append((pair, members[0][0], counterexample))
-                continue
             left_index, right_index = indexes[pair[0]], indexes[pair[1]]
             if left_index is right_index or left_index == right_index:
                 # Identical bags in every group: α(B) = α(B) holds under any
                 # ordering of the class, no identity checks needed.
                 still_open.append(pair)
+                continue
+            if function is None:
+                if semantics == SET_SEMANTICS and left_index.keys() == right_index.keys():
+                    still_open.append(pair)
+                else:
+                    witness = _non_aggregate_witness(first, second, database, semantics)
+                    settled.append((pair, members[0][0], witness))
                 continue
             if left_index.keys() != right_index.keys():
                 concrete = database.instantiate()
@@ -512,20 +508,16 @@ def check_subset_sweep(
                     )
                 )
                 continue
-            left_groups = symbolic_groups(first, database)
-            right_groups = symbolic_groups(second, database)
             residual = [
-                (tuple(left_groups[group_key]), tuple(right_groups[group_key]))
-                for group_key in left_groups
+                (list(left_index[group_key].elements()), list(right_index[group_key].elements()))
+                for group_key in left_index
                 if left_index[group_key] != right_index[group_key]
             ]
             hit: Optional[tuple[int, Counterexample]] = None
             for position, ordering in members:
                 for left_bag, right_bag in residual:
                     stats.identities_checked += 1
-                    if not function.decide_ordered_identity(
-                        ordering, list(left_bag), list(right_bag)
-                    ):
+                    if not function.decide_ordered_identity(ordering, left_bag, right_bag):
                         witness_database = SymbolicDatabase(subset, ordering)
                         hit = (
                             position,
@@ -736,7 +728,7 @@ def _sweep(
             if executor is not None or len(subset_list) >= parallel_threshold:
                 # Warm prefix: the parent settles the small subsets itself
                 # (their merged-partition signatures are the most shared
-                # entries of the Γ and comparison caches) before forking, so
+                # entries of the group-index cache) before forking, so
                 # every worker inherits a warm cache copy-on-write instead of
                 # re-deriving it.  The same prefix compiles the sweep's plan
                 # kernels, which forked workers likewise inherit for free.
@@ -951,30 +943,18 @@ def _compare_concrete(
     return Counterexample(database=database, left_result=left_result, right_result=right_result)
 
 
-def _compare_non_aggregate(
+def _non_aggregate_witness(
     first: Query, second: Query, database: SymbolicDatabase, semantics: str
-) -> Optional[Counterexample]:
-    if semantics == SET_SEMANTICS:
-        left = set(symbolic_answer_multiset(first, database))
-        right = set(symbolic_answer_multiset(second, database))
-    elif semantics == BAG_SET_SEMANTICS:
-        left = symbolic_answer_multiset(first, database)
-        right = symbolic_answer_multiset(second, database)
-    else:
-        raise ReproError(f"unknown semantics {semantics!r}")
-    if left == right:
-        return None
+) -> Counterexample:
+    """The δ(S) witness of two non-aggregate queries whose symbolic answers
+    differ over ``database``: distinct blocks get distinct values under δ, so
+    the concrete answers differ exactly as the symbolic ones do."""
     concrete = database.instantiate()
-    if semantics == SET_SEMANTICS:
-        left_result = evaluate_set(first, concrete)
-        right_result = evaluate_set(second, concrete)
-    else:
-        left_result = evaluate_bag_set(first, concrete)
-        right_result = evaluate_bag_set(second, concrete)
+    evaluate = evaluate_bag_set if semantics == BAG_SET_SEMANTICS else evaluate_set
     return Counterexample(
         database=concrete,
-        left_result=left_result,
-        right_result=right_result,
+        left_result=evaluate(first, concrete),
+        right_result=evaluate(second, concrete),
         ordering=database.ordering,
         symbolic_atoms=database.atoms,
     )

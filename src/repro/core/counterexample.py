@@ -25,10 +25,7 @@ from ..datalog.queries import Query, combined_predicate_arities
 from ..domains import Domain, NumericValue
 from ..engine.evaluator import evaluate, evaluate_bag_set
 from ..errors import UnsupportedAggregateError
-
-#: How non-aggregate queries are compared.
-SET_SEMANTICS = "set"
-BAG_SET_SEMANTICS = "bag-set"
+from .bounded import BAG_SET_SEMANTICS, SET_SEMANTICS
 
 
 def value_pool(

@@ -95,7 +95,6 @@ from .planner import (
 from .symbolic import (
     SymbolicAssignment,
     SymbolicDatabase,
-    compare_symbolic_answers,
     clear_symbolic_caches,
     relation_signature,
     symbolic_answer_multiset,
@@ -125,7 +124,6 @@ __all__ = [
     "plan_cache_stats",
     "clear_store_cache",
     "clear_symbolic_caches",
-    "compare_symbolic_answers",
     "engine_scope",
     "evaluate",
     "evaluate_aggregate",

@@ -28,7 +28,7 @@ sizes share the kernel too.
 
 The drivers at the bottom are the compiled engine's entry points, mirroring
 the public evaluation API: concrete set / bag-set / aggregate evaluation and
-Γ(q, D), plus the symbolic Γ / groups / answer-multiset triple.  They decode
+Γ(q, D), plus symbolic Γ and the symbolic group index.  They decode
 id rows back to values (or block representatives) only at the projection
 boundary — group keys once per distinct group, never per tuple — which is
 where much of the engine's end-to-end speed comes from.  Each
@@ -409,32 +409,30 @@ def compiled_symbolic_assignments(query: Query, database) -> tuple:  # noqa: ANN
     return tuple(results)
 
 
-def compiled_symbolic_groups(query: Query, database) -> dict:  # noqa: ANN001
+def compiled_symbolic_group_index(query: Query, database) -> dict:  # noqa: ANN001
+    """``{group key: Counter(bag)}`` of symbolic Γ(q, S_L), counted on id
+    rows and decoded once per distinct key and bag element (decoding is a
+    bijection on a symbolic store's block representatives).  A non-aggregate
+    query projects no aggregation variables, so its bags count ``()``."""
+    from collections import Counter
+
     store = store_for(database)
     decode = store.decode_values
     key_width = len(query.head_terms)
     output_terms = tuple(query.head_terms) + tuple(query.aggregation_variables())
-    id_groups: dict[tuple[int, ...], list[tuple]] = {}
+    id_groups: dict[tuple[int, ...], Counter] = {}
     for disjunct in query.disjuncts:
         for row in condition_rows(disjunct, store, output_terms):
-            id_groups.setdefault(row[:key_width], []).append(
-                tuple(decode[identifier] for identifier in row[key_width:])
-            )
+            bag = id_groups.get(row[:key_width])
+            if bag is None:
+                bag = id_groups[row[:key_width]] = Counter()
+            bag[row[key_width:]] += 1
     return {
-        tuple(decode[identifier] for identifier in key): bag
+        tuple(decode[identifier] for identifier in key): Counter(
+            {
+                tuple(decode[identifier] for identifier in element): count
+                for element, count in bag.items()
+            }
+        )
         for key, bag in id_groups.items()
-    }
-
-
-def compiled_symbolic_multiset(query: Query, database) -> dict:  # noqa: ANN001
-    store = store_for(database)
-    decode = store.decode_values
-    head_terms = tuple(query.head_terms)
-    id_counts: dict[tuple[int, ...], int] = {}
-    for disjunct in query.disjuncts:
-        for row in condition_rows(disjunct, store, head_terms):
-            id_counts[row] = id_counts.get(row, 0) + 1
-    return {
-        tuple(decode[identifier] for identifier in key): count
-        for key, count in id_counts.items()
     }

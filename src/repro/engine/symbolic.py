@@ -17,27 +17,31 @@ Evaluation runs the compiled kernels of :mod:`repro.engine.compile` under
 every engine mode (the ``naive`` reference exists only over concrete
 databases): the symbolic database is interned into a columnar store whose id
 order mirrors the block order of ``L``, so comparisons decided by the
-ordering become integer comparisons on ids.  Symbolic ``Γ(q, S_L)`` is
-memoized per ``(query, database)`` pair, so the thousands of evaluations
-performed by one bounded-equivalence run (and across runs sharing subsets,
-e.g. an equivalence matrix over a catalog) are each paid for once.
+ordering become integer comparisons on ids.
 
-For *comparison-free* queries the memoization is sharper: the satisfying
-assignments, groups, and answer multisets depend only on the canonical
-relations of the predicates the query mentions (constants canonicalize to
-themselves and block representatives ignore block order), so results are
-keyed by that *restricted relation signature* instead of the full
-``(atoms, ordering)`` pair.  One Γ computation is then shared across every
-ordering of a block partition, across subsets that merge to the same
-relations, and — with a catalog-wide BASE — across every catalog pair that
-mentions the query.  :func:`symbolic_group_index` is the form the catalog
-sweep compares: each query's groups as ``{key: Counter(bag)}``, interned by
-content so that equal groups are one shared object.
+The one form the bounded-equivalence sweep asks for is
+:func:`symbolic_group_index`: each query's groups as ``{key: Counter(bag)}``.
+A non-aggregate query is the same form with ``()`` bag elements (its
+answers with multiplicities, as in the ``count`` reduction of Section 8), so
+aggregate and non-aggregate pairs are compared on one result.  For
+*comparison-free* queries the index depends only on the canonical relations
+of the predicates the query mentions (constants canonicalize to themselves
+and block representatives ignore block order), so it is keyed by that
+*restricted relation signature* instead of the full ``(atoms, ordering)``
+pair: one computation is shared across every ordering of a block partition,
+across subsets that merge to the same relations, and — with a catalog-wide
+BASE — across every catalog pair that mentions the query.  Cached indexes are
+interned by content, so equal groups are one shared object.
+
+:func:`symbolic_satisfying_assignments`, :func:`symbolic_groups` and
+:func:`symbolic_answer_multiset` are uncached views kept for callers and for
+the oracle tests that check them against the definition.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -172,7 +176,7 @@ class SymbolicAssignment:
 def query_uses_comparisons(query: Query) -> bool:
     """Whether any disjunct of the query contains a comparison literal.
 
-    Comparison-free queries admit the restricted-relation-signature caches
+    Comparison-free queries admit the restricted-relation-signature cache
     below: their symbolic results cannot depend on the block *order* of the
     ordering, only on which terms it equates.
     """
@@ -184,9 +188,12 @@ def _query_predicates(query: Query) -> tuple[str, ...]:
     return tuple(sorted(query.predicates()))
 
 
-def _signature_for(database: SymbolicDatabase, predicates: tuple[str, ...]) -> tuple:
-    """The canonical relations of the database restricted to a predicate
-    tuple, memoized on the database instance."""
+def relation_signature(query: Query, database: SymbolicDatabase) -> tuple:
+    """The canonical relations of the database restricted to the predicates
+    the query mentions — the cache key under which comparison-free group
+    indexes are shared across orderings, subsets, and catalog pairs.
+    Memoized on the database instance per predicate tuple."""
+    predicates = _query_predicates(query)
     memo = database._signature_memo
     signature = memo.get(predicates)
     if signature is None:
@@ -199,35 +206,16 @@ def _signature_for(database: SymbolicDatabase, predicates: tuple[str, ...]) -> t
     return signature
 
 
-def relation_signature(query: Query, database: SymbolicDatabase) -> tuple:
-    """The canonical relations of the database restricted to the predicates
-    the query mentions — the cache key under which comparison-free symbolic
-    results are shared across orderings, subsets, and catalog pairs."""
-    return _signature_for(database, _query_predicates(query))
-
-
 #: Per-cache entry cap; dicts iterate in insertion order, so overflow evicts
 #: the oldest quarter (bounded memory for long-lived processes sweeping many
 #: catalogs, without the per-hit bookkeeping of a true LRU).
 _SHARED_CACHE_LIMIT = 65536
 
-_ASSIGNMENTS_BY_RELATIONS: dict[tuple, tuple[SymbolicAssignment, ...]] = {}
-_GROUPS_BY_RELATIONS: dict[tuple, dict] = {}
-_MULTISET_BY_RELATIONS: dict[tuple, dict] = {}
-_ANSWER_COMPARISON_BY_RELATIONS: dict[tuple, bool] = {}
 _GROUP_INDEX_BY_RELATIONS: dict[tuple, dict] = {}
 _GROUP_INDEX_INTERN: dict[frozenset, dict] = {}
 
-# Each shared table is registered under clear_symbolic_caches, which drops
-# them together with the lru-backed memos and the Γ counters below.
-register_cache("engine/symbolic.py:_ASSIGNMENTS_BY_RELATIONS", "clear_symbolic_caches",
-               _ASSIGNMENTS_BY_RELATIONS.clear)
-register_cache("engine/symbolic.py:_GROUPS_BY_RELATIONS", "clear_symbolic_caches",
-               _GROUPS_BY_RELATIONS.clear)
-register_cache("engine/symbolic.py:_MULTISET_BY_RELATIONS", "clear_symbolic_caches",
-               _MULTISET_BY_RELATIONS.clear)
-register_cache("engine/symbolic.py:_ANSWER_COMPARISON_BY_RELATIONS", "clear_symbolic_caches",
-               _ANSWER_COMPARISON_BY_RELATIONS.clear)
+# Both tables are registered under clear_symbolic_caches, which drops them
+# together with the representative-map memo and the Γ counters below.
 register_cache("engine/symbolic.py:_GROUP_INDEX_BY_RELATIONS", "clear_symbolic_caches",
                _GROUP_INDEX_BY_RELATIONS.clear)
 register_cache("engine/symbolic.py:_GROUP_INDEX_INTERN", "clear_symbolic_caches",
@@ -242,135 +230,87 @@ def _shared_cache_put(cache: dict, key, value) -> None:
 
 
 def symbolic_cache_stats() -> dict[str, int]:
-    """Hit/miss counters and sizes of the shared symbolic caches."""
+    """Hit/miss counters of the shared group-index table and the sizes of
+    both symbolic tables."""
     return {
         "shared_hits": _OBS.get("engine.gamma.shared_hits"),
         "shared_misses": _OBS.get("engine.gamma.shared_misses"),
-        "assignments_entries": len(_ASSIGNMENTS_BY_RELATIONS),
-        "groups_entries": len(_GROUPS_BY_RELATIONS),
-        "multiset_entries": len(_MULTISET_BY_RELATIONS),
-        "answer_comparison_entries": len(_ANSWER_COMPARISON_BY_RELATIONS),
+        "group_index_entries": len(_GROUP_INDEX_BY_RELATIONS),
+        "interned_indexes": len(_GROUP_INDEX_INTERN),
     }
 
 
-def _shares_by_relations(query: Query) -> bool:
-    return not query_uses_comparisons(query)
-
-
-def symbolic_satisfying_assignments(
-    query: Query, database: SymbolicDatabase
-) -> list[SymbolicAssignment]:
-    """The symbolic counterpart of Γ(q, S_L)."""
-    if _shares_by_relations(query):
-        key = (query, relation_signature(query, database))
-        cached = _ASSIGNMENTS_BY_RELATIONS.get(key)
-        if cached is None:
-            _OBS.inc("engine.gamma.shared_misses")
-            cached = _compile.compiled_symbolic_assignments(query, database)
-            _shared_cache_put(_ASSIGNMENTS_BY_RELATIONS, key, cached)
-        else:
-            _OBS.inc("engine.gamma.shared_hits")
-        return list(cached)
-    return list(_symbolic_assignments_cached(query, database))
-
-
-@lru_cache(maxsize=16384)
-def _symbolic_assignments_cached(
-    query: Query, database: SymbolicDatabase
-) -> tuple[SymbolicAssignment, ...]:
-    return _compile.compiled_symbolic_assignments(query, database)
-
-
 def clear_symbolic_caches() -> None:
-    """Drop the memoized symbolic Γ(q, S_L) results (both keyings): the
-    lru-backed memos by hand, the shared relation-signature tables through
-    their cache-registry registrations."""
-    _symbolic_assignments_cached.cache_clear()
+    """Drop the memoized symbolic results: the representative-map memo by
+    hand, the group-index tables through their cache-registry
+    registrations."""
     _representative_map.cache_clear()
     run_registered_clears("clear_symbolic_caches")
     _OBS.reset("engine.gamma.")
 
 
 # ----------------------------------------------------------------------
-# Groups and result signatures
+# Uncached views (the oracle tests check these against the definition)
 # ----------------------------------------------------------------------
+def symbolic_satisfying_assignments(
+    query: Query, database: SymbolicDatabase
+) -> list[SymbolicAssignment]:
+    """The symbolic counterpart of Γ(q, S_L)."""
+    return list(_compile.compiled_symbolic_assignments(query, database))
+
+
 def symbolic_groups(
     query: Query, database: SymbolicDatabase
 ) -> dict[tuple[Term, ...], list[tuple[Term, ...]]]:
     """For every symbolic group key d̄ (a tuple of block representatives), the
-    bag of aggregation-variable tuples collected for that group.
-
-    For comparison-free queries the result is cached by the restricted
-    relation signature and shared; callers must treat it as read-only.
-    Grouping happens on interned id keys inside the compiled driver, so Γ is
-    never materialized as :class:`SymbolicAssignment` objects.
-    """
-    if _shares_by_relations(query):
-        key = (query, relation_signature(query, database))
-        cached = _GROUPS_BY_RELATIONS.get(key)
-        if cached is None:
-            cached = _compile.compiled_symbolic_groups(query, database)
-            _shared_cache_put(_GROUPS_BY_RELATIONS, key, cached)
-        return cached
-    return _compile.compiled_symbolic_groups(query, database)
+    bag of aggregation-variable tuples collected for that group."""
+    return {
+        group_key: list(bag.elements())
+        for group_key, bag in _compile.compiled_symbolic_group_index(query, database).items()
+    }
 
 
 def symbolic_answer_multiset(
     query: Query, database: SymbolicDatabase
 ) -> dict[tuple[Term, ...], int]:
     """For non-aggregate queries: the answer tuples with multiplicities
-    (bag-set semantics, used by the bag-set equivalence reduction).
-
-    Cached by restricted relation signature for comparison-free queries;
-    callers must treat the result as read-only.
-    """
-    if _shares_by_relations(query):
-        key = (query, relation_signature(query, database))
-        cached = _MULTISET_BY_RELATIONS.get(key)
-        if cached is None:
-            cached = _compile.compiled_symbolic_multiset(query, database)
-            _shared_cache_put(_MULTISET_BY_RELATIONS, key, cached)
-        return cached
-    return _compile.compiled_symbolic_multiset(query, database)
+    (bag-set semantics, used by the bag-set equivalence reduction)."""
+    return {
+        answer: sum(bag.values())
+        for answer, bag in _compile.compiled_symbolic_group_index(query, database).items()
+    }
 
 
 # ----------------------------------------------------------------------
-# Group-comparison kernels (single-sweep catalog engine)
+# The group index: the one form the sweep compares
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=16384)
-def _pair_predicates(first: Query, second: Query) -> tuple[str, ...]:
-    return tuple(sorted(set(_query_predicates(first)) | set(_query_predicates(second))))
-
-
-def _pair_signature(first: Query, second: Query, database: SymbolicDatabase) -> tuple:
-    """The canonical relations restricted to the union of the two queries'
-    predicates — the key under which comparison results are shared."""
-    return _signature_for(database, _pair_predicates(first, second))
-
-
-def _shares_pair(first: Query, second: Query) -> bool:
-    return not query_uses_comparisons(first) and not query_uses_comparisons(second)
-
-
 def symbolic_group_index(
     query: Query, database: SymbolicDatabase
-) -> dict[tuple[Term, ...], "Counter"]:
+) -> dict[tuple[Term, ...], Counter]:
     """``{group key: multiset of bag elements}`` for one query over one S_L —
     the canonical form under which group comparisons are one dict equality.
-    Cached per (query, restricted relation signature), so the multisets are
-    built O(catalog) times per sweep, not O(pairs), and *interned* by
-    content: two queries producing equal groups over the same S_L share one
-    index object, so the sweep's per-pair agreement check is an identity
-    check.  Callers must treat the result as read-only.
+    A non-aggregate query's bags hold ``()`` elements, so its index maps each
+    answer to ``Counter({(): multiplicity})``: the set of answers is the key
+    set and the answer multiset the whole index.
+
+    For comparison-free queries the index is cached per (query, restricted
+    relation signature), so it is built O(catalog) times per sweep, not
+    O(pairs), and *interned* by content: two queries producing equal groups
+    over the same S_L share one index object, so the sweep's per-pair
+    agreement check is an identity check.  Callers must treat the result as
+    read-only.
     """
-    if _shares_by_relations(query):
-        key = (query, relation_signature(query, database))
-        cached = _GROUP_INDEX_BY_RELATIONS.get(key)
-        if cached is None:
-            cached = _intern_group_index(_compute_group_index(query, database))
-            _shared_cache_put(_GROUP_INDEX_BY_RELATIONS, key, cached)
-        return cached
-    return _compute_group_index(query, database)
+    if query_uses_comparisons(query):
+        return _compile.compiled_symbolic_group_index(query, database)
+    key = (query, relation_signature(query, database))
+    cached = _GROUP_INDEX_BY_RELATIONS.get(key)
+    if cached is None:
+        _OBS.inc("engine.gamma.shared_misses")
+        cached = _intern_group_index(_compile.compiled_symbolic_group_index(query, database))
+        _shared_cache_put(_GROUP_INDEX_BY_RELATIONS, key, cached)
+    else:
+        _OBS.inc("engine.gamma.shared_hits")
+    return cached
 
 
 def _intern_group_index(index: dict) -> dict:
@@ -382,45 +322,3 @@ def _intern_group_index(index: dict) -> dict:
         _shared_cache_put(_GROUP_INDEX_INTERN, frozen, index)
         return index
     return canonical
-
-
-def _compute_group_index(query: Query, database: SymbolicDatabase) -> dict:
-    from collections import Counter
-
-    return {
-        group_key: Counter(bag)
-        for group_key, bag in symbolic_groups(query, database).items()
-    }
-
-
-def compare_symbolic_answers(
-    first: Query, second: Query, database: SymbolicDatabase, semantics: str
-) -> bool:
-    """Whether two non-aggregate queries produce the same symbolic answers
-    over one ``S_L`` (as a set for ``"set"`` semantics, with multiplicities
-    for ``"bag-set"``).
-
-    For comparison-free pairs the result is cached by the pair's joint
-    restricted relation signature, so one comparison serves every ordering of
-    a block partition, every subset merging to the same canonical relations,
-    and every (subset, ordering-class) cell of a catalog sweep that
-    re-examines the pair.
-    """
-    if _shares_pair(first, second):
-        key = (first, second, semantics, _pair_signature(first, second, database))
-        cached = _ANSWER_COMPARISON_BY_RELATIONS.get(key)
-        if cached is None:
-            cached = _compute_answer_comparison(first, second, database, semantics)
-            _shared_cache_put(_ANSWER_COMPARISON_BY_RELATIONS, key, cached)
-        return cached
-    return _compute_answer_comparison(first, second, database, semantics)
-
-
-def _compute_answer_comparison(
-    first: Query, second: Query, database: SymbolicDatabase, semantics: str
-) -> bool:
-    left = symbolic_answer_multiset(first, database)
-    right = symbolic_answer_multiset(second, database)
-    if semantics == "bag-set":
-        return left == right
-    return set(left) == set(right)

@@ -10,7 +10,7 @@ equivalence matrix.  This package splits those spaces into picklable shards
 (:mod:`repro.parallel.executor`): serial for reference and debugging, or a
 multiprocessing pool with chunked dispatch, early exit via a shared
 cancellation event, and deterministic merging of verdicts and witnesses.  Sweep pools are forked after a serial warm prefix, so workers
-inherit the parent's shared Γ / comparison caches copy-on-write.
+inherit the parent's shared group-index cache copy-on-write.
 
 Users normally reach this subsystem through ``workers=N`` on
 :func:`repro.core.bounded.bounded_equivalence` or

@@ -317,7 +317,7 @@ class PersistentProcessExecutor:
     A long-lived session (:class:`repro.session.Workspace`) inverts the
     trade: the pool forks **once**, lazily, on the first run that has enough
     work to shard — after the parent's serial warm prefix, so the children
-    still inherit the warm shared Γ / comparison caches — and every later
+    still inherit the warm shared group-index cache — and every later
     call reuses the same workers, whose per-process setup memos and shared
     caches accumulate across calls instead of being re-derived per fork.
 

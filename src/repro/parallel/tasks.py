@@ -122,7 +122,7 @@ class SweepRangeCheckTask:
     is built per worker with finer-grained blocks inside; ranges are assigned
     block-cyclically, so every shard sees the same size profile at block
     granularity.  When the pool was forked after the parent's warm prefix,
-    workers also inherit the already populated shared Γ / comparison caches
+    workers also inherit the already populated shared group-index cache
     copy-on-write.
 
     ``pair_seeds`` maps every still-open pair to the seed of its witness

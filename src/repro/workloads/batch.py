@@ -91,7 +91,6 @@ class SweepGroup:
     queries: dict[str, Query]
     pairs: list[tuple[str, str]]
     routes: dict[tuple[str, str], PairRoute]
-    semantics: str
     bound: int
     extra_constants: tuple[Constant, ...] = ()
 
@@ -205,7 +204,6 @@ def plan_catalog_sweep(
                 queries={},
                 pairs=[],
                 routes={},
-                semantics=SET_SEMANTICS,
                 bound=0,
             )
             grouped[key] = group
@@ -331,7 +329,7 @@ def decide_pairs(
                     group.pairs,
                     group.bound,
                     domain=domain,
-                    semantics=group.semantics,
+                    semantics=SET_SEMANTICS,
                     max_subsets=max_subsets,
                     workers=workers,
                     executor=executor,

@@ -177,8 +177,8 @@ ORACLE_PAIRS = (
 
 
 def _assert_matches_definition(query, database):
-    """Compare the engine's Γ(q, S_L), groups and answer multiset with the
-    ones derived from naive Γ(q, δ(S)).  Distinct blocks get distinct values
+    """Compare the engine's Γ(q, S_L), group index and answer multiset with
+    the ones derived from naive Γ(q, δ(S)).  Distinct blocks get distinct values
     under δ, so mapping a value back to its block is well defined."""
     values = database.ordering.instantiate()
     block_of = {value: database.canonical(term) for term, value in values.items()}
@@ -203,3 +203,6 @@ def _assert_matches_definition(query, database):
             assignment.terms_of(query.head_terms, database) for assignment in expected.elements()
         )
         assert symbolic_answer_multiset(query, database) == dict(answers), (query, database)
+        assert symbolic_group_index(query, database) == {
+            answer: Counter({(): count}) for answer, count in answers.items()
+        }, (query, database)
