@@ -31,8 +31,9 @@ definition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,19 @@ def register_cache(
     registration = CacheRegistration(key, clearer, clear)
     _REGISTRATIONS[key] = registration
     return registration
+
+
+def put_bounded(cache: dict[Any, Any], key: Any, value: Any, limit: int) -> None:
+    """Store ``cache[key] = value``, first evicting the oldest quarter of
+    ``limit`` entries when the cache is full.
+
+    Dicts iterate in insertion order, so this bounds a long-lived process's
+    memory without the per-hit bookkeeping of a true LRU.
+    """
+    if len(cache) >= limit:
+        for stale in list(itertools.islice(iter(cache), limit // 4)):
+            del cache[stale]
+    cache[key] = value
 
 
 def run_registered_clears(clearer: str) -> None:

@@ -33,8 +33,8 @@ class Condition:
         object.__setattr__(self, "literals", tuple(self.literals))
 
     def __hash__(self) -> int:
-        # Conditions key the per-(condition, size-signature) plan cache on
-        # every symbolic evaluation; cache the structural hash.
+        # Conditions key the plan and kernel caches on every symbolic
+        # evaluation; cache the structural hash.
         cached = self.__dict__.get("_cached_hash")
         if cached is None:
             cached = hash(self.literals)

@@ -21,7 +21,7 @@ class Database:
     ``(predicate, values)`` pairs; values are normalized to exact numbers.
     """
 
-    __slots__ = ("_facts", "_by_predicate", "_carrier", "_sorted_carrier", "_distincts")
+    __slots__ = ("_facts", "_by_predicate", "_carrier", "_sorted_carrier")
 
     def __init__(self, facts: Iterable = ()):  # noqa: ANN001 - heterogeneous input
         normalized: set[GroundAtom] = set()
@@ -38,7 +38,6 @@ class Database:
         }
         self._carrier: frozenset[NumericValue] = frozenset(carrier)
         self._sorted_carrier: tuple[NumericValue, ...] | None = None
-        self._distincts: dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -74,21 +73,6 @@ class Database:
         if cached is None:
             cached = tuple(sorted(self._carrier))
             self._sorted_carrier = cached
-        return cached
-
-    def distinct_count(self, predicate: str, column: int) -> int:
-        """The number of distinct values in one column of a relation.
-
-        The planner's join-selectivity estimate (``rows / distinct``) reads
-        this; it is memoized per ``(predicate, column)`` — immutability makes
-        the count permanent.
-        """
-        key = (predicate, column)
-        cached = self._distincts.get(key)
-        if cached is None:
-            rows = self._by_predicate.get(predicate, frozenset())
-            cached = len({row[column] for row in rows if column < len(row)})
-            self._distincts[key] = cached
         return cached
 
     def __contains__(self, fact) -> bool:  # noqa: ANN001

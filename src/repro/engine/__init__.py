@@ -10,13 +10,11 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
 1. **Planning** (:mod:`repro.engine.planner`).  Each condition (disjunct) is
    compiled once into a :class:`~repro.engine.planner.Plan`: positive atoms
    ordered greedily by the number of already-bound argument positions (ties
-   broken towards the smallest *estimated* probe result — join selectivity
-   ``rows / distinct`` when column statistics are available, raw size
-   otherwise), with every equality-definition (``BindStep``), comparison
-   filter (``CompareStep``) and negated-atom anti-join (``NegationStep``)
-   placed at the earliest point all its variables are bound.  Plans depend
-   only on the condition and the relations' size/distinct *statistics*, so
-   they are cached per ``(condition, statistics signature)``.
+   go to the first in literal order), with every equality-definition
+   (``BindStep``), comparison filter (``CompareStep``) and negated-atom
+   anti-join (``NegationStep``) placed at the earliest point all its
+   variables are bound.  Plans depend on the condition alone, so they are
+   cached per condition.
 
 2. **Execution** — two back ends:
 
@@ -44,7 +42,7 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
 3. **Memoization**.  ``Γ(q, D)`` (and its symbolic counterpart ``Γ(q, S_L)``)
    is cached per ``(query, database)`` under the compiled engine, which
    additionally caches the columnar store per database and the kernel per
-   ``(plan, output terms)``.  ``clear_evaluation_caches`` /
+   ``(condition, output terms)``.  ``clear_evaluation_caches`` /
    ``clear_symbolic_caches`` reset the caches (benchmarks use them for
    cold-cache timings; the kernel/store caches are dropped by the former).
 """

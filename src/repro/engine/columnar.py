@@ -27,9 +27,9 @@ when NumPy is importable (``REPRO_NO_NUMPY=1`` forces the pure-python
 fallback), and :func:`execute_plan_vector` — a column-at-a-time plan executor
 whose joins run as packed-key ``argsort``/``searchsorted`` probes instead of
 per-tuple loops.  The vectorized path is only selected for plans over
-relations of at least ``REPRO_VECTOR_THRESHOLD`` rows (default 512): below
-that the NumPy per-call overhead loses to the generated loop kernels, which
-share the exact same store.
+relations of at least :data:`VECTOR_THRESHOLD` rows: below that the NumPy
+per-call overhead loses to the generated loop kernels, which share the exact
+same store.
 
 Stores are built once per database through :func:`store_for` (a capped global
 cache — both database classes hash by value, so sweeps re-creating equal
@@ -39,12 +39,11 @@ cache — both database classes hash by value, so sweeps re-creating equal
 
 from __future__ import annotations
 
-import itertools
 import os
 from bisect import bisect_left
 from typing import Iterable, Optional
 
-from ..caches import register_cache
+from ..caches import put_bounded, register_cache
 from ..datalog.terms import Constant, Term, Variable
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
@@ -65,12 +64,8 @@ def numpy_module():
     return _numpy
 
 
-def vector_threshold() -> int:
-    """Minimum relation size for the vectorized join path (env-tunable)."""
-    try:
-        return int(os.environ.get("REPRO_VECTOR_THRESHOLD", "512"))
-    except ValueError:
-        return 512
+#: Minimum relation size for the vectorized join path.
+VECTOR_THRESHOLD = 512
 
 
 #: Packed join keys must stay below 2**62 to fit a signed int64 safely.
@@ -91,7 +86,6 @@ class ColumnarStore:
         "decode_values",
         "carrier_len",
         "numpy",
-        "threshold",
         "_id_of",
         "_canonical",
         "_rows_all",
@@ -102,7 +96,6 @@ class ColumnarStore:
         "_packed",
         "_bounds",
         "_decode_ids",
-        "_distincts",
         "_sizes",
     )
 
@@ -129,7 +122,6 @@ class ColumnarStore:
             relations = database._by_predicate
         self.carrier_len = len(self.decode_values)
         self.numpy = numpy_module()
-        self.threshold = vector_threshold()
         id_of = self._id_of
         rows_all: dict[str, tuple[tuple[int, ...], ...]] = {}
         for predicate, value_rows in relations.items():
@@ -144,7 +136,6 @@ class ColumnarStore:
         self._packed: dict[tuple[str, int], object] = {}
         self._bounds: dict[Constant, tuple[int, int, int]] = {}
         self._decode_ids: dict[Constant, int] = {}
-        self._distincts: dict[tuple[str, int], int] = {}
         self._sizes = {predicate: len(rows) for predicate, rows in rows_all.items()}
 
     # ------------------------------------------------------------------
@@ -193,16 +184,6 @@ class ColumnarStore:
         if cached is None:
             cached = frozenset(self._rows_all.get(predicate, ()))
             self._row_sets[predicate] = cached
-        return cached
-
-    def distinct(self, predicate: str, column: int) -> int:
-        """Distinct ids in one column — the planner's selectivity statistic."""
-        key = (predicate, column)
-        cached = self._distincts.get(key)
-        if cached is None:
-            rows = self._rows_all.get(predicate, ())
-            cached = len({row[column] for row in rows if column < len(row)})
-            self._distincts[key] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -290,7 +271,7 @@ class ColumnarStore:
         for step in plan.steps:
             if isinstance(step, AtomStep):
                 largest = max(largest, self.size(step.atom.predicate))
-        return largest >= self.threshold
+        return largest >= VECTOR_THRESHOLD
 
 
 # ----------------------------------------------------------------------
@@ -306,18 +287,14 @@ def store_for(database) -> ColumnarStore:  # noqa: ANN001
     Both :class:`~repro.datalog.database.Database` and
     :class:`~repro.engine.symbolic.SymbolicDatabase` hash by value, so a sweep
     reconstructing an equal ``S_L`` (e.g. in a worker re-deriving its subset
-    stream) lands on the same store.  The cache is capped; on overflow the
-    oldest quarter is evicted (insertion order), matching the repo's shared
-    Γ-cache scheme.
+    stream) lands on the same store.  The cache is capped by ``put_bounded``,
+    which evicts the oldest quarter on overflow.
     """
     store = _STORE_CACHE.get(database)
     if store is None:
         _OBS.inc("engine.store.builds")
         store = ColumnarStore(database)
-        if len(_STORE_CACHE) >= _STORE_CACHE_LIMIT:
-            for stale in list(itertools.islice(iter(_STORE_CACHE), _STORE_CACHE_LIMIT // 4)):
-                del _STORE_CACHE[stale]
-        _STORE_CACHE[database] = store
+        put_bounded(_STORE_CACHE, database, store, _STORE_CACHE_LIMIT)
     else:
         _OBS.inc("engine.store.hits")
     return store

@@ -21,10 +21,8 @@ one id row per satisfying assignment (multiplicities preserved), over any
 both intern into order-isomorphic integer ids.  Store-dependent values
 (constant bounds, indexes, negation sets, constant-vs-constant guards) are
 fetched in a per-call prologue, so one compiled kernel serves every database
-the plan is ever executed over; kernels are cached by
-``(plan.steps, plan.resolvable, output_terms)``, deliberately *excluding* the
-plan's size-statistics signature, so databases that merely differ in relation
-sizes share the kernel too.
+the plan is ever executed over.  A plan is a function of its condition alone,
+so kernels are cached by ``(condition, output_terms)``.
 
 The drivers at the bottom are the compiled engine's entry points, mirroring
 the public evaluation API: concrete set / bag-set / aggregate evaluation and
@@ -38,11 +36,10 @@ when the store's relations are large enough to clear the NumPy threshold.
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import Callable, Iterable
 
-from ..caches import register_cache
+from ..caches import put_bounded, register_cache
 from ..datalog.atoms import ComparisonOp
 from ..datalog.conditions import Condition
 from ..datalog.queries import Query
@@ -264,21 +261,17 @@ _KERNEL_CACHE_LIMIT = 4096
 def get_kernel(plan: Plan, output_terms: tuple[Term, ...]) -> Callable:
     """The compiled kernel for ``(plan, output_terms)``, compiled at most once.
 
-    The key excludes the plan's statistics signature on purpose: two databases
-    whose sizes produce the same step sequence share one kernel, and the
-    thousands of ``S_L`` a sweep evaluates typically collapse onto a handful
-    of kernels per query.
+    The plan is a function of its condition, so the key is
+    ``(plan.condition, output_terms)``: the thousands of ``S_L`` a sweep
+    evaluates share one kernel per disjunct and projection.
     """
-    key = (plan.steps, plan.resolvable, output_terms)
+    key = (plan.condition, output_terms)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
         _OBS.inc("engine.kernel.compiles")
         with _span("kernel.compile", steps=len(plan.steps)):
             kernel = _compile_kernel(plan, output_terms)
-        if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-            for stale in list(itertools.islice(iter(_KERNEL_CACHE), _KERNEL_CACHE_LIMIT // 4)):
-                del _KERNEL_CACHE[stale]
-        _KERNEL_CACHE[key] = kernel
+        put_bounded(_KERNEL_CACHE, key, kernel, _KERNEL_CACHE_LIMIT)
     else:
         _OBS.inc("engine.kernel.hits")
     return kernel
@@ -315,7 +308,7 @@ def condition_rows(
     """All id rows (one per satisfying assignment, projected onto
     ``output_terms``) of one condition over one store, via the vectorized
     executor when profitable, the compiled loop kernel otherwise."""
-    plan = plan_condition(condition, store.size, store.distinct)
+    plan = plan_condition(condition)
     if store.vector_candidate(plan):
         rows = execute_plan_vector(plan, store, output_terms)
         if rows is not None:

@@ -23,29 +23,22 @@ The planner is greedy: at every point it first emits every binding, comparison
 and negation step that has become runnable (filters are always cheaper than
 joins, so they run as early as their variables allow), and only then picks the
 next positive atom — the one with the most already-bound argument positions,
-breaking ties towards the *estimated* smallest probe result.  This pushes
-selections below the join and turns Cartesian products into index lookups
-whenever the condition's join graph allows it.
+the first in literal order among equals.  This pushes selections below the
+join and turns Cartesian products into index lookups whenever the condition's
+join graph allows it.
 
-The estimate uses join selectivity when the caller can supply it: with a
-``distinct_count`` statistic (cheap to read off the columnar stores of
-:mod:`repro.engine.columnar`), an atom probed on bound columns is costed at
-``rows / max(distinct(column) for bound columns)`` — the classic uniform
-equality-selectivity model — instead of its raw size, so a large relation with
-a near-key bound column beats a smaller one probed on a low-cardinality
-column.  Without the statistic the estimate degenerates to the raw size,
-reproducing the original size-only tie-break exactly.
-
-Plans depend on the condition and, through the tie-breaking rule, on the
-relations' size/distinct *statistics* only — never on their contents — so
-they are cached per ``(condition, statistics signature)`` pair.
+A plan is a function of its condition alone — never of the relations it runs
+over — so each condition is planned once per process and the plan is cached
+per condition.  Relation statistics could only break ties between equally
+bound atoms, and the symbolic databases ``S_L`` that dominate evaluation hold
+a handful of rows each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Union
 
 from ..datalog.atoms import Comparison, RelationalAtom
 from ..datalog.conditions import Condition
@@ -102,45 +95,17 @@ class Plan:
     resolvable: bool = True
 
 
-def plan_condition(
-    condition: Condition,
-    relation_size: Callable[[str], int],
-    distinct_count: Optional[Callable[[str, int], int]] = None,
-) -> Plan:
-    """Compute (or fetch from cache) the execution plan for ``condition``.
+def plan_condition(condition: Condition) -> Plan:
+    """The execution plan for ``condition``, built once per condition.
 
-    ``relation_size`` maps a predicate name to the number of rows it currently
-    holds; ``distinct_count`` (optional) maps ``(predicate, column)`` to the
-    number of distinct values in that column.  Both only influence
-    tie-breaking between equally-bound atoms: with distinct counts the
-    planner estimates the probe result size as ``rows / distinct`` of the
-    most selective bound column, without them it falls back to the raw size.
+    The plan orders the condition's literals from the condition alone, so
+    every database the condition is evaluated over shares it.
     """
-    arities: dict[str, int] = {}
-    for atom in condition.positive_atoms:
-        arities[atom.predicate] = max(arities.get(atom.predicate, 0), atom.arity)
-    signature = tuple(
-        sorted(
-            (
-                predicate,
-                relation_size(predicate),
-                tuple(distinct_count(predicate, column) for column in range(arities[predicate]))
-                if distinct_count is not None
-                else None,
-            )
-            for predicate in condition.positive_predicates()
-        )
-    )
-    return _plan_condition_cached(condition, signature)
+    return _plan_condition_cached(condition)
 
 
 @lru_cache(maxsize=4096)
-def _plan_condition_cached(
-    condition: Condition,
-    stats_signature: tuple[tuple[str, int, Optional[tuple[int, ...]]], ...],
-) -> Plan:
-    sizes = {predicate: size for predicate, size, _distincts in stats_signature}
-    distincts = {predicate: entry for predicate, _size, entry in stats_signature}
+def _plan_condition_cached(condition: Condition) -> Plan:
     steps: list[Step] = []
     bound: set[Variable] = set()
 
@@ -186,40 +151,14 @@ def _plan_condition_cached(
                     kept_negated.append(atom)
             remaining_negated[:] = kept_negated
 
-    def estimated_rows(atom: RelationalAtom, bound_positions: list[int]) -> int:
-        """The expected number of rows a probe on the bound columns returns:
-        ``rows / distinct`` of the most selective bound column under the
-        uniform-distribution model, or the raw size without statistics."""
-        size = sizes.get(atom.predicate, 0)
-        per_column = distincts.get(atom.predicate)
-        if per_column is None or not bound_positions:
-            return size
-        selectivity = max(
-            (per_column[position] for position in bound_positions if position < len(per_column)),
-            default=0,
-        )
-        return size // max(1, selectivity)
-
     emit_runnable_filters()
     while remaining_atoms:
-        best_index = 0
-        best_key: tuple[int, int, int] | None = None
-        for index, atom in enumerate(remaining_atoms):
-            bound_positions = [
-                position
-                for position, argument in enumerate(atom.arguments)
-                if is_bound(argument)
-            ]
-            # Maximise bound positions, then prefer the smallest estimated
-            # probe result, then the smaller relation.
-            key = (
-                -len(bound_positions),
-                estimated_rows(atom, bound_positions),
-                sizes.get(atom.predicate, 0),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
+        # The most bound positions wins; among equals, the first in literal
+        # order (``max`` keeps the first maximum).
+        best_index = max(
+            range(len(remaining_atoms)),
+            key=lambda index: sum(map(is_bound, remaining_atoms[index].arguments)),
+        )
         atom = remaining_atoms.pop(best_index)
         bound_columns = tuple(
             position for position, argument in enumerate(atom.arguments) if is_bound(argument)

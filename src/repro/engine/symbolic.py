@@ -40,12 +40,11 @@ the oracle tests that check them against the definition.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from ..caches import register_cache, run_registered_clears
+from ..caches import put_bounded, register_cache, run_registered_clears
 from ..datalog.atoms import RelationalAtom
 from ..datalog.database import Database
 from ..datalog.queries import Query
@@ -206,9 +205,7 @@ def relation_signature(query: Query, database: SymbolicDatabase) -> tuple:
     return signature
 
 
-#: Per-cache entry cap; dicts iterate in insertion order, so overflow evicts
-#: the oldest quarter (bounded memory for long-lived processes sweeping many
-#: catalogs, without the per-hit bookkeeping of a true LRU).
+#: Per-cache entry cap; overflow evicts the oldest quarter (``put_bounded``).
 _SHARED_CACHE_LIMIT = 65536
 
 _GROUP_INDEX_BY_RELATIONS: dict[tuple, dict] = {}
@@ -220,13 +217,6 @@ register_cache("engine/symbolic.py:_GROUP_INDEX_BY_RELATIONS", "clear_symbolic_c
                _GROUP_INDEX_BY_RELATIONS.clear)
 register_cache("engine/symbolic.py:_GROUP_INDEX_INTERN", "clear_symbolic_caches",
                _GROUP_INDEX_INTERN.clear)
-
-
-def _shared_cache_put(cache: dict, key, value) -> None:
-    if len(cache) >= _SHARED_CACHE_LIMIT:
-        for stale in list(itertools.islice(iter(cache), _SHARED_CACHE_LIMIT // 4)):
-            del cache[stale]
-    cache[key] = value
 
 
 def symbolic_cache_stats() -> dict[str, int]:
@@ -307,7 +297,7 @@ def symbolic_group_index(
     if cached is None:
         _OBS.inc("engine.gamma.shared_misses")
         cached = _intern_group_index(_compile.compiled_symbolic_group_index(query, database))
-        _shared_cache_put(_GROUP_INDEX_BY_RELATIONS, key, cached)
+        put_bounded(_GROUP_INDEX_BY_RELATIONS, key, cached, _SHARED_CACHE_LIMIT)
     else:
         _OBS.inc("engine.gamma.shared_hits")
     return cached
@@ -319,6 +309,6 @@ def _intern_group_index(index: dict) -> dict:
     )
     canonical = _GROUP_INDEX_INTERN.get(frozen)
     if canonical is None:
-        _shared_cache_put(_GROUP_INDEX_INTERN, frozen, index)
+        put_bounded(_GROUP_INDEX_INTERN, frozen, index, _SHARED_CACHE_LIMIT)
         return index
     return canonical

@@ -8,13 +8,13 @@ Counter names are hierarchical by convention — the first dotted segment is
 the *scope* that owns the counter's reset semantics:
 
 * ``engine.`` — evaluation-layer counters (kernel compiles/hits, store
-  builds/hits, plan builds/hits, vector-vs-loop dispatches, and
+  builds/hits, vector-vs-loop dispatches, and
   ``engine.gamma.shared_hits``/``shared_misses`` of the one shared symbolic
   table, the group-index cache).  Reset together with the caches they
   describe:
   ``clear_kernel_cache`` resets ``engine.kernel.*``, ``clear_store_cache``
-  resets ``engine.store.*``, ``clear_plan_cache`` resets ``engine.plan.*``,
-  ``clear_symbolic_caches`` resets ``engine.gamma.*``, and
+  resets ``engine.store.*``, ``clear_symbolic_caches`` resets
+  ``engine.gamma.*``, and
   ``clear_evaluation_caches`` resets the whole evaluation slice it drops
   (kernel + store + dispatch).
 * ``sweep.`` — decision-procedure counters (subsets examined / skipped by

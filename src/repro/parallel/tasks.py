@@ -39,7 +39,7 @@ from ..core.bounded import (
     check_subset_sweep,
     prepare_sweep_run,
 )
-from ..caches import register_cache
+from ..caches import put_bounded, register_cache
 from ..core.equivalence import EquivalenceResult, Verdict, are_equivalent
 from ..datalog.queries import Query
 from ..datalog.terms import Constant
@@ -174,10 +174,7 @@ def _memoized_setup(key: tuple, build):
     if setup is None:
         _OBS.inc("parallel.setup.builds")
         setup = build()
-        if len(_SETUP_MEMO) >= _SETUP_MEMO_LIMIT:
-            for stale in list(_SETUP_MEMO)[: _SETUP_MEMO_LIMIT // 4]:
-                del _SETUP_MEMO[stale]
-        _SETUP_MEMO[key] = setup
+        put_bounded(_SETUP_MEMO, key, setup, _SETUP_MEMO_LIMIT)
     else:
         _OBS.inc("parallel.setup.hits")
     return setup

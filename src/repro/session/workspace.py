@@ -52,6 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
+from ..caches import put_bounded
 from ..core.bounded import SharedBaseContext
 from ..core.equivalence import EquivalenceResult
 from ..datalog.database import Database
@@ -655,10 +656,7 @@ class Workspace:
                     seed=self._seed,
                 )
             cached = (verified, rejected)
-            if len(self._rewrite_cache) >= _REWRITE_CACHE_LIMIT:
-                for stale in list(self._rewrite_cache)[: _REWRITE_CACHE_LIMIT // 4]:
-                    del self._rewrite_cache[stale]
-            self._rewrite_cache[key] = cached
+            put_bounded(self._rewrite_cache, key, cached, _REWRITE_CACHE_LIMIT)
         else:
             self._rewrite_cache_hits += 1
         verified, rejected = cached

@@ -13,6 +13,7 @@ import pytest
 
 from repro.caches import (
     EXEMPT_CACHES,
+    put_bounded,
     register_cache,
     registered_cache_keys,
     registered_caches,
@@ -81,6 +82,14 @@ class TestRegistry:
 
             _REGISTRATIONS.pop("tests:_EVAL", None)
             _REGISTRATIONS.pop("tests:_SYM", None)
+
+
+def test_put_bounded_evicts_the_oldest_quarter():
+    cache = {index: index for index in range(8)}
+    put_bounded(cache, "new", "value", 8)
+    assert list(cache) == [2, 3, 4, 5, 6, 7, "new"]
+    put_bounded(cache, "next", "value", 8)
+    assert len(cache) == 8
 
 
 class TestSetupMemoLeak:

@@ -31,9 +31,10 @@ from repro.engine import (
     satisfying_assignments,
     store_cache_stats,
 )
-from repro.engine import modes
+from repro.engine import columnar, modes
 from repro.engine.columnar import numpy_module
 from repro.errors import ReproError
+from repro.obs import REGISTRY
 from repro.parallel.tasks import pair_check_tasks
 from repro.workloads import (
     build_view_scenario,
@@ -164,8 +165,8 @@ def test_decide_pairs_parity_across_engines_and_workers():
 def test_forced_vectorized_path_agrees(monkeypatch):
     """With the size threshold at zero every eligible plan takes the NumPy
     path; results must not change."""
-    monkeypatch.setenv("REPRO_VECTOR_THRESHOLD", "0")
-    _clean()  # drop stores built with the default threshold
+    monkeypatch.setattr(columnar, "VECTOR_THRESHOLD", 0)
+    _clean()
     try:
         warehouse = build_warehouse(stores=4, products=5, sales_per_store=10, seed=7)
         for name, query in sorted(warehouse.queries.items()):
@@ -178,9 +179,10 @@ def test_forced_vectorized_path_agrees(monkeypatch):
                 assert _evaluate_under("naive", query, database) == _evaluate_under(
                     "compiled", query, database
                 ), (seed, name)
+        assert REGISTRY.get("engine.dispatch.vector") > 0
     finally:
         monkeypatch.undo()
-        _clean()  # drop stores built with threshold 0
+        _clean()
 
 
 def test_no_numpy_fallback_agrees(monkeypatch):
