@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from ..aggregates.functions import AggregationFunction, get_function
 from ..aggregates.properties import random_realization
@@ -63,12 +63,12 @@ from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from ..orderings.complete_orderings import CompleteOrdering, enumerate_complete_orderings
 
+if TYPE_CHECKING:
+    from ..parallel.executor import Executor
+
 #: Semantics under which non-aggregate queries are compared.
 SET_SEMANTICS = "set"
 BAG_SET_SEMANTICS = "bag-set"
-
-#: Below this many subsets a parallel run is not worth the process overhead.
-DEFAULT_PARALLEL_THRESHOLD = 64
 
 
 @dataclass
@@ -371,9 +371,10 @@ def _record_search_counters(
 # Single-sweep catalog checks
 # ----------------------------------------------------------------------
 #: Subsets processed by the parent before forking a sweep pool: they settle
-#: quick counterexamples without paying for the pool, and they pre-warm the
-#: shared group-index cache (fork inherits it copy-on-write), so the
-#: workers stop re-deriving the heavily shared merged-partition signatures.
+#: quick counterexamples without paying for the pool — a search of at most
+#: this many subsets never forks at all — and they pre-warm the shared
+#: group-index cache (fork inherits it copy-on-write), so the workers stop
+#: re-deriving the heavily shared merged-partition signatures.
 #: Under the compiled engine the prefix also populates the module-level
 #: kernel and columnar-store caches (:mod:`repro.engine.compile` /
 #: :mod:`repro.engine.columnar`), so forked workers start with every plan of
@@ -540,16 +541,6 @@ def check_subset_sweep(
     return settled
 
 
-def _executor_wants_warm_prefix(executor) -> bool:
-    """Whether the sweep should run its serial warm prefix before handing the
-    stream to ``executor``: always for the default per-call pool (``None``),
-    and for session executors exactly while their lazy fork is still ahead."""
-    if executor is None:
-        return True
-    probe = getattr(executor, "wants_warm_prefix", None)
-    return bool(probe()) if callable(probe) else False
-
-
 def sweep_equivalence(
     queries: "dict[str, Query] | Sequence[tuple[str, Query]]",
     pairs: Sequence[tuple[str, str]],
@@ -559,10 +550,8 @@ def sweep_equivalence(
     max_subsets: int = 2_000_000,
     *,
     workers: Optional[int] = None,
-    executor=None,
+    executor: Optional[Executor] = None,
     seed: Optional[int] = None,
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
-    warm_prefix: int = DEFAULT_SWEEP_WARM_PREFIX,
     extra_constants: Iterable[Constant] = (),
 ) -> dict[tuple[str, str], EquivalenceReport]:
     """Decide ``first ≡_N second`` for every assigned pair of a sub-catalog
@@ -579,16 +568,18 @@ def sweep_equivalence(
     ``seed`` is the catalog-level seed; per-pair witness searches use the
     same derived seeds as the pairwise matrix, so witnesses agree with the
     pair path wherever the enumerations align.  ``workers > 1`` shards the
-    subset stream across processes after a serial *warm prefix* that
-    pre-warms the shared caches the forked workers inherit; each shard ships
-    ``(start, count)`` ranges of the canonical enumeration, which the worker
-    re-enumerates locally.
+    subset stream across a pool the call owns, after a serial *warm prefix*
+    that pre-warms the shared caches the forked workers inherit; each shard
+    ships ``(start, count)`` ranges of the canonical enumeration, which the
+    worker re-enumerates locally.  An explicit ``executor`` is used instead
+    and left open; it runs the warm prefix only while its pool has not
+    forked yet.
 
     .. deprecated:: callers holding a catalog across calls should reach this
        through :meth:`repro.session.Workspace.equivalences`, which plans the
-       sweeps once per delta, keeps the pool alive (``executor=`` a
-       :class:`~repro.parallel.executor.PersistentProcessExecutor`), and
-       never re-decides a settled pair.
+       sweeps once per delta, keeps one
+       :class:`~repro.parallel.executor.ProcessExecutor` alive across calls,
+       and never re-decides a settled pair.
     """
     catalog = dict(queries)
     pair_list = [tuple(pair) for pair in pairs]
@@ -601,18 +592,17 @@ def sweep_equivalence(
         advice="reduce the bound, shrink the sweep group, or raise max_subsets",
     )
 
+    from ..parallel.executor import resolve_executor
     from ..parallel.tasks import derive_pair_seed
 
-    reports = _sweep(
-        catalog,
-        {pair: derive_pair_seed(seed, pair[0], pair[1]) or 0 for pair in pair_list},
-        bound, domain, semantics,
-        workers=workers,
-        executor=executor,
-        parallel_threshold=parallel_threshold,
-        warm_prefix=warm_prefix,
-        extra_constants=extra_constants,
-    )
+    with resolve_executor(workers, executor) as pool:
+        reports = _sweep(
+            catalog,
+            {pair: derive_pair_seed(seed, pair[0], pair[1]) or 0 for pair in pair_list},
+            bound, domain, semantics,
+            executor=pool,
+            extra_constants=extra_constants,
+        )
     for report in reports.values():
         report.notes.append(
             f"single-sweep over {len(catalog)} queries / {len(pair_list)} pairs"
@@ -655,17 +645,14 @@ def _sweep(
     domain: Domain,
     semantics: str,
     *,
-    workers: Optional[int],
-    executor,
-    parallel_threshold: int,
-    warm_prefix: int,
+    executor: Optional[Executor],
     extra_constants: Iterable[Constant],
 ) -> dict[tuple[str, str], EquivalenceReport]:
     """The search loop behind :func:`sweep_equivalence` and
     :func:`bounded_equivalence`: one canonical enumeration of the catalog
-    BASE, every still-open pair checked against each subset, serially or
-    sharded across a pool.  ``pair_seeds`` names the pairs to decide and the
-    seed of each pair's witness search."""
+    BASE, every still-open pair checked against each subset, serially
+    (``executor=None``) or sharded across ``executor``.  ``pair_seeds``
+    names the pairs to decide and the seed of each pair's witness search."""
     extra_constants = tuple(extra_constants)
     setup = prepare_sweep_run(catalog, bound, domain, semantics, extra_constants)
     reports = {
@@ -694,11 +681,6 @@ def _sweep(
     enumerator = CanonicalSubsetEnumerator(setup.base, setup.fresh)
     open_pairs: list[tuple[str, str]] = list(pair_seeds)
 
-    if workers is None:
-        from ..parallel.executor import default_workers, in_worker
-
-        workers = 1 if in_worker() else default_workers()
-
     def check_serial(subsets: Iterable[tuple[int, ...]]) -> None:
         if not open_pairs:
             return
@@ -723,47 +705,40 @@ def _sweep(
         bound=bound,
         base=len(base),
     ) as sweep_span:
-        if workers > 1 or executor is not None:
-            subset_list = list(enumerator)
-            if executor is not None or len(subset_list) >= parallel_threshold:
-                # Warm prefix: the parent settles the small subsets itself
-                # (their merged-partition signatures are the most shared
-                # entries of the group-index cache) before forking, so
-                # every worker inherits a warm cache copy-on-write instead of
-                # re-deriving it.  The same prefix compiles the sweep's plan
-                # kernels, which forked workers likewise inherit for free.
-                # Session executors whose pool forks lazily on first use (see
-                # :meth:`repro.parallel.executor.PersistentProcessExecutor.wants_warm_prefix`)
-                # opt in for the run that performs the fork; an executor whose
-                # pool already exists skips the prefix — its workers carry
-                # their own accumulated caches.
-                prefix = (
-                    subset_list[: max(0, warm_prefix)]
-                    if _executor_wants_warm_prefix(executor)
-                    else []
-                )
-                check_serial(prefix)
-                if open_pairs and len(prefix) < len(subset_list):
-                    from ..parallel.tasks import parallel_sweep_search
-
-                    parallel_sweep_search(
-                        setup=setup,
-                        pair_seeds={pair: pair_seeds[pair] for pair in open_pairs},
-                        bound=bound,
-                        domain=domain,
-                        semantics=semantics,
-                        extra_constants=extra_constants,
-                        start=len(prefix),
-                        count=len(subset_list) - len(prefix),
-                        reports=reports,
-                        stats=stats,
-                        workers=workers,
-                        executor=executor,
-                    )
-            else:
-                check_serial(subset_list)
-        else:
+        if executor is None:
             check_serial(enumerator)
+        else:
+            subset_list = list(enumerator)
+            # Warm prefix: the parent settles the small subsets itself
+            # (their merged-partition signatures are the most shared entries
+            # of the group-index cache) before the pool forks, so every
+            # worker inherits a warm cache copy-on-write instead of
+            # re-deriving it.  The same prefix compiles the sweep's plan
+            # kernels, which forked workers likewise inherit for free.  A
+            # pool that already forked skips the prefix — its workers carry
+            # their own accumulated caches.
+            prefix = (
+                subset_list[:DEFAULT_SWEEP_WARM_PREFIX]
+                if executor.wants_warm_prefix()
+                else []
+            )
+            check_serial(prefix)
+            if open_pairs and len(prefix) < len(subset_list):
+                from ..parallel.tasks import parallel_sweep_search
+
+                parallel_sweep_search(
+                    setup=setup,
+                    pair_seeds={pair: pair_seeds[pair] for pair in open_pairs},
+                    bound=bound,
+                    domain=domain,
+                    semantics=semantics,
+                    extra_constants=extra_constants,
+                    start=len(prefix),
+                    count=len(subset_list) - len(prefix),
+                    reports=reports,
+                    stats=stats,
+                    executor=executor,
+                )
         sweep_span.note(
             subsets=stats.subsets_examined, skipped=enumerator.skipped
         )
@@ -798,9 +773,8 @@ def bounded_equivalence(
     max_subsets: int = 2_000_000,
     *,
     workers: Optional[int] = None,
-    executor=None,
+    executor: Optional[Executor] = None,
     seed: int = 0,
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD,
     extra_constants: Iterable[Constant] = (),
 ) -> EquivalenceReport:
     """Decide whether ``first ≡_N second`` for ``N = bound`` (Theorem 4.8).
@@ -812,8 +786,10 @@ def bounded_equivalence(
     The check is the one-pair case of :func:`sweep_equivalence` — for two
     queries the catalog BASE is the pair BASE — over the orbit-canonical
     subsets.  ``workers > 1`` shards the subsets across a process pool via
-    :mod:`repro.parallel`; ``seed`` seeds the fallback witness search
-    directly, so it is reproducible regardless of worker scheduling.
+    :mod:`repro.parallel` (a search of at most
+    :data:`DEFAULT_SWEEP_WARM_PREFIX` subsets stays in this process);
+    ``seed`` seeds the fallback witness search directly, so it is
+    reproducible regardless of worker scheduling.
     """
     pair = ("first", "second")
     _check_searchable(
@@ -821,15 +797,46 @@ def bounded_equivalence(
         space="bounded-equivalence",
         advice="reduce the bound or raise max_subsets explicitly",
     )
-    reports = _sweep(
-        {"first": first, "second": second}, {pair: seed}, bound, domain, semantics,
-        workers=workers,
-        executor=executor,
-        parallel_threshold=parallel_threshold,
-        warm_prefix=DEFAULT_SWEEP_WARM_PREFIX,
-        extra_constants=extra_constants,
-    )
+    from ..parallel.executor import resolve_executor
+
+    with resolve_executor(workers, executor) as pool:
+        reports = _sweep(
+            {"first": first, "second": second}, {pair: seed}, bound, domain, semantics,
+            executor=pool,
+            extra_constants=extra_constants,
+        )
     return reports[pair]
+
+
+def shared_base_recipe(
+    queries: Sequence[Query],
+    bound: int,
+    context: Optional[SharedBaseContext],
+    max_subsets: int,
+) -> tuple[int, tuple[Constant, ...]]:
+    """The ``(bound, extra_constants)`` BASE recipe for deciding ``queries``
+    whose own bound is ``bound``.
+
+    With a :class:`SharedBaseContext` the catalog-wide bound and constants
+    are used instead (still sound, since the shared bound dominates the
+    queries' own), unless the widened BASE would blow the ``max_subsets``
+    budget.  Queries carrying comparisons always keep their own recipe: the
+    widening exists to share Γ(q, S_L) across the catalog, and the shared
+    caches only apply to comparison-free queries — for anything else a
+    larger BASE is pure cost.  The pair path (:func:`local_equivalence`) and
+    the sweep planner (:func:`repro.workloads.batch.plan_catalog_sweep`)
+    both ask this one rule, so a swept cell runs at the bound its pair task
+    would.
+    """
+    if (
+        context is not None
+        and context.bound >= bound
+        and _catalog_is_comparison_free(queries)
+        and 2 ** _catalog_base_size(queries, context.bound, context.constants)
+        <= max_subsets
+    ):
+        return context.bound, context.constants
+    return bound, ()
 
 
 def local_equivalence(
@@ -841,30 +848,14 @@ def local_equivalence(
     *,
     context: Optional[SharedBaseContext] = None,
     workers: Optional[int] = None,
-    executor=None,
+    executor: Optional[Executor] = None,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Local equivalence: bounded equivalence with N = τ(q, q') (Section 4).
-
-    With a :class:`SharedBaseContext` the catalog-wide bound and constants are
-    used instead (still sound, since the shared bound dominates τ), unless the
-    widened BASE would blow the ``max_subsets`` budget, in which case the
-    pair-local BASE is used.  Pairs carrying comparisons always use the
-    pair-local BASE: the widening exists to share Γ(q, S_L) across the
-    catalog, and the shared caches only apply to comparison-free queries — for
-    anything else a larger BASE is pure cost.
-    """
-    bound = term_size_of_pair(first, second)
-    extra_constants: tuple[Constant, ...] = ()
-    if (
-        context is not None
-        and context.bound >= bound
-        and _catalog_is_comparison_free((first, second))
-    ):
-        widened_size = _catalog_base_size((first, second), context.bound, context.constants)
-        if 2**widened_size <= max_subsets:
-            bound = context.bound
-            extra_constants = context.constants
+    """Local equivalence: bounded equivalence with N = τ(q, q') (Section 4),
+    over the BASE recipe :func:`shared_base_recipe` picks for the pair."""
+    bound, extra_constants = shared_base_recipe(
+        (first, second), term_size_of_pair(first, second), context, max_subsets
+    )
     return bounded_equivalence(
         first,
         second,

@@ -88,7 +88,7 @@ class WorkerCrashError(ReproError):
     pool's accumulated per-process state (setup memos, warm caches), so the
     run that observes the crash fails as a whole rather than merging a
     half-drained generation of outcomes.  The condition is *retryable*: the
-    persistent executor discards the dead pool immediately, and the next run
+    process executor discards the dead pool immediately, and the next run
     forks a fresh one (counted by ``parallel.pool.heals``)."""
 
     #: Callers serving traffic map this onto a retry-after response.

@@ -3,7 +3,7 @@
 One flat, dotted-name counter space replaces the scattered per-module stats
 dicts the engine grew PR by PR (``_KERNEL_STATS`` in ``engine/compile``,
 ``_STORE_STATS`` in ``engine/columnar``, ``_SHARED_GAMMA_STATS`` in
-``engine/symbolic``, the ``forks`` attribute on the persistent executor).
+``engine/symbolic``, the ``forks`` attribute on the process executor).
 Counter names are hierarchical by convention — the first dotted segment is
 the *scope* that owns the counter's reset semantics:
 

@@ -7,10 +7,12 @@ or the one-pair sweep behind bounded equivalence) and query pairs for an
 equivalence matrix.  This package splits those spaces into picklable shards
 (:mod:`repro.parallel.tasks`: :class:`SweepRangeCheckTask` and
 :class:`PairCheckTask`) and runs them through pluggable executors
-(:mod:`repro.parallel.executor`): serial for reference and debugging, or a
-multiprocessing pool with chunked dispatch, early exit via a shared
-cancellation event, and deterministic merging of verdicts and witnesses.  Sweep pools are forked after a serial warm prefix, so workers
-inherit the parent's shared group-index cache copy-on-write.
+(:mod:`repro.parallel.executor`): serial for reference and debugging, or
+one multiprocessing pool with early exit via a shared cancellation event and
+deterministic merging of verdicts and witnesses.  The pool forks lazily,
+after the first sweep's serial warm prefix, so workers inherit the parent's
+shared group-index cache copy-on-write; a one-shot ``workers=N`` call owns
+one pool for the length of the call, a session one for its lifetime.
 
 Users normally reach this subsystem through ``workers=N`` on
 :func:`repro.core.bounded.bounded_equivalence` or
@@ -20,7 +22,6 @@ and falls back to serial).
 """
 
 from .executor import (
-    PersistentProcessExecutor,
     ProcessExecutor,
     SerialExecutor,
     cancellation_requested,
@@ -45,7 +46,6 @@ from .tasks import (
 __all__ = [
     "PairCheckTask",
     "PairOutcome",
-    "PersistentProcessExecutor",
     "ProcessExecutor",
     "SerialExecutor",
     "SweepCheckOutcome",

@@ -1,14 +1,20 @@
 """Pluggable executors for the parallel decision subsystem.
 
-Two interchangeable executors run the picklable check tasks built by
-:mod:`repro.parallel.tasks`:
+One executor interface runs the picklable check tasks built by
+:mod:`repro.parallel.tasks`, with two implementations:
 
 * :class:`SerialExecutor` — runs tasks in order in the current process; the
   reference implementation the differential tests compare against.
-* :class:`ProcessExecutor` — a ``multiprocessing`` pool with chunked
-  dispatch, early exit on the first counterexample via a shared cancellation
-  event, and a guard against nested pools (a worker that itself calls a
-  parallel entry point degrades to serial execution).
+* :class:`ProcessExecutor` — a ``multiprocessing`` pool forked lazily on the
+  first run with work to shard and reused by every later run, with early
+  exit on the first counterexample via a shared cancellation event, a fresh
+  fork after a worker crash, and a guard against nested pools (a worker
+  that itself calls a parallel entry point degrades to serial execution).
+
+:func:`resolve_executor` turns a caller's ``workers=`` / ``executor=`` pair
+into the executor of one call: a one-shot ``workers=N`` call owns one
+:class:`ProcessExecutor` for the length of the call, and a session passes
+its own.
 
 Both executors return the full list of task outcomes; *merging* those
 outcomes into a verdict is the caller's job and is deterministic: outcomes
@@ -26,7 +32,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 from ..errors import WorkerCrashError
 from ..obs import REGISTRY as _OBS
@@ -88,6 +95,15 @@ def default_workers() -> int:
         return 1
 
 
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """The worker count a ``workers=`` argument asks for: 1 inside a pool
+    worker (nested pools are suppressed), ``REPRO_WORKERS`` for ``None``,
+    and at least 1 otherwise."""
+    if in_worker():
+        return 1
+    return default_workers() if workers is None else max(1, int(workers))
+
+
 def in_worker() -> bool:
     """Whether the current process is a pool worker (nested parallelism is
     suppressed to avoid fork bombs)."""
@@ -108,7 +124,9 @@ def _initialize_worker(event) -> None:
 
 class Executor(Protocol):
     """The executor interface: run ``worker`` over ``tasks``, optionally
-    stopping early once ``stop`` accepts an outcome."""
+    stopping early once ``stop`` accepts an outcome.  ``wants_warm_prefix``
+    tells a sweep whether to settle its first subsets in the parent before
+    handing the rest to :meth:`run` (see :func:`repro.core.bounded._sweep`)."""
 
     workers: int
 
@@ -119,11 +137,18 @@ class Executor(Protocol):
         stop: Optional[Callable[[object], bool]] = None,
     ) -> list: ...
 
+    def wants_warm_prefix(self) -> bool: ...
+
 
 class SerialExecutor:
     """Run every task in order in the current process."""
 
     workers = 1
+
+    def wants_warm_prefix(self) -> bool:
+        """Never: there is no fork whose children could inherit the prefix's
+        cache entries."""
+        return False
 
     def run(
         self,
@@ -142,7 +167,7 @@ class SerialExecutor:
 
 def _fork_pool(processes: int):
     """Fork a worker pool with the shared cancellation event wired into every
-    child; returns ``(pool, event)``.  Shared by both process executors."""
+    child; returns ``(pool, event)``."""
     import gc
 
     # Forked workers inherit the parent heap copy-on-write; collecting
@@ -233,10 +258,9 @@ def _drain_pool(
     worker: Callable,
     tasks: Sequence,
     stop: Optional[Callable[[object], bool]],
-    chunksize: int,
-    expected_pids: Optional[frozenset] = None,
+    expected_pids: frozenset,
 ) -> list:
-    """The shared dispatch loop: ``imap_unordered`` with cooperative early
+    """The dispatch loop of one run: ``imap_unordered`` with cooperative early
     exit — once ``stop`` accepts an outcome the cancellation event is set and
     the remaining tasks return immediately with their ``cancelled`` marker.
     The returned outcome list is complete, so the caller's deterministic
@@ -248,10 +272,8 @@ def _drain_pool(
     deliver that result — so the drain raises :class:`WorkerCrashError`
     instead of blocking forever, *before* any caller merges the partial
     outcome list into a verdict."""
-    if expected_pids is None:
-        expected_pids = _live_worker_pids(pool)
     outcomes = []
-    iterator = pool.imap_unordered(worker, tasks, chunksize=chunksize)
+    iterator = pool.imap_unordered(worker, tasks)
     while True:
         try:
             outcome = iterator.next(timeout=_DRAIN_POLL_S)
@@ -268,58 +290,22 @@ def _drain_pool(
 
 
 class ProcessExecutor:
-    """A per-call multiprocessing pool with chunked dispatch and cooperative
-    early exit (see :func:`_drain_pool`).
+    """A process pool that stays alive across ``run`` calls.
+
+    The pool forks **once**, lazily, on the first run that has enough work
+    to shard — after the parent's serial warm prefix, so the children
+    inherit the warm shared group-index cache copy-on-write — and every
+    later run reuses the same workers, whose per-process setup memos and
+    shared caches accumulate across runs instead of being re-derived per
+    fork.  A one-shot ``workers=N`` call owns one executor for the length of
+    the call (:func:`resolve_executor`); a session
+    (:class:`repro.session.Workspace`) owns one for its lifetime.
 
     ``workers`` is the sharding degree; the pool itself never spawns more
     processes than the machine has cores (oversubscribing a CPU-bound search
     only adds fork and scheduling overhead).  Task decomposition and the
     position-based merges are independent of the pool size, so results are
     identical whatever the core count.
-    """
-
-    def __init__(self, workers: int, chunksize: int = 1):
-        self.workers = max(1, int(workers))
-        self.chunksize = max(1, int(chunksize))
-
-    def run(
-        self,
-        worker: Callable,
-        tasks: Sequence,
-        stop: Optional[Callable[[object], bool]] = None,
-    ) -> list:
-        tasks = list(tasks)
-        if self.workers <= 1 or len(tasks) <= 1 or in_worker():
-            return SerialExecutor().run(worker, tasks, stop)
-        pool, event = _fork_pool(min(self.workers, len(tasks), available_cores()))
-        try:
-            outcomes = _drain_pool(pool, event, worker, tasks, stop, self.chunksize)
-        except WorkerCrashError:
-            # Normal teardown would deadlock on the dead worker's queue
-            # locks; route through the crashed-pool reaper instead.
-            _reap_crashed_pool(pool)
-            raise
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        pool.terminate()
-        pool.join()
-        return outcomes
-
-
-class PersistentProcessExecutor:
-    """A process pool that stays alive across ``run`` calls (session mode).
-
-    :class:`ProcessExecutor` forks a fresh pool per invocation — the right
-    trade for one-shot entry points, where the fork inherits the parent's
-    freshly warmed caches copy-on-write and the pool's lifetime is the call.
-    A long-lived session (:class:`repro.session.Workspace`) inverts the
-    trade: the pool forks **once**, lazily, on the first run that has enough
-    work to shard — after the parent's serial warm prefix, so the children
-    still inherit the warm shared group-index cache — and every later
-    call reuses the same workers, whose per-process setup memos and shared
-    caches accumulate across calls instead of being re-derived per fork.
 
     The executor owns one shared cancellation event, cleared between runs
     (``multiprocessing.Event`` state propagates to the already-forked
@@ -337,9 +323,8 @@ class PersistentProcessExecutor:
     recoveries): one crash costs one failed call, never a wedged session.
     """
 
-    def __init__(self, workers: int, chunksize: int = 1):
+    def __init__(self, workers: int):
         self.workers = max(1, int(workers))
-        self.chunksize = max(1, int(chunksize))
         self.forks = 0
         self._pool = None
         self._event = None
@@ -378,7 +363,7 @@ class PersistentProcessExecutor:
                 pool.terminate()
                 pool.join()
 
-    def __enter__(self) -> "PersistentProcessExecutor":
+    def __enter__(self) -> "ProcessExecutor":
         return self
 
     def __exit__(self, *_exc) -> None:
@@ -395,9 +380,8 @@ class PersistentProcessExecutor:
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            # Unlike the one-shot executor, the pool size is not clamped by
-            # the first call's task count: the same pool serves every later
-            # (possibly much larger) run of the session.
+            # The pool size is not clamped by the first run's task count:
+            # the same pool serves every later (possibly much larger) run.
             self._pool, self._event = _fork_pool(min(self.workers, available_cores()))
             self._pids = _live_worker_pids(self._pool)
             self.forks += 1
@@ -432,9 +416,7 @@ class PersistentProcessExecutor:
         pool = self._ensure_pool()
         self._event.clear()
         try:
-            return _drain_pool(
-                pool, self._event, worker, tasks, stop, self.chunksize, self._pids
-            )
+            return _drain_pool(pool, self._event, worker, tasks, stop, self._pids)
         except BaseException:
             # A failed drain (a worker died, an exception propagated out of
             # imap) leaves the pool in an unknown state.  Discard it so the
@@ -457,16 +439,20 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
+@contextmanager
 def resolve_executor(
     workers: Optional[int] = None, executor: Optional[Executor] = None
-) -> Executor:
-    """An executor for the requested worker count: an explicit executor wins,
-    ``workers=None`` consults ``REPRO_WORKERS``, and 1 (or running inside a
-    pool worker) means serial."""
+) -> Iterator[Optional[Executor]]:
+    """The executor of one call: an explicit ``executor`` is yielded and left
+    open; ``None`` is yielded when :func:`resolve_workers` asks for serial
+    work; otherwise the call owns a :class:`ProcessExecutor`, closed when
+    the block exits."""
     if executor is not None:
-        return executor
-    if workers is None:
-        workers = 1 if in_worker() else default_workers()
-    if workers <= 1 or in_worker():
-        return SerialExecutor()
-    return ProcessExecutor(workers)
+        yield executor
+        return
+    count = resolve_workers(workers)
+    if count <= 1:
+        yield None
+        return
+    with ProcessExecutor(count) as owned:
+        yield owned

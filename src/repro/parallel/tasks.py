@@ -47,7 +47,7 @@ from ..domains import Domain
 from ..engine.modes import DEFAULT_ENGINE, active_engine, engine_scope
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
-from .executor import Executor, cancellation_requested, in_worker, resolve_executor
+from .executor import Executor, cancellation_requested, in_worker
 
 
 def capture_worker_metrics() -> Optional[dict]:
@@ -246,17 +246,24 @@ def _sweep_range_outcome(task: SweepRangeCheckTask) -> SweepCheckOutcome:
     return SweepCheckOutcome(task.index, stats, tuple(found))
 
 
+#: Blocks per shard in :func:`block_cyclic_ranges`: enough that every shard
+#: sees the whole size profile of the stream, few enough to keep the range
+#: tuples small on the wire.
+_BLOCKS_PER_SHARD = 16
+
+
 def block_cyclic_ranges(
-    start: int, count: int, shards: int, blocks_per_shard: int = 16
+    start: int, count: int, shards: int
 ) -> list[tuple[tuple[int, int], ...]]:
     """Partition ``[start, start + count)`` into per-shard ``(start, count)``
-    range tuples: the span is cut into ``shards * blocks_per_shard`` blocks
-    dealt round-robin, so every shard sees the same mix of cheap (small,
-    early) and expensive (large, late) subsets at block granularity."""
+    range tuples: the span is cut into :data:`_BLOCKS_PER_SHARD` blocks per
+    shard dealt round-robin, so every shard sees the same mix of cheap
+    (small, early) and expensive (large, late) subsets at block
+    granularity."""
     if count <= 0 or shards <= 0:
         return []
     shards = min(shards, count)
-    block_count = min(count, shards * max(1, blocks_per_shard))
+    block_count = min(count, shards * _BLOCKS_PER_SHARD)
     size, remainder = divmod(count, block_count)
     ranges: list[list[tuple[int, int]]] = [[] for _ in range(shards)]
     position = start
@@ -307,13 +314,13 @@ def parallel_sweep_search(
     count: int,
     reports: "dict[tuple[str, str], EquivalenceReport]",
     stats: CheckStats,
-    workers: Optional[int],
-    executor: Optional[Executor],
+    executor: Executor,
 ) -> None:
     """Shard positions ``[start, start + count)`` of a subset search across an
-    executor and fold the outcomes into the per-pair reports (called by
-    :func:`repro.core.bounded.sweep_equivalence` and
-    :func:`repro.core.bounded.bounded_equivalence` after the warm prefix).
+    executor and fold the outcomes into the per-pair reports (called by the
+    search loop behind :func:`repro.core.bounded.sweep_equivalence` and
+    :func:`repro.core.bounded.bounded_equivalence`, after the warm prefix
+    when the executor wants one).
 
     One shard per worker: a range worker re-enumerates the stream up to its
     last assigned position, so extra shards would multiply that redundant
@@ -333,11 +340,9 @@ def parallel_sweep_search(
     has a settled failure, so pairs left standing really survived the whole
     enumeration.
     """
-    executor = resolve_executor(workers, executor)
-    pool_size = max(1, getattr(executor, "workers", 1))
     tasks = sweep_range_tasks(
         tuple(setup.queries.items()), pair_seeds, bound, domain, semantics, extra_constants,
-        start, count, pool_size,
+        start, count, executor.workers,
     )
     if tasks:
         _memoized_setup(tasks[0]._setup_key(), lambda: setup)
@@ -365,7 +370,7 @@ def parallel_sweep_search(
         report = reports[pair]
         report.equivalent = False
         report.counterexample = counterexample
-    workers_used = getattr(executor, "workers", 1)
+    workers_used = executor.workers
     for report in reports.values():
         report.workers_used = workers_used
         report.notes.append(

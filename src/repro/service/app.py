@@ -22,7 +22,7 @@ baseline of ``benchmarks/bench_service.py``).
 
 Failure containment: a pool worker dying mid-sweep surfaces as
 :class:`~repro.errors.WorkerCrashError`, serialized as a structured 503
-with ``retryable: true`` — the persistent executor has already discarded
+with ``retryable: true`` — the process executor has already discarded
 the dead pool, so the client's retry re-forks a fresh one
 (``parallel.pool.heals`` counts those).  Every other library error maps to
 its :mod:`repro.service.protocol` code; unexpected exceptions become an

@@ -56,7 +56,7 @@ from ..rewriting.engine import RewritingReport, VerifiedRewriting
 from ..session import WorkspaceStats
 
 #: Seconds a client should wait before re-sending a retryable failure; by
-#: then the persistent executor has discarded the dead pool and the next
+#: then the process executor has discarded the dead pool and the next
 #: run re-forks a fresh one.
 RETRY_AFTER_S = 1
 

@@ -25,13 +25,14 @@ workspace pays them once and amortizes them over the session:
   (queries hash by their cached structural hash) short-circuits cells whose
   exact ASTs were already decided under different names.
 
-* **A persistent pool.**  With ``workers=N`` the workspace owns a
-  :class:`~repro.parallel.executor.PersistentProcessExecutor`: the pool
-  forks once — lazily, after the first sweep's serial warm prefix, so the
-  children inherit the warm shared caches copy-on-write — and every later
-  ``equivalences()`` / ``rewrite()`` call reuses the same workers, whose
-  per-process setup memos keep accumulating.  ``close()`` (or the context
-  manager) tears the pool down.
+* **A persistent pool.**  With ``workers=N`` the workspace owns one
+  :class:`~repro.parallel.executor.ProcessExecutor` for its lifetime, where
+  a one-shot ``workers=N`` call owns one for the length of the call: the
+  pool forks once — lazily, after the first sweep's serial warm prefix, so
+  the children inherit the warm shared caches copy-on-write — and every
+  later ``equivalences()`` / ``rewrite()`` call reuses the same workers,
+  whose per-process setup memos keep accumulating.  ``close()`` (or the
+  context manager) tears the pool down.
 
 * **Cached rewriting.**  :meth:`Workspace.rewrite` runs the PR 4 engine
   against the session's view catalog through the session executor, caching
@@ -65,12 +66,7 @@ from ..errors import ReproError, RewritingError
 from ..obs import REGISTRY as _OBS
 from ..obs import CellExplanation, dispatch_class_of, normalization_of
 from ..obs import span as _span
-from ..parallel.executor import (
-    Executor,
-    PersistentProcessExecutor,
-    default_workers,
-    in_worker,
-)
+from ..parallel.executor import Executor, ProcessExecutor, resolve_workers
 from ..rewriting.candidates import RejectedCandidate
 from ..rewriting.engine import (
     RewritingEngine,
@@ -143,7 +139,9 @@ class Workspace:
     """A long-lived session over a growing catalog of queries and views.
 
     ``workers=N`` gives the session a persistent process pool (``None``
-    consults ``REPRO_WORKERS``; 1 means serial); ``schema`` declares base
+    consults ``REPRO_WORKERS``; 1 means serial); an explicit ``executor``
+    is used instead, left open on :meth:`close`, and its own ``workers``
+    is the session's worker count; ``schema`` declares base
     tables for the SQL front door (``{table: [column, ...]}``); the decision
     parameters (``domain``, ``max_subsets``, ``counterexample_trials``,
     ``unknown_bound``, ``seed``) mirror
@@ -190,14 +188,12 @@ class Workspace:
         if executor is not None:
             self._executor: Optional[Executor] = executor
             self._owns_executor = False
-            self._workers = workers if workers is not None else getattr(executor, "workers", 1)
+            # The executor's own width is what runs; ``workers`` cannot
+            # resize a pool the session does not own.
+            self._workers = executor.workers
         else:
-            count = (
-                1
-                if in_worker()
-                else (default_workers() if workers is None else max(1, int(workers)))
-            )
-            self._executor = PersistentProcessExecutor(count) if count > 1 else None
+            count = resolve_workers(workers)
+            self._executor = ProcessExecutor(count) if count > 1 else None
             self._owns_executor = self._executor is not None
             self._workers = count
         self._translator = SqlTranslator(schema or {})

@@ -26,7 +26,7 @@ through :func:`repro.core.equivalence.are_equivalent`.
 
 Both kinds of work route through the parallel subsystem
 (:mod:`repro.parallel`): ``workers=N`` shards the sweep's subset stream and
-the pair tasks across a process pool; ``workers=None`` honours the
+the pair tasks across one process pool; ``workers=None`` honours the
 ``REPRO_WORKERS`` environment variable; the serial path runs the very same
 work items through the serial executor, so the two can never diverge.
 """
@@ -41,6 +41,7 @@ from ..core.bounded import (
     SharedBaseContext,
     _catalog_base_size,
     _catalog_is_comparison_free,
+    shared_base_recipe,
     sweep_equivalence,
 )
 from ..core.equivalence import (
@@ -59,7 +60,7 @@ from ..errors import ReproError
 from ..engine.evaluator import evaluate
 from ..engine.modes import engine_scope
 from ..obs import span as _span
-from ..parallel.executor import Executor, resolve_executor
+from ..parallel.executor import Executor, SerialExecutor, resolve_executor
 from ..parallel.tasks import absorb_worker_metrics, pair_check_tasks, run_pair_task
 
 
@@ -226,28 +227,21 @@ def _finalize_group(
     plan: SweepPlan,
 ) -> None:
     """Budget-check a candidate group and place it (or its cells) into the
-    plan: the catalog-wide shared BASE when it applies and fits, then the
-    group-local BASE, then dissolution to pair tasks (whose own budget guard
+    plan: the catalog-wide shared BASE when it applies and fits
+    (:func:`~repro.core.bounded.shared_base_recipe`), then the group-local
+    BASE, then dissolution to pair tasks (whose own budget guard
     treats every cell exactly as it always has)."""
     if len(group.pairs) < 2:
         plan.pair_path.extend(group.pairs)
         return
     members = list(group.queries.values())
-    if (
-        context is not None
-        and context.bound >= group.bound
-        and _catalog_is_comparison_free(members)
-    ):
-        widened = _catalog_base_size(members, context.bound, context.constants)
-        if 2**widened <= max_subsets:
-            group.bound = context.bound
-            group.extra_constants = context.constants
-            plan.groups.append(group)
-            return
-    if 2 ** _catalog_base_size(members, group.bound, ()) <= max_subsets:
+    group.bound, group.extra_constants = shared_base_recipe(
+        members, group.bound, context, max_subsets
+    )
+    if 2 ** _catalog_base_size(members, group.bound, group.extra_constants) <= max_subsets:
         plan.groups.append(group)
-        return
-    plan.pair_path.extend(group.pairs)
+    else:
+        plan.pair_path.extend(group.pairs)
 
 
 def sweep_group_label(group: SweepGroup) -> str:
@@ -292,6 +286,11 @@ def decide_pairs(
     instead of aborting the batch).  Sweep-eligible cells are decided in
     single-sweep groups; everything else runs through ``pair_runner``.
 
+    ``workers`` / ``executor`` are resolved once
+    (:func:`repro.parallel.executor.resolve_executor`): every sweep group and
+    then the pair tasks run on that one executor, so a one-shot
+    ``workers=N`` call forks at most one pool.
+
     ``context`` supplies a session-held :class:`SharedBaseContext` instead of
     rebuilding one from the catalog — a workspace deciding only its delta
     cells still widens them to the *full* catalog's BASE, so the sweep-group
@@ -308,7 +307,7 @@ def decide_pairs(
     shared single-sweep enumeration carried, ``"pair"`` for standalone pair
     tasks.  The session layer feeds this into ``Workspace.explain``.
     """
-    with engine_scope(engine):
+    with engine_scope(engine), resolve_executor(workers, executor) as pool:
         if context is None:
             context = SharedBaseContext.from_catalog(queries.values())
         results: dict[tuple[str, str], EquivalenceResult] = {}
@@ -331,8 +330,9 @@ def decide_pairs(
                     domain=domain,
                     semantics=SET_SEMANTICS,
                     max_subsets=max_subsets,
-                    workers=workers,
-                    executor=executor,
+                    # Already resolved: ``pool=None`` means serial.
+                    workers=1,
+                    executor=pool,
                     seed=seed,
                     extra_constants=group.extra_constants,
                 )
@@ -353,7 +353,8 @@ def decide_pairs(
             context=context,
             pairs=plan.pair_path,
         )
-        outcomes = resolve_executor(workers, executor).run(pair_runner, tasks)
+        runner = SerialExecutor().run if pool is None else pool.run
+        outcomes = runner(pair_runner, tasks)
         absorb_worker_metrics(outcomes)
         for outcome in sorted(outcomes, key=lambda outcome: outcome.task_index):
             results[(outcome.name_a, outcome.name_b)] = outcome.result

@@ -154,16 +154,27 @@ def _witness_is_valid(first, second, counterexample, semantics):
     return evaluate_set(first, database) != evaluate_set(second, database)
 
 
+@pytest.fixture(scope="module")
+def forked_pool():
+    """A two-worker pool that has already forked: a pool that forked skips
+    the serial warm prefix, so even the tiny spaces here are searched by
+    the pool."""
+    with ProcessExecutor(2) as pool:
+        pool.run(_square, [1, 2])
+        assert pool.alive and not pool.wants_warm_prefix()
+        yield pool
+
+
 class TestDifferentialBounded:
-    # An explicit executor skips the serial warm prefix, so even the small
-    # spaces here are searched by the pool.
     @pytest.mark.parametrize("first_text,second_text,bound,semantics", DIFFERENTIAL_PAIRS)
-    def test_serial_and_parallel_agree(self, first_text, second_text, bound, semantics):
+    def test_serial_and_parallel_agree(
+        self, forked_pool, first_text, second_text, bound, semantics
+    ):
         first, second = parse_query(first_text), parse_query(second_text)
         kwargs = {"semantics": semantics} if semantics else {}
         serial = bounded_equivalence(first, second, bound, workers=1, **kwargs)
         parallel = bounded_equivalence(
-            first, second, bound, executor=ProcessExecutor(2), **kwargs
+            first, second, bound, executor=forked_pool, **kwargs
         )
         assert serial.equivalent == parallel.equivalent
         assert parallel.workers_used == 2
@@ -184,7 +195,7 @@ class TestDifferentialBounded:
                 first, second, serial.counterexample, semantics or "set"
             )
 
-    def test_generated_pairs_agree(self):
+    def test_generated_pairs_agree(self, forked_pool):
         """Differential property test over generated query pairs."""
         profile = QueryProfile(
             predicates={"p": 1, "r": 1},
@@ -204,20 +215,20 @@ class TestDifferentialBounded:
             if 2 ** len(base) > 4096:
                 continue
             serial = bounded_equivalence(first, second, 2, workers=1)
-            parallel = bounded_equivalence(first, second, 2, executor=ProcessExecutor(2))
+            parallel = bounded_equivalence(first, second, 2, executor=forked_pool)
             assert serial.equivalent == parallel.equivalent, (first, second)
             if not serial.equivalent:
                 assert _witness_is_valid(first, second, parallel.counterexample, "set")
             checked += 1
 
-    def test_parallel_witnesses_are_valid_across_runs(self):
+    def test_parallel_witnesses_are_valid_across_runs(self, forked_pool):
         # The verdict is scheduling-independent; the particular witness may
         # vary under early-exit cancellation races, but every witness must be
         # valid (the fully reproducible path is workers=1).
         first = parse_query("q(sum(y)) :- p(y)")
         second = parse_query("q(sum(y)) :- p(y), not r(y)")
         runs = [
-            bounded_equivalence(first, second, 2, executor=ProcessExecutor(2))
+            bounded_equivalence(first, second, 2, executor=forked_pool)
             for _ in range(2)
         ]
         for report in runs:
@@ -324,18 +335,30 @@ class TestExecutors:
         assert seen == [1, 2]
 
     def test_process_executor_returns_every_outcome(self):
-        executor = ProcessExecutor(workers=2)
-        outcomes = executor.run(_square, [1, 2, 3, 4, 5])
+        with ProcessExecutor(workers=2) as executor:
+            outcomes = executor.run(_square, [1, 2, 3, 4, 5])
         assert sorted(outcomes) == [1, 4, 9, 16, 25]
 
     def test_resolve_executor_reads_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        executor = resolve_executor(None)
-        assert isinstance(executor, ProcessExecutor) and executor.workers == 3
+        with resolve_executor(None) as executor:
+            assert isinstance(executor, ProcessExecutor) and executor.workers == 3
+            executor.run(_square, [1, 2, 3])
+            assert executor.alive
+        # The call owned the pool, so leaving the block closed it.
+        assert not executor.alive
         monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert isinstance(resolve_executor(None), SerialExecutor)
+        with resolve_executor(None) as executor:
+            assert executor is None
         monkeypatch.delenv("REPRO_WORKERS")
-        assert isinstance(resolve_executor(None), SerialExecutor)
+        with resolve_executor(None) as executor:
+            assert executor is None
+        # An explicit executor is yielded as given and left open.
+        with ProcessExecutor(2) as explicit:
+            explicit.run(_square, [1, 2])
+            with resolve_executor(None, explicit) as executor:
+                assert executor is explicit
+            assert explicit.alive
 
     def test_range_tasks_cover_and_run_independently(self):
         from repro.core.bounded import prepare_sweep_run
@@ -455,6 +478,9 @@ class TestGuards:
             def __init__(self):
                 self.calls = 0
 
+            def wants_warm_prefix(self):
+                return False
+
             def run(self, worker, tasks, stop=None):
                 self.calls += 1
                 return SerialExecutor().run(worker, tasks, stop)
@@ -472,7 +498,7 @@ def _square(value):
 
 def _poison(value):
     """Pool-worker task: ``"poison"`` SIGKILLs the executing worker mid-run —
-    the genuine crash the persistent executor must observe and surface."""
+    the genuine crash the process executor must observe and surface."""
     if value == "poison":
         import signal
 
@@ -488,10 +514,9 @@ class TestWorkerCrashRecovery:
     def test_poison_task_raises_and_marks_pool_dead(self):
         from repro.errors import WorkerCrashError
         from repro.obs import REGISTRY
-        from repro.parallel import PersistentProcessExecutor
 
         heals_before = REGISTRY.get("parallel.pool.heals")
-        executor = PersistentProcessExecutor(2)
+        executor = ProcessExecutor(2)
         try:
             warm = executor.run(_poison, ["a", "b", "c", "d"])
             assert sorted(warm) == ["aa", "bb", "cc", "dd"]
@@ -515,9 +540,8 @@ class TestWorkerCrashRecovery:
         import time
 
         from repro.errors import WorkerCrashError
-        from repro.parallel import PersistentProcessExecutor
 
-        executor = PersistentProcessExecutor(2)
+        executor = ProcessExecutor(2)
         try:
             executor.run(_poison, ["a", "b", "c", "d"])
             victim = next(iter(executor._pids))
@@ -532,9 +556,7 @@ class TestWorkerCrashRecovery:
             executor.close()
 
     def test_worker_exception_still_discards_pool(self):
-        from repro.parallel import PersistentProcessExecutor
-
-        executor = PersistentProcessExecutor(2)
+        executor = ProcessExecutor(2)
         try:
             with pytest.raises(TypeError):
                 executor.run(_square, ["a", None, "b", "c"])
@@ -543,6 +565,30 @@ class TestWorkerCrashRecovery:
             assert sorted(healed) == [4, 9]
         finally:
             executor.close()
+
+
+class TestOneShotPool:
+    """A one-shot ``workers=N`` call owns exactly one pool for its length."""
+
+    def test_decide_pairs_forks_one_pool_and_reaps_it(self):
+        import multiprocessing
+
+        from repro.obs import REGISTRY
+        from repro.workloads.batch import decide_pairs
+        from test_sweep import _audit_catalog
+
+        catalog = _audit_catalog()
+        serial = decide_pairs(catalog, workers=1, seed=7)
+        children_before = {child.pid for child in multiprocessing.active_children()}
+        forks_before = REGISTRY.get("parallel.pool.forks")
+        parallel = decide_pairs(catalog, workers=2, seed=7)
+        # The sweep group and the pair tasks share one pool.
+        assert REGISTRY.get("parallel.pool.forks") == forks_before + 1
+        children_after = {child.pid for child in multiprocessing.active_children()}
+        assert children_after <= children_before
+        assert {cell: (result.verdict, result.method) for cell, result in parallel.items()} == {
+            cell: (result.verdict, result.method) for cell, result in serial.items()
+        }
 
 
 class TestRangeShippingShards:
@@ -563,7 +609,7 @@ class TestRangeShippingShards:
             assert len(ranges) <= shards
         assert block_cyclic_ranges(0, 0, 4) == []
 
-    def test_parallel_sweep_settles_catalog(self):
+    def test_parallel_sweep_settles_catalog(self, forked_pool):
         from repro.core.bounded import sweep_equivalence
 
         catalog = {
@@ -574,7 +620,7 @@ class TestRangeShippingShards:
         }
         pairs = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c")]
         reports = sweep_equivalence(
-            catalog, pairs, 2, executor=ProcessExecutor(2), seed=11
+            catalog, pairs, 2, executor=forked_pool, seed=11
         )
         verdicts = {pair: report.equivalent for pair, report in reports.items()}
         assert verdicts == {

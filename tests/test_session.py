@@ -373,9 +373,9 @@ class TestPersistentPool:
     def test_failed_drain_discards_the_pool(self):
         """A worker exception mid-run must not wedge the session: the broken
         pool is discarded and the next run forks a fresh one."""
-        from repro.parallel import PersistentProcessExecutor
+        from repro.parallel import ProcessExecutor
 
-        executor = PersistentProcessExecutor(2)
+        executor = ProcessExecutor(2)
         try:
             # imap_unordered: order may vary, compare as multisets.
             assert sorted(executor.run(_echo_task, [1, 2, 3, 4])) == [1, 2, 3, 4]
@@ -414,6 +414,14 @@ class TestPersistentPool:
         with Workspace(workers=1) as ws:
             assert ws.executor is None
             assert ws.stats().pool_forks == 0
+
+    def test_explicit_executor_sets_the_worker_count(self):
+        from repro.parallel import SerialExecutor
+
+        executor = SerialExecutor()
+        with Workspace(workers=4, executor=executor) as ws:
+            assert ws.executor is executor
+            assert ws.stats().workers == 1
 
 
 class TestShims:

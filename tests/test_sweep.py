@@ -15,7 +15,7 @@ import pytest
 
 from repro import Verdict, parse_query
 from repro.core import are_equivalent
-from repro.core.bounded import SharedBaseContext, sweep_equivalence
+from repro.core.bounded import SharedBaseContext, local_equivalence, sweep_equivalence
 from repro.core.equivalence import (
     aggregation_pin,
     pair_count_reduction,
@@ -285,6 +285,26 @@ class TestSweepPlanner:
         for pair in swept:
             assert swept[pair].verdict is pairwise[pair].verdict, pair
             assert swept[pair].details == pairwise[pair].details, pair
+
+    @pytest.mark.parametrize("max_subsets,widened", [(2_000_000, True), (2**9, False)])
+    def test_swept_bound_matches_the_pair_path(self, max_subsets, widened):
+        # One widening rule: a group takes the catalog-wide BASE exactly when
+        # the pair path would.  The "wide" query lifts the shared bound to 4;
+        # the r-group's own BASE has 2^9 subsets, its widened one 2^16.
+        catalog = {
+            "r1": parse_query("q(x) :- r(x, y)"),
+            "r2": parse_query("q(a) :- r(a, b)"),
+            "r3": parse_query("q(x) :- r(x, y), r(x, z)"),
+            "wide": parse_query("w(x) :- s(x, y, z, u)"),
+        }
+        context = SharedBaseContext.from_catalog(catalog.values())
+        plan = plan_catalog_sweep(catalog, max_subsets=max_subsets, context=context)
+        (group,) = plan.groups
+        assert group.bound == (context.bound if widened else 3)
+        report = local_equivalence(
+            catalog["r2"], catalog["r3"], max_subsets=max_subsets, context=context
+        )
+        assert report.bound == group.bound
 
     def test_disjoint_vocabularies_never_share_a_sweep(self):
         # Two equivalent pairs over disjoint vocabularies: a union sweep
