@@ -36,9 +36,13 @@ from .framework import Checker, Finding, Program, SourceModule
 # ----------------------------------------------------------------------
 # Shared discovery helpers
 # ----------------------------------------------------------------------
-#: Constructor names whose module-level call produces a mutable container.
+#: Constructor names whose module-level call produces a mutable container,
+#: called bare (``OrderedDict()``) or through a module (``weakref.WeakSet()``).
 _MUTABLE_CONSTRUCTORS = frozenset(
-    {"dict", "list", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque"}
+    {
+        "dict", "list", "set", "bytearray", "defaultdict", "Counter", "OrderedDict", "deque",
+        "WeakValueDictionary", "WeakKeyDictionary", "WeakSet",
+    }
 )
 
 #: Module-level names that are mutable containers by Python convention and
@@ -49,11 +53,7 @@ _AUTO_EXEMPT_NAMES = frozenset({"__all__"})
 def _is_mutable_container(value: ast.expr) -> bool:
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
         return True
-    return (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id in _MUTABLE_CONSTRUCTORS
-    )
+    return isinstance(value, ast.Call) and _call_name(value.func) in _MUTABLE_CONSTRUCTORS
 
 
 def module_level_mutable_containers(module: SourceModule) -> Iterator[tuple[str, int]]:

@@ -5,13 +5,23 @@ relational atoms and comparisons).  A condition is *safe* when every variable
 appearing in it either appears in a positive relational atom or is equated with
 such a variable (Section 3.1); all conditions handled by the library are
 required to be safe.
+
+Conditions are *hash-consed* (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): :func:`intern_condition` maps every condition to the
+one live object with its literals, and :class:`~repro.datalog.queries.Query`
+interns its disjuncts on construction.  Equal disjuncts of a process are
+then one object, so the plan and kernel caches keyed by conditions hit on
+identity instead of walking the AST.  Equality itself stays structural;
+interning only makes equal conditions identical.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from ..caches import register_cache
 from ..errors import UnsafeQueryError
 from .atoms import Comparison, ComparisonOp, Literal, RelationalAtom
 from .terms import Constant, Term, Variable
@@ -213,3 +223,23 @@ def make_condition(literals: Sequence[Literal]) -> Condition:
     condition = Condition(tuple(literals))
     condition.check_safe()
     return condition
+
+
+# ----------------------------------------------------------------------
+# Hash-consing
+# ----------------------------------------------------------------------
+#: The canonical condition per literal tuple.  Values are held weakly, so a
+#: condition no query owns any more drops out by itself; clearing the table
+#: only loses sharing (caches keyed by conditions still compare
+#: structurally), never correctness.
+_INTERNED: weakref.WeakValueDictionary[tuple[Literal, ...], Condition] = (
+    weakref.WeakValueDictionary()
+)
+
+register_cache("datalog/conditions.py:_INTERNED", "clear_evaluation_caches", _INTERNED.clear)
+
+
+def intern_condition(condition: Condition) -> Condition:
+    """The canonical live condition equal to ``condition`` (``condition``
+    itself when it is the first of its literals)."""
+    return _INTERNED.setdefault(condition.literals, condition)

@@ -8,6 +8,10 @@ A query has the form ``q(x̄) ← A1 ∨ ... ∨ An`` and an aggregate query the
 * ``ȳ`` are the aggregation variables, disjoint from ``x̄``,
 * ``α`` is an aggregation function named in the aggregate term.
 
+A query interns its disjuncts on construction and on unpickling
+(:func:`~repro.datalog.conditions.intern_condition`), so equal disjuncts of
+one process are one object.
+
 The classes here are purely syntactic; evaluation lives in
 :mod:`repro.engine` and the decision procedures in :mod:`repro.core`.
 """
@@ -20,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import MalformedQueryError, UnsafeQueryError
 from .atoms import Comparison, ComparisonOp, RelationalAtom
-from .conditions import Condition
+from .conditions import Condition, intern_condition
 from .terms import Constant, Term, Variable, substitute_terms
 
 
@@ -82,8 +86,13 @@ class Query:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head_terms", tuple(self.head_terms))
-        object.__setattr__(self, "disjuncts", tuple(self.disjuncts))
+        self._intern_disjuncts()
         self._validate()
+
+    def _intern_disjuncts(self) -> None:
+        object.__setattr__(
+            self, "disjuncts", tuple(intern_condition(d) for d in self.disjuncts)
+        )
 
     def __hash__(self) -> int:
         # Queries key every hot cache of the symbolic engine (Γ memoization,
@@ -102,6 +111,13 @@ class Query:
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         return state
+
+    def __setstate__(self, state) -> None:
+        # Unpickling skips __post_init__: re-intern the disjuncts, so a
+        # forked worker's copies map back to the canonical conditions its
+        # parent already planned and compiled.
+        self.__dict__.update(state)
+        self._intern_disjuncts()
 
     # ------------------------------------------------------------------
     # Validation
@@ -211,6 +227,31 @@ class Query:
         for disjunct in self.disjuncts:
             result |= disjunct.predicates()
         return result
+
+    @property
+    def sorted_predicates(self) -> tuple[str, ...]:
+        """The predicates of the query, sorted (cached: the symbolic engine
+        keys relation signatures by it on every ``S_L``)."""
+        cached = self.__dict__.get("_cached_sorted_predicates")
+        if cached is None:
+            cached = tuple(sorted(self.predicates()))
+            object.__setattr__(self, "_cached_sorted_predicates", cached)
+        return cached
+
+    @property
+    def uses_comparisons(self) -> bool:
+        """Whether any disjunct contains a comparison literal (cached).
+
+        Comparison-free queries admit the symbolic engine's
+        restricted-relation-signature cache: their symbolic results cannot
+        depend on the block *order* of an ordering, only on which terms it
+        equates.
+        """
+        cached = self.__dict__.get("_cached_uses_comparisons")
+        if cached is None:
+            cached = any(disjunct.comparisons for disjunct in self.disjuncts)
+            object.__setattr__(self, "_cached_uses_comparisons", cached)
+        return cached
 
     def predicate_arities(self) -> dict[str, int]:
         """Map each predicate occurring in the query to its arity.

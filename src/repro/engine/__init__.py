@@ -42,7 +42,10 @@ process-global mode of :mod:`repro.engine.modes` (``REPRO_ENGINE`` env var;
 3. **Memoization**.  ``Γ(q, D)`` (and its symbolic counterpart ``Γ(q, S_L)``)
    is cached per ``(query, database)`` under the compiled engine, which
    additionally caches the columnar store per database and the kernel per
-   ``(condition, output terms)``.  ``clear_evaluation_caches`` /
+   ``(condition, output terms)``.  Conditions are interned when a query is
+   built (:func:`repro.datalog.conditions.intern_condition`), so equal
+   disjuncts are one object and every plan and kernel cache hit is an
+   identity hit.  ``clear_evaluation_caches`` /
    ``clear_symbolic_caches`` reset the caches (benchmarks use them for
    cold-cache timings; the kernel/store caches are dropped by the former).
 """

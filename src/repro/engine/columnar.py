@@ -97,6 +97,7 @@ class ColumnarStore:
         "_bounds",
         "_decode_ids",
         "_sizes",
+        "_largest",
     )
 
     def __init__(self, database):  # noqa: ANN001 - Database | SymbolicDatabase
@@ -137,6 +138,7 @@ class ColumnarStore:
         self._bounds: dict[Constant, tuple[int, int, int]] = {}
         self._decode_ids: dict[Constant, int] = {}
         self._sizes = {predicate: len(rows) for predicate, rows in rows_all.items()}
+        self._largest = max(self._sizes.values(), default=0)
 
     # ------------------------------------------------------------------
     # Relation access (id space)
@@ -265,7 +267,10 @@ class ColumnarStore:
         """Whether the vectorized executor should even be attempted for this
         plan on this store: NumPy available and at least one joined relation
         large enough that columnar arithmetic beats the loop kernel."""
-        if self.numpy is None:
+        # The threshold is read per call (tests lower it to force the
+        # vectorized path); a store whose largest relation is below it
+        # answers without walking the plan.
+        if self.numpy is None or self._largest < VECTOR_THRESHOLD:
             return False
         largest = 0
         for step in plan.steps:

@@ -33,6 +33,13 @@ across subsets that merge to the same relations, and — with a catalog-wide
 BASE — across every catalog pair that mentions the query.  Cached indexes are
 interned by content, so equal groups are one shared object.
 
+No cache here is a ``Query``-keyed ``lru_cache``: whether a query uses
+comparisons and its sorted predicate tuple are lazily cached attributes of
+the query itself (:attr:`~repro.datalog.queries.Query.uses_comparisons`,
+:attr:`~repro.datalog.queries.Query.sorted_predicates`), and its disjuncts
+are interned conditions, so the plan and kernel lookups behind every
+evaluation hit on identity.
+
 :func:`symbolic_satisfying_assignments`, :func:`symbolic_groups` and
 :func:`symbolic_answer_multiset` are uncached views kept for callers and for
 the oracle tests that check them against the definition.
@@ -171,28 +178,12 @@ class SymbolicAssignment:
         return tuple(self.term_of(term, database) for term in terms)
 
 
-@lru_cache(maxsize=4096)
-def query_uses_comparisons(query: Query) -> bool:
-    """Whether any disjunct of the query contains a comparison literal.
-
-    Comparison-free queries admit the restricted-relation-signature cache
-    below: their symbolic results cannot depend on the block *order* of the
-    ordering, only on which terms it equates.
-    """
-    return any(disjunct.comparisons for disjunct in query.disjuncts)
-
-
-@lru_cache(maxsize=4096)
-def _query_predicates(query: Query) -> tuple[str, ...]:
-    return tuple(sorted(query.predicates()))
-
-
 def relation_signature(query: Query, database: SymbolicDatabase) -> tuple:
     """The canonical relations of the database restricted to the predicates
     the query mentions — the cache key under which comparison-free group
     indexes are shared across orderings, subsets, and catalog pairs.
     Memoized on the database instance per predicate tuple."""
-    predicates = _query_predicates(query)
+    predicates = query.sorted_predicates
     memo = database._signature_memo
     signature = memo.get(predicates)
     if signature is None:
@@ -290,7 +281,7 @@ def symbolic_group_index(
     agreement check is an identity check.  Callers must treat the result as
     read-only.
     """
-    if query_uses_comparisons(query):
+    if query.uses_comparisons:
         return _compile.compiled_symbolic_group_index(query, database)
     key = (query, relation_signature(query, database))
     cached = _GROUP_INDEX_BY_RELATIONS.get(key)

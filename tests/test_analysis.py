@@ -131,6 +131,28 @@ class TestCacheDiscipline:
         assert locations(findings) == [("canon.py", 1, "cache-discipline")]
         assert "_CANON_LRU" in findings[0].message
 
+    def test_unregistered_weak_value_table_is_flagged(self):
+        """A constructor reached through its module (``weakref.X()``) is a
+        mutable container too — an intern table included."""
+        source = "import weakref\n_TABLE = weakref.WeakValueDictionary()\n"
+        findings = findings_for({"mod.py": source}, self.checker)
+        assert locations(findings) == [("mod.py", 2, "cache-discipline")]
+        assert "_TABLE" in findings[0].message
+
+    def test_unregistered_module_qualified_ordered_dict_is_flagged(self):
+        source = "import collections\n\n_LRU = collections.OrderedDict()\n"
+        findings = findings_for({"mod.py": source}, self.checker)
+        assert locations(findings) == [("mod.py", 3, "cache-discipline")]
+        assert "_LRU" in findings[0].message
+
+    def test_registered_weak_value_table_is_clean(self):
+        source = (
+            "import weakref\n"
+            "_TABLE = weakref.WeakValueDictionary()\n"
+            'register_cache("mod.py:_TABLE", "clear_evaluation_caches", _TABLE.clear)\n'
+        )
+        assert findings_for({"mod.py": source}, self.checker) == []
+
     def test_singleton_slot_registered_under_wrong_module_is_flagged(self):
         sources = {
             "disk.py": "_SHARED_STORE = {}\n",

@@ -277,3 +277,65 @@ class TestQueryManipulation:
         reparsed = parse_query(str(query).replace(" :- ", " :- "))
         assert reparsed.head_terms == query.head_terms
         assert reparsed.aggregate == query.aggregate
+
+
+class TestConditionInterning:
+    """Queries hash-cons their disjuncts: equal disjuncts are one object."""
+
+    def test_separately_parsed_equal_queries_share_disjuncts(self):
+        from repro.datalog import parse_query
+
+        text = "q(x, count()) :- p(x, y), not r(y) ; p(x, y), y > 3"
+        first, second = parse_query(text), parse_query(text)
+        assert first.disjuncts == second.disjuncts
+        for mine, theirs in zip(first.disjuncts, second.disjuncts):
+            assert mine is theirs
+
+    def test_equal_disjuncts_across_different_queries_are_shared(self):
+        body = [RelationalAtom("p", (X, Y))]
+        grouped = conjunctive_query("a", (X,), body, AggregateTerm("count"))
+        projected = conjunctive_query("b", (X,), list(body))
+        assert grouped.disjuncts[0] is projected.disjuncts[0]
+
+    def test_unpickled_query_reinterns_its_disjuncts(self):
+        import pickle
+
+        query = conjunctive_query(
+            "q", (X,), [RelationalAtom("p", (X, Y)), Comparison(Y, ComparisonOp.LT, Constant(2))]
+        )
+        copy = pickle.loads(pickle.dumps(query))
+        assert copy == query and hash(copy) == hash(query)
+        assert copy.disjuncts[0] is query.disjuncts[0]
+        assert "_cached_hash" not in pickle.loads(pickle.dumps(query)).__dict__
+
+    def test_condition_without_owner_leaves_the_table(self):
+        import gc
+
+        from repro.datalog.conditions import _INTERNED
+
+        literals = (RelationalAtom("orphan_only_here", (X,)),)
+        query = conjunctive_query("q", (X,), literals)
+        assert _INTERNED.get(literals) is query.disjuncts[0]
+        del query
+        gc.collect()
+        assert _INTERNED.get(literals) is None
+
+    def test_clearing_the_table_keeps_equality(self):
+        from repro.engine import clear_evaluation_caches
+
+        body = [RelationalAtom("p", (X, Y))]
+        before = conjunctive_query("q", (X,), body)
+        clear_evaluation_caches()
+        after = conjunctive_query("q", (X,), list(body))
+        assert after == before and hash(after) == hash(before)
+
+    def test_cached_query_attributes(self):
+        with_comparison = conjunctive_query(
+            "q", (X,), [RelationalAtom("r", (X, Y)), RelationalAtom("p", (Y,)),
+                        Comparison(Y, ComparisonOp.LT, Constant(2))]
+        )
+        assert with_comparison.uses_comparisons
+        assert with_comparison.sorted_predicates == ("p", "r")
+        plain = conjunctive_query("q", (X,), [RelationalAtom("p", (X,))])
+        assert not plain.uses_comparisons
+        assert plain.sorted_predicates == ("p",)

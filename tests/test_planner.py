@@ -3,6 +3,7 @@
 from repro import parse_database, parse_query
 from repro.datalog.atoms import Comparison, ComparisonOp, RelationalAtom
 from repro.datalog.conditions import Condition
+from repro.datalog.queries import Query
 from repro.datalog.terms import Variable
 from repro.engine import (
     AtomStep,
@@ -105,6 +106,42 @@ class TestPlanReuse:
             clear_symbolic_caches()
             clear_evaluation_caches()
             clear_plan_cache()
+
+    def test_cold_matrix_compares_no_query_asts(self, monkeypatch):
+        """Queries intern their disjuncts, so the plan, kernel and group-index
+        lookups of a cold matrix resolve by identity: no ``Query.__eq__``
+        call at all, and next to no ``Condition.__eq__`` calls.  The matrix
+        is decided once first, as in a long-lived process whose public
+        cache resets leave freshly parsed, equal queries behind; before
+        interning the second matrix made 1,798 and 3,863 such calls."""
+        from test_sweep import _audit_catalog
+
+        equivalence_matrix(_audit_catalog(), workers=1, seed=0)
+        calls = {Query: 0, Condition: 0}
+
+        def counting(cls):
+            original = cls.__eq__
+
+            def __eq__(self, other):
+                calls[cls] += 1
+                return original(self, other)
+
+            return __eq__
+
+        clear_symbolic_caches()
+        clear_evaluation_caches()
+        clear_plan_cache()
+        try:
+            for cls in calls:
+                monkeypatch.setattr(cls, "__eq__", counting(cls))
+            equivalence_matrix(_audit_catalog(), workers=1, seed=0)
+        finally:
+            monkeypatch.undo()
+            clear_symbolic_caches()
+            clear_evaluation_caches()
+            clear_plan_cache()
+        assert calls[Query] == 0
+        assert calls[Condition] < 3863 // 100
 
 
 class TestEngineCorners:

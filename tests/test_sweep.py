@@ -548,6 +548,9 @@ class TestCachedHashes:
         # Hash randomization is per interpreter: a cached hash that crossed a
         # spawn boundary would corrupt dict lookups in the worker.  Pickling
         # must drop the caches (fork inherits them validly either way).
+        # Unpickling re-interns the disjuncts, so the clone's disjuncts are
+        # this process's canonical objects, with this process's hashes; the
+        # payload itself must carry no cached hash at any level.
         import pickle
 
         query = parse_query("q(s, count()) :- p(s, a)")
@@ -556,11 +559,14 @@ class TestCachedHashes:
             hash(disjunct)
             for literal in disjunct.literals:
                 hash(literal)
-        clone = pickle.loads(pickle.dumps(query))
+        payload = pickle.dumps(query)
+        assert b"_cached_hash" not in payload
+        clone = pickle.loads(payload)
         assert "_cached_hash" not in clone.__dict__
-        assert all(
-            "_cached_hash" not in disjunct.__dict__ for disjunct in clone.disjuncts
-        )
+        for disjunct in query.disjuncts:
+            copy = pickle.loads(pickle.dumps(disjunct))
+            assert copy is not disjunct and "_cached_hash" not in copy.__dict__
+        assert all(mine is theirs for mine, theirs in zip(clone.disjuncts, query.disjuncts))
         assert clone == query and hash(clone) == hash(query)
 
 
