@@ -1,7 +1,7 @@
 """Experiment E11 — the single-sweep catalog engine vs the pairwise matrix.
 
-PR 2 made the equivalence matrix parallel and gave it a catalog-wide shared
-BASE, but every cell still ran its *own* subset/ordering enumeration: the
+PR 2 made the equivalence matrix parallel, but every cell still ran its
+*own* subset/ordering enumeration: the
 per-(S, L) work — symbolic database construction, canonical relations,
 restricted signatures, group comparisons, ordered-identity checks — was paid
 O(pairs) times even though the Γ caches already shared the evaluations
@@ -19,8 +19,8 @@ the *entire* space), plus deliberately non-equivalent variants and a pinned
 ``sum``/``count`` pair settled by the widened normalization.
 
 The baseline is the per-pair path: every cell one pair task through the full
-dispatcher under the catalog's shared BASE, run through the serial executor
-with identical settings; the acceptance floor is a ≥3x total speedup at full scale with
+dispatcher over its own BASE, run through the serial executor with identical
+settings; the acceptance floor is a ≥3x total speedup at full scale with
 verdicts identical cell for cell.  Quick mode shrinks the catalog and the
 floor for CI smoke runs.  Worker scaling of the sweep is reported but not
 asserted (CI boxes may have a single core).
@@ -36,7 +36,6 @@ import os
 import time
 
 from repro import parse_query
-from repro.core.bounded import SharedBaseContext
 from repro.domains import Domain
 from repro.engine import clear_evaluation_caches, clear_symbolic_caches
 from repro.parallel import SerialExecutor
@@ -98,8 +97,8 @@ def build_audit_catalog(quick: bool) -> dict:
 
 
 def pairwise_matrix(catalog: dict, seed: int) -> dict:
-    """Every cell as one pair task under the catalog's shared BASE, run
-    serially: the path the sweep planner sends the cells no group owns."""
+    """Every cell as one pair task over its own BASE, run serially: the path
+    the sweep planner sends the cells no group owns."""
     tasks = pair_check_tasks(
         catalog,
         domain=Domain.RATIONALS,
@@ -107,7 +106,6 @@ def pairwise_matrix(catalog: dict, seed: int) -> dict:
         max_subsets=2_000_000,
         unknown_bound=None,
         seed=seed,
-        context=SharedBaseContext.from_catalog(catalog.values()),
     )
     outcomes = SerialExecutor().run(run_pair_task, tasks)
     return {(outcome.name_a, outcome.name_b): outcome.result for outcome in outcomes}

@@ -110,9 +110,7 @@ def _writer_loop(address, stop: threading.Event, prefix: str) -> int:
         while not stop.is_set():
             for member in range(WRITER_BATCH):
                 # A fresh variable renaming of the audit view: equivalent to
-                # the whole catalog (so the delta row is all decided cells)
-                # without adding constants that would change the shared BASE
-                # recipe.
+                # the whole catalog, so the delta row is all decided cells.
                 tag = f"{prefix}{iterations}x{member}"
                 s, p = f"s{tag}", f"p{tag}"
                 query = (

@@ -2,9 +2,9 @@
 
 The session-first API (:class:`repro.session.Workspace`) exists so a live
 catalog under traffic stops paying the one-shot entry points' fixed costs per
-call: rebuilding the shared BASE, re-warming the Γ / signature / group-index
-caches, re-forking the worker pool, and — the dominant term — re-deciding
-cells earlier calls already settled.  This benchmark measures exactly that
+call: re-warming the Γ / signature / group-index caches, re-forking the
+worker pool, and — the dominant term — re-deciding cells earlier calls
+already settled.  This benchmark measures exactly that
 trade on the rewriting-audit catalog of E11 (28 queries at full scale,
 mostly-equivalent cells, the expensive case):
 

@@ -7,7 +7,7 @@ whose verdict, method, details or witness database differ:
 * the seeded 28-query audit catalog of ``perfbench/catalog.py`` (378 cells)
   at seeds 1-3, through a cold ``Workspace(workers=1, store=False)``;
 * the warehouse catalog's ``equivalence_matrix``, and each of its same-shape
-  cells decided alone by ``are_equivalent`` under the catalog's shared BASE;
+  cells decided alone by ``are_equivalent``;
 * ``bounded_equivalence`` on the ``DIFFERENTIAL_PAIRS`` of
   ``tests/test_parallel.py`` at seeds 0 and 5.
 
@@ -49,7 +49,7 @@ def _dump() -> dict[str, list]:
     from test_parallel import DIFFERENTIAL_PAIRS
 
     from repro import Workspace, are_equivalent, parse_query
-    from repro.core.bounded import SharedBaseContext, bounded_equivalence
+    from repro.core.bounded import bounded_equivalence
     from repro.engine import clear_evaluation_caches, clear_symbolic_caches
     from repro.parallel.tasks import derive_pair_seed
     from repro.workloads import build_warehouse, equivalence_matrix
@@ -72,13 +72,10 @@ def _dump() -> dict[str, list]:
     for pair, result in matrix.items():
         cells[f"warehouse/matrix/{pair}"] = _cell(result)
     cold()
-    context = SharedBaseContext.from_catalog(queries.values())
     for name_a, name_b in matrix:
         first, second = queries[name_a], queries[name_b]
         if first.is_aggregate == second.is_aggregate:
-            result = are_equivalent(
-                first, second, seed=derive_pair_seed(5, name_a, name_b), context=context
-            )
+            result = are_equivalent(first, second, seed=derive_pair_seed(5, name_a, name_b))
             cells[f"warehouse/pair/{(name_a, name_b)}"] = _cell(result)
     for seed in (0, 5):
         for index, (first, second, bound, semantics) in enumerate(DIFFERENTIAL_PAIRS):

@@ -5,10 +5,11 @@ A rewriting optimizer holding a catalog of analyst queries does not see the
 catalog once — queries keep arriving, and each arrival asks one question:
 which existing formulations is the newcomer equivalent to?  The session API
 (:class:`repro.Workspace`) is built for exactly that shape of traffic: the
-shared BASE, the Γ / signature caches, and the worker pool persist across
-calls, and each ``equivalences()`` re-query decides only the *delta* cells
-(new query × catalog).  Verdicts stay deterministic — they never depend on
-worker scheduling or on how the catalog was grown.
+Γ / signature caches and the worker pool persist across calls, and each
+``equivalences()`` re-query decides only the *delta* cells (new query ×
+catalog).  Verdicts stay deterministic: they never depend on worker
+scheduling, and every cell is searched over its own pair BASE, so they never
+depend on how the catalog was grown either.
 
 Run with::
 

@@ -114,42 +114,6 @@ class EquivalenceReport:
         return self.equivalent
 
 
-@dataclass(frozen=True)
-class SharedBaseContext:
-    """A catalog-wide BASE recipe shared by every pair of a query catalog.
-
-    Checking a pair over the *catalog's* constants with the *catalog's* fresh
-    bound is sound: it enlarges the set of small databases examined, so an
-    EQUIVALENT verdict still implies τ(pair)-equivalence (the bound dominates
-    every pair's τ) and a counterexample is always a concrete witness.  The
-    payoff is that every pair sharing a query also shares the (subset,
-    ordering) stream, so the symbolic engine's memoized Γ(q, S_L) is reused
-    across the whole catalog instead of being recomputed per pair.
-    """
-
-    constants: tuple[Constant, ...]
-    bound: int
-
-    @classmethod
-    def from_catalog(cls, queries: Iterable[Query]) -> Optional["SharedBaseContext"]:
-        """The shared context of a catalog, or ``None`` when no two queries of
-        the catalog are comparable (fewer than two of the same shape)."""
-        catalog = list(queries)
-        constants: set[Constant] = set()
-        for query in catalog:
-            constants |= query.constants()
-        bound = 0
-        comparable = False
-        for position, first in enumerate(catalog):
-            for second in catalog[position + 1 :]:
-                if first.is_aggregate == second.is_aggregate:
-                    comparable = True
-                    bound = max(bound, term_size_of_pair(first, second))
-        if not comparable:
-            return None
-        return cls(tuple(sorted(constants, key=str)), bound)
-
-
 def build_catalog_base(
     queries: Sequence[Query],
     fresh_variable_count: int,
@@ -158,8 +122,7 @@ def build_catalog_base(
     """The term set ``T`` and atom universe ``BASE`` of Theorem 4.8, built
     over the predicates and constants of a whole catalog of queries.
 
-    ``extra_constants`` widens ``T`` beyond the queries' own constants (used
-    by :class:`SharedBaseContext` to align the BASE across a whole catalog).
+    ``extra_constants`` widens ``T`` beyond the queries' own constants.
     """
     all_constants: set[Constant] = set(extra_constants)
     taken_names: set[str] = set()
@@ -385,9 +348,8 @@ DEFAULT_SWEEP_WARM_PREFIX = 64
 @dataclass
 class SweepRunSetup:
     """Everything a sweep-level (subset, ordering) check needs, derivable
-    deterministically from (queries, bound, domain, semantics,
-    extra_constants) — workers rebuild it locally instead of shipping it
-    through pickles."""
+    deterministically from (queries, bound, domain, semantics) — workers
+    rebuild it locally instead of shipping it through pickles."""
 
     queries: dict[str, Query]
     function: Optional[AggregationFunction]
@@ -410,7 +372,6 @@ def prepare_sweep_run(
     bound: int,
     domain: Domain,
     semantics: str,
-    extra_constants: Iterable[Constant] = (),
 ) -> SweepRunSetup:
     """Validate the catalog and build the shared run state (terms, BASE in
     canonical order, satisfiable orderings grouped into classes) for a
@@ -418,7 +379,7 @@ def prepare_sweep_run(
     catalog = dict(queries)
     members = list(catalog.values())
     function = _resolve_catalog_function(members, domain)
-    terms, base, fresh = build_catalog_base(members, bound, extra_constants)
+    terms, base, fresh = build_catalog_base(members, bound)
     orderings = [
         ordering
         for ordering in enumerate_complete_orderings(terms, domain)
@@ -552,7 +513,6 @@ def sweep_equivalence(
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
     seed: Optional[int] = None,
-    extra_constants: Iterable[Constant] = (),
 ) -> dict[tuple[str, str], EquivalenceReport]:
     """Decide ``first ≡_N second`` for every assigned pair of a sub-catalog
     with **one** subset/ordering enumeration.
@@ -587,7 +547,7 @@ def sweep_equivalence(
         if name_a not in catalog or name_b not in catalog:
             raise ReproError(f"sweep pair ({name_a!r}, {name_b!r}) names an unknown query")
     _check_searchable(
-        list(catalog.values()), bound, domain, semantics, max_subsets, extra_constants,
+        list(catalog.values()), bound, domain, semantics, max_subsets,
         space="catalog-sweep",
         advice="reduce the bound, shrink the sweep group, or raise max_subsets",
     )
@@ -601,7 +561,6 @@ def sweep_equivalence(
             {pair: derive_pair_seed(seed, pair[0], pair[1]) or 0 for pair in pair_list},
             bound, domain, semantics,
             executor=pool,
-            extra_constants=extra_constants,
         )
     for report in reports.values():
         report.notes.append(
@@ -616,7 +575,6 @@ def _check_searchable(
     domain: Domain,
     semantics: str,
     max_subsets: int,
-    extra_constants: Iterable[Constant],
     *,
     space: str,
     advice: str,
@@ -629,7 +587,7 @@ def _check_searchable(
     if semantics not in (SET_SEMANTICS, BAG_SET_SEMANTICS):
         raise ReproError(f"unknown semantics {semantics!r}")
     _resolve_catalog_function(queries, domain)
-    base_size = _catalog_base_size(queries, bound, extra_constants)
+    base_size = _catalog_base_size(queries, bound)
     subset_count = 2**base_size
     if subset_count > max_subsets:
         raise SearchSpaceBudgetError(
@@ -646,15 +604,13 @@ def _sweep(
     semantics: str,
     *,
     executor: Optional[Executor],
-    extra_constants: Iterable[Constant],
 ) -> dict[tuple[str, str], EquivalenceReport]:
     """The search loop behind :func:`sweep_equivalence` and
     :func:`bounded_equivalence`: one canonical enumeration of the catalog
     BASE, every still-open pair checked against each subset, serially
     (``executor=None``) or sharded across ``executor``.  ``pair_seeds``
     names the pairs to decide and the seed of each pair's witness search."""
-    extra_constants = tuple(extra_constants)
-    setup = prepare_sweep_run(catalog, bound, domain, semantics, extra_constants)
+    setup = prepare_sweep_run(catalog, bound, domain, semantics)
     reports = {
         pair: EquivalenceReport(equivalent=True, bound=bound, domain=domain)
         for pair in pair_seeds
@@ -732,7 +688,6 @@ def _sweep(
                     bound=bound,
                     domain=domain,
                     semantics=semantics,
-                    extra_constants=extra_constants,
                     start=len(prefix),
                     count=len(subset_list) - len(prefix),
                     reports=reports,
@@ -775,7 +730,6 @@ def bounded_equivalence(
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
     seed: int = 0,
-    extra_constants: Iterable[Constant] = (),
 ) -> EquivalenceReport:
     """Decide whether ``first ≡_N second`` for ``N = bound`` (Theorem 4.8).
 
@@ -793,7 +747,7 @@ def bounded_equivalence(
     """
     pair = ("first", "second")
     _check_searchable(
-        (first, second), bound, domain, semantics, max_subsets, extra_constants,
+        (first, second), bound, domain, semantics, max_subsets,
         space="bounded-equivalence",
         advice="reduce the bound or raise max_subsets explicitly",
     )
@@ -803,40 +757,8 @@ def bounded_equivalence(
         reports = _sweep(
             {"first": first, "second": second}, {pair: seed}, bound, domain, semantics,
             executor=pool,
-            extra_constants=extra_constants,
         )
     return reports[pair]
-
-
-def shared_base_recipe(
-    queries: Sequence[Query],
-    bound: int,
-    context: Optional[SharedBaseContext],
-    max_subsets: int,
-) -> tuple[int, tuple[Constant, ...]]:
-    """The ``(bound, extra_constants)`` BASE recipe for deciding ``queries``
-    whose own bound is ``bound``.
-
-    With a :class:`SharedBaseContext` the catalog-wide bound and constants
-    are used instead (still sound, since the shared bound dominates the
-    queries' own), unless the widened BASE would blow the ``max_subsets``
-    budget.  Queries carrying comparisons always keep their own recipe: the
-    widening exists to share Γ(q, S_L) across the catalog, and the shared
-    caches only apply to comparison-free queries — for anything else a
-    larger BASE is pure cost.  The pair path (:func:`local_equivalence`) and
-    the sweep planner (:func:`repro.workloads.batch.plan_catalog_sweep`)
-    both ask this one rule, so a swept cell runs at the bound its pair task
-    would.
-    """
-    if (
-        context is not None
-        and context.bound >= bound
-        and _catalog_is_comparison_free(queries)
-        and 2 ** _catalog_base_size(queries, context.bound, context.constants)
-        <= max_subsets
-    ):
-        return context.bound, context.constants
-    return bound, ()
 
 
 def local_equivalence(
@@ -846,36 +768,34 @@ def local_equivalence(
     semantics: str = SET_SEMANTICS,
     max_subsets: int = 2_000_000,
     *,
-    context: Optional[SharedBaseContext] = None,
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Local equivalence: bounded equivalence with N = τ(q, q') (Section 4),
-    over the BASE recipe :func:`shared_base_recipe` picks for the pair."""
-    bound, extra_constants = shared_base_recipe(
-        (first, second), term_size_of_pair(first, second), context, max_subsets
-    )
+    """Local equivalence: bounded equivalence with N = τ(q, q') (Section 4).
+
+    The search runs over the pair's own BASE — the pair's constants plus τ
+    fresh terms — so the report depends on the pair alone.  The catalog
+    sweep (:func:`repro.workloads.batch.plan_catalog_sweep`) groups cells
+    whose BASEs coincide, so a swept cell runs this very enumeration.
+    """
     return bounded_equivalence(
         first,
         second,
-        bound,
+        term_size_of_pair(first, second),
         domain=domain,
         semantics=semantics,
         max_subsets=max_subsets,
         workers=workers,
         executor=executor,
         seed=seed,
-        extra_constants=extra_constants,
     )
 
 
-def _catalog_base_size(
-    queries: Sequence[Query], bound: int, extra_constants: Iterable[Constant]
-) -> int:
+def _catalog_base_size(queries: Sequence[Query], bound: int) -> int:
     """|BASE| for the catalog at the given bound, computed arithmetically (no
-    atom construction) — used to budget-check a shared context cheaply."""
-    constants: set[Constant] = set(extra_constants)
+    atom construction), so the budget guard runs before any enumeration."""
+    constants: set[Constant] = set()
     for query in queries:
         constants |= query.constants()
     term_count = len(constants) + bound

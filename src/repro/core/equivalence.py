@@ -56,7 +56,6 @@ from ..obs import span as _span
 from .bounded import (
     Counterexample,
     EquivalenceReport,
-    SharedBaseContext,
     bounded_equivalence,
     local_equivalence,
 )
@@ -375,7 +374,6 @@ def are_equivalent(
     unknown_bound: Optional[int] = None,
     *,
     seed: Optional[int] = None,
-    context: Optional[SharedBaseContext] = None,
     workers: Optional[int] = None,
 ) -> EquivalenceResult:
     """Decide (when the paper's results allow it) whether ``first ≡ second``.
@@ -384,8 +382,7 @@ def are_equivalent(
     procedure.  ``unknown_bound`` optionally requests a bounded-equivalence
     check with the given N before reporting UNKNOWN for the undecided
     classes; ``seed`` makes every randomized witness search reproducible;
-    ``context`` shares a catalog-wide BASE across matrix cells; ``workers``
-    shards any bounded-equivalence search the dispatch performs.
+    ``workers`` shards any bounded-equivalence search the dispatch performs.
 
     .. deprecated:: for repeated checks over a growing catalog prefer
        :class:`repro.session.Workspace` — each one-shot call here re-warms
@@ -400,7 +397,7 @@ def are_equivalent(
         def decide(route: PairRoute) -> EquivalenceResult:
             return _decide(
                 route, first, second, domain, max_subsets, counterexample_trials,
-                unknown_bound, seed, context, workers,
+                unknown_bound, seed, workers,
             )
 
         route = route_pair(first, second, domain)
@@ -427,7 +424,6 @@ def _decide(
     counterexample_trials: int,
     unknown_bound: Optional[int],
     seed: Optional[int],
-    context: Optional[SharedBaseContext],
     workers: Optional[int],
 ) -> EquivalenceResult:
     """Run the route's procedure on its query forms and state the outcome
@@ -439,7 +435,6 @@ def _decide(
             route.second,
             domain=domain,
             max_subsets=max_subsets,
-            context=context,
             workers=workers,
             seed=search_seed,
         )

@@ -29,8 +29,8 @@ of the predicates the query mentions (constants canonicalize to themselves
 and block representatives ignore block order), so it is keyed by that
 *restricted relation signature* instead of the full ``(atoms, ordering)``
 pair: one computation is shared across every ordering of a block partition,
-across subsets that merge to the same relations, and — with a catalog-wide
-BASE — across every catalog pair that mentions the query.  Cached indexes are
+across subsets that merge to the same relations, and across every catalog
+pair over the same BASE that mentions the query.  Cached indexes are
 interned by content, so equal groups are one shared object.
 
 No cache here is a ``Query``-keyed ``lru_cache``: whether a query uses

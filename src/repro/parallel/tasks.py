@@ -10,10 +10,11 @@ The decision procedures factor into independent, picklable check tasks:
   re-enumerate the subset stream locally, memoizing the setup per process,
   so tasks stay small on the wire.
 * :class:`PairCheckTask` — one (name_a, name_b) cell of an equivalence
-  matrix, dispatched through :func:`repro.core.equivalence.are_equivalent`
-  with a :class:`~repro.core.bounded.SharedBaseContext` so the symbolic
-  engine's Γ(q, S_L) memoization is reused across every pair that shares a
-  query (per worker process).
+  matrix, dispatched through :func:`repro.core.equivalence.are_equivalent`.
+  The catalog planner sends only the cells no sweep can decide here (mixed
+  shapes, procedures other than local equivalence, and cells whose BASE
+  exceeds the subset budget); the per-pair reference of the sweep tests
+  runs every cell this way.
 
 Outcomes carry global positions, so merging is deterministic: the verdict
 never depends on worker scheduling, and when several shards report
@@ -34,7 +35,6 @@ from ..core.bounded import (
     CheckStats,
     Counterexample,
     EquivalenceReport,
-    SharedBaseContext,
     SweepRunSetup,
     check_subset_sweep,
     prepare_sweep_run,
@@ -42,7 +42,6 @@ from ..core.bounded import (
 from ..caches import put_bounded, register_cache
 from ..core.equivalence import EquivalenceResult, Verdict, are_equivalent
 from ..datalog.queries import Query
-from ..datalog.terms import Constant
 from ..domains import Domain
 from ..engine.modes import DEFAULT_ENGINE, active_engine, engine_scope
 from ..obs import REGISTRY as _OBS
@@ -135,7 +134,6 @@ class SweepRangeCheckTask:
     bound: int
     domain: Domain
     semantics: str
-    extra_constants: tuple[Constant, ...]
     ranges: tuple[tuple[int, int], ...]
     #: The evaluation engine the parent had active when the task was built;
     #: the runner restores it around the shard so spawn-started workers (which
@@ -150,7 +148,6 @@ class SweepRangeCheckTask:
             self.bound,
             self.domain,
             self.semantics,
-            self.extra_constants,
         )
 
 
@@ -184,7 +181,7 @@ def _sweep_setup_for(task: SweepRangeCheckTask) -> SweepRunSetup:
     return _memoized_setup(
         task._setup_key(),
         lambda: prepare_sweep_run(
-            dict(task.queries), task.bound, task.domain, task.semantics, task.extra_constants
+            dict(task.queries), task.bound, task.domain, task.semantics
         ),
     )
 
@@ -280,7 +277,6 @@ def sweep_range_tasks(
     bound: int,
     domain: Domain,
     semantics: str,
-    extra_constants: tuple[Constant, ...],
     start: int,
     count: int,
     shards: int,
@@ -294,7 +290,6 @@ def sweep_range_tasks(
             bound=bound,
             domain=domain,
             semantics=semantics,
-            extra_constants=extra_constants,
             ranges=ranges,
             engine=active_engine(),
         )
@@ -309,7 +304,6 @@ def parallel_sweep_search(
     bound: int,
     domain: Domain,
     semantics: str,
-    extra_constants: tuple[Constant, ...],
     start: int,
     count: int,
     reports: "dict[tuple[str, str], EquivalenceReport]",
@@ -341,7 +335,7 @@ def parallel_sweep_search(
     enumeration.
     """
     tasks = sweep_range_tasks(
-        tuple(setup.queries.items()), pair_seeds, bound, domain, semantics, extra_constants,
+        tuple(setup.queries.items()), pair_seeds, bound, domain, semantics,
         start, count, executor.workers,
     )
     if tasks:
@@ -397,7 +391,6 @@ class PairCheckTask:
     max_subsets: int
     unknown_bound: Optional[int]
     seed: Optional[int]
-    context: Optional[SharedBaseContext]
     #: Engine captured at build time; restored by the runner (see
     #: :class:`SweepRangeCheckTask`).
     engine: str = DEFAULT_ENGINE
@@ -445,7 +438,6 @@ def run_pair_task(task: PairCheckTask) -> PairOutcome:
                 max_subsets=task.max_subsets,
                 unknown_bound=task.unknown_bound,
                 seed=derive_pair_seed(task.seed, task.name_a, task.name_b),
-                context=task.context,
             )
     return attach_worker_metrics(
         PairOutcome(task.index, task.name_a, task.name_b, result), before
@@ -460,7 +452,6 @@ def pair_check_tasks(
     max_subsets: int,
     unknown_bound: Optional[int],
     seed: Optional[int],
-    context: Optional[SharedBaseContext],
     pairs: Optional[Sequence[tuple[str, str]]] = None,
 ) -> list[PairCheckTask]:
     """One task per unordered pair of catalog queries (``name_a < name_b``).
@@ -490,7 +481,6 @@ def pair_check_tasks(
                 max_subsets=max_subsets,
                 unknown_bound=unknown_bound,
                 seed=seed,
-                context=context,
                 engine=active_engine(),
             )
         )

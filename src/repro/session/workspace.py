@@ -16,12 +16,10 @@ workspace pays them once and amortizes them over the session:
 * **Delta equivalence matrices.**  :meth:`Workspace.equivalences` returns
   the full matrix of the current catalog but decides only the cells no
   earlier call settled (new-query × catalog).  Delta cells are decided
-  through :func:`repro.workloads.batch.decide_pairs` under the workspace's
-  *persistent* :class:`~repro.core.bounded.SharedBaseContext` — grown
-  monotonically as queries arrive, so once the catalog's vocabulary
-  plateaus, the sweep-group BASE recipes (and every Γ / signature /
-  group-index cache entry keyed under them) from earlier calls are hit
-  verbatim.  A structural verdict cache keyed by the query pair itself
+  through :func:`repro.workloads.batch.decide_pairs`; each cell's search
+  runs over the pair's own BASE, so a cell decided early is exactly the cell
+  a from-scratch matrix over the grown catalog reports, witness database
+  included.  A structural verdict cache keyed by the query pair itself
   (queries hash by their cached structural hash) short-circuits cells whose
   exact ASTs were already decided under different names.
 
@@ -38,13 +36,6 @@ workspace pays them once and amortizes them over the session:
   against the session's view catalog through the session executor, caching
   verification outcomes per (query, limit); registering a view invalidates
   the rewriting caches (verdicts may change), while adding queries does not.
-
-Reuse caveat: a cell decided in an earlier call is returned as decided then.
-Verdicts and methods are stable — equivalence is a property of the pair —
-but a *witness database* is whichever counterexample the enumeration of that
-call met first, which can differ from what a from-scratch matrix over the
-grown catalog would report (the BASE recipe may have grown since).  Every
-returned witness remains a genuine distinguishing database.
 """
 
 from __future__ import annotations
@@ -54,7 +45,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ..caches import put_bounded
-from ..core.bounded import SharedBaseContext
 from ..core.equivalence import EquivalenceResult
 from ..datalog.database import Database
 from ..datalog.parser import parse_query
@@ -207,7 +197,6 @@ class Workspace:
             self._store = default_store()
         else:
             self._store = shared_store() if store else None
-        self._context: Optional[SharedBaseContext] = None
         self._engine: Optional[RewritingEngine] = None
         self._rewrite_cache: dict[
             tuple[Query, int],
@@ -230,7 +219,7 @@ class Workspace:
     def close(self) -> None:
         """End the session: terminate the owned worker pool and drop the
         per-session caches (the structural verdict cache, the rewrite
-        verification cache, the rewriting engine, the grown shared context).
+        verification cache, the rewriting engine).
         Idempotent; a closed workspace refuses further *work* but keeps its
         settled cells and provenance, so :meth:`explain` stays available.
 
@@ -241,7 +230,6 @@ class Workspace:
         self._verdict_cache.clear()
         self._rewrite_cache.clear()
         self._engine = None
-        self._context = None
         if self._owns_executor and self._executor is not None:
             self._executor.close()  # type: ignore[union-attr]
 
@@ -352,12 +340,7 @@ class Workspace:
         return label
 
     def discard(self, name: str) -> Query:
-        """Remove a query and its settled cells from the catalog.
-
-        The widened shared context is kept (it stays sound — it only ever
-        enlarges the set of small databases examined), so re-adding queries
-        later keeps hitting the warmed caches.
-        """
+        """Remove a query and its settled cells from the catalog."""
         self._require_open()
         if name not in self._queries:
             raise ReproError(f"workspace has no query named {name!r}")
@@ -449,8 +432,7 @@ class Workspace:
         catalog — but only the *delta* cells (pairs no earlier call settled)
         are decided; everything else is served from the session.  Delta cells
         go through the structural verdict cache first, then to
-        :func:`~repro.workloads.batch.decide_pairs` under the persistent
-        shared context and session executor.
+        :func:`~repro.workloads.batch.decide_pairs` on the session executor.
         """
         self._require_open()
         self._equivalence_calls += 1
@@ -525,7 +507,6 @@ class Workspace:
                     workers=self._workers,
                     executor=self._executor,
                     seed=self._seed,
-                    context=self._current_context(),
                     engine=self._engine_mode,
                     provenance=decision_paths,
                 )
@@ -549,7 +530,6 @@ class Workspace:
                         self._domain,
                         result,
                         engine=self._engine_mode,
-                        context=self._context,
                     )
         return {pair: self._results[pair] for pair in sorted(pairs)}
 
@@ -593,27 +573,6 @@ class Workspace:
                 self._verdict_cache.popitem(last=False)
         self._verdict_cache[key] = result
         self._verdict_cache.move_to_end(key)
-
-    def _current_context(self) -> Optional[SharedBaseContext]:
-        """The session's shared BASE recipe, grown monotonically.
-
-        Widening is always sound (an EQUIVALENT verdict at a larger bound
-        still implies τ-equivalence, and any counterexample is concrete), and
-        monotonicity is what makes the session's cache keys stable: once the
-        catalog's constants and maximal pair bound stop growing, every later
-        delta decision re-derives exactly the BASE recipes — hence the warmed
-        Γ / signature / group-index cache entries — of the earlier calls.
-        """
-        fresh = SharedBaseContext.from_catalog(self._queries.values())
-        if fresh is None:
-            return self._context
-        if self._context is not None:
-            fresh = SharedBaseContext(
-                tuple(sorted(set(fresh.constants) | set(self._context.constants), key=str)),
-                max(fresh.bound, self._context.bound),
-            )
-        self._context = fresh
-        return fresh
 
     # ------------------------------------------------------------------
     # Rewriting

@@ -26,7 +26,6 @@ from .disk import (
     StoredRecord,
     StoreCodecError,
     VerdictStore,
-    base_fingerprint,
     default_store,
     reset_shared_store,
     shared_store,
@@ -39,7 +38,6 @@ __all__ = [
     "StoreCodecError",
     "StoredRecord",
     "VerdictStore",
-    "base_fingerprint",
     "canon_cache_stats",
     "canonical_form",
     "canonical_hash",

@@ -34,7 +34,6 @@ isolation reset it like every other process-wide cache.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -46,7 +45,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from ..caches import register_cache
-from ..core.bounded import Counterexample, EquivalenceReport, SharedBaseContext
+from ..core.bounded import Counterexample, EquivalenceReport
 from ..core.equivalence import EquivalenceResult
 from ..datalog.database import Database
 from ..datalog.queries import Query
@@ -172,19 +171,6 @@ def decode_database(rows: list[list[object]]) -> Database:
     return Database(facts)
 
 
-def base_fingerprint(context: Optional[SharedBaseContext]) -> str:
-    """A content hash of the BASE recipe a verdict was decided under.
-
-    Stored as provenance (and surfaced by the stale-witness tests); serving
-    does not compare fingerprints — EQUIVALENT transfers soundly across BASE
-    changes and NOT_EQUIVALENT is guarded by witness re-evaluation instead.
-    """
-    if context is None:
-        return ""
-    text = f"{sorted(str(constant.value) for constant in context.constants)}|{context.bound}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 @dataclass
 class StoredRecord:
     """One verdict row, decoded from (or about to be encoded into) the DB.
@@ -200,6 +186,9 @@ class StoredRecord:
     details: str
     domain: str
     engine: str
+    #: A hash of the catalog-wide BASE recipe, written by stores from before
+    #: every cell was decided over its own BASE.  Kept so those files stay
+    #: servable; new rows write ``""`` and serving ignores it.
     base_fingerprint: str
     payload: dict[str, Any] = field(default_factory=dict)
     #: Per-engine witness-revalidation memo, filled by
@@ -537,7 +526,6 @@ class VerdictStore:
         result: EquivalenceResult,
         *,
         engine: Optional[str] = None,
-        context: Optional[SharedBaseContext] = None,
     ) -> None:
         """Persist a freshly settled verdict for the pair."""
         if self._closed:
@@ -559,7 +547,7 @@ class VerdictStore:
                 details=result.details,
                 domain=domain.value,
                 engine=engine or "",
-                base_fingerprint=base_fingerprint(context),
+                base_fingerprint="",
                 payload=payload,
             )
         )

@@ -13,16 +13,18 @@ the batched entry points the examples and benchmarks drive:
 
 The planner (:func:`plan_catalog_sweep`) asks the dispatcher how each cell
 is decided (:func:`repro.core.equivalence.route_pair`).  Every cell routed to
-bounded local equivalence joins a *sweep group* of same-shape, same-function
-query forms (count forms for normalized pairs).  Each group is decided by
-:func:`repro.core.bounded.sweep_equivalence` — **one** subset/ordering
-enumeration for the whole group, with all queries evaluated per (S, L) via
-the shared Γ caches and the pairs compared in-loop — turning the Γ work from
-O(pairs) into O(queries); :func:`repro.core.equivalence.local_result` states
-each report as the pair path would.  Cells outside every group (mixed shapes,
-different functions, quasilinear pairs, undecided fragments, groups whose
-BASE would blow the subset budget) run as independent, picklable pair tasks
-through :func:`repro.core.equivalence.are_equivalent`.
+bounded local equivalence joins the *sweep group* of the cells whose search
+reads the same inputs: the same function, vocabulary, constants, τ and
+comparison flag, hence the same BASE and orderings as the cell's own local
+check.  Each group is decided by :func:`repro.core.bounded.sweep_equivalence`
+— **one** subset/ordering enumeration for the whole group, with all queries
+evaluated per (S, L) via the shared Γ caches and the pairs compared in-loop —
+turning the Γ work from O(pairs) into O(queries);
+:func:`repro.core.equivalence.local_result` states each report as the pair
+path would.  Cells outside every group (mixed shapes, different functions,
+quasilinear pairs, undecided fragments, cells whose BASE would blow the
+subset budget) run as independent, picklable pair tasks through
+:func:`repro.core.equivalence.are_equivalent`.
 
 Both kinds of work route through the parallel subsystem
 (:mod:`repro.parallel`): ``workers=N`` shards the sweep's subset stream and
@@ -36,14 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..core.bounded import (
-    SET_SEMANTICS,
-    SharedBaseContext,
-    _catalog_base_size,
-    _catalog_is_comparison_free,
-    shared_base_recipe,
-    sweep_equivalence,
-)
+from ..core.bounded import SET_SEMANTICS, sweep_equivalence
 from ..core.equivalence import (
     LOCAL_PROCEDURES,
     SET_LOCAL_EQUIVALENCE,
@@ -53,8 +48,7 @@ from ..core.equivalence import (
     route_pair,
 )
 from ..datalog.database import Database
-from ..datalog.queries import Query, term_size_of_pair
-from ..datalog.terms import Constant
+from ..datalog.queries import Query
 from ..domains import Domain
 from ..errors import ReproError
 from ..engine.evaluator import evaluate
@@ -85,15 +79,14 @@ def evaluate_many(
 @dataclass
 class SweepGroup:
     """One single-sweep sub-catalog: the effective query forms, the cells the
-    sweep decides with each cell's dispatcher route, and the BASE recipe
-    (bound + extra constants)."""
+    sweep decides with each cell's dispatcher route, and the bound τ every
+    one of those cells shares."""
 
     key: tuple
     queries: dict[str, Query]
     pairs: list[tuple[str, str]]
     routes: dict[tuple[str, str], PairRoute]
     bound: int
-    extra_constants: tuple[Constant, ...] = ()
 
 
 @dataclass
@@ -110,48 +103,50 @@ def plan_catalog_sweep(
     domain: Domain = Domain.RATIONALS,
     max_subsets: int = 2_000_000,
     *,
-    context: Optional[SharedBaseContext] = None,
     pairs: Optional[Sequence[tuple[str, str]]] = None,
 ) -> SweepPlan:
     """Partition the matrix cells of a catalog into single-sweep groups and
     per-pair fallbacks.
 
-    A cell joins a sweep group exactly when its dispatcher route
+    A cell is swept exactly when its dispatcher route
     (:func:`repro.core.equivalence.route_pair`) is bounded local
-    equivalence: both queries non-aggregate, or both aggregate with one
-    shared function — possibly after the sum ≡ c·count normalization unifies
-    them — outside the quasilinear fragment.  Groups collect the route's
-    query forms (count forms for normalized pairs, originals otherwise); a
-    query may appear in several groups under different forms (a pinned sum
+    equivalence — both queries non-aggregate, or both aggregate with one
+    shared function, possibly after the sum ≡ c·count normalization unifies
+    them, outside the quasilinear fragment — and its own BASE fits
+    ``max_subsets``.  Cells are grouped by exactly the inputs their local
+    search reads: the route's function, the union of both forms' predicates
+    (with arities), their constants, τ, and whether they carry comparisons.
+    A group's BASE and ordering classes are therefore those of each of its
+    cells, and every swept cell runs the enumeration its pair task would.
+    A query may appear in several groups under different forms (a pinned sum
     meets counts in count form and unpinned sums in sum form), but every
     cell is owned by exactly one group or by the pair path.
 
-    Groups are additionally keyed by the queries' exact predicate signature:
-    a group BASE is the union of its members' vocabularies, so sweeping
-    mixed-vocabulary queries together would enumerate
-    ``2^(|BASE_a| + |BASE_b|)`` subsets where the pair path enumerates at
-    most ``2^|BASE_a∪B|`` per cell — exponentially worse for the group's
-    *equivalent* cells, which cannot settle early.  Cross-signature cells
-    stay on the pair path, which decides them identically.
-
-    Groups keep the catalog-wide shared BASE (``context``) when the group is
-    comparison-free (otherwise the Γ sharing the widening pays for does not
-    apply) and the widened search space fits ``max_subsets``; a group whose
-    own BASE still blows the budget is dissolved back to pair tasks (where
-    the same budget guard raises, exactly as the pair path would).  Groups
-    with fewer than two cells stay on the pair path — a sweep shares nothing
-    there.
+    Over-budget cells stay on the pair path, where
+    :func:`~repro.core.equivalence.are_equivalent` applies the same budget
+    guard and, for normalized routes, falls back to the original forms.
 
     ``pairs`` restricts the plan to the given cells (each normalized to
-    ``name_a < name_b``); ``None`` plans every unordered pair.  Restricting
-    up front matters beyond saved classification work: group bounds and
-    shared constants are maxima over the group's member pairs, so planning
-    unwanted cells would also enlarge the BASE the wanted sweeps enumerate.
+    ``name_a < name_b``); ``None`` plans every unordered pair.
     """
     names = sorted(queries)
     plan = SweepPlan()
     grouped: dict[tuple, SweepGroup] = {}
-    order: list[tuple] = []
+    # A form meets every other query of the catalog, so its vocabulary is
+    # read once per call rather than once per cell.
+    vocabularies: dict[Query, tuple[frozenset, frozenset, int, bool]] = {}
+
+    def vocabulary(form: Query) -> tuple[frozenset, frozenset, int, bool]:
+        known = vocabularies.get(form)
+        if known is None:
+            known = (
+                frozenset(form.predicate_arities().items()),
+                frozenset(form.constants()),
+                form.variable_size,
+                form.uses_comparisons,
+            )
+            vocabularies[form] = known
+        return known
 
     if pairs is None:
         cells = [
@@ -176,72 +171,35 @@ def plan_catalog_sweep(
         if route is None or route.procedure not in LOCAL_PROCEDURES:
             plan.pair_path.append(pair)
             continue
-        effective_first, effective_second = route.first, route.second
-        key: tuple = (
-            ("plain",)
-            if route.procedure == SET_LOCAL_EQUIVALENCE
-            else ("agg", effective_first.aggregate.function)
+        first_arities, first_constants, first_size, first_compares = vocabulary(route.first)
+        second_arities, second_constants, second_size, second_compares = vocabulary(
+            route.second
         )
-        first_signature = frozenset(effective_first.predicates())
-        if first_signature != frozenset(effective_second.predicates()):
+        arities = first_arities | second_arities
+        constants = first_constants | second_constants
+        # τ(q, q') and |BASE| of the pair, as term_size_of_pair and
+        # build_base compute them.
+        bound = len(constants) + max(first_size, second_size)
+        terms = len(constants) + bound
+        if 2 ** sum(terms**arity for _predicate, arity in arities) > max_subsets:
             plan.pair_path.append(pair)
             continue
-        key = key + (first_signature,)
-        pair_bound = term_size_of_pair(effective_first, effective_second)
-        if not _catalog_is_comparison_free((effective_first, effective_second)):
-            # Comparison-carrying pairs get no shared-Γ payoff and skip
-            # the context widening on the pair path, so a group-max
-            # bound would both break the ``bound τ`` parity with the
-            # pair path and enumerate a needlessly larger BASE.  Group
-            # them only with pairs of the exact same BASE recipe.
-            key = key + (
-                frozenset(effective_first.constants() | effective_second.constants()),
-                pair_bound,
-            )
+        kind: tuple = (
+            ("plain",)
+            if route.procedure == SET_LOCAL_EQUIVALENCE
+            else ("agg", route.first.aggregate.function)
+        )
+        key = kind + (arities, constants, bound, first_compares or second_compares)
         group = grouped.get(key)
         if group is None:
-            group = SweepGroup(
-                key=key,
-                queries={},
-                pairs=[],
-                routes={},
-                bound=0,
-            )
+            group = SweepGroup(key=key, queries={}, pairs=[], routes={}, bound=bound)
             grouped[key] = group
-            order.append(key)
-        group.queries[name_a] = effective_first
-        group.queries[name_b] = effective_second
+            plan.groups.append(group)
+        group.queries[name_a] = route.first
+        group.queries[name_b] = route.second
         group.pairs.append(pair)
         group.routes[pair] = route
-        group.bound = max(group.bound, pair_bound)
-
-    for key in order:
-        _finalize_group(grouped[key], context, max_subsets, plan)
     return plan
-
-
-def _finalize_group(
-    group: SweepGroup,
-    context: Optional[SharedBaseContext],
-    max_subsets: int,
-    plan: SweepPlan,
-) -> None:
-    """Budget-check a candidate group and place it (or its cells) into the
-    plan: the catalog-wide shared BASE when it applies and fits
-    (:func:`~repro.core.bounded.shared_base_recipe`), then the group-local
-    BASE, then dissolution to pair tasks (whose own budget guard
-    treats every cell exactly as it always has)."""
-    if len(group.pairs) < 2:
-        plan.pair_path.extend(group.pairs)
-        return
-    members = list(group.queries.values())
-    group.bound, group.extra_constants = shared_base_recipe(
-        members, group.bound, context, max_subsets
-    )
-    if 2 ** _catalog_base_size(members, group.bound, group.extra_constants) <= max_subsets:
-        plan.groups.append(group)
-    else:
-        plan.pair_path.extend(group.pairs)
 
 
 def sweep_group_label(group: SweepGroup) -> str:
@@ -268,7 +226,6 @@ def decide_pairs(
     executor: Optional[Executor] = None,
     seed: Optional[int] = None,
     pair_runner=run_pair_task,
-    context: Optional[SharedBaseContext] = None,
     engine: Optional[str] = None,
     provenance: Optional[dict] = None,
 ) -> dict[tuple[str, str], EquivalenceResult]:
@@ -291,13 +248,6 @@ def decide_pairs(
     then the pair tasks run on that one executor, so a one-shot
     ``workers=N`` call forks at most one pool.
 
-    ``context`` supplies a session-held :class:`SharedBaseContext` instead of
-    rebuilding one from the catalog — a workspace deciding only its delta
-    cells still widens them to the *full* catalog's BASE, so the sweep-group
-    recipes (and the Γ cache entries keyed under them) match the ones its
-    earlier calls already warmed.  ``None`` derives the context from
-    ``queries``.
-
     ``engine`` pins the evaluation engine for the whole batch (``None`` keeps
     the active mode); the task builders capture it, so worker processes decide
     under the same engine as the caller.
@@ -308,15 +258,12 @@ def decide_pairs(
     tasks.  The session layer feeds this into ``Workspace.explain``.
     """
     with engine_scope(engine), resolve_executor(workers, executor) as pool:
-        if context is None:
-            context = SharedBaseContext.from_catalog(queries.values())
         results: dict[tuple[str, str], EquivalenceResult] = {}
         with _span("sweep.plan", cells=-1 if pairs is None else len(pairs)) as plan_span:
             plan = plan_catalog_sweep(
                 queries,
                 domain=domain,
                 max_subsets=max_subsets,
-                context=context,
                 pairs=pairs,
             )
             plan_span.note(groups=len(plan.groups), pair_path=len(plan.pair_path))
@@ -334,7 +281,6 @@ def decide_pairs(
                     workers=1,
                     executor=pool,
                     seed=seed,
-                    extra_constants=group.extra_constants,
                 )
             for (name_a, name_b), report in reports.items():
                 results[(name_a, name_b)] = local_result(
@@ -350,7 +296,6 @@ def decide_pairs(
             max_subsets=max_subsets,
             unknown_bound=unknown_bound,
             seed=seed,
-            context=context,
             pairs=plan.pair_path,
         )
         runner = SerialExecutor().run if pool is None else pool.run
@@ -384,11 +329,10 @@ def equivalence_matrix(
     agree) rather than raising, so one odd catalog entry does not abort the
     whole sweep.
 
-    Same-dispatch-class sub-catalogs are decided with one subset/ordering
-    enumeration each (:func:`plan_catalog_sweep`) and only the leftover
-    cells as per-pair tasks, all under the catalog-wide shared BASE that
-    aligns the sweeps with the pair tasks and lets pairs reaching the
-    bounded procedure reuse memoized Γ(q, S_L).  ``workers=N`` shards both
+    Cells whose local searches share a BASE are decided with one
+    subset/ordering enumeration per group (:func:`plan_catalog_sweep`) and
+    only the leftover cells as per-pair tasks; every cell's result depends on
+    the pair alone, never on the rest of the catalog.  ``workers=N`` shards both
     the sweep streams and the cell tasks across N processes (``None``
     consults ``REPRO_WORKERS``); ``seed`` derives a deterministic per-pair
     seed for the randomized witness searches, so results are reproducible
@@ -396,8 +340,7 @@ def equivalence_matrix(
 
     .. deprecated:: prefer :class:`repro.session.Workspace` for anything
        beyond a one-shot matrix — this function is now a thin shim over an
-       ephemeral workspace, so every call rebuilds the shared BASE, re-warms
-       the caches, and (with ``workers``) re-forks a pool that a session
+       ephemeral workspace, so every call re-warms the caches, and (with ``workers``) re-forks a pool that a session
        would keep alive.  ``ws = Workspace(workers=N)`` + ``ws.add(...)`` +
        ``ws.equivalences()`` returns the identical matrix and decides only
        delta cells on later calls.

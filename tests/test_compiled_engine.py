@@ -253,7 +253,6 @@ def test_task_builders_capture_active_engine():
                 max_subsets=100,
                 unknown_bound=None,
                 seed=3,
-                context=None,
             )
         assert tasks, mode
         assert all(task.engine == mode for task in tasks)

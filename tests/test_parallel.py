@@ -15,7 +15,6 @@ import pytest
 
 from repro import Verdict, parse_query
 from repro.core import (
-    SharedBaseContext,
     are_equivalent,
     pair_count_reduction,
     sum_count_reduction,
@@ -26,7 +25,6 @@ from repro.core.bounded import (
     build_base,
 )
 from repro.datalog.atoms import RelationalAtom
-from repro.datalog.queries import term_size_of_pair
 from repro.datalog.terms import Constant, Variable
 from repro.engine import evaluate_aggregate, evaluate_bag_set, evaluate_set
 from repro.parallel import (
@@ -296,27 +294,7 @@ class TestDifferentialMatrix:
         for (name_a, name_b), result in shared.items():
             local = are_equivalent(queries[name_a], queries[name_b])
             assert result.verdict is local.verdict, (name_a, name_b)
-
-
-# ----------------------------------------------------------------------
-# Shared base context
-# ----------------------------------------------------------------------
-class TestSharedBaseContext:
-    def test_bound_dominates_every_pair(self):
-        catalog = _matrix_catalog()
-        context = SharedBaseContext.from_catalog(catalog.values())
-        queries = list(catalog.values())
-        for position, first in enumerate(queries):
-            for second in queries[position + 1 :]:
-                if first.is_aggregate == second.is_aggregate:
-                    assert context.bound >= term_size_of_pair(first, second)
-
-    def test_incomparable_catalog_has_no_context(self):
-        queries = [
-            parse_query("q(x, sum(y)) :- p(x, y)"),
-            parse_query("q(x) :- p(x, y)"),
-        ]
-        assert SharedBaseContext.from_catalog(queries) is None
+            assert result.details == local.details, (name_a, name_b)
 
 
 # ----------------------------------------------------------------------
@@ -369,10 +347,10 @@ class TestExecutors:
             "a": parse_query("q(count()) :- p(y), not r(y)"),
             "b": parse_query("q(count()) :- not r(y), p(y)"),
         }
-        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set", ())
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
         count = len(list(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         tasks = sweep_range_tasks(
-            tuple(catalog.items()), {("a", "b"): 0}, 2, Domain.RATIONALS, "set", (),
+            tuple(catalog.items()), {("a", "b"): 0}, 2, Domain.RATIONALS, "set",
             0, count, shards=3,
         )
         owned = [
@@ -645,14 +623,14 @@ class TestRangeShippingShards:
             "b": parse_query("q(count()) :- p(y, x)"),
         }
         queries = tuple(catalog.items())
-        setup = prepare_sweep_run(catalog, 4, Domain.RATIONALS, "set", ())
+        setup = prepare_sweep_run(catalog, 4, Domain.RATIONALS, "set")
         subsets = [
             (position, indices)
             for position, indices in enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh))
         ]
         assert len(subsets) > 1000  # large enough for payloads to dominate
         ranges = sweep_range_tasks(
-            queries, {("a", "b"): 1}, 4, Domain.RATIONALS, "set", (), 0, len(subsets), 4
+            queries, {("a", "b"): 1}, 4, Domain.RATIONALS, "set", 0, len(subsets), 4
         )
         # The ranges stand in for the positioned subset rows they cover.
         assert len(pickle.dumps(ranges)) < len(pickle.dumps(subsets)) / 10
@@ -673,7 +651,7 @@ class TestRangeShippingShards:
         }
         queries = tuple(catalog.items())
         pair_seeds = {("a", "b"): 3}
-        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set", ())
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
         subsets = list(enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         # Serial reference: walk the parent's positioned stream in order until
         # the pair fails.
@@ -690,7 +668,7 @@ class TestRangeShippingShards:
                 break
         assert expected  # the pair is not equivalent
         (range_task,) = sweep_range_tasks(
-            queries, pair_seeds, 2, Domain.RATIONALS, "set", (), 0, len(subsets), 1
+            queries, pair_seeds, 2, Domain.RATIONALS, "set", 0, len(subsets), 1
         )
         range_outcome = run_sweep_range_task(range_task)
         assert [f[0:2] for f in range_outcome.found] == expected

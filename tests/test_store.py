@@ -182,6 +182,38 @@ class TestVerdictStore:
         assert served.method == result.method
         reader.close()
 
+    def test_rows_carrying_a_base_fingerprint_are_served(self, tmp_path):
+        # Stores written while matrix cells could be widened to a
+        # catalog-wide BASE carry a non-empty fingerprint; serving ignores it.
+        path = str(tmp_path / "fingerprinted.sqlite3")
+        pairs = [
+            (parse_query("q(x) :- R(x), S(x)"), parse_query("q(b) :- S(b), R(b)")),
+            (parse_query("q(x) :- R(x)"), parse_query("q(x) :- R(x), x > 0")),
+        ]
+        writer = VerdictStore(path)
+        results = []
+        for first, second in pairs:
+            result = settle(first, second)
+            results.append(result)
+            writer.record(first, second, Domain.RATIONALS, result)
+            record = writer.lookup(pair_key(first, second).key)
+            assert record.base_fingerprint == ""
+            record.base_fingerprint = "3f2a9c0d41b7e856"
+            writer.write(record)
+        writer.close()
+        reader = VerdictStore(path)
+        for (first, second), result in zip(pairs, results):
+            assert reader.lookup(pair_key(first, second).key).base_fingerprint == "3f2a9c0d41b7e856"
+            served = reader.serve(renamed_copy(first), renamed_copy(second), Domain.RATIONALS)
+            assert served is not None
+            assert served.verdict == result.verdict
+            assert served.method == result.method
+            assert served.details == result.details
+        assert {result.verdict for result in results} == {
+            Verdict.EQUIVALENT, Verdict.NOT_EQUIVALENT
+        }
+        reader.close()
+
     def test_closed_store_is_a_silent_miss(self):
         first = parse_query("q(x) :- R(x)")
         second = parse_query("q(x) :- S(x)")

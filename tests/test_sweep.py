@@ -4,9 +4,9 @@ Covers the constant-propagation fixes in the dispatcher (equality-chain pins,
 the ``sum ≡ c·count`` generalization, and the documented negative cases), the
 sweep planner's partition of matrix cells, the group-comparison kernels, and
 a differential suite pinning ``equivalence_matrix`` against the per-pair
-reference (every cell a pair task under the catalog's shared BASE) —
-verdicts, methods, and witnesses cell for cell — on every scenario catalog,
-serial and with ``workers=2``.
+reference (every cell a pair task over its own BASE) — verdicts, methods,
+details and witnesses cell for cell — on every scenario catalog, serial and
+with ``workers=2``.
 """
 
 import warnings
@@ -15,18 +15,21 @@ import pytest
 
 from repro import Verdict, parse_query
 from repro.core import are_equivalent
-from repro.core.bounded import SharedBaseContext, local_equivalence, sweep_equivalence
+from repro.core.bounded import local_equivalence, sweep_equivalence
 from repro.core.equivalence import (
+    LOCAL_PROCEDURES,
     aggregation_pin,
     pair_count_reduction,
     route_pair,
     sum_count_reduction,
 )
+from repro.datalog.queries import catalog_predicate_arities
 from repro.datalog.terms import Constant
 from repro.domains import Domain
 from repro.engine import clear_symbolic_caches
 from repro.engine.symbolic import SymbolicDatabase, symbolic_group_index
 from repro.errors import ReproError, SearchSpaceBudgetError
+from repro.obs import REGISTRY
 from repro.parallel.executor import default_workers
 from repro.parallel.tasks import pair_check_tasks, run_pair_task
 from repro.workloads import build_warehouse, equivalence_matrix
@@ -184,10 +187,32 @@ def _mixed_catalog():
     return catalog
 
 
+def _disjoint_catalog():
+    return {
+        "r1": parse_query("q(x) :- r(x, y), s(x)"),
+        "r2": parse_query("q(a) :- s(a), r(a, b)"),
+        "t1": parse_query("q(x) :- t(x, y), u(x)"),
+        "t2": parse_query("q(a) :- u(a), t(a, b)"),
+    }
+
+
+def _base_sensitive_catalog():
+    # The c- and e-cells share vocabulary and τ; the c1/c2 cells differ only
+    # in their constants, the c1/e1 cells only in carrying a comparison.
+    return {
+        "c1": parse_query("q(x) :- p(x, 1)"),
+        "c1b": parse_query("q(y) :- p(y, 1)"),
+        "c2": parse_query("q(x) :- p(x, 2)"),
+        "c2b": parse_query("q(y) :- p(y, 2)"),
+        "e1": parse_query("q(x) :- p(x, x), x > 1"),
+        "e1b": parse_query("q(y) :- p(y, y), y > 1"),
+    }
+
+
 class TestSweepPlanner:
     def test_partition_covers_every_cell_exactly_once(self):
         catalog = _mixed_catalog()
-        plan = plan_catalog_sweep(catalog, context=SharedBaseContext.from_catalog(catalog.values()))
+        plan = plan_catalog_sweep(catalog)
         names = sorted(catalog)
         all_pairs = {
             (a, b) for i, a in enumerate(names) for b in names[i + 1 :]
@@ -227,54 +252,16 @@ class TestSweepPlanner:
             "unit_count2": parse_query("u(count()) :- discontinued(s) ; premium_store(s)"),
         }
         plan = plan_catalog_sweep(catalog)
-        (group,) = plan.groups
+        (group,) = [group for group in plan.groups if ("unit_count", "unit_sum") in group.pairs]
         assert group.queries["unit_sum"].aggregate.function == "count"
         route = group.routes[("unit_count", "unit_sum")]
         assert route.multiplier == Constant(1)
         assert "rewritten to count()" in route.notes
 
-    def test_single_cell_groups_fall_back_to_pair_tasks(self):
-        catalog = {
-            "audit_a": _audit_catalog()["audit_a"],
-            "audit_b": _audit_catalog()["audit_b"],
-        }
-        plan = plan_catalog_sweep(catalog)
-        assert plan.groups == []
-        assert plan.pair_path == [("audit_a", "audit_b")]
-
-    def test_groups_are_keyed_by_predicate_signature(self):
-        # audit queries (three predicates) and two-predicate unit queries in
-        # one count class: sweeping them together would enumerate subsets of
-        # the *union* vocabulary — exponentially worse than the pair path for
-        # the equivalent cells — so groups never mix signatures and the
-        # cross-signature cells stay on the pair path.
-        catalog = _audit_catalog()
-        catalog["unit_a"] = parse_query("u(count()) :- premium_store(s) ; discontinued(s)")
-        catalog["unit_b"] = parse_query("u(count()) :- discontinued(s) ; premium_store(s)")
-        catalog["unit_c"] = parse_query("u(count()) :- premium_store(x) ; discontinued(x)")
-        plan = plan_catalog_sweep(catalog)
-        for group in plan.groups:
-            signatures = {frozenset(query.predicates()) for query in group.queries.values()}
-            assert len(signatures) == 1
-        assert {"unit_a", "unit_b", "unit_c"} in [
-            set(group.queries) for group in plan.groups
-        ]
-        cross = [
-            pair
-            for pair in plan.pair_path
-            if frozenset(catalog[pair[0]].predicates())
-            != frozenset(catalog[pair[1]].predicates())
-        ]
-        assert cross  # cross-signature cells fell back to pair tasks
-        # A group whose own BASE blows the budget dissolves to pair tasks.
-        tiny = plan_catalog_sweep(catalog, max_subsets=1 << 4)
-        assert all(len(group.queries) <= 3 for group in tiny.groups)
-
     def test_comparison_carrying_cells_keep_pair_local_bounds(self):
-        # Comparison-carrying pairs get no shared-Γ payoff, so their sweep
-        # groups are keyed by the exact (constants, τ) BASE recipe: every
-        # cell reports the same ``bound τ`` as the pair path instead of a
-        # group-max bound over a needlessly larger BASE.
+        # Comparison-carrying cells are grouped, like every other cell, by
+        # their exact (constants, τ) BASE: every cell reports the same
+        # ``bound τ`` as the pair path.
         catalog = {
             "c1": parse_query("q(count()) :- r(a), a > 0 ; r(a), a < 0"),
             "c2": parse_query("q(count()) :- r(a), a < 0 ; r(a), a > 0"),
@@ -286,42 +273,58 @@ class TestSweepPlanner:
             assert swept[pair].verdict is pairwise[pair].verdict, pair
             assert swept[pair].details == pairwise[pair].details, pair
 
-    @pytest.mark.parametrize("max_subsets,widened", [(2_000_000, True), (2**9, False)])
-    def test_swept_bound_matches_the_pair_path(self, max_subsets, widened):
-        # One widening rule: a group takes the catalog-wide BASE exactly when
-        # the pair path would.  The "wide" query lifts the shared bound to 4;
-        # the r-group's own BASE has 2^9 subsets, its widened one 2^16.
-        catalog = {
+    @pytest.mark.parametrize("max_subsets", [2_000_000, 2**9, 2**4])
+    def test_every_local_cell_is_swept_over_its_own_base(self, max_subsets):
+        # The one planner rule: a cell routed to local equivalence is swept
+        # exactly when its own BASE fits the budget, in a group whose
+        # vocabulary, constants and bound are the cell's own; every other
+        # local cell is left to a pair task whose budget guard raises.
+        unit_catalog = _audit_catalog()
+        unit_catalog["unit_a"] = parse_query("u(count()) :- premium_store(s) ; discontinued(s)")
+        unit_catalog["unit_b"] = parse_query("u(count()) :- discontinued(s) ; premium_store(s)")
+        unit_catalog["unit_c"] = parse_query("u(count()) :- premium_store(x) ; discontinued(x)")
+        wide_catalog = {
             "r1": parse_query("q(x) :- r(x, y)"),
             "r2": parse_query("q(a) :- r(a, b)"),
             "r3": parse_query("q(x) :- r(x, y), r(x, z)"),
             "wide": parse_query("w(x) :- s(x, y, z, u)"),
         }
-        context = SharedBaseContext.from_catalog(catalog.values())
-        plan = plan_catalog_sweep(catalog, max_subsets=max_subsets, context=context)
-        (group,) = plan.groups
-        assert group.bound == (context.bound if widened else 3)
-        report = local_equivalence(
-            catalog["r2"], catalog["r3"], max_subsets=max_subsets, context=context
+        catalogs = (
+            unit_catalog, wide_catalog, _mixed_catalog(), _disjoint_catalog(),
+            _base_sensitive_catalog(),
         )
-        assert report.bound == group.bound
+        for catalog in catalogs:
+            plan = plan_catalog_sweep(catalog, max_subsets=max_subsets)
+            for group in plan.groups:
+                group_vocabulary = catalog_predicate_arities(group.queries.values())
+                group_constants = set().union(
+                    *(query.constants() for query in group.queries.values())
+                )
+                group_compares = any(query.uses_comparisons for query in group.queries.values())
+                for pair in group.pairs:
+                    route = group.routes[pair]
+                    forms = (route.first, route.second)
+                    assert catalog_predicate_arities(forms) == group_vocabulary, pair
+                    assert route.first.constants() | route.second.constants() == group_constants
+                    assert (
+                        route.first.uses_comparisons or route.second.uses_comparisons
+                    ) == group_compares, pair
+                    report = local_equivalence(*forms, max_subsets=max_subsets)
+                    assert report.bound == group.bound, pair
+            for name_a, name_b in plan.pair_path:
+                first, second = catalog[name_a], catalog[name_b]
+                if first.is_aggregate != second.is_aggregate:
+                    continue
+                route = route_pair(first, second)
+                if route.procedure in LOCAL_PROCEDURES:
+                    with pytest.raises(SearchSpaceBudgetError):
+                        local_equivalence(route.first, route.second, max_subsets=max_subsets)
 
-    def test_disjoint_vocabularies_never_share_a_sweep(self):
+    def test_disjoint_vocabularies_pay_only_their_own_bases(self):
         # Two equivalent pairs over disjoint vocabularies: a union sweep
-        # would pay 2^(|BASE_a| + |BASE_b|) subsets; the plan keeps them in
-        # separate groups whose combined work matches the pair path's.
-        catalog = {
-            "r1": parse_query("q(x) :- r(x, y), s(x)"),
-            "r2": parse_query("q(a) :- s(a), r(a, b)"),
-            "t1": parse_query("q(x) :- t(x, y), u(x)"),
-            "t2": parse_query("q(a) :- u(a), t(a, b)"),
-        }
-        plan = plan_catalog_sweep(catalog)
-        for group in plan.groups:
-            vocabularies = {
-                frozenset(query.predicates()) for query in group.queries.values()
-            }
-            assert len(vocabularies) == 1
+        # would pay 2^(|BASE_a| + |BASE_b|) subsets; each cell's search runs
+        # over its own BASE instead.
+        catalog = _disjoint_catalog()
         swept = equivalence_matrix(catalog, seed=1)
         pairwise = _pairwise_matrix(catalog, seed=1)
         for pair in swept:
@@ -329,6 +332,26 @@ class TestSweepPlanner:
             total = swept[pair].report.subsets_examined if swept[pair].report else 0
             # Nothing ever enumerates the 2^16-ish union space.
             assert total < 2_000
+
+    def test_cells_keep_their_own_bound_in_a_wider_catalog(self):
+        # g0/g2 have τ = 1; the rest of the catalog (a constant, wider
+        # queries) must not lift their search to a catalog-wide bound of 3,
+        # whose BASE is exponentially larger.
+        catalog = {
+            "g0": parse_query("g0(x0, count()) :- r(x0), not r(x0) ; p(x0, x0), not p(x0, x0)"),
+            "g1": parse_query(
+                "g1(x0, count()) :- r(x0), not r(x0) ; p(x0, x0), p(z0, x0), not r(x0)"
+            ),
+            "g2": parse_query("g2(x0, count()) :- p(x0, x0), not p(x0, x0)"),
+            "g4": parse_query("g4(x0, count()) :- r(x0), p(0, x0)"),
+        }
+        plan = plan_catalog_sweep(catalog)
+        bounds = {pair: group.bound for group in plan.groups for pair in group.pairs}
+        assert bounds[("g0", "g2")] == 1
+        before = REGISTRY.get("sweep.subsets.examined")
+        matrix = equivalence_matrix(catalog, workers=1, seed=1)
+        assert len(matrix) == 6
+        assert REGISTRY.get("sweep.subsets.examined") - before <= 100
 
 
 # ----------------------------------------------------------------------
@@ -440,18 +463,16 @@ class TestComparisonKernels:
 # ----------------------------------------------------------------------
 # Differential: sweep vs pairwise, serial and parallel
 # ----------------------------------------------------------------------
-def _pairwise_matrix(catalog, *, seed, counterexample_trials=400):
+def _pairwise_matrix(catalog, *, seed, counterexample_trials=400, max_subsets=2_000_000):
     """The per-pair reference: every cell one pair task through the full
-    dispatcher, under the catalog's shared BASE — the sweep's own fallback
-    path, applied to every cell."""
+    dispatcher — the sweep's own fallback path, applied to every cell."""
     tasks = pair_check_tasks(
         catalog,
         domain=Domain.RATIONALS,
         counterexample_trials=counterexample_trials,
-        max_subsets=2_000_000,
+        max_subsets=max_subsets,
         unknown_bound=None,
         seed=seed,
-        context=SharedBaseContext.from_catalog(catalog.values()),
     )
     return {(task.name_a, task.name_b): run_pair_task(task).result for task in tasks}
 
@@ -462,6 +483,7 @@ def _assert_cells_match(swept, pairwise, *, require_same_witness_db: bool):
         sweep_cell, pair_cell = swept[pair], pairwise[pair]
         assert sweep_cell.verdict is pair_cell.verdict, pair
         assert sweep_cell.method == pair_cell.method, pair
+        assert sweep_cell.details == pair_cell.details, pair
         assert (sweep_cell.counterexample is None) == (
             pair_cell.counterexample is None
         ), pair
@@ -496,11 +518,10 @@ class TestDifferentialSweep:
         catalog = _scenario_catalogs()[name]
         swept = equivalence_matrix(catalog, workers=1, seed=5, counterexample_trials=60)
         pairwise = _pairwise_matrix(catalog, seed=5, counterexample_trials=60)
-        # The audit/mixed sweeps share the pair BASEs (same vocabulary and
-        # shared context), so even the witness databases coincide — except
-        # when REPRO_WORKERS forces the cells' *inner* bounded searches onto
-        # a pool, where early-exit races may pick a different (equally
-        # valid) witness.
+        # Every swept cell runs over its own pair BASE, so even the witness
+        # databases coincide — except when REPRO_WORKERS forces the cells'
+        # *inner* bounded searches onto a pool, where early-exit races may
+        # pick a different (equally valid) witness.
         _assert_cells_match(
             swept, pairwise, require_same_witness_db=default_workers() == 1
         )
