@@ -9,7 +9,16 @@ whose verdict, method, details or witness database differ:
 * the warehouse catalog's ``equivalence_matrix``, and each of its same-shape
   cells decided alone by ``are_equivalent``;
 * ``bounded_equivalence`` on the ``DIFFERENTIAL_PAIRS`` of
-  ``tests/test_parallel.py`` at seeds 0 and 5.
+  ``tests/test_parallel.py`` at seeds 0 and 5;
+* the fuzz oracle's ``generated_catalog`` (``tests/fuzz/test_sweep_oracle.py``)
+  for every profile at the oracle's seeds 0, 1, 3 and 4, through
+  ``equivalence_matrix`` — renamed members, equivalent members that are not
+  renamings, and comparison-carrying classes side by side (a catalog over
+  the oracle's subset budget is recorded as such);
+* the staged ``g4``/``g1`` then ``g0`` sum session of
+  ``tests/test_session.py`` and the count catalog of
+  ``test_cells_keep_their_own_bound_in_a_wider_catalog`` in
+  ``tests/test_sweep.py``, whose cells a catalog-wide BASE would change.
 
 Usage::
 
@@ -44,13 +53,19 @@ def _cell(result) -> list:
 
 def _dump() -> dict[str, list]:
     """Decide every comparison with the ``repro`` on ``sys.path``."""
-    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
+    sys.path[:0] = [
+        os.path.join(ROOT, "perfbench"),
+        os.path.join(ROOT, "tests"),
+        os.path.join(ROOT, "tests", "fuzz"),
+    ]
     from catalog import audit_catalog
     from test_parallel import DIFFERENTIAL_PAIRS
+    from test_sweep_oracle import MAX_SUBSETS, PROFILES, TRIALS, generated_catalog
 
     from repro import Workspace, are_equivalent, parse_query
     from repro.core.bounded import bounded_equivalence
     from repro.engine import clear_evaluation_caches, clear_symbolic_caches
+    from repro.errors import SearchSpaceBudgetError
     from repro.parallel.tasks import derive_pair_seed
     from repro.workloads import build_warehouse, equivalence_matrix
 
@@ -85,6 +100,39 @@ def _dump() -> dict[str, list]:
                 semantics=semantics or "set", workers=1, seed=seed,
             )
             cells[f"bounded/{seed}/{index}"] = [report.equivalent, _witness(report.counterexample)]
+    for profile in sorted(PROFILES):
+        for seed in (0, 1, 3, 4):
+            cold()
+            catalog = generated_catalog(profile, seed)
+            try:
+                generated = equivalence_matrix(
+                    catalog, workers=1, seed=seed, max_subsets=MAX_SUBSETS,
+                    counterexample_trials=TRIALS,
+                )
+            except SearchSpaceBudgetError:
+                cells[f"generated/{profile}/{seed}"] = ["over budget"]
+                continue
+            for pair, result in generated.items():
+                cells[f"generated/{profile}/{seed}/{pair}"] = _cell(result)
+    cold()
+    staged = Workspace(workers=1, seed=7, store=False)
+    staged.add("g4(x0, sum(y0)) :- p(x0, y0)", name="g4")
+    staged.add("g1(x0, sum(y0)) :- r(x0), r(y0)", name="g1")
+    staged.equivalences()
+    staged.add("g0(x0, sum(y0)) :- r(x0), p(y0, 1)", name="g0")
+    for pair, result in staged.equivalences().items():
+        cells[f"staged/{pair}"] = _cell(result)
+    staged.close()
+    cold()
+    own_bound = {
+        "g0": "g0(x0, count()) :- r(x0), not r(x0) ; p(x0, x0), not p(x0, x0)",
+        "g1": "g1(x0, count()) :- r(x0), not r(x0) ; p(x0, x0), p(z0, x0), not r(x0)",
+        "g2": "g2(x0, count()) :- p(x0, x0), not p(x0, x0)",
+        "g4": "g4(x0, count()) :- r(x0), p(0, x0)",
+    }
+    catalog = {name: parse_query(text) for name, text in own_bound.items()}
+    for pair, result in equivalence_matrix(catalog, workers=1, seed=1).items():
+        cells[f"own-bound/{pair}"] = _cell(result)
     return cells
 
 

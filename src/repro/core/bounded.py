@@ -21,7 +21,16 @@ decision procedures build on.  There is one search loop: the catalog sweep
 single enumeration, and :func:`bounded_equivalence` is its one-pair case —
 for two queries the catalog BASE is the pair BASE.
 
-Two search-space reductions keep the double-exponential procedure tractable:
+The sweep works per *isomorphism class*, not per query.  Queries with equal
+:attr:`~repro.datalog.queries.Query.evaluation_key` differ only in variable
+names, literal and disjunct order, duplicate literals and comparison
+orientation, so they have the same group index over every S_L (for
+conjunctive queries under bag-set semantics equivalence *is* isomorphism:
+Chaudhuri & Vardi, PODS 1993).  A pair inside one class is EQUIVALENT
+without search; the other pairs are compared once per class pair.
+
+Two more search-space reductions keep the double-exponential procedure
+tractable:
 
 * **Orbit-canonical subset enumeration.**  The symmetric group on the fresh
   variables acts on BASE; only one representative per orbit of subsets needs
@@ -333,6 +342,9 @@ def _record_search_counters(
 # ----------------------------------------------------------------------
 # Single-sweep catalog checks
 # ----------------------------------------------------------------------
+#: The note on the report of a sweep pair settled without search.
+ISOMORPHIC_NOTE = "settled by isomorphism (equal evaluation keys)"
+
 #: Subsets processed by the parent before forking a sweep pool: they settle
 #: quick counterexamples without paying for the pool — a search of at most
 #: this many subsets never forks at all — and they pre-warm the shared
@@ -359,6 +371,9 @@ class SweepRunSetup:
     fresh: list[Variable]
     orderings: list[CompleteOrdering]
     ordering_classes: tuple[OrderingClass, ...]
+    #: Each query's isomorphism class, named by its representative: the
+    #: first query of the catalog with the same evaluation key.
+    classes: dict[str, str]
 
 
 def _catalog_is_comparison_free(queries: Iterable[Query]) -> bool:
@@ -374,10 +389,16 @@ def prepare_sweep_run(
     semantics: str,
 ) -> SweepRunSetup:
     """Validate the catalog and build the shared run state (terms, BASE in
-    canonical order, satisfiable orderings grouped into classes) for a
-    single-sweep check of every assigned pair."""
+    canonical order, satisfiable orderings grouped into classes, and the
+    name → isomorphism-class map) for a single-sweep check of every assigned
+    pair."""
     catalog = dict(queries)
     members = list(catalog.values())
+    representatives: dict[str, str] = {}
+    classes = {
+        name: representatives.setdefault(query.evaluation_key, name)
+        for name, query in catalog.items()
+    }
     function = _resolve_catalog_function(members, domain)
     terms, base, fresh = build_catalog_base(members, bound)
     orderings = [
@@ -394,6 +415,7 @@ def prepare_sweep_run(
         fresh=fresh,
         orderings=orderings,
         ordering_classes=_group_orderings(orderings, _catalog_is_comparison_free(members)),
+        classes=classes,
     )
 
 
@@ -406,21 +428,26 @@ def check_subset_sweep(
 ) -> list[tuple[tuple[str, str], int, Counterexample]]:
     """Check every still-open catalog pair against one subset of BASE.
 
-    The sub-catalog is evaluated *once* per ordering class — one
-    :func:`repro.engine.symbolic.symbolic_group_index` per query, keyed by
-    restricted relation signatures — and the pairs are compared in-loop on
-    those indexes, so the Γ work is O(catalog) instead of O(pairs).
-    Aggregate and non-aggregate pairs share the form: a non-aggregate index
-    maps each answer to ``Counter({(): multiplicity})``, so set semantics
-    compares the keys and bag-set semantics the whole index.  Returns
-    ``(pair, ordering_position, counterexample)`` settlements for the pairs
-    that fail on this subset; pairs absent from the result remain open.
+    The sub-catalog is evaluated *once* per ordering class and isomorphism
+    class — one :func:`repro.engine.symbolic.symbolic_group_index` per class
+    representative (``setup.classes``), since isomorphic queries have the
+    same index over every S_L — and each pair of classes is compared once:
+    its first failing ordering is decided on the two representatives' indexes
+    and fanned out to the member pairs.  Each member pair realizes its own
+    witness from its own queries and seed, so witnesses are the ones its own
+    search finds.  Aggregate and non-aggregate pairs share the form: a
+    non-aggregate index maps each answer to ``Counter({(): multiplicity})``,
+    so set semantics compares the keys and bag-set semantics the whole
+    index.  Returns ``(pair, ordering_position, counterexample)``
+    settlements for the pairs that fail on this subset; pairs absent from
+    the result remain open.
 
     Statistics count the *shared* work actually performed (one evaluation per
-    (subset, ordering) regardless of how many pairs consume it), so sweep
-    reports are not comparable count-for-count with per-pair reports.
+    (subset, ordering) regardless of how many pairs consume it, one identity
+    check per class pair), so sweep reports are not comparable
+    count-for-count with per-pair reports.
     """
-    function, semantics = setup.function, setup.semantics
+    function, semantics, classes = setup.function, setup.semantics, setup.classes
     seeds = pair_seeds or {}
     settled: list[tuple[tuple[str, str], int, Counterexample]] = []
     open_pairs = list(pairs)
@@ -429,77 +456,85 @@ def check_subset_sweep(
             break
         stats.orderings_examined += len(members)
         database = SymbolicDatabase(subset, representative)
-        # One group index per *query* per ordering class — the in-loop pair
-        # comparisons below reuse them, so the Γ-derived work stays
-        # O(catalog) even when the group carries comparisons and the
-        # signature-keyed cache (and its interning, which turns the
-        # agreement check into an identity check) cannot apply.
+        # One group index per *class* per ordering class — comparison-carrying
+        # classes included, where the signature-keyed cache (and its
+        # interning, which turns the agreement check into an identity check)
+        # cannot apply.
         indexes = {
             name: symbolic_group_index(setup.queries[name], database)
-            for name in {name for pair in open_pairs for name in pair}
+            for name in {classes[name] for pair in open_pairs for name in pair}
         }
+        failures: dict[tuple[str, str], Optional[tuple[int, Optional[CompleteOrdering]]]] = {}
+        # δ(S), built on the first failure that needs it and shared by every
+        # member pair's witness (one store build, memoized evaluations).
+        concrete: Optional[Database] = None
         still_open: list[tuple[str, str]] = []
         for pair in open_pairs:
-            first, second = setup.queries[pair[0]], setup.queries[pair[1]]
-            left_index, right_index = indexes[pair[0]], indexes[pair[1]]
-            if left_index is right_index or left_index == right_index:
-                # Identical bags in every group: α(B) = α(B) holds under any
-                # ordering of the class, no identity checks needed.
-                still_open.append(pair)
-                continue
-            if function is None:
-                if semantics == SET_SEMANTICS and left_index.keys() == right_index.keys():
-                    still_open.append(pair)
-                else:
-                    witness = _non_aggregate_witness(first, second, database, semantics)
-                    settled.append((pair, members[0][0], witness))
-                continue
-            if left_index.keys() != right_index.keys():
-                concrete = database.instantiate()
-                settled.append(
-                    (
-                        pair,
-                        members[0][0],
-                        Counterexample(
-                            database=concrete,
-                            left_result=evaluate_aggregate(first, concrete, function),
-                            right_result=evaluate_aggregate(second, concrete, function),
-                            ordering=database.ordering,
-                            symbolic_atoms=database.atoms,
-                        ),
-                    )
+            class_pair = (classes[pair[0]], classes[pair[1]])
+            if class_pair not in failures:
+                failures[class_pair] = _first_failure(
+                    indexes[class_pair[0]], indexes[class_pair[1]], members,
+                    function, semantics, stats,
                 )
-                continue
-            residual = [
-                (list(left_index[group_key].elements()), list(right_index[group_key].elements()))
-                for group_key in left_index
-                if left_index[group_key] != right_index[group_key]
-            ]
-            hit: Optional[tuple[int, Counterexample]] = None
-            for position, ordering in members:
-                for left_bag, right_bag in residual:
-                    stats.identities_checked += 1
-                    if not function.decide_ordered_identity(ordering, left_bag, right_bag):
-                        witness_database = SymbolicDatabase(subset, ordering)
-                        hit = (
-                            position,
-                            _witness_for_identity_failure(
-                                first,
-                                second,
-                                witness_database,
-                                function,
-                                seed=seeds.get(pair, 0),
-                            ),
-                        )
-                        break
-                if hit is not None:
-                    break
-            if hit is not None:
-                settled.append((pair, hit[0], hit[1]))
-            else:
+            failure = failures[class_pair]
+            if failure is None:
                 still_open.append(pair)
+                continue
+            position, ordering = failure
+            first, second = setup.queries[pair[0]], setup.queries[pair[1]]
+            if ordering is None:
+                if concrete is None:
+                    concrete = database.instantiate()
+                witness = _delta_witness(
+                    first, second, database, concrete, function, semantics
+                )
+            else:
+                witness = _witness_for_identity_failure(
+                    first,
+                    second,
+                    SymbolicDatabase(subset, ordering),
+                    function,
+                    seed=seeds.get(pair, 0),
+                )
+            settled.append((pair, position, witness))
         open_pairs = still_open
     return settled
+
+
+def _first_failure(
+    left_index: dict,
+    right_index: dict,
+    members: tuple[tuple[int, CompleteOrdering], ...],
+    function: Optional[AggregationFunction],
+    semantics: str,
+    stats,
+) -> Optional[tuple[int, Optional[CompleteOrdering]]]:
+    """The first ordering of an ordering class on which two group indexes
+    give different results: ``None`` when they agree on every member,
+    ``(position, None)`` when they differ before any ordered identity is
+    read (different answers, or different group keys), and
+    ``(position, ordering)`` for the first ordering whose identity fails."""
+    if left_index is right_index or left_index == right_index:
+        # Identical bags in every group: α(B) = α(B) holds under any
+        # ordering of the class, no identity checks needed.
+        return None
+    if function is None:
+        if semantics == SET_SEMANTICS and left_index.keys() == right_index.keys():
+            return None
+        return members[0][0], None
+    if left_index.keys() != right_index.keys():
+        return members[0][0], None
+    residual = [
+        (list(left_index[group_key].elements()), list(right_index[group_key].elements()))
+        for group_key in left_index
+        if left_index[group_key] != right_index[group_key]
+    ]
+    for position, ordering in members:
+        for left_bag, right_bag in residual:
+            stats.identities_checked += 1
+            if not function.decide_ordered_identity(ordering, left_bag, right_bag):
+                return position, ordering
+    return None
 
 
 def sweep_equivalence(
@@ -524,6 +559,18 @@ def sweep_equivalence(
     pair settles at its first failing (subset, ordering) — the same position
     :func:`bounded_equivalence` finds when the BASEs coincide — and the sweep
     stops as soon as every pair is settled.
+
+    A pair whose two queries have equal
+    :attr:`~repro.datalog.queries.Query.evaluation_key` is isomorphic, so its
+    group indexes are equal over every S_L: it is reported EQUIVALENT at
+    ``bound`` without search (counted under ``sweep.pairs.isomorphic`` and
+    noted ``settled by isomorphism (equal evaluation keys)``), exactly the
+    verdict and witness (none) the search would give.  A call whose pairs
+    all lie inside isomorphism classes prepares no run at all.  The other
+    pairs are searched with one group index per isomorphism class
+    (:func:`check_subset_sweep`).  :func:`bounded_equivalence` and
+    :func:`local_equivalence` always search, so they stay the per-pair
+    reference the sweep is tested against.
 
     ``seed`` is the catalog-level seed; per-pair witness searches use the
     same derived seeds as the pairwise matrix, so witnesses agree with the
@@ -555,18 +602,33 @@ def sweep_equivalence(
     from ..parallel.executor import resolve_executor
     from ..parallel.tasks import derive_pair_seed
 
-    with resolve_executor(workers, executor) as pool:
-        reports = _sweep(
-            catalog,
-            {pair: derive_pair_seed(seed, pair[0], pair[1]) or 0 for pair in pair_list},
-            bound, domain, semantics,
-            executor=pool,
+    # Equal evaluation keys mean isomorphic queries: equal group indexes over
+    # every S_L, so the search could only report EQUIVALENT.  Such pairs
+    # never enter the open set (and keep no enumeration alive).
+    isomorphic = {
+        pair for pair in pair_list
+        if catalog[pair[0]].evaluation_key == catalog[pair[1]].evaluation_key
+    }
+    searched = {
+        pair: derive_pair_seed(seed, pair[0], pair[1]) or 0
+        for pair in pair_list
+        if pair not in isomorphic
+    }
+    reports: dict[tuple[str, str], EquivalenceReport] = {}
+    if searched:
+        with resolve_executor(workers, executor) as pool:
+            reports = _sweep(catalog, searched, bound, domain, semantics, executor=pool)
+    if isomorphic:
+        _OBS.inc("sweep.pairs.isomorphic", len(isomorphic))
+    for pair in isomorphic:
+        reports[pair] = EquivalenceReport(
+            equivalent=True, bound=bound, domain=domain, notes=[ISOMORPHIC_NOTE]
         )
     for report in reports.values():
         report.notes.append(
             f"single-sweep over {len(catalog)} queries / {len(pair_list)} pairs"
         )
-    return reports
+    return {pair: reports[pair] for pair in pair_list}
 
 
 def _check_searchable(
@@ -664,7 +726,7 @@ def _sweep(
         if executor is None:
             check_serial(enumerator)
         else:
-            subset_list = list(enumerator)
+            stream = iter(enumerator)
             # Warm prefix: the parent settles the small subsets itself
             # (their merged-partition signatures are the most shared entries
             # of the group-index cache) before the pool forks, so every
@@ -672,14 +734,13 @@ def _sweep(
             # re-deriving it.  The same prefix compiles the sweep's plan
             # kernels, which forked workers likewise inherit for free.  A
             # pool that already forked skips the prefix — its workers carry
-            # their own accumulated caches.
-            prefix = (
-                subset_list[:DEFAULT_SWEEP_WARM_PREFIX]
-                if executor.wants_warm_prefix()
-                else []
-            )
-            check_serial(prefix)
-            if open_pairs and len(prefix) < len(subset_list):
+            # their own accumulated caches.  The prefix is pulled lazily, so
+            # a search settling inside it counts the skips the serial loop
+            # counts; only a search that outlasts it enumerates the tail.
+            prefix = DEFAULT_SWEEP_WARM_PREFIX if executor.wants_warm_prefix() else 0
+            check_serial(itertools.islice(stream, prefix))
+            tail = sum(1 for _ in stream) if open_pairs else 0
+            if tail:
                 from ..parallel.tasks import parallel_sweep_search
 
                 parallel_sweep_search(
@@ -688,8 +749,8 @@ def _sweep(
                     bound=bound,
                     domain=domain,
                     semantics=semantics,
-                    start=len(prefix),
-                    count=len(subset_list) - len(prefix),
+                    start=stats.subsets_examined,
+                    count=tail,
                     reports=reports,
                     stats=stats,
                     executor=executor,
@@ -840,32 +901,48 @@ def _compare_concrete(
     semantics: str,
 ) -> Optional[Counterexample]:
     """Direct comparison over a single concrete database (degenerate cases)."""
-    if function is not None:
-        left_result = evaluate_aggregate(first, database, function)
-        right_result = evaluate_aggregate(second, database, function)
-    elif semantics == BAG_SET_SEMANTICS:
-        left_result = evaluate_bag_set(first, database)
-        right_result = evaluate_bag_set(second, database)
-    else:
-        left_result = evaluate_set(first, database)
-        right_result = evaluate_set(second, database)
+    left_result, right_result = _results(first, second, database, function, semantics)
     if left_result == right_result:
         return None
     return Counterexample(database=database, left_result=left_result, right_result=right_result)
 
 
-def _non_aggregate_witness(
-    first: Query, second: Query, database: SymbolicDatabase, semantics: str
-) -> Counterexample:
-    """The δ(S) witness of two non-aggregate queries whose symbolic answers
-    differ over ``database``: distinct blocks get distinct values under δ, so
-    the concrete answers differ exactly as the symbolic ones do."""
-    concrete = database.instantiate()
+def _results(
+    first: Query,
+    second: Query,
+    database: Database,
+    function: Optional[AggregationFunction],
+    semantics: str,
+) -> tuple[object, object]:
+    """Both queries' results over one concrete database: aggregate results,
+    or answers under ``semantics``."""
+    if function is not None:
+        return (
+            evaluate_aggregate(first, database, function),
+            evaluate_aggregate(second, database, function),
+        )
     evaluate = evaluate_bag_set if semantics == BAG_SET_SEMANTICS else evaluate_set
+    return evaluate(first, database), evaluate(second, database)
+
+
+def _delta_witness(
+    first: Query,
+    second: Query,
+    database: SymbolicDatabase,
+    concrete: Database,
+    function: Optional[AggregationFunction],
+    semantics: str,
+) -> Counterexample:
+    """The δ(S) witness of two queries whose symbolic results over
+    ``database`` differ before any ordered identity is read — different
+    answers, or different group keys.  ``concrete`` is
+    ``database.instantiate()``: distinct blocks get distinct values under
+    δ, so the concrete results differ exactly as the symbolic ones do."""
+    left_result, right_result = _results(first, second, concrete, function, semantics)
     return Counterexample(
         database=concrete,
-        left_result=evaluate(first, concrete),
-        right_result=evaluate(second, concrete),
+        left_result=left_result,
+        right_result=right_result,
         ordering=database.ordering,
         symbolic_atoms=database.atoms,
     )
@@ -884,14 +961,17 @@ def _witness_for_identity_failure(
     realizations of the ordering seeded by ``seed`` (so parallel runs remain
     reproducible regardless of worker scheduling); for non-shiftable functions
     a particular instantiation may coincidentally agree, in which case only
-    the symbolic context is reported."""
+    the symbolic context is reported.  Realizations are drawn lazily, in the
+    seeded order, so a search that succeeds early draws no more of them."""
     import random
 
-    candidates = [database.ordering.instantiate()]
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        candidates.append(random_realization(database.ordering, rng))
-    for assignment in candidates:
+    def candidates() -> Iterator[dict]:
+        yield database.ordering.instantiate()
+        rng = random.Random(seed)
+        for _ in range(attempts):
+            yield random_realization(database.ordering, rng)
+
+    for assignment in candidates():
         facts = []
         for atom in database.atoms:
             values = tuple(

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import MalformedQueryError, UnsafeQueryError
 from .atoms import Comparison, ComparisonOp, RelationalAtom
+from .canonical import evaluation_key
 from .conditions import Condition, intern_condition
 from .terms import Constant, Term, Variable, substitute_terms
 
@@ -251,6 +252,24 @@ class Query:
         if cached is None:
             cached = any(disjunct.comparisons for disjunct in self.disjuncts)
             object.__setattr__(self, "_cached_uses_comparisons", cached)
+        return cached
+
+    @property
+    def evaluation_key(self) -> str:
+        """The query's canonical serialization without its name (cached):
+        equal exactly for isomorphic queries — equal up to variable names,
+        literal order and duplicates within a disjunct, disjunct order, and
+        comparison orientation (:mod:`repro.datalog.canonical`).
+
+        Isomorphic queries have the same group index over every ``S_L``, so
+        the symbolic engine keys its shared cache by this string and the
+        catalog sweep decides each isomorphism class once.  No reduction
+        runs: the key preserves the group index, not only equivalence.
+        """
+        cached = self.__dict__.get("_cached_evaluation_key")
+        if cached is None:
+            cached = evaluation_key(self)
+            object.__setattr__(self, "_cached_evaluation_key", cached)
         return cached
 
     def predicate_arities(self) -> dict[str, int]:

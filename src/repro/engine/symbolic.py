@@ -28,15 +28,22 @@ aggregate and non-aggregate pairs are compared on one result.  For
 of the predicates the query mentions (constants canonicalize to themselves
 and block representatives ignore block order), so it is keyed by that
 *restricted relation signature* instead of the full ``(atoms, ordering)``
-pair: one computation is shared across every ordering of a block partition,
-across subsets that merge to the same relations, and across every catalog
-pair over the same BASE that mentions the query.  Cached indexes are
-interned by content, so equal groups are one shared object.
+pair, and the query by its rename-only
+:attr:`~repro.datalog.queries.Query.evaluation_key` instead of its AST:
+isomorphic queries (equal up to variable names, literal and disjunct order,
+duplicate literals and comparison orientation) have the same index over
+every ``S_L``.  One computation is then shared across every ordering of a
+block partition, across subsets that merge to the same relations, across
+every member of an isomorphism class, and across sweep groups and session
+deltas.  Cached indexes are interned by content, so equal groups are one
+shared object.
 
-No cache here is a ``Query``-keyed ``lru_cache``: whether a query uses
-comparisons and its sorted predicate tuple are lazily cached attributes of
-the query itself (:attr:`~repro.datalog.queries.Query.uses_comparisons`,
-:attr:`~repro.datalog.queries.Query.sorted_predicates`), and its disjuncts
+No cache here is keyed by a ``Query``: whether a query uses comparisons,
+its sorted predicate tuple and its evaluation key are lazily cached
+attributes of the query itself
+(:attr:`~repro.datalog.queries.Query.uses_comparisons`,
+:attr:`~repro.datalog.queries.Query.sorted_predicates`,
+:attr:`~repro.datalog.queries.Query.evaluation_key`), and its disjuncts
 are interned conditions, so the plan and kernel lookups behind every
 evaluation hit on identity.
 
@@ -274,16 +281,17 @@ def symbolic_group_index(
     answer to ``Counter({(): multiplicity})``: the set of answers is the key
     set and the answer multiset the whole index.
 
-    For comparison-free queries the index is cached per (query, restricted
-    relation signature), so it is built O(catalog) times per sweep, not
-    O(pairs), and *interned* by content: two queries producing equal groups
-    over the same S_L share one index object, so the sweep's per-pair
-    agreement check is an identity check.  Callers must treat the result as
-    read-only.
+    For comparison-free queries the index is cached per (evaluation key,
+    restricted relation signature): isomorphic queries share one entry, so
+    it is built once per isomorphism class and relation signature — across
+    orderings, subsets, sweep groups and session deltas — and *interned* by
+    content: two queries producing equal groups over the same S_L share one
+    index object, so the sweep's per-pair agreement check is an identity
+    check.  Callers must treat the result as read-only.
     """
     if query.uses_comparisons:
         return _compile.compiled_symbolic_group_index(query, database)
-    key = (query, relation_signature(query, database))
+    key = (query.evaluation_key, relation_signature(query, database))
     cached = _GROUP_INDEX_BY_RELATIONS.get(key)
     if cached is None:
         _OBS.inc("engine.gamma.shared_misses")

@@ -18,8 +18,13 @@ the *scope* that owns the counter's reset semantics:
   ``clear_evaluation_caches`` resets the whole evaluation slice it drops
   (kernel + store + dispatch).
 * ``sweep.`` — decision-procedure counters (subsets examined / skipped by
-  symmetry, ordering classes examined, identities checked).  Never reset by
-  the cache clears; they describe *work performed*, not cache state.
+  symmetry, ordering classes examined, identities checked, and
+  ``sweep.pairs.isomorphic``: pairs settled without search because their
+  evaluation keys are equal).  Never reset by the cache clears; they
+  describe *work performed*, not cache state.
+* ``datalog.`` — ``datalog.key.tie_bailouts``: evaluation keys whose
+  symmetric-tie search exceeded its budget and fell back to variable-name
+  order (such a key only loses sharing).
 * ``parallel.`` — executor counters (pool forks).
 * ``session.`` — workspace-layer counters (verdict-cache hits/misses).
   Like ``sweep.``, these survive every cache clear.

@@ -6,9 +6,10 @@ The decision procedures factor into independent, picklable check tasks:
   sweep, or the one-pair sweep behind ``bounded_equivalence``):
   ``(start, count)`` ranges of the orbit-canonical subset enumeration,
   checked against every ordering class and every still-open pair.  Workers
-  rebuild the run state (BASE, orderings, aggregation function) and
-  re-enumerate the subset stream locally, memoizing the setup per process,
-  so tasks stay small on the wire.
+  rebuild the run state (BASE, orderings, aggregation function, and the
+  name → isomorphism-class map, so a worker also builds one group index per
+  class) and re-enumerate the subset stream locally, memoizing the setup
+  per process, so tasks stay small on the wire.
 * :class:`PairCheckTask` — one (name_a, name_b) cell of an equivalence
   matrix, dispatched through :func:`repro.core.equivalence.are_equivalent`.
   The catalog planner sends only the cells no sweep can decide here (mixed

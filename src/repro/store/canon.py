@@ -4,29 +4,28 @@ Equivalence verdicts are properties of the *semantics* of a query pair, but
 the session's structural verdict cache keys on the literal ASTs: the same
 pair with renamed variables, reordered literals, or reordered disjuncts —
 the most common duplicate in a machine-generated workload — misses.  This
-module maps each query to a canonical byte form such that two queries get
-the same form exactly when one can be turned into the other by a chain of
-*equivalence-preserving* syntactic transforms:
+module maps each query to a canonical byte form by composing two
+equivalence-preserving steps:
 
 * **reduction** (:func:`repro.core.reduction.reduction_for_keying`) — the
   Section 7 machinery substitutes entailed equalities away, so ``y = 1``
   and ``y = z, z = 1`` bodies converge;
-* **alpha-renaming** — variables are renamed into a deterministic canonical
-  order found by color refinement over the query's term/literal incidence
-  structure, with a bounded minimal-serialization search breaking the
-  remaining symmetric ties;
-* **literal/disjunct reordering** — literals are serialized sorted within
-  each disjunct (and deduplicated: a conjunction is a set of literals) and
-  disjuncts are serialized sorted (*not* deduplicated — a duplicated
-  disjunct changes multiplicities under bag semantics);
-* **comparison orientation** — ``x > y`` flips to ``y < x``; symmetric
-  operators (``=``, ``!=``) order their operands.
+* **the canonical serialization** of :mod:`repro.datalog.canonical` — the
+  naming and serialization behind
+  :attr:`~repro.datalog.queries.Query.evaluation_key`, insensitive to
+  alpha-renaming, literal order and duplicates within a disjunct, disjunct
+  order (duplicate disjuncts are kept: under bag semantics a repeated
+  disjunct doubles its contribution) and comparison orientation.
 
-Every transform above preserves the query's semantics, so *equal canonical
-hashes imply equivalent queries* — a key collision between semantically
-different queries would require a SHA-256 collision.  The converse does not
-hold (two equivalent queries may hash differently); a differing hash is
-only ever a cache miss, never an unsound verdict.
+The form is that serialization of the reduced query, prefixed with
+:data:`CANON_VERSION` and the domain.  Both steps preserve the query's
+semantics, so *equal canonical hashes imply equivalent queries* — a key
+collision between semantically different queries would require a SHA-256
+collision.  The converse does not hold (two equivalent queries may hash
+differently); a differing hash is only ever a cache miss, never an unsound
+verdict.  Unlike the evaluation key, the store key is taken *after*
+reduction, so it joins queries that are equivalent without being
+isomorphic.
 
 The pair key of ``(q1, q2)`` is the sorted hash pair plus an orientation
 flag recording whether the caller's order matched the sorted order, so a
@@ -41,17 +40,13 @@ store serves many tenants, so its caches reset with the service layer's.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Optional
 
 from ..caches import register_cache
 from ..core.reduction import reduction_for_keying
-from ..datalog.atoms import Comparison, ComparisonOp, RelationalAtom
-from ..datalog.conditions import Condition
+from ..datalog.canonical import canonical_naming, serialize_body
 from ..datalog.queries import Query
-from ..datalog.terms import Constant, Term, Variable
 from ..domains import Domain
 from ..obs import REGISTRY as _OBS
 
@@ -64,13 +59,6 @@ CANON_VERSION = "k1"
 #: but the store is process-wide, so the memo is bounded like every other
 #: long-lived cache; eviction is least-recently-used.
 _CANON_LRU_LIMIT = 8192
-
-#: Permutation budget for the symmetric-tie search: the product of the tied
-#: variable groups' factorials must stay under this before the search runs.
-#: Queries in this system carry a handful of variables, so the budget is
-#: effectively never hit; beyond it the order falls back to variable names
-#: (deterministic, so at worst a renamed duplicate misses the cache).
-_PERMUTATION_BUDGET = 720
 
 #: The canonical-form memo: ``(query, domain) -> hex digest``, LRU order.
 _CANON_LRU: "OrderedDict[tuple[Query, Domain], str]" = OrderedDict()
@@ -100,8 +88,12 @@ def canonical_form(query: Query, domain: Domain = Domain.RATIONALS) -> str:
     :func:`canonical_hash`.
     """
     reduced = reduction_for_keying(query, domain)
-    naming = _canonical_naming(reduced)
-    return _serialize(reduced, naming, domain)
+    naming, bailed_out = canonical_naming(reduced)
+    if bailed_out:
+        # Past the tie budget the naming follows variable names: a renamed
+        # duplicate of this query may miss the store.
+        _OBS.inc("store.canon.tie_bailouts")
+    return f"{CANON_VERSION}|{domain.value}|{serialize_body(reduced, naming)}"
 
 
 def canonical_hash(query: Query, domain: Domain = Domain.RATIONALS) -> str:
@@ -132,195 +124,6 @@ def pair_key(first: Query, second: Query, domain: Domain = Domain.RATIONALS) -> 
     if first_hash <= second_hash:
         return PairKey(f"{first_hash}:{second_hash}", False)
     return PairKey(f"{second_hash}:{first_hash}", True)
-
-
-# ----------------------------------------------------------------------
-# Canonical variable naming: color refinement + bounded tie-breaking
-# ----------------------------------------------------------------------
-def _canonical_naming(query: Query) -> dict[Variable, str]:
-    variables = sorted(query.variables())
-    if not variables:
-        return {}
-    colors: dict[Variable, int] = {variable: 0 for variable in variables}
-    # Iterative refinement: a variable's color becomes the rank of its
-    # occurrence signature (head positions, aggregation positions, and the
-    # multiset of colored literal skeletons it occurs in).  The signature is
-    # computed from colors only — never from names — so isomorphic queries
-    # refine identically.  |variables| rounds suffice: each strictly refining
-    # round splits at least one color class.
-    for _ in range(len(variables)):
-        signatures = {
-            variable: _occurrence_signature(query, variable, colors)
-            for variable in variables
-        }
-        ranked = {
-            signature: rank
-            for rank, signature in enumerate(sorted(set(signatures.values())))
-        }
-        refined = {variable: ranked[signatures[variable]] for variable in variables}
-        if refined == colors:
-            break
-        colors = refined
-    groups: dict[int, list[Variable]] = {}
-    for variable in variables:
-        groups.setdefault(colors[variable], []).append(variable)
-    ordered_groups = [groups[color] for color in sorted(groups)]
-    if all(len(group) == 1 for group in ordered_groups):
-        ordering = [group[0] for group in ordered_groups]
-        return {variable: f"v{rank}" for rank, variable in enumerate(ordering)}
-    return _break_ties(query, ordered_groups)
-
-
-def _break_ties(query: Query, groups: list[list[Variable]]) -> dict[Variable, str]:
-    """Choose, among the orderings consistent with the refined partition,
-    the one whose serialization is lexicographically smallest.
-
-    The groups hold symmetric (or refinement-indistinguishable) variables;
-    trying their permutations and keeping the minimal serialization makes
-    the result independent of the input variable names.  Past the budget the
-    search degrades to name order — deterministic, merely rename-sensitive.
-    """
-    budget = 1
-    for group in groups:
-        for size in range(2, len(group) + 1):
-            budget *= size
-        if budget > _PERMUTATION_BUDGET:
-            _OBS.inc("store.canon.tie_bailouts")
-            ordering = [variable for group in groups for variable in group]
-            return {variable: f"v{rank}" for rank, variable in enumerate(ordering)}
-    best_text: Optional[str] = None
-    best_naming: dict[Variable, str] = {}
-    for candidate in itertools.product(*(itertools.permutations(g) for g in groups)):
-        ordering = [variable for group in candidate for variable in group]
-        naming = {variable: f"v{rank}" for rank, variable in enumerate(ordering)}
-        text = _serialize_body(query, naming)
-        if best_text is None or text < best_text:
-            best_text = text
-            best_naming = naming
-    return best_naming
-
-
-def _occurrence_signature(
-    query: Query, variable: Variable, colors: Mapping[Variable, int]
-) -> str:
-    head = tuple(
-        index for index, term in enumerate(query.head_terms) if term == variable
-    )
-    aggregation = tuple(
-        index
-        for index, argument in enumerate(query.aggregation_variables())
-        if argument == variable
-    )
-    occurrences: list[str] = []
-    for disjunct in query.disjuncts:
-        disjunct_skeleton = _disjunct_skeleton(disjunct, colors)
-        for literal in disjunct.literals:
-            positions = _positions_of(literal, variable)
-            if positions:
-                occurrences.append(
-                    f"{disjunct_skeleton}@{_literal_skeleton(literal, colors)}@{positions}"
-                )
-    return f"h{head}|a{aggregation}|" + ";".join(sorted(occurrences))
-
-
-def _positions_of(literal: object, variable: Variable) -> tuple[int, ...]:
-    if isinstance(literal, RelationalAtom):
-        return tuple(
-            index
-            for index, argument in enumerate(literal.arguments)
-            if argument == variable
-        )
-    if isinstance(literal, Comparison):
-        oriented = _orient(literal)
-        return tuple(
-            index
-            for index, operand in enumerate((oriented.left, oriented.right))
-            if operand == variable
-        )
-    return ()
-
-
-def _orient(comparison: Comparison) -> Comparison:
-    """Flip ``>`` / ``>=`` so every comparison reads left-to-right small."""
-    if comparison.op in (ComparisonOp.GT, ComparisonOp.GE):
-        return comparison.flip()
-    return comparison
-
-
-def _term_color_token(term: Term, colors: Mapping[Variable, int]) -> str:
-    if isinstance(term, Constant):
-        return f"c:{term.value}"
-    return f"v:{colors.get(term, 0):06d}"
-
-
-def _literal_skeleton(literal: object, colors: Mapping[Variable, int]) -> str:
-    if isinstance(literal, Comparison):
-        oriented = _orient(literal)
-        left = _term_color_token(oriented.left, colors)
-        right = _term_color_token(oriented.right, colors)
-        if oriented.op in (ComparisonOp.EQ, ComparisonOp.NE) and right < left:
-            left, right = right, left
-        return f"C|{oriented.op.value}|{left}|{right}"
-    if isinstance(literal, RelationalAtom):
-        sign = "!" if literal.negated else ""
-        arguments = ",".join(
-            _term_color_token(argument, colors) for argument in literal.arguments
-        )
-        return f"R|{sign}{literal.predicate}|{arguments}"
-    return f"?|{literal!r}"
-
-
-def _disjunct_skeleton(disjunct: Condition, colors: Mapping[Variable, int]) -> str:
-    return "&".join(sorted(_literal_skeleton(literal, colors) for literal in disjunct.literals))
-
-
-# ----------------------------------------------------------------------
-# Serialization under a fixed naming
-# ----------------------------------------------------------------------
-def _term_token(term: Term, naming: Mapping[Variable, str]) -> str:
-    if isinstance(term, Constant):
-        return f"c:{term.value}"
-    return naming[term]
-
-
-def _literal_text(literal: object, naming: Mapping[Variable, str]) -> str:
-    if isinstance(literal, Comparison):
-        oriented = _orient(literal)
-        left = _term_token(oriented.left, naming)
-        right = _term_token(oriented.right, naming)
-        if oriented.op in (ComparisonOp.EQ, ComparisonOp.NE) and right < left:
-            left, right = right, left
-        return f"{left}{oriented.op.value}{right}"
-    if isinstance(literal, RelationalAtom):
-        sign = "!" if literal.negated else ""
-        arguments = ",".join(
-            _term_token(argument, naming) for argument in literal.arguments
-        )
-        return f"{sign}{literal.predicate}({arguments})"
-    return repr(literal)
-
-
-def _disjunct_text(disjunct: Condition, naming: Mapping[Variable, str]) -> str:
-    # A conjunction is a *set* of literals: duplicates are dropped (they
-    # change no satisfying assignment, hence no Γ multiplicity).  Duplicate
-    # *disjuncts* are preserved by _serialize_body — under bag semantics a
-    # repeated disjunct doubles its contribution.
-    return "&".join(sorted({_literal_text(literal, naming) for literal in disjunct.literals}))
-
-
-def _serialize_body(query: Query, naming: Mapping[Variable, str]) -> str:
-    head = ",".join(_term_token(term, naming) for term in query.head_terms)
-    if query.aggregate is not None:
-        arguments = ",".join(naming[a] for a in query.aggregate.arguments)
-        aggregate = f"{query.aggregate.function}({arguments})"
-    else:
-        aggregate = "-"
-    disjuncts = sorted(_disjunct_text(disjunct, naming) for disjunct in query.disjuncts)
-    return f"h:{head}|a:{aggregate}|" + "|".join(f"d:{text}" for text in disjuncts)
-
-
-def _serialize(query: Query, naming: Mapping[Variable, str], domain: Domain) -> str:
-    return f"{CANON_VERSION}|{domain.value}|{_serialize_body(query, naming)}"
 
 
 def canon_cache_stats() -> dict[str, int]:

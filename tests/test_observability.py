@@ -92,10 +92,12 @@ def _merged_totals(snapshot: dict) -> dict:
 
 def _parity_catalogs() -> dict[str, dict]:
     from test_session import scenario_catalogs
-    from test_sweep import _audit_catalog
+    from test_sweep import _split_audit_catalog
 
     catalogs = scenario_catalogs()
-    catalogs["audit"] = _audit_catalog()  # routes through sweep groups
+    # Routes through sweep groups; the split member keeps the sweep open past
+    # the warm prefix, so the parallel leg forks.
+    catalogs["audit"] = _split_audit_catalog()
     return catalogs
 
 
@@ -224,11 +226,12 @@ class TestCounterParity:
     Cache state is per process: a forked worker inherits the parent's
     tables at fork time but not its siblings' later entries, so a worker
     may miss on an index another process already built.  Measured at seed
-    11 on the audit catalog: 899 requests on each side, 425 serial against
-    428 merged misses, store lookups 439 against 442, and kernel runs
-    (``engine.dispatch.loop``) 896 against 902 — the kernels of those 3
-    repeated evaluations.  On warehouse and views only the process that
-    compiled a kernel or built a store differs.
+    11 on the audit catalog with its split member (the isomorphic pairs
+    settle without search, ``sweep.pairs.isomorphic`` = 3 on both sides):
+    578 requests on each side with 289 misses, store lookups 307, and
+    kernel runs (``engine.dispatch.loop``) 771, equal on both sides in
+    three runs.  On warehouse and views only the process that compiled a
+    kernel or built a store differs.
     """
 
     #: Counters that describe work performed: equal on both sides.

@@ -545,6 +545,33 @@ class TestWorkerCrashRecovery:
             executor.close()
 
 
+class TestWarmPrefixParity:
+    """A search that settles inside the warm prefix reports the serial work."""
+
+    def test_prefix_settled_search_counts_the_serial_skips(self, monkeypatch):
+        from repro.obs import REGISTRY
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        first = parse_query("q(count()) :- p(x, y), r(y)")
+        second = parse_query("q(count()) :- p(x, y)")
+        runs = {}
+        for workers in (1, 2):
+            before = REGISTRY.snapshot()
+            report = bounded_equivalence(first, second, 2, workers=workers)
+            delta = REGISTRY.diff(before)
+            runs[workers] = (
+                report.equivalent,
+                report.subsets_examined,
+                report.orderings_examined,
+                report.subsets_skipped_by_symmetry,
+                {name: value for name, value in delta.items() if name.startswith("sweep.")},
+                delta.get("parallel.pool.forks", 0),
+            )
+        assert not runs[1][0]
+        assert runs[1][1] <= 64  # settled inside the warm prefix
+        assert runs[1] == runs[2]
+
+
 class TestOneShotPool:
     """A one-shot ``workers=N`` call owns exactly one pool for its length."""
 
@@ -553,9 +580,11 @@ class TestOneShotPool:
 
         from repro.obs import REGISTRY
         from repro.workloads.batch import decide_pairs
-        from test_sweep import _audit_catalog
+        from test_sweep import _split_audit_catalog
 
-        catalog = _audit_catalog()
+        # The split member is equivalent to the audit_a class without being
+        # isomorphic to it, so the sweep outlasts the warm prefix and forks.
+        catalog = _split_audit_catalog()
         serial = decide_pairs(catalog, workers=1, seed=7)
         children_before = {child.pid for child in multiprocessing.active_children()}
         forks_before = REGISTRY.get("parallel.pool.forks")

@@ -160,6 +160,21 @@ def _audit_catalog():
     }
 
 
+def _split_audit_catalog():
+    """The audit catalog plus ``audit_split``: ``audit_a`` with its first
+    disjunct split on ``discontinued(p)``.  The split partitions that
+    disjunct's assignments, so ``audit_split`` is equivalent to the
+    ``audit_a`` class without being isomorphic to it — a pair only a full
+    search settles, which keeps the sweep open past the warm prefix."""
+    catalog = _audit_catalog()
+    catalog["audit_split"] = parse_query(
+        "audit(s, count()) :- returns(s, p), premium_store(s), discontinued(p) ; "
+        "returns(s, p), premium_store(s), not discontinued(p) ; "
+        "returns(s, p), discontinued(p)"
+    )
+    return catalog
+
+
 def _mixed_catalog():
     # The disjunctive unit queries keep their variable count low (τ = 3):
     # their count forms retain the pin comparisons, which disables the
@@ -403,6 +418,33 @@ class TestSweepEquivalence:
             enumerator = CanonicalSubsetEnumerator(base, fresh)
             assert len(list(islice(enumerator, report.subsets_examined))) == report.subsets_examined
             assert report.subsets_skipped_by_symmetry == enumerator.skipped
+
+    def test_isomorphic_pairs_settle_without_search(self, monkeypatch):
+        import repro.core.bounded as bounded
+
+        catalog = {
+            "a": parse_query("q(x, count()) :- p(x, y), not r(y), y > x"),
+            "b": parse_query("q(u, count()) :- u < v, not r(v), p(u, v), p(u, v)"),
+            "c": parse_query("q(x, count()) :- p(x, y), y > x"),
+        }
+        assert catalog["a"].evaluation_key == catalog["b"].evaluation_key
+        before = REGISTRY.get("sweep.pairs.isomorphic")
+        reports = sweep_equivalence(catalog, [("a", "b"), ("a", "c")], 2, workers=1)
+        assert REGISTRY.get("sweep.pairs.isomorphic") == before + 1
+        isomorphic = reports[("a", "b")]
+        assert isomorphic.equivalent and isomorphic.counterexample is None
+        assert isomorphic.bound == 2 and isomorphic.subsets_examined == 0
+        assert bounded.ISOMORPHIC_NOTE in isomorphic.notes
+        assert not reports[("a", "c")].equivalent
+        assert bounded.ISOMORPHIC_NOTE not in reports[("a", "c")].notes
+
+        # A call whose pairs all lie inside classes prepares no run at all.
+        def no_run(*args, **kwargs):
+            raise AssertionError("prepare_sweep_run called")
+
+        monkeypatch.setattr(bounded, "prepare_sweep_run", no_run)
+        only = sweep_equivalence(catalog, [("a", "b")], 2, workers=1)
+        assert only[("a", "b")].equivalent
 
     def test_matches_pair_local_reports(self):
         from repro.core.bounded import local_equivalence
