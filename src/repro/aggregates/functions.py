@@ -176,10 +176,6 @@ def _instantiate_element(element: TermTuple, assignment) -> ValueTuple:
     )
 
 
-def _canonical_element(element: TermTuple, ordering: CompleteOrdering) -> TermTuple:
-    return tuple(ordering.canonical_term(term) for term in element)
-
-
 # ----------------------------------------------------------------------
 # Group aggregation functions
 # ----------------------------------------------------------------------

@@ -29,6 +29,12 @@ conjunctive queries under bag-set semantics equivalence *is* isomorphism:
 Chaudhuri & Vardi, PODS 1993).  A pair inside one class is EQUIVALENT
 without search; the other pairs are compared once per class pair.
 
+Searching and witness building are separate steps.  The search (serial, or
+sharded across processes) only locates each class pair's first failing
+(subset, ordering) — a :class:`Failure`; a concrete witness is a
+by-product of that position, so every member pair's witness is realized
+once, after the search, from the pair's own queries and seed.
+
 Two more search-space reductions keep the double-exponential procedure
 tractable:
 
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..aggregates.functions import AggregationFunction, get_function
 from ..aggregates.properties import random_realization
@@ -371,9 +377,6 @@ class SweepRunSetup:
     fresh: list[Variable]
     orderings: list[CompleteOrdering]
     ordering_classes: tuple[OrderingClass, ...]
-    #: Each query's isomorphism class, named by its representative: the
-    #: first query of the catalog with the same evaluation key.
-    classes: dict[str, str]
 
 
 def _catalog_is_comparison_free(queries: Iterable[Query]) -> bool:
@@ -389,16 +392,10 @@ def prepare_sweep_run(
     semantics: str,
 ) -> SweepRunSetup:
     """Validate the catalog and build the shared run state (terms, BASE in
-    canonical order, satisfiable orderings grouped into classes, and the
-    name → isomorphism-class map) for a single-sweep check of every assigned
-    pair."""
+    canonical order, satisfiable orderings grouped into classes) for a
+    single-sweep check of every assigned pair."""
     catalog = dict(queries)
     members = list(catalog.values())
-    representatives: dict[str, str] = {}
-    classes = {
-        name: representatives.setdefault(query.evaluation_key, name)
-        for name, query in catalog.items()
-    }
     function = _resolve_catalog_function(members, domain)
     terms, base, fresh = build_catalog_base(members, bound)
     orderings = [
@@ -415,8 +412,18 @@ def prepare_sweep_run(
         fresh=fresh,
         orderings=orderings,
         ordering_classes=_group_orderings(orderings, _catalog_is_comparison_free(members)),
-        classes=classes,
     )
+
+
+class Failure(NamedTuple):
+    """Where a sweep pair first fails: the subset (indices into the canonical
+    BASE), the position of the ordering in ``SweepRunSetup.orderings``, and
+    whether an ordered identity failed (rather than the answers or group
+    keys differing before any identity was read)."""
+
+    subset: tuple[int, ...]
+    ordering: int
+    identity_failed: bool
 
 
 def check_subset_sweep(
@@ -424,79 +431,53 @@ def check_subset_sweep(
     subset: frozenset[RelationalAtom],
     pairs: Sequence[tuple[str, str]],
     stats,
-    pair_seeds: "dict[tuple[str, str], int] | None" = None,
-) -> list[tuple[tuple[str, str], int, Counterexample]]:
-    """Check every still-open catalog pair against one subset of BASE.
+) -> list[tuple[tuple[str, str], int, bool]]:
+    """Check every still-open pair of ``setup.queries`` against one subset of
+    BASE.
 
-    The sub-catalog is evaluated *once* per ordering class and isomorphism
-    class — one :func:`repro.engine.symbolic.symbolic_group_index` per class
-    representative (``setup.classes``), since isomorphic queries have the
-    same index over every S_L — and each pair of classes is compared once:
-    its first failing ordering is decided on the two representatives' indexes
-    and fanned out to the member pairs.  Each member pair realizes its own
-    witness from its own queries and seed, so witnesses are the ones its own
-    search finds.  Aggregate and non-aggregate pairs share the form: a
-    non-aggregate index maps each answer to ``Counter({(): multiplicity})``,
+    The sub-catalog is evaluated *once* per ordering class — one
+    :func:`repro.engine.symbolic.symbolic_group_index` per query the open
+    pairs name — and each pair's first failing ordering is decided on the
+    two indexes.  The sweep passes one pair per pair of isomorphism classes,
+    named by their representatives, since isomorphic queries have the same
+    index over every S_L.  Aggregate and non-aggregate pairs share the form:
+    a non-aggregate index maps each answer to ``Counter({(): multiplicity})``,
     so set semantics compares the keys and bag-set semantics the whole
-    index.  Returns ``(pair, ordering_position, counterexample)``
-    settlements for the pairs that fail on this subset; pairs absent from
-    the result remain open.
+    index.  Returns ``(pair, ordering_position, identity_failed)`` for the
+    pairs that fail on this subset; pairs absent from the result remain
+    open.  No witness is built here: the caller realizes one per failing
+    pair once the search is over.
 
     Statistics count the *shared* work actually performed (one evaluation per
     (subset, ordering) regardless of how many pairs consume it, one identity
-    check per class pair), so sweep reports are not comparable
-    count-for-count with per-pair reports.
+    check per pair), so sweep reports are not comparable count-for-count
+    with per-pair reports.
     """
-    function, semantics, classes = setup.function, setup.semantics, setup.classes
-    seeds = pair_seeds or {}
-    settled: list[tuple[tuple[str, str], int, Counterexample]] = []
+    function, semantics = setup.function, setup.semantics
+    settled: list[tuple[tuple[str, str], int, bool]] = []
     open_pairs = list(pairs)
     for representative, members in setup.ordering_classes:
         if not open_pairs:
             break
         stats.orderings_examined += len(members)
         database = SymbolicDatabase(subset, representative)
-        # One group index per *class* per ordering class — comparison-carrying
-        # classes included, where the signature-keyed cache (and its
+        # One group index per query per ordering class — comparison-carrying
+        # queries included, where the signature-keyed cache (and its
         # interning, which turns the agreement check into an identity check)
         # cannot apply.
         indexes = {
             name: symbolic_group_index(setup.queries[name], database)
-            for name in {classes[name] for pair in open_pairs for name in pair}
+            for name in {name for pair in open_pairs for name in pair}
         }
-        failures: dict[tuple[str, str], Optional[tuple[int, Optional[CompleteOrdering]]]] = {}
-        # δ(S), built on the first failure that needs it and shared by every
-        # member pair's witness (one store build, memoized evaluations).
-        concrete: Optional[Database] = None
         still_open: list[tuple[str, str]] = []
         for pair in open_pairs:
-            class_pair = (classes[pair[0]], classes[pair[1]])
-            if class_pair not in failures:
-                failures[class_pair] = _first_failure(
-                    indexes[class_pair[0]], indexes[class_pair[1]], members,
-                    function, semantics, stats,
-                )
-            failure = failures[class_pair]
+            failure = _first_failure(
+                indexes[pair[0]], indexes[pair[1]], members, function, semantics, stats
+            )
             if failure is None:
                 still_open.append(pair)
-                continue
-            position, ordering = failure
-            first, second = setup.queries[pair[0]], setup.queries[pair[1]]
-            if ordering is None:
-                if concrete is None:
-                    concrete = database.instantiate()
-                witness = _delta_witness(
-                    first, second, database, concrete, function, semantics
-                )
             else:
-                witness = _witness_for_identity_failure(
-                    first,
-                    second,
-                    SymbolicDatabase(subset, ordering),
-                    function,
-                    seed=seeds.get(pair, 0),
-                )
-            settled.append((pair, position, witness))
+                settled.append((pair, *failure))
         open_pairs = still_open
     return settled
 
@@ -508,12 +489,12 @@ def _first_failure(
     function: Optional[AggregationFunction],
     semantics: str,
     stats,
-) -> Optional[tuple[int, Optional[CompleteOrdering]]]:
+) -> Optional[tuple[int, bool]]:
     """The first ordering of an ordering class on which two group indexes
     give different results: ``None`` when they agree on every member,
-    ``(position, None)`` when they differ before any ordered identity is
+    ``(position, False)`` when they differ before any ordered identity is
     read (different answers, or different group keys), and
-    ``(position, ordering)`` for the first ordering whose identity fails."""
+    ``(position, True)`` for the first ordering whose identity fails."""
     if left_index is right_index or left_index == right_index:
         # Identical bags in every group: α(B) = α(B) holds under any
         # ordering of the class, no identity checks needed.
@@ -521,9 +502,9 @@ def _first_failure(
     if function is None:
         if semantics == SET_SEMANTICS and left_index.keys() == right_index.keys():
             return None
-        return members[0][0], None
+        return members[0][0], False
     if left_index.keys() != right_index.keys():
-        return members[0][0], None
+        return members[0][0], False
     residual = [
         (list(left_index[group_key].elements()), list(right_index[group_key].elements()))
         for group_key in left_index
@@ -533,7 +514,7 @@ def _first_failure(
         for left_bag, right_bag in residual:
             stats.identities_checked += 1
             if not function.decide_ordered_identity(ordering, left_bag, right_bag):
-                return position, ordering
+                return position, True
     return None
 
 
@@ -567,10 +548,11 @@ def sweep_equivalence(
     noted ``settled by isomorphism (equal evaluation keys)``), exactly the
     verdict and witness (none) the search would give.  A call whose pairs
     all lie inside isomorphism classes prepares no run at all.  The other
-    pairs are searched with one group index per isomorphism class
-    (:func:`check_subset_sweep`).  :func:`bounded_equivalence` and
-    :func:`local_equivalence` always search, so they stay the per-pair
-    reference the sweep is tested against.
+    pairs are searched as pairs of isomorphism classes, one group index per
+    class (:func:`check_subset_sweep`); each member pair of a failing class
+    pair then realizes its own witness at the class pair's first failure.
+    :func:`bounded_equivalence` and :func:`local_equivalence` always search,
+    so they stay the per-pair reference the sweep is tested against.
 
     ``seed`` is the catalog-level seed; per-pair witness searches use the
     same derived seeds as the pairwise matrix, so witnesses agree with the
@@ -578,9 +560,9 @@ def sweep_equivalence(
     subset stream across a pool the call owns, after a serial *warm prefix*
     that pre-warms the shared caches the forked workers inherit; each shard
     ships ``(start, count)`` ranges of the canonical enumeration, which the
-    worker re-enumerates locally.  An explicit ``executor`` is used instead
-    and left open; it runs the warm prefix only while its pool has not
-    forked yet.
+    worker re-enumerates locally and reports only failure positions.  An
+    explicit ``executor`` is used instead and left open; it runs the warm
+    prefix only while its pool has not forked yet.
 
     .. deprecated:: callers holding a catalog across calls should reach this
        through :meth:`repro.session.Workspace.equivalences`, which plans the
@@ -649,12 +631,15 @@ def _check_searchable(
     if semantics not in (SET_SEMANTICS, BAG_SET_SEMANTICS):
         raise ReproError(f"unknown semantics {semantics!r}")
     _resolve_catalog_function(queries, domain)
-    base_size = _catalog_base_size(queries, bound)
-    subset_count = 2**base_size
+    constants: set[Constant] = set()
+    for query in queries:
+        constants |= query.constants()
+    size = base_size(catalog_predicate_arities(queries).values(), len(constants), bound)
+    subset_count = 2**size
     if subset_count > max_subsets:
         raise SearchSpaceBudgetError(
             f"the {space} search space has {subset_count} subsets of BASE "
-            f"(|BASE| = {base_size}), exceeding max_subsets={max_subsets}; {advice}"
+            f"(|BASE| = {size}), exceeding max_subsets={max_subsets}; {advice}"
         )
 
 
@@ -669,35 +654,41 @@ def _sweep(
 ) -> dict[tuple[str, str], EquivalenceReport]:
     """The search loop behind :func:`sweep_equivalence` and
     :func:`bounded_equivalence`: one canonical enumeration of the catalog
-    BASE, every still-open pair checked against each subset, serially
-    (``executor=None``) or sharded across ``executor``.  ``pair_seeds``
-    names the pairs to decide and the seed of each pair's witness search."""
+    BASE, every still-open pair of isomorphism classes checked against each
+    subset, serially (``executor=None``) or sharded across ``executor``.
+    ``pair_seeds`` names the pairs to decide and the seed of each pair's
+    witness search.  The search only locates each class pair's first
+    :class:`Failure`; every member pair's witness is realized afterwards,
+    here and nowhere else."""
     setup = prepare_sweep_run(catalog, bound, domain, semantics)
     reports = {
         pair: EquivalenceReport(equivalent=True, bound=bound, domain=domain)
         for pair in pair_seeds
     }
-
-    def settle(pair, counterexample) -> None:
-        report = reports[pair]
-        report.equivalent = False
-        report.counterexample = counterexample
-
     if not setup.orderings:
         # Degenerate corner: no terms at all (no constants and N = 0).  The
         # only database to compare over is the empty one.
         empty = Database(())
         for pair in pair_seeds:
-            counterexample = _compare_concrete(
-                catalog[pair[0]], catalog[pair[1]], empty, setup.function, semantics
+            _settle(
+                reports[pair],
+                _witness(catalog[pair[0]], catalog[pair[1]], empty, setup.function, semantics),
             )
-            if counterexample is not None:
-                settle(pair, counterexample)
         return reports
 
+    # Each isomorphism class is named by its representative, the first
+    # catalog query with its evaluation key; the search runs on class pairs.
+    representatives: dict[str, str] = {}
+    classes = {
+        name: representatives.setdefault(query.evaluation_key, name)
+        for name, query in catalog.items()
+    }
+    class_pair = {pair: (classes[pair[0]], classes[pair[1]]) for pair in pair_seeds}
+    failures: dict[tuple[str, str], Failure] = {}
     stats = CheckStats()
     enumerator = CanonicalSubsetEnumerator(setup.base, setup.fresh)
-    open_pairs: list[tuple[str, str]] = list(pair_seeds)
+    open_pairs: list[tuple[str, str]] = list(dict.fromkeys(class_pair.values()))
+    base = setup.base
 
     def check_serial(subsets: Iterable[tuple[int, ...]]) -> None:
         if not open_pairs:
@@ -705,17 +696,17 @@ def _sweep(
         for indices in subsets:
             stats.subsets_examined += 1
             hits = check_subset_sweep(
-                setup, frozenset(base[i] for i in indices), open_pairs, stats, pair_seeds
+                setup, frozenset(base[i] for i in indices), open_pairs, stats
             )
-            for pair, _ordering_position, counterexample in hits:
-                settle(pair, counterexample)
+            for pair, ordering_position, identity_failed in hits:
+                failures[pair] = Failure(indices, ordering_position, identity_failed)
                 open_pairs.remove(pair)
             if not open_pairs:
                 # Stop before pulling another subset: advancing a lazy
                 # enumerator would count skips past the work actually done.
                 return
 
-    base = setup.base
+    parallel_note = None
     with _span(
         "sweep.enumerate",
         queries=len(catalog),
@@ -743,18 +734,18 @@ def _sweep(
             if tail:
                 from ..parallel.tasks import parallel_sweep_search
 
-                parallel_sweep_search(
+                tail_failures, parallel_note = parallel_sweep_search(
                     setup=setup,
-                    pair_seeds={pair: pair_seeds[pair] for pair in open_pairs},
+                    pairs=open_pairs,
                     bound=bound,
                     domain=domain,
                     semantics=semantics,
                     start=stats.subsets_examined,
                     count=tail,
-                    reports=reports,
                     stats=stats,
                     executor=executor,
                 )
+                failures.update(tail_failures)
         sweep_span.note(
             subsets=stats.subsets_examined, skipped=enumerator.skipped
         )
@@ -771,10 +762,44 @@ def _sweep(
         enumerator.skipped,
     )
 
+    # Every failing member pair realizes its own witness from its own
+    # queries and seed; pairs failing at one (subset, ordering) share the
+    # symbolic database and δ(S).
+    databases: dict[tuple[tuple[int, ...], int], tuple[SymbolicDatabase, Database]] = {}
+    for pair, seed in pair_seeds.items():
+        failure = failures.get(class_pair[pair])
+        if failure is not None:
+            place = (failure.subset, failure.ordering)
+            if place not in databases:
+                database = SymbolicDatabase(
+                    frozenset(base[i] for i in failure.subset), setup.orderings[failure.ordering]
+                )
+                databases[place] = (database, database.instantiate())
+            database, delta = databases[place]
+            _settle(
+                reports[pair],
+                _witness(
+                    catalog[pair[0]], catalog[pair[1]], delta, setup.function, semantics,
+                    database,
+                    attempts=_WITNESS_ATTEMPTS if failure.identity_failed else 0,
+                    seed=seed,
+                ),
+            )
     for report in reports.values():
         stats.merge_into(report)
         report.subsets_skipped_by_symmetry = enumerator.skipped
+        if parallel_note is not None:
+            report.workers_used = executor.workers
+            report.notes.append(parallel_note)
     return reports
+
+
+def _settle(report: EquivalenceReport, counterexample: Optional[Counterexample]) -> None:
+    """Record a pair's witness on its report: the one place a sweep report
+    becomes NOT_EQUIVALENT."""
+    if counterexample is not None:
+        report.equivalent = False
+        report.counterexample = counterexample
 
 
 # ----------------------------------------------------------------------
@@ -853,15 +878,14 @@ def local_equivalence(
     )
 
 
-def _catalog_base_size(queries: Sequence[Query], bound: int) -> int:
-    """|BASE| for the catalog at the given bound, computed arithmetically (no
-    atom construction), so the budget guard runs before any enumeration."""
-    constants: set[Constant] = set()
-    for query in queries:
-        constants |= query.constants()
-    term_count = len(constants) + bound
-    arities = catalog_predicate_arities(queries)
-    return sum(term_count**arity for arity in arities.values())
+def base_size(arities: Iterable[int], constant_count: int, bound: int) -> int:
+    """|BASE| over ``constant_count`` constants plus ``bound`` fresh terms, for
+    predicates of the given ``arities``: one atom per predicate and argument
+    tuple, as :func:`build_catalog_base` builds them.  Computed
+    arithmetically (no atom construction), so budget guards run before any
+    enumeration."""
+    terms = constant_count + bound
+    return sum(terms**arity for arity in arities)
 
 
 def _resolve_catalog_function(
@@ -893,107 +917,62 @@ def _resolve_catalog_function(
     return function
 
 
-def _compare_concrete(
+#: Random realizations of the failing ordering tried, after δ, for a pair
+#: whose ordered identity failed.
+_WITNESS_ATTEMPTS = 25
+
+
+def _witness(
     first: Query,
     second: Query,
-    database: Database,
+    delta: Database,
     function: Optional[AggregationFunction],
     semantics: str,
-) -> Optional[Counterexample]:
-    """Direct comparison over a single concrete database (degenerate cases)."""
-    left_result, right_result = _results(first, second, database, function, semantics)
-    if left_result == right_result:
-        return None
-    return Counterexample(database=database, left_result=left_result, right_result=right_result)
-
-
-def _results(
-    first: Query,
-    second: Query,
-    database: Database,
-    function: Optional[AggregationFunction],
-    semantics: str,
-) -> tuple[object, object]:
-    """Both queries' results over one concrete database: aggregate results,
-    or answers under ``semantics``."""
-    if function is not None:
-        return (
-            evaluate_aggregate(first, database, function),
-            evaluate_aggregate(second, database, function),
-        )
-    evaluate = evaluate_bag_set if semantics == BAG_SET_SEMANTICS else evaluate_set
-    return evaluate(first, database), evaluate(second, database)
-
-
-def _delta_witness(
-    first: Query,
-    second: Query,
-    database: SymbolicDatabase,
-    concrete: Database,
-    function: Optional[AggregationFunction],
-    semantics: str,
-) -> Counterexample:
-    """The δ(S) witness of two queries whose symbolic results over
-    ``database`` differ before any ordered identity is read — different
-    answers, or different group keys.  ``concrete`` is
-    ``database.instantiate()``: distinct blocks get distinct values under
-    δ, so the concrete results differ exactly as the symbolic ones do."""
-    left_result, right_result = _results(first, second, concrete, function, semantics)
-    return Counterexample(
-        database=concrete,
-        left_result=left_result,
-        right_result=right_result,
-        ordering=database.ordering,
-        symbolic_atoms=database.atoms,
-    )
-
-
-def _witness_for_identity_failure(
-    first: Query,
-    second: Query,
-    database: SymbolicDatabase,
-    function: AggregationFunction,
-    attempts: int = 25,
+    context: Optional[SymbolicDatabase] = None,
+    *,
+    attempts: int = 0,
     seed: int = 0,
-) -> Counterexample:
-    """Search for a concrete instantiation on which the two queries visibly
-    disagree.  The canonical instantiation is tried first, followed by random
-    realizations of the ordering seeded by ``seed`` (so parallel runs remain
-    reproducible regardless of worker scheduling); for non-shiftable functions
-    a particular instantiation may coincidentally agree, in which case only
-    the symbolic context is reported.  Realizations are drawn lazily, in the
-    seeded order, so a search that succeeds early draws no more of them."""
+) -> Optional[Counterexample]:
+    """The witness of a pair: the first concrete database on which the two
+    queries' results — aggregate results, or answers under ``semantics`` —
+    differ, recording the symbolic ``context`` it instantiates.
+
+    ``delta`` is tried first; in the search it is δ(S) of ``context``:
+    distinct blocks get distinct values under δ, so when the answers or
+    group keys differ the concrete results differ exactly as the symbolic
+    ones do.  When an ordered identity failed, ``attempts`` random
+    realizations of the context's ordering follow, drawn lazily from a
+    generator seeded by ``seed`` (so parallel runs remain reproducible
+    regardless of worker scheduling).  For non-shiftable functions every
+    instantiation may coincidentally agree; then only the symbolic context
+    is reported.  Without a context (the degenerate search over the empty
+    database alone) agreement means no witness: ``None``."""
     import random
 
-    def candidates() -> Iterator[dict]:
-        yield database.ordering.instantiate()
+    def databases() -> Iterator[Database]:
+        yield delta
         rng = random.Random(seed)
         for _ in range(attempts):
-            yield random_realization(database.ordering, rng)
+            yield context.instantiate(random_realization(context.ordering, rng))
 
-    for assignment in candidates():
-        facts = []
-        for atom in database.atoms:
-            values = tuple(
-                argument.value if isinstance(argument, Constant) else assignment[argument]
-                for argument in atom.arguments
-            )
-            facts.append((atom.predicate, values))
-        concrete = Database(facts)
-        left_result = evaluate_aggregate(first, concrete, function)
-        right_result = evaluate_aggregate(second, concrete, function)
+    for database in databases():
+        if function is not None:
+            left_result = evaluate_aggregate(first, database, function)
+            right_result = evaluate_aggregate(second, database, function)
+        else:
+            evaluate = evaluate_bag_set if semantics == BAG_SET_SEMANTICS else evaluate_set
+            left_result, right_result = evaluate(first, database), evaluate(second, database)
         if left_result != right_result:
-            return Counterexample(
-                database=concrete,
-                left_result=left_result,
-                right_result=right_result,
-                ordering=database.ordering,
-                symbolic_atoms=database.atoms,
-            )
+            break
+    else:
+        if context is None:
+            return None
+        database = None
+        left_result = right_result = "(symbolic disagreement)"
     return Counterexample(
-        database=None,
-        left_result="(symbolic disagreement)",
-        right_result="(symbolic disagreement)",
-        ordering=database.ordering,
-        symbolic_atoms=database.atoms,
+        database=database,
+        left_result=left_result,
+        right_result=right_result,
+        ordering=None if context is None else context.ordering,
+        symbolic_atoms=None if context is None else context.atoms,
     )

@@ -32,10 +32,15 @@ same-function classes instead of the open fragment.  Pins to 0 and pairs with
 differing multipliers are excluded: no single verdict-preserving reduction
 exists there (see :func:`aggregation_pin` / :func:`pair_count_reduction`).
 
-:func:`route_pair` is the one place that choice is made.  :func:`are_equivalent`
-routes a pair and runs the chosen procedure; the catalog sweep planner
-(:func:`repro.workloads.batch.plan_catalog_sweep`) groups the cells whose route
-is local equivalence and states each sweep report through :func:`local_result`,
+:func:`route_pair` is the one place that choice is made.  The normalization
+is opportunistic: routing takes the caller's ``max_subsets``, and a pair
+whose count forms' local BASE would not fit the budget is routed on its
+originals — decided by arithmetic, before any search runs.
+:func:`are_equivalent` routes a pair once and runs the chosen procedure once;
+the catalog sweep planner (:func:`repro.workloads.batch.plan_catalog_sweep`)
+routes every cell the same way (through :func:`route_reduced_pair`, building
+each query's count form once per plan), groups the cells whose route is
+local equivalence and states each sweep report through :func:`local_result`,
 so a swept cell carries the method, details and witness the pair path gives.
 """
 
@@ -48,14 +53,15 @@ from typing import Optional
 from ..aggregates.functions import AggregationFunction, PAPER_FUNCTIONS, get_function
 from ..datalog.atoms import ComparisonOp
 from ..datalog.database import Database
-from ..datalog.queries import AggregateTerm, Query
+from ..datalog.queries import AggregateTerm, Query, catalog_predicate_arities, term_size_of_pair
 from ..datalog.terms import Constant
 from ..domains import Domain
-from ..errors import SearchSpaceBudgetError, UndecidableError, UnsupportedAggregateError
+from ..errors import UndecidableError, UnsupportedAggregateError
 from ..obs import span as _span
 from .bounded import (
     Counterexample,
     EquivalenceReport,
+    base_size,
     bounded_equivalence,
     local_equivalence,
 )
@@ -205,8 +211,13 @@ def pair_count_reduction(
     plain count) are left alone: ``2·count_1 ≡ count_2`` is not equivalent to
     ``count_1 ≡ count_2``, so no verdict would transfer.
     """
-    first_reduction = sum_count_reduction(first)
-    second_reduction = sum_count_reduction(second)
+    return _shared_count_form(sum_count_reduction(first), sum_count_reduction(second))
+
+
+def _shared_count_form(
+    first_reduction, second_reduction
+) -> Optional[tuple[Query, Query, Constant, str]]:
+    """:func:`pair_count_reduction` over both queries' count forms."""
     if first_reduction is None or second_reduction is None:
         return None
     first_count, first_multiplier, first_note = first_reduction
@@ -267,22 +278,54 @@ class PairRoute:
     notes: Optional[str] = None
 
 
-def route_pair(first: Query, second: Query, domain: Domain = Domain.RATIONALS) -> PairRoute:
+def route_pair(
+    first: Query,
+    second: Query,
+    domain: Domain = Domain.RATIONALS,
+    max_subsets: int = 2_000_000,
+) -> PairRoute:
     """The strongest decision procedure the paper provides for the pair.
 
     Pairs that reduce to count forms with one shared multiplier are routed
     on those forms: that moves a sum/count pair out of the open fragment
     into the decidable count/count class, and the verdict transfers both
-    ways.  A same-function sum/sum pair without a shared pin keeps its
-    originals (normalizing one side would push it into the open fragment).
+    ways.  The normalization is opportunistic: when the count forms' local
+    search would exceed ``max_subsets``, the originals are routed instead
+    (for a sum/count pair that is the counterexample-search/UNKNOWN path).
+    A same-function sum/sum pair without a shared pin keeps its originals
+    (normalizing one side would push it into the open fragment).
     """
+    return route_reduced_pair(
+        first, second, sum_count_reduction(first), sum_count_reduction(second),
+        domain, max_subsets,
+    )
+
+
+def route_reduced_pair(
+    first: Query,
+    second: Query,
+    first_reduction: Optional[tuple[Query, Constant, Optional[str]]],
+    second_reduction: Optional[tuple[Query, Constant, Optional[str]]],
+    domain: Domain,
+    max_subsets: int,
+) -> PairRoute:
+    """:func:`route_pair` given both queries' :func:`sum_count_reduction`, so
+    a caller routing one query against many builds its count form once."""
     if first.is_aggregate != second.is_aggregate:
         raise UnsupportedAggregateError(
             "cannot compare an aggregate query with a non-aggregate query"
         )
-    reduction = pair_count_reduction(first, second)
+    reduction = _shared_count_form(first_reduction, second_reduction)
     if reduction is not None:
-        return _route(*reduction, domain=domain)
+        route = _route(*reduction, domain=domain)
+        if route.procedure not in LOCAL_PROCEDURES:
+            return route
+        # The local search runs over the count forms' own BASE at τ.
+        forms = (route.first, route.second)
+        constants = route.first.constants() | route.second.constants()
+        arities = catalog_predicate_arities(forms).values()
+        if 2 ** base_size(arities, len(constants), term_size_of_pair(*forms)) <= max_subsets:
+            return route
     return _route(first, second, domain=domain)
 
 
@@ -394,23 +437,10 @@ def are_equivalent(
         "dispatch.classify", first=first.name, second=second.name
     ) as dispatch_span:
 
-        def decide(route: PairRoute) -> EquivalenceResult:
-            return _decide(
-                route, first, second, domain, max_subsets, counterexample_trials,
-                unknown_bound, seed, workers,
-            )
-
-        route = route_pair(first, second, domain)
-        try:
-            result = decide(route)
-        except SearchSpaceBudgetError:
-            if route.multiplier is None:
-                raise
-            # The count forms reached a bounded search whose subset space
-            # exceeds max_subsets.  The normalization is opportunistic: decide
-            # the originals instead (for a sum/count pair that is the
-            # counterexample-search/UNKNOWN path).
-            result = decide(_route(first, second, domain=domain))
+        result = _decide(
+            route_pair(first, second, domain, max_subsets), first, second, domain,
+            max_subsets, counterexample_trials, unknown_bound, seed, workers,
+        )
         dispatch_span.note(verdict=result.verdict.value, method=result.method)
     return result
 

@@ -213,16 +213,6 @@ class Comparison:
 Literal = Union[RelationalAtom, Comparison]
 
 
-def is_relational(literal: Literal) -> bool:
-    """Whether the literal is a relational atom (as opposed to a comparison)."""
-    return isinstance(literal, RelationalAtom)
-
-
-def is_comparison(literal: Literal) -> bool:
-    """Whether the literal is an ordering atom."""
-    return isinstance(literal, Comparison)
-
-
 @dataclass(frozen=True)
 class GroundAtom:
     """A ground relational fact ``p(c1, ..., ck)`` as stored in a database."""

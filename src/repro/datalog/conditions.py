@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..caches import register_cache
 from ..errors import UnsafeQueryError
@@ -178,9 +178,6 @@ class Condition:
     # ------------------------------------------------------------------
     def substitute(self, mapping: Mapping[Variable, Term]) -> "Condition":
         return Condition(tuple(literal.substitute(mapping) for literal in self.literals))
-
-    def with_literals(self, extra: Iterable[Literal]) -> "Condition":
-        return Condition(self.literals + tuple(extra))
 
     def without_trivial_comparisons(self) -> "Condition":
         """Drop ground comparisons that are trivially true and reflexive

@@ -24,10 +24,18 @@ class Database:
     __slots__ = ("_facts", "_by_predicate", "_carrier", "_sorted_carrier")
 
     def __init__(self, facts: Iterable = ()):  # noqa: ANN001 - heterogeneous input
-        normalized: set[GroundAtom] = set()
-        for fact in facts:
-            normalized.add(_coerce_fact(fact))
-        self._facts: frozenset[GroundAtom] = frozenset(normalized)
+        self._index(frozenset(_coerce_fact(fact) for fact in facts))
+
+    @classmethod
+    def _of_normalized(cls, facts: frozenset[GroundAtom]) -> "Database":
+        """A database over atoms already normalized — taken from other
+        databases — without coercing every fact again."""
+        database = cls.__new__(cls)
+        database._index(facts)
+        return database
+
+    def _index(self, facts: frozenset[GroundAtom]) -> None:
+        self._facts: frozenset[GroundAtom] = facts
         by_predicate: dict[str, set[tuple]] = {}
         carrier: set[NumericValue] = set()
         for fact in self._facts:
@@ -99,23 +107,25 @@ class Database:
     # Set algebra (used by the decomposition machinery of Section 6)
     # ------------------------------------------------------------------
     def union(self, other: "Database") -> "Database":
-        return Database(self._facts | other._facts)
+        return Database._of_normalized(self._facts | other._facts)
 
     def intersection(self, other: "Database") -> "Database":
-        return Database(self._facts & other._facts)
+        return Database._of_normalized(self._facts & other._facts)
 
     def difference(self, other: "Database") -> "Database":
-        return Database(self._facts - other._facts)
+        return Database._of_normalized(self._facts - other._facts)
 
     def issubset(self, other: "Database") -> bool:
         return self._facts <= other._facts
 
     def add_facts(self, facts: Iterable) -> "Database":  # noqa: ANN001
-        return Database(set(self._facts) | {_coerce_fact(fact) for fact in facts})
+        return Database._of_normalized(self._facts | {_coerce_fact(fact) for fact in facts})
 
     def restrict_to_predicates(self, predicates: Iterable[str]) -> "Database":
         wanted = set(predicates)
-        return Database(fact for fact in self._facts if fact.predicate in wanted)
+        return Database._of_normalized(
+            frozenset(fact for fact in self._facts if fact.predicate in wanted)
+        )
 
     # ------------------------------------------------------------------
     # Validation and display

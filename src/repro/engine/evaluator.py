@@ -67,9 +67,6 @@ class LabeledAssignment:
         ordered = tuple(sorted(mapping.items(), key=lambda item: item[0].name))
         return cls(ordered, disjunct_index)
 
-    def as_dict(self) -> dict[Variable, NumericValue]:
-        return dict(self.mapping)
-
     def value_of(self, term: Term) -> NumericValue:
         if isinstance(term, Constant):
             return term.value

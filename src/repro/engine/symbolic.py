@@ -63,6 +63,7 @@ from ..datalog.atoms import RelationalAtom
 from ..datalog.database import Database
 from ..datalog.queries import Query
 from ..datalog.terms import Constant, Term, Variable
+from ..domains import NumericValue
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from ..orderings.complete_orderings import CompleteOrdering
@@ -140,10 +141,11 @@ class SymbolicDatabase:
     def contains(self, predicate: str, row: tuple[Term, ...]) -> bool:
         return row in self.canonical_relations.get(predicate, frozenset())
 
-    def instantiate(self) -> Database:
-        """A concrete database δ(S) for the canonical satisfying assignment δ
-        of the ordering."""
-        assignment = self.ordering.instantiate()
+    def instantiate(self, assignment: "dict[Term, NumericValue] | None" = None) -> Database:
+        """The concrete database σ(S) for a satisfying assignment σ of the
+        ordering — by default δ(S), for the canonical assignment δ."""
+        if assignment is None:
+            assignment = self.ordering.instantiate()
         facts = []
         for atom in self.atoms:
             values = tuple(
@@ -169,9 +171,6 @@ class SymbolicAssignment:
         # Dict-backed lookup for term_of; equality and hashing still use the
         # canonical sorted tuple.
         object.__setattr__(self, "_lookup", dict(self.mapping))
-
-    def as_dict(self) -> dict[Variable, Term]:
-        return dict(self.mapping)
 
     def term_of(self, term: Term, database: SymbolicDatabase) -> Term:
         if isinstance(term, Constant):

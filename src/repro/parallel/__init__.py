@@ -9,7 +9,9 @@ equivalence matrix.  This package splits those spaces into picklable shards
 :class:`PairCheckTask`) and runs them through pluggable executors
 (:mod:`repro.parallel.executor`): serial for reference and debugging, or
 one multiprocessing pool with early exit via a shared cancellation event and
-deterministic merging of verdicts and witnesses.  The pool forks lazily,
+deterministic merging.  Sweep shards report only where each pair first
+fails; the parent merges those failures by position and realizes every
+witness itself, after the search.  The pool forks lazily,
 after the first sweep's serial warm prefix, so workers inherit the parent's
 shared group-index cache copy-on-write; a one-shot ``workers=N`` call owns
 one pool for the length of the call, a session one for its lifetime.

@@ -5,11 +5,13 @@ The decision procedures factor into independent, picklable check tasks:
 * :class:`SweepRangeCheckTask` — a shard of a subset search (a catalog
   sweep, or the one-pair sweep behind ``bounded_equivalence``):
   ``(start, count)`` ranges of the orbit-canonical subset enumeration,
-  checked against every ordering class and every still-open pair.  Workers
-  rebuild the run state (BASE, orderings, aggregation function, and the
-  name → isomorphism-class map, so a worker also builds one group index per
-  class) and re-enumerate the subset stream locally, memoizing the setup
-  per process, so tasks stay small on the wire.
+  checked against every ordering class and every still-open pair of
+  isomorphism classes.  Workers rebuild the run state (BASE, orderings,
+  aggregation function) and re-enumerate the subset stream locally,
+  memoizing the setup per process, so tasks stay small on the wire.  A shard
+  reports only *where* each pair first fails (a
+  :class:`~repro.core.bounded.Failure`); witnesses are realized by the
+  parent once the merged search is over.
 * :class:`PairCheckTask` — one (name_a, name_b) cell of an equivalence
   matrix, dispatched through :func:`repro.core.equivalence.are_equivalent`.
   The catalog planner sends only the cells no sweep can decide here (mixed
@@ -19,10 +21,11 @@ The decision procedures factor into independent, picklable check tasks:
 
 Outcomes carry global positions, so merging is deterministic: the verdict
 never depends on worker scheduling, and when several shards report
-counterexamples for a pair the one at the smallest (subset, ordering)
-position wins.  (Under early-exit cancellation the set of *reporting* shards
-can depend on timing, so the chosen witness — always valid — may vary
-between runs; pair tasks have no early exit and are fully reproducible.)
+failures for a pair the one at the smallest (subset, ordering) position
+wins.  (Under early-exit cancellation the set of *reporting* shards can
+depend on timing, so the chosen failure — and the witness realized from it,
+always valid — may vary between runs; pair tasks have no early exit and
+are fully reproducible.)
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from ..core.bounded import (
     CanonicalSubsetEnumerator,
     CheckStats,
-    Counterexample,
-    EquivalenceReport,
+    Failure,
     SweepRunSetup,
     check_subset_sweep,
     prepare_sweep_run,
@@ -125,13 +127,13 @@ class SweepRangeCheckTask:
     workers also inherit the already populated shared group-index cache
     copy-on-write.
 
-    ``pair_seeds`` maps every still-open pair to the seed of its witness
-    search.
+    ``pairs`` are the still-open pairs of isomorphism classes, named by
+    their representatives in ``queries``.
     """
 
     index: int
     queries: tuple[tuple[str, Query], ...]
-    pair_seeds: dict[tuple[str, str], int]
+    pairs: tuple[tuple[str, str], ...]
     bound: int
     domain: Domain
     semantics: str
@@ -155,12 +157,12 @@ class SweepRangeCheckTask:
 @dataclass
 class SweepCheckOutcome:
     """The result of one sweep shard: merged statistics plus, for every pair
-    the shard saw fail, its first failure at a global
-    ``(subset_position, ordering_position)``."""
+    the shard saw fail, its first :class:`~repro.core.bounded.Failure` and
+    the global position of its subset."""
 
     task_index: int
     stats: CheckStats
-    found: tuple[tuple[tuple[str, str], tuple[int, int], Counterexample], ...] = ()
+    found: tuple[tuple[tuple[str, str], int, Failure], ...] = ()
     cancelled: bool = False
     #: The worker-side metrics-registry delta for this task (``None`` when the
     #: task ran in the parent process); see :func:`absorb_worker_metrics`.
@@ -226,8 +228,8 @@ def run_sweep_range_task(task: SweepRangeCheckTask) -> SweepCheckOutcome:
 def _sweep_range_outcome(task: SweepRangeCheckTask) -> SweepCheckOutcome:
     setup = _sweep_setup_for(task)
     stats = CheckStats()
-    open_pairs = list(task.pair_seeds)
-    found: list[tuple[tuple[str, str], tuple[int, int], Counterexample]] = []
+    open_pairs = list(task.pairs)
+    found: list[tuple[tuple[str, str], int, Failure]] = []
     base = setup.base
     for position, indices in _sweep_range_rows(task):
         if not open_pairs:
@@ -235,11 +237,9 @@ def _sweep_range_outcome(task: SweepRangeCheckTask) -> SweepCheckOutcome:
         if cancellation_requested():
             return SweepCheckOutcome(task.index, stats, tuple(found), cancelled=True)
         stats.subsets_examined += 1
-        hits = check_subset_sweep(
-            setup, frozenset(base[i] for i in indices), open_pairs, stats, task.pair_seeds
-        )
-        for pair, ordering_position, counterexample in hits:
-            found.append((pair, (position, ordering_position), counterexample))
+        hits = check_subset_sweep(setup, frozenset(base[i] for i in indices), open_pairs, stats)
+        for pair, ordering_position, identity_failed in hits:
+            found.append((pair, position, Failure(indices, ordering_position, identity_failed)))
             open_pairs.remove(pair)
     return SweepCheckOutcome(task.index, stats, tuple(found))
 
@@ -274,7 +274,7 @@ def block_cyclic_ranges(
 
 def sweep_range_tasks(
     queries: tuple[tuple[str, Query], ...],
-    pair_seeds: dict[tuple[str, str], int],
+    pairs: Sequence[tuple[str, str]],
     bound: int,
     domain: Domain,
     semantics: str,
@@ -287,7 +287,7 @@ def sweep_range_tasks(
         SweepRangeCheckTask(
             index=index,
             queries=queries,
-            pair_seeds=pair_seeds,
+            pairs=tuple(pairs),
             bound=bound,
             domain=domain,
             semantics=semantics,
@@ -301,21 +301,22 @@ def sweep_range_tasks(
 def parallel_sweep_search(
     *,
     setup: SweepRunSetup,
-    pair_seeds: dict[tuple[str, str], int],
+    pairs: Sequence[tuple[str, str]],
     bound: int,
     domain: Domain,
     semantics: str,
     start: int,
     count: int,
-    reports: "dict[tuple[str, str], EquivalenceReport]",
     stats: CheckStats,
     executor: Executor,
-) -> None:
+) -> tuple[dict[tuple[str, str], Failure], str]:
     """Shard positions ``[start, start + count)`` of a subset search across an
-    executor and fold the outcomes into the per-pair reports (called by the
-    search loop behind :func:`repro.core.bounded.sweep_equivalence` and
+    executor and merge the shards' failures (called by the search loop
+    behind :func:`repro.core.bounded.sweep_equivalence` and
     :func:`repro.core.bounded.bounded_equivalence`, after the warm prefix
-    when the executor wants one).
+    when the executor wants one).  Returns each failing pair's first
+    :class:`~repro.core.bounded.Failure` and a note for the reports; the
+    shards' statistics are folded into ``stats``.
 
     One shard per worker: a range worker re-enumerates the stream up to its
     last assigned position, so extra shards would multiply that redundant
@@ -329,49 +330,42 @@ def parallel_sweep_search(
     by a field-by-field comparison against equal unpickled copies on every
     lookup.
 
-    The merge is deterministic: for every pair the counterexample at the
-    smallest global (subset, ordering) position wins, so verdicts never
-    depend on worker scheduling.  Cancellation fires only once *every* pair
-    has a settled failure, so pairs left standing really survived the whole
-    enumeration.
+    The merge is deterministic: for every pair the failure at the smallest
+    global (subset, ordering) position wins, so verdicts never depend on
+    worker scheduling.  Cancellation fires only once *every* pair has a
+    failure, so pairs left standing really survived the whole enumeration.
     """
     tasks = sweep_range_tasks(
-        tuple(setup.queries.items()), pair_seeds, bound, domain, semantics,
+        tuple(setup.queries.items()), pairs, bound, domain, semantics,
         start, count, executor.workers,
     )
     if tasks:
         _memoized_setup(tasks[0]._setup_key(), lambda: setup)
-    remaining = set(pair_seeds)
+    remaining = set(pairs)
 
     def all_settled(outcome: SweepCheckOutcome) -> bool:
-        for pair, _position, _counterexample in outcome.found:
+        for pair, _position, _failure in outcome.found:
             remaining.discard(pair)
         return not remaining
 
     with _span("sweep.enumerate.parallel", shards=len(tasks)):
         outcomes = executor.run(run_sweep_range_task, tasks, stop=all_settled)
-    best: dict[tuple[str, str], tuple[tuple[int, int], Counterexample]] = {}
+    best: dict[tuple[str, str], tuple[tuple[int, int], Failure]] = {}
     cancelled = 0
     absorb_worker_metrics(outcomes)
     for outcome in outcomes:
         stats.merge(outcome.stats)
         if outcome.cancelled:
             cancelled += 1
-        for pair, position, counterexample in outcome.found:
+        for pair, position, failure in outcome.found:
             known = best.get(pair)
-            if known is None or position < known[0]:
-                best[pair] = (position, counterexample)
-    for pair, (_position, counterexample) in best.items():
-        report = reports[pair]
-        report.equivalent = False
-        report.counterexample = counterexample
-    workers_used = executor.workers
-    for report in reports.values():
-        report.workers_used = workers_used
-        report.notes.append(
-            f"parallel sweep: {len(tasks)} shard(s) over {workers_used} worker(s)"
-            + (f", {cancelled} cancelled after full settlement" if cancelled else "")
-        )
+            if known is None or (position, failure.ordering) < known[0]:
+                best[pair] = ((position, failure.ordering), failure)
+    note = (
+        f"parallel sweep: {len(tasks)} shard(s) over {executor.workers} worker(s)"
+        + (f", {cancelled} cancelled after full settlement" if cancelled else "")
+    )
+    return {pair: failure for pair, (_position, failure) in best.items()}, note
 
 
 # ----------------------------------------------------------------------

@@ -553,11 +553,6 @@ class VerdictStore:
         )
 
     # ------------------------------------------------------------------
-    def clear_memory(self) -> None:
-        """Drop the record LRU (disk rows stay)."""
-        with self._lock:
-            self._records.clear()
-
     def close(self) -> None:
         """Close the store: subsequent operations are silent misses/no-ops."""
         with self._lock:

@@ -38,14 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..core.bounded import SET_SEMANTICS, sweep_equivalence
+from ..core.bounded import SET_SEMANTICS, base_size, sweep_equivalence
 from ..core.equivalence import (
     LOCAL_PROCEDURES,
     SET_LOCAL_EQUIVALENCE,
     EquivalenceResult,
     PairRoute,
     local_result,
-    route_pair,
+    route_reduced_pair,
+    sum_count_reduction,
 )
 from ..datalog.database import Database
 from ..datalog.queries import Query
@@ -122,9 +123,10 @@ def plan_catalog_sweep(
     meets counts in count form and unpinned sums in sum form), but every
     cell is owned by exactly one group or by the pair path.
 
-    Over-budget cells stay on the pair path, where
-    :func:`~repro.core.equivalence.are_equivalent` applies the same budget
-    guard and, for normalized routes, falls back to the original forms.
+    Routing sees ``max_subsets`` too, so a cell whose count forms would
+    blow the budget is routed on its originals, as
+    :func:`~repro.core.equivalence.are_equivalent` routes it.  Over-budget
+    cells stay on the pair path, where the same budget guard applies.
 
     ``pairs`` restricts the plan to the given cells (each normalized to
     ``name_a < name_b``); ``None`` plans every unordered pair.
@@ -132,8 +134,10 @@ def plan_catalog_sweep(
     names = sorted(queries)
     plan = SweepPlan()
     grouped: dict[tuple, SweepGroup] = {}
-    # A form meets every other query of the catalog, so its vocabulary is
-    # read once per call rather than once per cell.
+    # A query meets every other query of the catalog, so its count form and
+    # each form's vocabulary are built once per call rather than once per
+    # cell.
+    count_forms = {name: sum_count_reduction(query) for name, query in queries.items()}
     vocabularies: dict[Query, tuple[frozenset, frozenset, int, bool]] = {}
 
     def vocabulary(form: Query) -> tuple[frozenset, frozenset, int, bool]:
@@ -167,7 +171,13 @@ def plan_catalog_sweep(
         pair = (name_a, name_b)
         # Mixed shapes have no route; their pair task records them.
         shapes_match = first.is_aggregate == second.is_aggregate
-        route = route_pair(first, second, domain) if shapes_match else None
+        route = (
+            route_reduced_pair(
+                first, second, count_forms[name_a], count_forms[name_b], domain, max_subsets
+            )
+            if shapes_match
+            else None
+        )
         if route is None or route.procedure not in LOCAL_PROCEDURES:
             plan.pair_path.append(pair)
             continue
@@ -177,11 +187,10 @@ def plan_catalog_sweep(
         )
         arities = first_arities | second_arities
         constants = first_constants | second_constants
-        # τ(q, q') and |BASE| of the pair, as term_size_of_pair and
-        # build_base compute them.
+        # τ(q, q') of the pair, as term_size_of_pair computes it.
         bound = len(constants) + max(first_size, second_size)
-        terms = len(constants) + bound
-        if 2 ** sum(terms**arity for _predicate, arity in arities) > max_subsets:
+        size = base_size((arity for _predicate, arity in arities), len(constants), bound)
+        if 2**size > max_subsets:
             plan.pair_path.append(pair)
             continue
         kind: tuple = (

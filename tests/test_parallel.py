@@ -350,7 +350,7 @@ class TestExecutors:
         setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
         count = len(list(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         tasks = sweep_range_tasks(
-            tuple(catalog.items()), {("a", "b"): 0}, 2, Domain.RATIONALS, "set",
+            tuple(catalog.items()), [("a", "b")], 2, Domain.RATIONALS, "set",
             0, count, shards=3,
         )
         owned = [
@@ -659,7 +659,7 @@ class TestRangeShippingShards:
         ]
         assert len(subsets) > 1000  # large enough for payloads to dominate
         ranges = sweep_range_tasks(
-            queries, {("a", "b"): 1}, 4, Domain.RATIONALS, "set", 0, len(subsets), 4
+            queries, [("a", "b")], 4, Domain.RATIONALS, "set", 0, len(subsets), 4
         )
         # The ranges stand in for the positioned subset rows they cover.
         assert len(pickle.dumps(ranges)) < len(pickle.dumps(subsets)) / 10
@@ -679,7 +679,7 @@ class TestRangeShippingShards:
             "b": parse_query("q(count()) :- p(y)"),
         }
         queries = tuple(catalog.items())
-        pair_seeds = {("a", "b"): 3}
+        pairs = [("a", "b")]
         setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
         subsets = list(enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         # Serial reference: walk the parent's positioned stream in order until
@@ -689,16 +689,113 @@ class TestRangeShippingShards:
         for position, indices in subsets:
             reference.subsets_examined += 1
             hits = check_subset_sweep(
-                setup, frozenset(setup.base[i] for i in indices), list(pair_seeds),
-                reference, pair_seeds,
+                setup, frozenset(setup.base[i] for i in indices), pairs, reference
             )
             if hits:
-                expected = [(pair, (position, ordering)) for pair, ordering, _ in hits]
+                expected = [
+                    (pair, position, (indices, ordering, identity_failed))
+                    for pair, ordering, identity_failed in hits
+                ]
                 break
         assert expected  # the pair is not equivalent
         (range_task,) = sweep_range_tasks(
-            queries, pair_seeds, 2, Domain.RATIONALS, "set", 0, len(subsets), 1
+            queries, pairs, 2, Domain.RATIONALS, "set", 0, len(subsets), 1
         )
         range_outcome = run_sweep_range_task(range_task)
-        assert [f[0:2] for f in range_outcome.found] == expected
+        assert list(range_outcome.found) == expected
         assert range_outcome.stats.subsets_examined == reference.subsets_examined
+
+
+class _EveryShardExecutor:
+    """An in-process executor with two workers that runs every shard to its
+    end, ignoring ``stop`` — so every shard that sees a pair fail reports
+    it."""
+
+    workers = 2
+
+    def wants_warm_prefix(self) -> bool:
+        return False
+
+    def run(self, worker, tasks, stop=None):
+        return [worker(task) for task in tasks]
+
+
+class TestWitnessRealizedOnce:
+    """Shards report failure positions; the parent realizes one witness per
+    failing pair, after the merge."""
+
+    def test_each_failing_pair_builds_one_witness(self, monkeypatch):
+        import repro.core.bounded as bounded
+
+        first = parse_query("q(count()) :- p(x, y)")
+        second = parse_query("q(count()) :- p(x, y), r(y)")
+        serial = bounded_equivalence(first, second, 2, workers=1)
+        calls = []
+        original = bounded.evaluate_aggregate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounded, "evaluate_aggregate", counted)
+        executor = _EveryShardExecutor()
+        report = bounded_equivalence(first, second, 2, executor=executor)
+        assert not report.equivalent and not serial.equivalent
+        # Both shards fail the pair, yet its witness is built once: one
+        # evaluation of each query over δ(S).
+        assert calls == [first, second]
+        assert report.counterexample.database == serial.counterexample.database
+        assert report.counterexample.ordering == serial.counterexample.ordering
+        assert report.counterexample.symbolic_atoms == serial.counterexample.symbolic_atoms
+        assert report.workers_used == 2
+
+    def test_member_pairs_share_one_delta(self, monkeypatch):
+        from repro.core.bounded import sweep_equivalence
+        from repro.engine.symbolic import SymbolicDatabase
+
+        catalog = {
+            "a": parse_query("q(count()) :- p(x, y)"),
+            "a2": parse_query("q(count()) :- p(u, v)"),
+            "b": parse_query("q(count()) :- p(x, y), r(y)"),
+        }
+        pairs = [("a", "b"), ("a2", "b")]
+        serial = sweep_equivalence(catalog, pairs, 2, workers=1, seed=5)
+        deltas = []
+        original = SymbolicDatabase.instantiate
+
+        def counted(self, *args):
+            deltas.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(SymbolicDatabase, "instantiate", counted)
+        reports = sweep_equivalence(
+            catalog, pairs, 2, executor=_EveryShardExecutor(), seed=5
+        )
+        # One class pair fails; its two member pairs realize their witnesses
+        # over one shared δ(S).
+        assert deltas == [()]
+        for pair in pairs:
+            assert not reports[pair].equivalent
+            assert (
+                reports[pair].counterexample.database == serial[pair].counterexample.database
+            )
+
+    def test_every_shard_fails_the_pair(self):
+        from repro.core.bounded import prepare_sweep_run
+        from repro.domains import Domain
+        from repro.parallel import run_sweep_range_task, sweep_range_tasks
+
+        catalog = {
+            "a": parse_query("q(count()) :- p(x, y)"),
+            "b": parse_query("q(count()) :- p(x, y), r(y)"),
+        }
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
+        count = len(list(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
+        tasks = sweep_range_tasks(
+            tuple(catalog.items()), [("a", "b")], 2, Domain.RATIONALS, "set", 0, count, 2
+        )
+        assert len(tasks) == 2
+        for task in tasks:
+            assert [pair for pair, _position, _failure in run_sweep_range_task(task).found] == [
+                ("a", "b")
+            ]

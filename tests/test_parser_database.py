@@ -163,6 +163,41 @@ class TestDatabase:
         assert extended.contains("p", (9,))
         assert extended.restrict_to_predicates(["p"]).predicates() == frozenset({"p"})
 
+    def test_set_algebra_matches_the_normalizing_constructor(self):
+        """Set algebra builds its results from already normalized atoms;
+        they must equal, accessor for accessor, what the public
+        constructor builds from the same facts."""
+        first = Database([("p", (1, Fraction(1, 2))), ("r", (2.0,)), ("s", ())])
+        second = Database([("p", (1, 0.5)), ("r", (3,))])
+        new_facts = [("r", (2.5,)), ("p", (4.0, 1)), ("q", (Fraction(6, 2),)), ("r", (2,))]
+        cases = {
+            "union": (first.union(second), first.facts | second.facts),
+            "intersection": (first.intersection(second), first.facts & second.facts),
+            "difference": (first.difference(second), first.facts - second.facts),
+            "add_facts": (first.add_facts(new_facts), list(first.facts) + new_facts),
+            "restrict": (
+                first.restrict_to_predicates(["p", "s"]),
+                [fact for fact in first.facts if fact.predicate in {"p", "s"}],
+            ),
+        }
+        for name, (result, facts) in cases.items():
+            expected = Database(facts)
+            assert result == expected, name
+            assert hash(result) == hash(expected), name
+            assert result.carrier() == expected.carrier(), name
+            assert result.sorted_carrier() == expected.sorted_carrier(), name
+            assert result.to_relations() == expected.to_relations(), name
+            for predicate in expected.predicates() | {"missing"}:
+                assert result.relation(predicate) == expected.relation(predicate), name
+        extended = first.add_facts(new_facts)
+        # Float and int inputs normalize to exact numbers, as in __init__.
+        assert extended.contains("r", (Fraction(5, 2),))
+        assert extended.contains("p", (4, 1))
+        assert extended.contains("q", (3,))
+        assert all(
+            type(value) in (int, Fraction) for fact in extended.facts for value in fact.values
+        )
+
     def test_duplicate_facts_collapse(self):
         assert len(Database([("p", (1,)), ("p", (1,))])) == 1
 

@@ -369,6 +369,82 @@ class TestSweepPlanner:
         assert REGISTRY.get("sweep.subsets.examined") - before <= 100
 
 
+class TestRouteOnce:
+    """Routing sees the subset budget, so a cell whose count forms do not fit
+    is routed on its originals by arithmetic: the planner builds each
+    query's count form once, and a pair task decides its cell once."""
+
+    @staticmethod
+    def _over_budget_catalog():
+        # unit_sum's count form meets every audit query with τ = 4 over
+        # three predicates and the constant 1: |BASE| = 35, far past the
+        # default budget, so those cells are decided on the originals.
+        catalog = _audit_catalog()
+        catalog["unit_sum"] = parse_query("units(sum(w)) :- premium_store(t), w = v, v = 1")
+        return catalog
+
+    def test_planner_builds_each_count_form_once(self, monkeypatch):
+        from repro.datalog.queries import Query
+
+        catalog = self._over_budget_catalog()
+        builds = []
+        original = Query.with_aggregate
+
+        def counted(self, aggregate):
+            builds.append(self.name)
+            return original(self, aggregate)
+
+        monkeypatch.setattr(Query, "with_aggregate", counted)
+        plan = plan_catalog_sweep(catalog)
+        assert builds == ["units"]
+        # The over-budget count forms were never routed: the originals go
+        # to the pair path as a different-function pair.
+        assert sorted(plan.pair_path) == sorted(
+            (name, "unit_sum") for name in _audit_catalog()
+        )
+
+    def test_pair_tasks_decide_each_cell_once(self, monkeypatch):
+        import repro.core.equivalence as equivalence
+        from repro.workloads.batch import decide_pairs
+
+        catalog = self._over_budget_catalog()
+        decided = []
+        original = equivalence._decide
+
+        def counted(route, *args, **kwargs):
+            decided.append(route.procedure)
+            return original(route, *args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "_decide", counted)
+        results = decide_pairs(catalog, workers=1, seed=0)
+        assert decided == [equivalence.DIFFERENT_FUNCTIONS] * len(_audit_catalog())
+        for name in _audit_catalog():
+            assert results[(name, "unit_sum")].verdict is not Verdict.EQUIVALENT
+
+    def test_route_pair_falls_back_to_the_originals_over_budget(self):
+        first = _audit_catalog()["audit_a"]
+        second = parse_query(
+            "audit(s, sum(w)) :- returns(s, p), premium_store(s), w = 1 ; "
+            "returns(s, p), discontinued(p), w = 1"
+        )
+        # |BASE| of the count forms is 35: τ = 4 and the constant 1 give five
+        # terms, over one binary and two unary predicates.
+        normalized = route_pair(first, second, max_subsets=2**35)
+        assert normalized.procedure in LOCAL_PROCEDURES
+        assert normalized.multiplier == Constant(1)
+        route = route_pair(first, second, max_subsets=2**35 - 1)
+        assert route.multiplier is None
+        assert (route.first, route.second) == (first, second)
+
+    def test_two_arities_still_raise(self):
+        from repro.errors import MalformedQueryError
+
+        first = parse_query("q(count()) :- p(x)")
+        second = parse_query("q(sum(y)) :- p(x, y), y = 1")
+        with pytest.raises(MalformedQueryError, match="used with arities"):
+            are_equivalent(first, second)
+
+
 # ----------------------------------------------------------------------
 # sweep_equivalence (direct)
 # ----------------------------------------------------------------------
