@@ -117,6 +117,24 @@ class AggregationFunction(ABC):
         numeric values; nullary functions only look at the number of elements.
         """
 
+    def apply_counted(self, items: Iterable[tuple[object, int]]) -> object:
+        """Evaluate the function on a counted bag: ``(element, multiplicity)``
+        pairs with distinct elements and positive multiplicities.
+
+        Equal in value and type to :meth:`apply` on the expanded bag.  The
+        fold follows the Table 1 traits: a duplicate-insensitive function
+        (``max``, ``min``, ``topK``/``botK``, ``cntd``) depends only on the
+        set underlying the bag, so it is applied to the distinct elements;
+        the group functions ``count``, ``parity``, ``sum`` and ``avg``
+        override this to fold multiplicities directly (``Σ m`` and
+        ``Σ m·v``); every other function applies to the expanded bag.
+        """
+        if self.is_duplicate_insensitive:
+            return self.apply([element for element, _ in items])
+        return self.apply(
+            [element for element, multiplicity in items for _ in range(multiplicity)]
+        )
+
     def normalize_element(self, element) -> ValueTuple:
         """Coerce a bag element into a value tuple of the expected arity."""
         if isinstance(element, tuple):
@@ -192,6 +210,9 @@ class Count(AggregationFunction):
     def apply(self, bag: Iterable) -> int:
         return sum(1 for _ in bag)
 
+    def apply_counted(self, items: Iterable[tuple[object, int]]) -> int:
+        return sum(multiplicity for _, multiplicity in items)
+
     def decide_ordered_identity(self, ordering, left_bag, right_bag) -> bool:
         # Cardinality comparison; equivalent to (but cheaper than) the generic
         # shiftable decider.
@@ -211,6 +232,9 @@ class Parity(AggregationFunction):
     def apply(self, bag: Iterable) -> int:
         return sum(1 for _ in bag) % 2
 
+    def apply_counted(self, items: Iterable[tuple[object, int]]) -> int:
+        return sum(multiplicity for _, multiplicity in items) % 2
+
     def decide_ordered_identity(self, ordering, left_bag, right_bag) -> bool:
         return len(left_bag) % 2 == len(right_bag) % 2
 
@@ -228,6 +252,10 @@ class Sum(AggregationFunction):
         total = Fraction(0)
         for value in self.scalars(bag):
             total += Fraction(value)
+        return int(total) if total.denominator == 1 else total
+
+    def apply_counted(self, items: Iterable[tuple[object, int]]) -> NumericValue:
+        total, _ = _weighted_total(self, items)
         return int(total) if total.denominator == 1 else total
 
     def decide_ordered_identity(self, ordering, left_bag, right_bag) -> bool:
@@ -298,6 +326,13 @@ class Average(AggregationFunction):
         for value in values:
             total += Fraction(value)
         average = total / len(values)
+        return int(average) if average.denominator == 1 else average
+
+    def apply_counted(self, items: Iterable[tuple[object, int]]) -> Optional[NumericValue]:
+        total, count = _weighted_total(self, items)
+        if not count:
+            return None
+        average = Fraction(total, count)
         return int(average) if average.denominator == 1 else average
 
     def decide_ordered_identity(self, ordering, left_bag, right_bag) -> bool:
@@ -392,6 +427,22 @@ class CountDistinct(AggregationFunction):
 
     def apply(self, bag: Iterable) -> int:
         return len({self.normalize_element(element) for element in bag})
+
+
+def _weighted_total(
+    function: AggregationFunction, items: Iterable[tuple[object, int]]
+) -> tuple[NumericValue, int]:
+    """``(Σ m·v, Σ m)`` over a counted bag of unary elements, in exact
+    ``int``/``Fraction`` arithmetic (an all-``int`` bag never leaves ``int``)."""
+    total: NumericValue = 0
+    count = 0
+    for element, multiplicity in items:
+        (value,) = function.normalize_element(element)
+        if not isinstance(value, int):
+            value = Fraction(value)
+        total += value * multiplicity
+        count += multiplicity
+    return total, count
 
 
 # ----------------------------------------------------------------------

@@ -119,7 +119,31 @@ class Database:
         return self._facts <= other._facts
 
     def add_facts(self, facts: Iterable) -> "Database":  # noqa: ANN001
-        return Database._of_normalized(self._facts | {_coerce_fact(fact) for fact in facts})
+        """The database with ``facts`` added.  Only the new facts are
+        indexed: the other relations and the carrier are shared with (or
+        unioned onto) this database's."""
+        new = {_coerce_fact(fact) for fact in facts} - self._facts
+        if not new:
+            return self
+        added: dict[str, set[tuple]] = {}
+        for fact in new:
+            added.setdefault(fact.predicate, set()).add(fact.values)
+        by_predicate = dict(self._by_predicate)
+        carrier: set[NumericValue] = set()
+        for predicate, rows in added.items():
+            by_predicate[predicate] = self.relation(predicate) | rows
+            for row in rows:
+                carrier.update(row)
+        database = Database.__new__(Database)
+        database._facts = self._facts | new
+        database._by_predicate = by_predicate
+        if carrier <= self._carrier:
+            database._carrier = self._carrier
+            database._sorted_carrier = self._sorted_carrier
+        else:
+            database._carrier = self._carrier | carrier
+            database._sorted_carrier = None
+        return database
 
     def restrict_to_predicates(self, predicates: Iterable[str]) -> "Database":
         wanted = set(predicates)

@@ -31,6 +31,12 @@ relations of at least :data:`VECTOR_THRESHOLD` rows: below that the NumPy
 per-call overhead loses to the generated loop kernels, which share the exact
 same store.
 
+Building a store interns only the carrier (the id of every value or block
+representative); each relation is turned into sorted id rows on its first
+read (``rows``, ``index``, ``row_set`` or ``matrix``), so evaluating a query
+over a large database interns the relations the query reads and no others.
+Relation sizes come from the value rows, which interning maps one-to-one.
+
 Stores are built once per database through :func:`store_for` (a capped global
 cache — both database classes hash by value, so sweeps re-creating equal
 ``S_L`` objects still share one store) and are dropped by
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from ..caches import put_bounded, register_cache
@@ -88,7 +95,8 @@ class ColumnarStore:
         "numpy",
         "_id_of",
         "_canonical",
-        "_rows_all",
+        "_relations",
+        "_interned",
         "_rows",
         "_indexes",
         "_row_sets",
@@ -123,13 +131,8 @@ class ColumnarStore:
             relations = database._by_predicate
         self.carrier_len = len(self.decode_values)
         self.numpy = numpy_module()
-        id_of = self._id_of
-        rows_all: dict[str, tuple[tuple[int, ...], ...]] = {}
-        for predicate, value_rows in relations.items():
-            rows_all[predicate] = tuple(
-                sorted(tuple(id_of[value] for value in row) for row in value_rows)
-            )
-        self._rows_all = rows_all
+        self._relations = relations
+        self._interned: dict[str, tuple[tuple[int, ...], ...]] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...], int], dict] = {}
         self._row_sets: dict[str, frozenset] = {}
@@ -137,7 +140,9 @@ class ColumnarStore:
         self._packed: dict[tuple[str, int], object] = {}
         self._bounds: dict[Constant, tuple[int, int, int]] = {}
         self._decode_ids: dict[Constant, int] = {}
-        self._sizes = {predicate: len(rows) for predicate, rows in rows_all.items()}
+        # Interning is a bijection on rows, so the value-row counts are the
+        # id-row counts of relations not interned yet.
+        self._sizes = {predicate: len(rows) for predicate, rows in relations.items()}
         self._largest = max(self._sizes.values(), default=0)
 
     # ------------------------------------------------------------------
@@ -146,13 +151,24 @@ class ColumnarStore:
     def size(self, predicate: str) -> int:
         return self._sizes.get(predicate, 0)
 
+    def _id_rows(self, predicate: str) -> tuple[tuple[int, ...], ...]:
+        """The relation's id rows, sorted; interned on the first read."""
+        cached = self._interned.get(predicate)
+        if cached is None:
+            id_of = self._id_of.__getitem__
+            cached = tuple(
+                sorted(tuple(map(id_of, row)) for row in self._relations.get(predicate, ()))
+            )
+            self._interned[predicate] = cached
+        return cached
+
     def rows(self, predicate: str, arity: int) -> tuple[tuple[int, ...], ...]:
         """The id rows of the relation that can match an ``arity``-ary atom."""
         key = (predicate, arity)
         cached = self._rows.get(key)
         if cached is None:
-            everything = self._rows_all.get(predicate, ())
-            if all(len(row) == arity for row in everything):
+            everything = self._id_rows(predicate)
+            if set(map(len, everything)) <= {arity}:
                 cached = everything
             else:
                 cached = tuple(row for row in everything if len(row) == arity)
@@ -173,8 +189,9 @@ class ColumnarStore:
                 for row in self.rows(predicate, arity):
                     buckets.setdefault(row[column], []).append(row)
             else:
+                project = itemgetter(*columns)
                 for row in self.rows(predicate, arity):
-                    buckets.setdefault(tuple(row[c] for c in columns), []).append(row)
+                    buckets.setdefault(project(row), []).append(row)
             cached = {projection: tuple(bucket) for projection, bucket in buckets.items()}
             self._indexes[key] = cached
         return cached
@@ -184,7 +201,7 @@ class ColumnarStore:
         structure for negated atoms (arity mismatches miss naturally)."""
         cached = self._row_sets.get(predicate)
         if cached is None:
-            cached = frozenset(self._rows_all.get(predicate, ()))
+            cached = frozenset(self._id_rows(predicate))
             self._row_sets[predicate] = cached
         return cached
 

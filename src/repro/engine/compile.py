@@ -29,7 +29,14 @@ the public evaluation API: concrete set / bag-set / aggregate evaluation and
 Γ(q, D), plus symbolic Γ and the symbolic group index.  They decode
 id rows back to values (or block representatives) only at the projection
 boundary — group keys once per distinct group, never per tuple — which is
-where much of the engine's end-to-end speed comes from.  Each
+where much of the engine's end-to-end speed comes from.  Both aggregate
+drivers (concrete aggregation and the symbolic group index) share one
+grouping loop that counts id rows into ``{key ids: {element ids:
+multiplicity}}``; the concrete driver decodes each distinct key and element
+once and folds the counted bag through
+:meth:`~repro.aggregates.functions.AggregationFunction.apply_counted`, so a
+``sum`` over a thousand-row group is one ``Σ m·v``, not a thousand
+normalized ``Fraction`` additions.  Each
 driver routes through :func:`repro.engine.columnar.execute_plan_vector` first
 when the store's relations are large enough to clear the NumPy threshold.
 """
@@ -323,10 +330,10 @@ def condition_rows(
 def _decoded_rows(
     query: Query, store: ColumnarStore, output_terms: tuple[Term, ...]
 ) -> Iterable[tuple]:
-    decode = store.decode_values
+    value_of = store.decode_values.__getitem__
     for disjunct in query.disjuncts:
         for row in condition_rows(disjunct, store, output_terms):
-            yield tuple(decode[identifier] for identifier in row)
+            yield tuple(map(value_of, row))
 
 
 # ----------------------------------------------------------------------
@@ -345,19 +352,17 @@ def compiled_evaluate_bag_set(query: Query, database):  # noqa: ANN001
 
 
 def compiled_evaluate_aggregate(query: Query, database, function):  # noqa: ANN001
+    """Aggregate semantics over the id rows: each group's bag is counted
+    (:func:`_counted_groups`), its key and distinct elements are decoded
+    once, and the function folds the counted bag
+    (:meth:`~repro.aggregates.functions.AggregationFunction.apply_counted`)."""
     store = store_for(database)
-    decode = store.decode_values
-    key_width = len(query.head_terms)
-    output_terms = tuple(query.head_terms) + tuple(query.aggregation_variables())
-    groups: dict[tuple[int, ...], list[tuple]] = {}
-    for disjunct in query.disjuncts:
-        for row in condition_rows(disjunct, store, output_terms):
-            groups.setdefault(row[:key_width], []).append(
-                tuple(decode[identifier] for identifier in row[key_width:])
-            )
+    value_of = store.decode_values.__getitem__
     return {
-        tuple(decode[identifier] for identifier in key): function.apply(bag)
-        for key, bag in groups.items()
+        tuple(map(value_of, key)): function.apply_counted(
+            [(tuple(map(value_of, element)), count) for element, count in bag.items()]
+        )
+        for key, bag in _counted_groups(query, store).items()
     }
 
 
@@ -410,22 +415,32 @@ def compiled_symbolic_group_index(query: Query, database) -> dict:  # noqa: ANN0
     from collections import Counter
 
     store = store_for(database)
-    decode = store.decode_values
+    value_of = store.decode_values.__getitem__
+    return {
+        tuple(map(value_of, key)): Counter(
+            {tuple(map(value_of, element)): count for element, count in bag.items()}
+        )
+        for key, bag in _counted_groups(query, store).items()
+    }
+
+
+# ----------------------------------------------------------------------
+# Shared grouping
+# ----------------------------------------------------------------------
+def _counted_groups(query: Query, store: ColumnarStore) -> dict:
+    """``{key ids: {element ids: multiplicity}}`` over every disjunct's id
+    rows: the group key is the head projection, the element the aggregation
+    variables.  The one grouping loop of both aggregate drivers; plain dicts
+    rather than ``Counter`` keep it cheap on the tiny bags of witness search."""
     key_width = len(query.head_terms)
     output_terms = tuple(query.head_terms) + tuple(query.aggregation_variables())
-    id_groups: dict[tuple[int, ...], Counter] = {}
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for disjunct in query.disjuncts:
         for row in condition_rows(disjunct, store, output_terms):
-            bag = id_groups.get(row[:key_width])
+            key = row[:key_width]
+            bag = groups.get(key)
             if bag is None:
-                bag = id_groups[row[:key_width]] = Counter()
-            bag[row[key_width:]] += 1
-    return {
-        tuple(decode[identifier] for identifier in key): Counter(
-            {
-                tuple(decode[identifier] for identifier in element): count
-                for element, count in bag.items()
-            }
-        )
-        for key, bag in id_groups.items()
-    }
+                bag = groups[key] = {}
+            element = row[key_width:]
+            bag[element] = bag.get(element, 0) + 1
+    return groups

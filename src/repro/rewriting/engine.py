@@ -15,7 +15,8 @@
    (UNKNOWN or over the search-space budget) and *rejected* (ruled out
    before verification by the unfolder's faithfulness conditions), and
 4. ranks the safe rewritings by estimated evaluation cost against the
-   materialized view extents when a database is supplied.
+   materialized extents of the views they read when a database is
+   supplied.
 
 Only candidates in the *safe* bucket may be substituted for the query: the
 equivalence engine proved they agree with it over **every** database, which
@@ -343,7 +344,7 @@ def assemble_report(
 ) -> RewritingReport:
     """Partition verified candidates into a :class:`RewritingReport` and —
     with a database — rank the safe bucket by estimated cost over the
-    materialized extents.
+    materialized extents of the views the safe candidates read.
 
     Split out of :meth:`RewritingEngine.rewrite` so a session
     (:meth:`repro.session.Workspace.rewrite`) can cache the expensive
@@ -359,7 +360,14 @@ def assemble_report(
         else:
             report.unverified.append(outcome)
     if database is not None:
-        materialized = views.materialize(database)
+        # The costs read only the relations the safe candidates name, so only
+        # those views are materialized (the clash check still covers all).
+        read: set[str] = set()
+        for outcome in report.safe:
+            read |= outcome.candidate.query.predicates()
+        materialized = views.materialize(
+            database, [name for name in views.names if name in read]
+        )
         memo: dict = {}
         report.direct_cost = estimated_cost(query, database)
         for outcome in report.safe:

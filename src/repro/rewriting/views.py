@@ -182,21 +182,26 @@ class ViewCatalog:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def materialize(self, database: Database) -> Database:
-        """The database extended with every view's stored relation.
+    def materialize(
+        self, database: Database, names: Optional[Iterable[str]] = None
+    ) -> Database:
+        """The database extended with the stored relation of every view, or
+        of the views in ``names`` only.
 
         Rewritten queries may join views against base dimension tables, so
         the materialized instance keeps the base facts alongside the view
-        extents.  View predicates must not already occur in the base data.
+        extents.  No view predicate of the catalog — materialized or not —
+        may already occur in the base data.
         """
         clash = set(self._views) & set(database.predicates())
         if clash:
-            names = ", ".join(sorted(clash))
+            names_text = ", ".join(sorted(clash))
             raise RewritingError(
-                f"view name(s) {names} collide with base relations of the database"
+                f"view name(s) {names_text} collide with base relations of the database"
             )
+        views = list(self) if names is None else [self[name] for name in names]
         facts = []
-        for view in self:
+        for view in views:
             for row in view.rows(database):
                 facts.append((view.name, row))
         return database.add_facts(facts)

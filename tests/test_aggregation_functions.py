@@ -1,5 +1,8 @@
 """Tests for the concrete aggregation functions (apply semantics and traits)."""
 
+import random
+import zlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from repro.aggregates import (
     get_function,
     registered_function_names,
 )
+from repro.domains import normalize_value
 from repro.errors import UnsupportedAggregateError
 
 values = st.lists(st.integers(min_value=-20, max_value=20), max_size=8)
@@ -163,3 +167,48 @@ class TestAgainstMonoidDefinition:
     def test_prod_is_monoid_fold_over_nonzero(self, bag):
         monoid = PROD.monoid
         assert PROD.apply(bag) == monoid.combine(bag)
+
+
+class TestCountedFold:
+    """``apply_counted`` over ``(element, multiplicity)`` pairs must equal
+    ``apply`` of the expanded bag, in value and in type, for every
+    registered function."""
+
+    @staticmethod
+    def _bags(function, rng):
+        pool = [normalize_value(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))))
+                for _ in range(6)]
+        if function.name == "prod":
+            pool = [value for value in pool if value] or [1]
+        for size in (0, 1, 2, 5, 12):
+            bag = [rng.choice(pool) for _ in range(size)]
+            if function.input_arity == 0:
+                yield [()] * size
+            elif function.input_arity is None:
+                yield [(value, rng.choice(pool[:2])) for value in bag]
+            else:
+                yield [(value,) for value in bag]
+                yield bag
+
+    @pytest.mark.parametrize("name", registered_function_names())
+    def test_counted_fold_equals_apply_on_the_expanded_bag(self, name):
+        function = get_function(name)
+        rng = random.Random(zlib.crc32(name.encode()))
+        for _ in range(20):
+            for bag in self._bags(function, rng):
+                items = list(Counter(bag).items())
+                expanded = [element for element, count in items for _ in range(count)]
+                expected = function.apply(expanded)
+                counted = function.apply_counted(items)
+                assert counted == expected, (name, items)
+                assert type(counted) is type(expected), (name, items)
+                if isinstance(expected, tuple):
+                    assert [type(v) for v in counted] == [type(v) for v in expected]
+
+    def test_counted_sum_stays_exact(self):
+        assert SUM.apply_counted([((Fraction(1, 3),), 3), ((2,), 2)]) == 5
+        assert type(SUM.apply_counted([((Fraction(1, 3),), 3)])) is int
+        assert AVG.apply_counted([((1,), 1), ((2,), 2)]) == Fraction(5, 3)
+        assert AVG.apply_counted([]) is None
+        with pytest.raises(UnsupportedAggregateError):
+            SUM.apply_counted([((1, 2), 1)])

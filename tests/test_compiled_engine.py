@@ -28,14 +28,17 @@ from repro.engine import (
     evaluate,
     kernel_cache_stats,
     naive_satisfying_assignments,
+    plan_condition,
     satisfying_assignments,
     store_cache_stats,
+    store_for,
 )
 from repro.engine import columnar, modes
 from repro.engine.columnar import numpy_module
 from repro.errors import ReproError
 from repro.obs import REGISTRY
 from repro.parallel.tasks import pair_check_tasks
+from repro.rewriting import RewritingEngine
 from repro.workloads import (
     build_view_scenario,
     build_warehouse,
@@ -196,6 +199,53 @@ def test_no_numpy_fallback_agrees(monkeypatch):
             naive = _evaluate_under("naive", query, warehouse.database)
             compiled = _evaluate_under("compiled", query, warehouse.database)
             assert naive == compiled, name
+    finally:
+        monkeypatch.undo()
+        _clean()
+
+
+@pytest.mark.parametrize("backend", ["numpy", "loop"])
+def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
+    """A store interns a relation on its first read: evaluating each
+    report's best rewriting over the materialized extents interns the
+    relations that rewriting reads and no others, while ``size``,
+    ``vector_candidate`` and the results equal those of a store with every
+    relation interned."""
+    if backend == "numpy":
+        if numpy_module() is None:
+            pytest.skip("NumPy unavailable")
+        monkeypatch.setattr(columnar, "VECTOR_THRESHOLD", 0)
+    else:
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    scenario = build_view_scenario(stores=6, products=5, sales_per_store=40, seed=3)
+    materialized = scenario.materialized()
+    engine = RewritingEngine(scenario.views)
+    try:
+        for name, report in sorted(scenario.queries.items()):
+            best = engine.rewrite(report, database=scenario.database, workers=1).best
+            assert best is not None, name
+            query = best.candidate.query
+            _clean()
+            vector_before = REGISTRY.get("engine.dispatch.vector")
+            with engine_scope("compiled"):
+                result = evaluate(query, materialized)
+            assert (REGISTRY.get("engine.dispatch.vector") > vector_before) == (
+                backend == "numpy"
+            ), name
+            store = store_for(materialized)
+            assert set(store._interned) == query.predicates(), name
+            plans = [plan_condition(disjunct) for disjunct in query.disjuncts]
+            lazy_sizes = {p: store.size(p) for p in materialized.predicates()}
+            lazy_candidates = [store.vector_candidate(plan) for plan in plans]
+            for predicate in materialized.predicates():
+                store.row_set(predicate)
+            assert lazy_sizes == {p: len(store.row_set(p)) for p in materialized.predicates()}
+            assert [store.vector_candidate(plan) for plan in plans] == lazy_candidates
+            assert lazy_candidates == [backend == "numpy"] * len(plans), name
+            with engine_scope("compiled"):
+                assert evaluate(query, materialized) == result, name
+            assert result == _evaluate_under("naive", query, materialized), name
+            assert result == _evaluate_under("naive", report, scenario.database), name
     finally:
         monkeypatch.undo()
         _clean()

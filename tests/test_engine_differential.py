@@ -20,13 +20,23 @@ import pytest
 from repro import Domain, parse_database, parse_query
 from repro.core.counterexample import random_database
 from repro.engine import (
+    clear_evaluation_caches,
+    columnar,
+    engine_scope,
     evaluate_aggregate,
     evaluate_bag_set,
     evaluate_set,
     naive_satisfying_assignments,
     satisfying_assignments,
 )
-from repro.workloads import QueryGenerator, QueryProfile
+from repro.engine.columnar import numpy_module
+from repro.obs import REGISTRY
+from repro.workloads import (
+    QueryGenerator,
+    QueryProfile,
+    build_view_scenario,
+    build_warehouse,
+)
 
 #: One profile per structural corner of the fragment.
 PROFILES = {
@@ -111,3 +121,43 @@ def test_memoized_results_are_stable_copies():
     second = satisfying_assignments(query, database)
     assert "sentinel" not in second
     assert len(second) == 2
+
+
+@pytest.mark.parametrize("backend", ["default", "vector", "no-numpy"])
+def test_aggregate_evaluation_agrees_on_warehouse_reports_and_views(backend, monkeypatch):
+    """The compiled aggregate driver folds counted bags; it must return the
+    naive engine's results, equal in value and in type, on the warehouse
+    reports and view definitions, with the default vector threshold, with
+    every plan forced onto the NumPy path, and on the loop kernels alone."""
+    if backend == "vector":
+        if numpy_module() is None:
+            pytest.skip("NumPy unavailable")
+        monkeypatch.setattr(columnar, "VECTOR_THRESHOLD", 0)
+    elif backend == "no-numpy":
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    clear_evaluation_caches()
+    try:
+        scenario = build_view_scenario(stores=6, products=5, sales_per_store=40, seed=3)
+        warehouse = build_warehouse(stores=6, products=5, sales_per_store=40, seed=3)
+        queries = dict(scenario.queries)
+        queries.update({f"view:{view.name}": view.query for view in scenario.views})
+        queries.update({f"warehouse:{name}": query for name, query in warehouse.queries.items()})
+        checked = 0
+        for name, query in sorted(queries.items()):
+            if not query.is_aggregate:
+                continue
+            for database in (scenario.database, warehouse.database):
+                with engine_scope("naive"):
+                    expected = evaluate_aggregate(query, database)
+                with engine_scope("compiled"):
+                    compiled = evaluate_aggregate(query, database)
+                assert compiled == expected, name
+                assert {key: type(value) for key, value in compiled.items()} == {
+                    key: type(value) for key, value in expected.items()
+                }, name
+                checked += 1
+        assert checked >= 20
+        if backend == "vector":
+            assert REGISTRY.get("engine.dispatch.vector") > 0
+    finally:
+        clear_evaluation_caches()

@@ -198,6 +198,33 @@ class TestDatabase:
             type(value) in (int, Fraction) for fact in extended.facts for value in fact.values
         )
 
+    def test_add_facts_indexes_only_the_new_facts(self):
+        """add_facts reuses this database's relations and carrier and unions
+        in only the new rows; the result must equal the constructor's on
+        facts, every relation, carrier, sorted carrier and hash."""
+        base = Database([("p", (1, 2)), ("p", (3, 4)), ("r", (Fraction(1, 2),))])
+        base.sorted_carrier()
+        cases = {
+            "already present": [("p", (1, 2)), ("r", (0.5,))],
+            "new predicate": [("q", (2,)), ("q", (7, 8))],
+            "existing predicate": [("p", (3, 4)), ("p", (5, 1)), ("r", (2,))],
+        }
+        for name, new_facts in cases.items():
+            result = base.add_facts(new_facts)
+            expected = Database(list(base.facts) + new_facts)
+            assert result.facts == expected.facts, name
+            assert hash(result) == hash(expected), name
+            assert result.predicates() == expected.predicates(), name
+            for predicate in expected.predicates() | {"missing"}:
+                assert result.relation(predicate) == expected.relation(predicate), name
+            assert result.carrier() == expected.carrier(), name
+            assert result.sorted_carrier() == expected.sorted_carrier(), name
+            for predicate in base.predicates():
+                if all(fact[0] != predicate for fact in new_facts):
+                    # Relations the new facts do not touch are shared.
+                    assert result.relation(predicate) is base.relation(predicate), name
+        assert base.add_facts(cases["already present"]) == base
+
     def test_duplicate_facts_collapse(self):
         assert len(Database([("p", (1,)), ("p", (1,))])) == 1
 

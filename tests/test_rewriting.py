@@ -8,6 +8,7 @@ from repro import (
     Verdict,
     View,
     ViewCatalog,
+    Workspace,
     parse_database,
     parse_query,
     rewrite,
@@ -17,6 +18,7 @@ from repro.engine.evaluator import evaluate
 from repro.errors import RewritingError
 from repro.rewriting import (
     RewritingEngine,
+    estimated_cost,
     generate_candidates,
     uses_views,
 )
@@ -432,6 +434,62 @@ class TestCostModel:
         )
         assert report.best is not None
         assert report.best.estimated_cost <= report.direct_cost
+
+
+class TestRankingReadsOnlyWhatItRanks:
+    """Ranking materializes only the views the safe candidates read."""
+
+    #: Views materialized per report: one per view its safe candidates name.
+    EXTENTS = {
+        "total_revenue": 1,
+        "premium_revenue": 1,
+        "sales_count": 1,
+        "assortment": 4,
+        "top_sale": 1,
+        "kept_revenue": 2,
+    }
+
+    def test_one_pass_materializes_only_the_views_candidates_read(
+        self, scenario, monkeypatch
+    ):
+        evaluated: list[str] = []
+        rows = View.rows
+
+        def counting_rows(view, database):
+            evaluated.append(view.name)
+            return rows(view, database)
+
+        monkeypatch.setattr(View, "rows", counting_rows)
+        reports = {}
+        per_report = {}
+        with Workspace(workers=1, store=False) as workspace:
+            for view in scenario.views:
+                workspace.register_view(view)
+            for name, query in scenario.queries.items():
+                before = len(evaluated)
+                reports[name] = workspace.rewrite(query, database=scenario.database)
+                per_report[name] = len(evaluated) - before
+        monkeypatch.undo()
+        assert per_report == self.EXTENTS
+        assert len(evaluated) == 10
+
+        # Costs and order equal those over every view's extent.
+        full = scenario.views.materialize(scenario.database)
+        for name, report in reports.items():
+            assert report.safe, name
+            ranked = [(v.candidate.name, v.estimated_cost) for v in report.safe]
+            expected = sorted(
+                ((v.candidate.name, estimated_cost(v.candidate.query, full)) for v in report.safe),
+                key=lambda pair: (pair[1], pair[0]),
+            )
+            assert ranked == expected, name
+
+    def test_a_clash_with_an_unused_view_still_raises(self, scenario):
+        # ``sold`` is a view no total_revenue candidate reads.
+        database = scenario.database.add_facts([("sold", (1, 1))])
+        engine = RewritingEngine(scenario.views)
+        with pytest.raises(RewritingError, match="collide with base relations"):
+            engine.rewrite(scenario.queries["total_revenue"], database=database, workers=1)
 
 
 class TestReviewRegressions:
