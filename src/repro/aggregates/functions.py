@@ -77,6 +77,13 @@ class AggregationFunction(ABC):
     #: must be rejected there.  Cross-validated empirically by
     #: :func:`repro.aggregates.properties.duplicate_insensitivity_counterexample`.
     is_duplicate_insensitive: bool = False
+    #: How the compiled engine folds a group of interned ids without decoding
+    #: its bag, when it can: ``"count"`` (the group's row count), ``"parity"``
+    #: (that count mod 2), ``"distinct"`` (the number of distinct elements),
+    #: ``"max"``/``"min"`` (the extreme element in value order), ``"sum"``/
+    #: ``"avg"`` (the exact sum of the elements, over the count for ``avg``).
+    #: ``None`` folds every group through :meth:`apply_counted`.
+    id_fold: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Structural traits
@@ -128,6 +135,12 @@ class AggregationFunction(ABC):
         the group functions ``count``, ``parity``, ``sum`` and ``avg``
         override this to fold multiplicities directly (``Σ m`` and
         ``Σ m·v``); every other function applies to the expanded bag.
+
+        This is the compiled engine's fold on small stores.  On stores large
+        enough for NumPy it is the fallback: a function with an
+        :attr:`id_fold` folds on interned ids there
+        (:mod:`repro.engine.compile`) unless its data rule that out, and
+        every other function and bag comes here.
         """
         if self.is_duplicate_insensitive:
             return self.apply([element for element, _ in items])
@@ -206,6 +219,7 @@ class Count(AggregationFunction):
     monoid = INTEGER_ADDITION
     is_shiftable = True
     is_singleton_determining = True
+    id_fold = "count"
 
     def apply(self, bag: Iterable) -> int:
         return sum(1 for _ in bag)
@@ -228,6 +242,7 @@ class Parity(AggregationFunction):
     monoid = PARITY_MONOID
     is_shiftable = True
     is_singleton_determining = True
+    id_fold = "parity"
 
     def apply(self, bag: Iterable) -> int:
         return sum(1 for _ in bag) % 2
@@ -247,6 +262,7 @@ class Sum(AggregationFunction):
     monoid = RATIONAL_ADDITION
     is_shiftable = False
     is_singleton_determining = True
+    id_fold = "sum"
 
     def apply(self, bag: Iterable) -> NumericValue:
         total = Fraction(0)
@@ -317,6 +333,7 @@ class Average(AggregationFunction):
     monoid = None
     is_shiftable = False
     is_singleton_determining = True
+    id_fold = "avg"
 
     def apply(self, bag: Iterable) -> Optional[NumericValue]:
         values = self.scalars(bag)
@@ -355,6 +372,7 @@ class Max(AggregationFunction):
     is_shiftable = True
     is_singleton_determining = True
     is_duplicate_insensitive = True
+    id_fold = "max"
 
     def apply(self, bag: Iterable) -> Optional[NumericValue]:
         values = self.scalars(bag)
@@ -373,6 +391,7 @@ class Min(AggregationFunction):
     is_shiftable = True
     is_singleton_determining = True
     is_duplicate_insensitive = True
+    id_fold = "min"
 
     def apply(self, bag: Iterable) -> Optional[NumericValue]:
         values = self.scalars(bag)
@@ -424,6 +443,7 @@ class CountDistinct(AggregationFunction):
     is_shiftable = True
     is_singleton_determining = False
     is_duplicate_insensitive = True
+    id_fold = "distinct"
 
     def apply(self, bag: Iterable) -> int:
         return len({self.normalize_element(element) for element in bag})

@@ -22,20 +22,30 @@ without special cases — an absent key simply probes an index miss, and
 ``x < c`` compiles to ``id(x) < bisect_left(carrier, c)``.
 
 On top of the id rows the store maintains the lazy per-``(predicate,
-columns)`` hash indexes the kernels probe, NumPy ``int64`` column matrices
+columns)`` hash indexes the kernels probe, NumPy ``int64`` id matrices
 when NumPy is importable (``REPRO_NO_NUMPY=1`` forces the pure-python
 fallback), and :func:`execute_plan_vector` — a column-at-a-time plan executor
 whose joins run as packed-key ``argsort``/``searchsorted`` probes instead of
-per-tuple loops.  The vectorized path is only selected for plans over
-relations of at least :data:`VECTOR_THRESHOLD` rows: below that the NumPy
-per-call overhead loses to the generated loop kernels, which share the exact
-same store.
+per-tuple loops, and which returns its result as one id matrix.  The
+vectorized path is only selected for plans over relations of at least
+:data:`VECTOR_THRESHOLD` rows: below that the NumPy per-call overhead loses
+to the generated loop kernels, which share the exact same store.  A store
+whose relations all stay below the threshold never touches NumPy.
 
 Building a store interns only the carrier (the id of every value or block
-representative); each relation is turned into sorted id rows on its first
-read (``rows``, ``index``, ``row_set`` or ``matrix``), so evaluating a query
-over a large database interns the relations the query reads and no others.
+representative); each relation is interned on its first read, so evaluating
+a query over a large database interns the relations the query reads and no
+others.  The loop path reads ``rows``, ``index`` and ``row_set``, built from
+the relation's id rows in sorted order; the vectorized path reads
+``matrix``, which interns the relation straight into an ``(n, arity)``
+int64 matrix with ``np.fromiter`` over the id map.  Id matrices are
+unsorted — their rows follow the value rows' iteration order — and no
+result depends on row order: every consumer treats rows as a bag.
 Relation sizes come from the value rows, which interning maps one-to-one.
+
+Ids of the decode-only extension region (:meth:`ColumnarStore.decode_id`)
+come after the carrier whatever their value, so only carrier ids are
+order-isomorphic to values: an id-space ``max``/``min`` must not fold them.
 
 Stores are built once per database through :func:`store_for` (a capped global
 cache — both database classes hash by value, so sweeps re-creating equal
@@ -47,8 +57,8 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional
 
 from ..caches import put_bounded, register_cache
 from ..datalog.terms import Constant, Term, Variable
@@ -75,8 +85,9 @@ def numpy_module():
 VECTOR_THRESHOLD = 512
 
 
-#: Packed join keys must stay below 2**62 to fit a signed int64 safely.
-_PACK_LIMIT = 2**62
+#: Int64 headroom: packed join keys, and the ``max|v| · rows`` bound of an
+#: exact int64 sum (:mod:`repro.engine.compile`), stay below it.
+INT64_HEADROOM = 2**62
 
 
 class _VectorFallback(Exception):
@@ -256,13 +267,21 @@ class ColumnarStore:
     # Vectorized structures (NumPy only)
     # ------------------------------------------------------------------
     def matrix(self, predicate: str, arity: int):
-        """The relation's id rows as an ``(n, arity)`` int64 matrix."""
+        """The relation's ``arity``-ary id rows as an ``(n, arity)`` int64
+        matrix, in no particular row order: interned straight from the value
+        rows through the id map, with no tuple rows in between."""
         key = (predicate, arity)
         cached = self._matrices.get(key)
         if cached is None:
             np = self.numpy
-            rows = self.rows(predicate, arity)
-            cached = np.asarray(rows, dtype=np.int64).reshape(len(rows), arity)
+            rows = self._relations.get(predicate, ())
+            if not set(map(len, rows)) <= {arity}:
+                rows = [row for row in rows if len(row) == arity]
+            cached = np.fromiter(
+                map(self._id_of.__getitem__, chain.from_iterable(rows)),
+                dtype=np.int64,
+                count=len(rows) * arity,
+            ).reshape(len(rows), arity)
             self._matrices[key] = cached
         return cached
 
@@ -280,6 +299,13 @@ class ColumnarStore:
             self._packed[key] = cached
         return cached
 
+    def vectorized(self) -> bool:
+        """Whether NumPy is on and some relation clears
+        :data:`VECTOR_THRESHOLD` — the store-level gate of concrete
+        aggregation's id-space fold (a store that fails it never touches
+        NumPy)."""
+        return self.numpy is not None and self._largest >= VECTOR_THRESHOLD
+
     def vector_candidate(self, plan: Plan) -> bool:
         """Whether the vectorized executor should even be attempted for this
         plan on this store: NumPy available and at least one joined relation
@@ -287,7 +313,7 @@ class ColumnarStore:
         # The threshold is read per call (tests lower it to force the
         # vectorized path); a store whose largest relation is below it
         # answers without walking the plan.
-        if self.numpy is None or self._largest < VECTOR_THRESHOLD:
+        if not self.vectorized():
             return False
         largest = 0
         for step in plan.steps:
@@ -355,7 +381,7 @@ def _pack(np, base: int, columns: list):  # noqa: ANN001
     width = len(columns)
     if width == 0:
         raise _VectorFallback
-    if base < 2 or base**width > _PACK_LIMIT:
+    if base < 2 or base**width > INT64_HEADROOM:
         raise _VectorFallback
     packed = columns[0].astype(np.int64) + 1
     for column in columns[1:]:
@@ -381,22 +407,21 @@ def _constant_map(plan: Plan) -> dict[Variable, Constant]:
     return mapping
 
 
-def execute_plan_vector(
-    plan: Plan, store: ColumnarStore, output_terms: tuple[Term, ...]
-) -> Optional[list[tuple[int, ...]]]:
+def execute_plan_vector(plan: Plan, store: ColumnarStore, output_terms: tuple[Term, ...]):
     """Execute a plan column-at-a-time over the store's NumPy matrices.
 
-    Returns the same ``list`` of id rows (one per satisfying assignment, one
-    entry per output term) the generated loop kernel produces — row *order*
-    may differ, which is fine: every consumer treats the rows as a bag —
-    or ``None`` when the plan cannot be vectorized, in which case the caller
-    runs the loop kernel instead.
+    Returns the id rows the generated loop kernel produces (one per
+    satisfying assignment, one column per output term) as an
+    ``(n, len(output_terms))`` int64 matrix — row *order* may differ, which
+    is fine: every consumer treats the rows as a bag — or ``None`` when the
+    plan cannot be vectorized, in which case the caller runs the loop kernel
+    instead.
     """
     np = store.numpy
     if np is None:
         return None
     if not plan.resolvable:
-        return []
+        return _no_rows(np, output_terms)
     try:
         return _run_vector(np, plan, store, output_terms)
     except _VectorFallback:
@@ -420,7 +445,7 @@ def _run_vector(np, plan: Plan, store: ColumnarStore, output_terms):  # noqa: AN
 
     for step in plan.steps:
         if count == 0:
-            return []
+            return _no_rows(np, output_terms)
         if isinstance(step, AtomStep):
             atom = step.atom
             matrix = store.matrix(atom.predicate, atom.arity)
@@ -483,7 +508,7 @@ def _run_vector(np, plan: Plan, store: ColumnarStore, output_terms):  # noqa: AN
                 first = left if isinstance(left, Constant) else constant_of[left]
                 second = right if isinstance(right, Constant) else constant_of[right]
                 if not store.const_holds(first, op, second):
-                    return []
+                    return _no_rows(np, output_terms)
             elif not left_const and not right_const:
                 apply_mask(_VECTOR_OPS[op](columns[left], columns[right]))
             else:
@@ -512,7 +537,7 @@ def _run_vector(np, plan: Plan, store: ColumnarStore, output_terms):  # noqa: AN
                 found = (positions < packed.size) & (packed[clipped] == query_keys)
                 apply_mask(~found)
     if count == 0:
-        return []
+        return _no_rows(np, output_terms)
     output: list = []
     for term in output_terms:
         if isinstance(term, Constant) or term in constant_of:
@@ -524,9 +549,12 @@ def _run_vector(np, plan: Plan, store: ColumnarStore, output_terms):  # noqa: AN
                 raise EvaluationError(f"unbound term {term} during vectorized evaluation")
             output.append(column)
     if not output:
-        return [()] * count
-    stacked = np.stack(output, axis=1)
-    return [tuple(row) for row in stacked.tolist()]
+        return np.empty((count, 0), dtype=np.int64)
+    return np.stack(output, axis=1)
+
+
+def _no_rows(np, output_terms):  # noqa: ANN001, ANN202
+    return np.empty((0, len(output_terms)), dtype=np.int64)
 
 
 def _vector_ops():

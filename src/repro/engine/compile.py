@@ -29,21 +29,40 @@ the public evaluation API: concrete set / bag-set / aggregate evaluation and
 Γ(q, D), plus symbolic Γ and the symbolic group index.  They decode
 id rows back to values (or block representatives) only at the projection
 boundary — group keys once per distinct group, never per tuple — which is
-where much of the engine's end-to-end speed comes from.  Both aggregate
-drivers (concrete aggregation and the symbolic group index) share one
-grouping loop that counts id rows into ``{key ids: {element ids:
-multiplicity}}``; the concrete driver decodes each distinct key and element
-once and folds the counted bag through
-:meth:`~repro.aggregates.functions.AggregationFunction.apply_counted`, so a
-``sum`` over a thousand-row group is one ``Σ m·v``, not a thousand
-normalized ``Fraction`` additions.  Each
-driver routes through :func:`repro.engine.columnar.execute_plan_vector` first
-when the store's relations are large enough to clear the NumPy threshold.
+where much of the engine's end-to-end speed comes from.  Each entry point
+routes through :func:`repro.engine.columnar.execute_plan_vector` first when the
+store's relations are large enough to clear the NumPy threshold.
+
+Aggregation takes one of two paths, by store:
+
+* On a store with a relation of at least ``VECTOR_THRESHOLD`` rows (and
+  NumPy on), a function with an ``id_fold``
+  (:attr:`~repro.aggregates.functions.AggregationFunction.id_fold`) stays in
+  id space from relation to fold (:func:`_fold_id_matrix`): every
+  disjunct's id matrix is stacked, one ``np.lexsort`` over the key columns
+  gives group starts and counts, and each group folds on ids —
+  ``count``/``parity`` from the counts, ``cntd`` from the distinct ``(key,
+  element)`` rows, ``max``/``min`` by ``np.maximum``/``np.minimum.reduceat``
+  over carrier ids (id order is value order there; ids of the decode
+  extension region are not, so a bag holding one falls back), ``sum``/``avg``
+  by an exact int64 ``np.add.reduceat`` when every value is an ``int`` and
+  ``max|v| · rows < 2**62``.  Only each distinct key and each folded value
+  is decoded.  A fallback (``Fraction`` data, a possible overflow) counts
+  the stacked rows like the loop path below.
+* Every other store and function (``prod``, ``topK``/``botK``) — and the
+  symbolic group index, whose stores are small — counts id rows in one
+  grouping loop (:func:`_counted_groups`) into ``{key ids: {element ids:
+  multiplicity}}``; concrete aggregation decodes each distinct key and
+  element once and folds the counted bag through
+  :meth:`~repro.aggregates.functions.AggregationFunction.apply_counted`, so a
+  ``sum`` over a thousand-row group is one ``Σ m·v``, not a thousand
+  normalized ``Fraction`` additions.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from ..caches import put_bounded, register_cache
@@ -55,7 +74,7 @@ from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan, plan_condition
-from .columnar import ColumnarStore, execute_plan_vector, store_for
+from .columnar import INT64_HEADROOM, ColumnarStore, execute_plan_vector, store_for
 
 #: Python source operators per comparison op (``EQ.symbol`` is ``"="``, which
 #: is not valid Python — hence an explicit table rather than ``op.symbol``).
@@ -310,17 +329,24 @@ def kernel_cache_stats() -> dict[str, int]:
 # Shared row production
 # ----------------------------------------------------------------------
 def condition_rows(
-    condition: Condition, store: ColumnarStore, output_terms: tuple[Term, ...]
-) -> list[tuple[int, ...]]:
+    condition: Condition,
+    store: ColumnarStore,
+    output_terms: tuple[Term, ...],
+    as_matrix: bool = False,
+):
     """All id rows (one per satisfying assignment, projected onto
     ``output_terms``) of one condition over one store, via the vectorized
-    executor when profitable, the compiled loop kernel otherwise."""
+    executor when profitable, the compiled loop kernel otherwise.
+
+    The loop kernel returns a list of id tuples; the vectorized executor an
+    id matrix, which becomes the same list unless ``as_matrix`` asks for
+    the matrix itself (for the id-space fold of concrete aggregation)."""
     plan = plan_condition(condition)
     if store.vector_candidate(plan):
         rows = execute_plan_vector(plan, store, output_terms)
         if rows is not None:
             _OBS.inc("engine.dispatch.vector")
-            return rows
+            return rows if as_matrix else list(map(tuple, rows.tolist()))
         _OBS.inc("engine.dispatch.vector_fallback")
     _OBS.inc("engine.dispatch.loop")
     with _span("kernel.execute"):
@@ -352,17 +378,28 @@ def compiled_evaluate_bag_set(query: Query, database):  # noqa: ANN001
 
 
 def compiled_evaluate_aggregate(query: Query, database, function):  # noqa: ANN001
-    """Aggregate semantics over the id rows: each group's bag is counted
+    """Aggregate semantics over the id rows.  On a vectorized store a
+    function with an id fold folds its groups in id space
+    (:func:`_fold_id_matrix`).  Otherwise each group's bag is counted
     (:func:`_counted_groups`), its key and distinct elements are decoded
     once, and the function folds the counted bag
     (:meth:`~repro.aggregates.functions.AggregationFunction.apply_counted`)."""
     store = store_for(database)
+    if function.id_fold is not None and store.vectorized():
+        key_width = len(query.head_terms)
+        matrix = _stacked_matrix(query, store)
+        folded = _fold_id_matrix(matrix, key_width, store, function)
+        if folded is not None:
+            return folded
+        groups = _count_rows({}, map(tuple, matrix.tolist()), key_width)
+    else:
+        groups = _counted_groups(query, store)
     value_of = store.decode_values.__getitem__
     return {
         tuple(map(value_of, key)): function.apply_counted(
             [(tuple(map(value_of, element)), count) for element, count in bag.items()]
         )
-        for key, bag in _counted_groups(query, store).items()
+        for key, bag in groups.items()
     }
 
 
@@ -430,17 +467,139 @@ def compiled_symbolic_group_index(query: Query, database) -> dict:  # noqa: ANN0
 def _counted_groups(query: Query, store: ColumnarStore) -> dict:
     """``{key ids: {element ids: multiplicity}}`` over every disjunct's id
     rows: the group key is the head projection, the element the aggregation
-    variables.  The one grouping loop of both aggregate drivers; plain dicts
-    rather than ``Counter`` keep it cheap on the tiny bags of witness search."""
+    variables.  The grouping of both aggregate drivers."""
     key_width = len(query.head_terms)
     output_terms = tuple(query.head_terms) + tuple(query.aggregation_variables())
     groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for disjunct in query.disjuncts:
-        for row in condition_rows(disjunct, store, output_terms):
-            key = row[:key_width]
-            bag = groups.get(key)
-            if bag is None:
-                bag = groups[key] = {}
-            element = row[key_width:]
-            bag[element] = bag.get(element, 0) + 1
+        _count_rows(groups, condition_rows(disjunct, store, output_terms), key_width)
     return groups
+
+
+def _count_rows(groups: dict, rows: Iterable[tuple[int, ...]], key_width: int) -> dict:
+    """Count id rows into ``groups``; plain dicts rather than ``Counter``
+    keep it cheap on the tiny bags of witness search."""
+    for row in rows:
+        key = row[:key_width]
+        bag = groups.get(key)
+        if bag is None:
+            bag = groups[key] = {}
+        element = row[key_width:]
+        bag[element] = bag.get(element, 0) + 1
+    return groups
+
+
+# ----------------------------------------------------------------------
+# Id-space aggregation (vectorized stores)
+# ----------------------------------------------------------------------
+def _stacked_matrix(query: Query, store: ColumnarStore):  # noqa: ANN202
+    """Every disjunct's id rows (head projection, then aggregation
+    variables) stacked into one unsorted int64 matrix."""
+    np = store.numpy
+    output_terms = tuple(query.head_terms) + tuple(query.aggregation_variables())
+    parts = []
+    for disjunct in query.disjuncts:
+        rows = condition_rows(disjunct, store, output_terms, as_matrix=True)
+        if isinstance(rows, list):
+            rows = np.array(rows, dtype=np.int64).reshape(len(rows), len(output_terms))
+        parts.append(rows)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _fold_id_matrix(matrix, key_width: int, store: ColumnarStore, function):  # noqa: ANN001, ANN202
+    """Aggregate semantics without leaving id space, or ``None`` when the
+    data rule the function's id fold out (:func:`_id_fold`).
+
+    One ``np.lexsort`` groups the matrix: over the key columns, and over
+    whole rows for ``cntd``, which counts runs of equal rows.  Only each
+    distinct key and each folded value is decoded.
+    """
+    if not len(matrix):
+        return {}
+    np = store.numpy
+    fold = _id_fold(np, store, function, matrix[:, key_width:])
+    if fold is None:
+        return None
+    sort_width = matrix.shape[1] if function.id_fold == "distinct" else key_width
+    if sort_width:
+        # lexsort's last key is its primary one: key columns outrank elements.
+        matrix = matrix[np.lexsort(matrix[:, sort_width - 1 :: -1].T)]
+    keys, elements = matrix[:, :key_width], matrix[:, key_width:]
+    starts = np.flatnonzero(_changes(np, keys)) if key_width else np.zeros(1, dtype=np.intp)
+    counts = np.diff(np.append(starts, len(matrix)))
+    value_of = store.decode_values.__getitem__
+    decoded_keys = [tuple(map(value_of, key)) for key in keys[starts].tolist()]
+    return dict(zip(decoded_keys, fold(elements, starts, counts)))
+
+
+def _changes(np, rows):  # noqa: ANN001, ANN202
+    """Per row of a sorted matrix: whether it differs from the row before
+    (the first row always does)."""
+    changed = np.ones(len(rows), dtype=bool)
+    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return changed
+
+
+def _id_fold(np, store: ColumnarStore, function, elements):  # noqa: ANN001, ANN202
+    """``fold(sorted elements, group starts, group counts) -> values`` for
+    the function's :attr:`~repro.aggregates.functions.AggregationFunction.id_fold`
+    over these (unsorted) element columns, or ``None`` when the groups must
+    fold through ``apply_counted``: a ``max``/``min`` over an id outside the
+    carrier, and a ``sum``/``avg`` over a non-``int`` value or one the int64
+    guard rejects.  Each fold equals ``apply_counted`` in value and type."""
+    kind = function.id_fold
+    if kind == "count":
+        return lambda elements, starts, counts: counts.tolist()
+    if kind == "parity":
+        return lambda elements, starts, counts: (counts % 2).tolist()
+    if kind == "distinct":
+        # Rows are sorted by key, then element: a new (key, element) run
+        # starts wherever the element changes or a group starts.
+        def distinct(elements, starts, counts):  # noqa: ANN001, ANN202
+            fresh = _changes(np, elements)
+            fresh[starts] = True
+            return np.add.reduceat(fresh, starts, dtype=np.int64).tolist()
+
+        return distinct
+    if elements.shape[1] != 1:
+        return None
+    column = elements[:, 0]
+    if kind in ("max", "min"):
+        # Carrier ids are ranks, so the extreme id decodes to the extreme
+        # value; decode-extension ids (head constants absent from the
+        # carrier) come after the carrier whatever their value.
+        if int(column.max()) >= store.carrier_len:
+            return None
+        reduce = (np.maximum if kind == "max" else np.minimum).reduceat
+        value_of = store.decode_values.__getitem__
+        return lambda elements, starts, counts: list(
+            map(value_of, reduce(elements[:, 0], starts).tolist())
+        )
+    table = _int64_values(np, store, column) if kind in ("sum", "avg") else None
+    if table is None:
+        return None
+
+    def fold(elements, starts, counts):  # noqa: ANN001, ANN202
+        sums = np.add.reduceat(table[elements[:, 0]], starts).tolist()
+        if kind == "sum":
+            return sums
+        averages = [Fraction(s, c) for s, c in zip(sums, counts.tolist())]
+        return [int(a) if a.denominator == 1 else a for a in averages]
+
+    return fold
+
+
+def _int64_values(np, store: ColumnarStore, column):  # noqa: ANN001, ANN202
+    """An id → value lookup array over the ids in ``column``, when every
+    value they decode to is an ``int`` and ``max|v| · rows`` stays below
+    :data:`~repro.engine.columnar.INT64_HEADROOM` (so every group sum is
+    exact in int64); ``None`` otherwise."""
+    used = np.flatnonzero(np.bincount(column))
+    values = list(map(store.decode_values.__getitem__, used.tolist()))
+    if not all(isinstance(value, int) for value in values):
+        return None
+    if max(map(abs, values)) * len(column) >= INT64_HEADROOM:
+        return None
+    table = np.zeros(int(used[-1]) + 1, dtype=np.int64)
+    table[used] = values
+    return table

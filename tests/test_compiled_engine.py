@@ -26,6 +26,8 @@ from repro.engine import (
     clear_symbolic_caches,
     engine_scope,
     evaluate,
+    evaluate_bag_set,
+    evaluate_set,
     kernel_cache_stats,
     naive_satisfying_assignments,
     plan_condition,
@@ -208,7 +210,8 @@ def test_no_numpy_fallback_agrees(monkeypatch):
 def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
     """A store interns a relation on its first read: evaluating each
     report's best rewriting over the materialized extents interns the
-    relations that rewriting reads and no others, while ``size``,
+    relations that rewriting reads and no others (as sorted id rows on the
+    loop path, as an id matrix on the NumPy path), while ``size``,
     ``vector_candidate`` and the results equal those of a store with every
     relation interned."""
     if backend == "numpy":
@@ -233,7 +236,8 @@ def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
                 backend == "numpy"
             ), name
             store = store_for(materialized)
-            assert set(store._interned) == query.predicates(), name
+            interned = set(store._interned) | {predicate for predicate, _ in store._matrices}
+            assert interned == query.predicates(), name
             plans = [plan_condition(disjunct) for disjunct in query.disjuncts]
             lazy_sizes = {p: store.size(p) for p in materialized.predicates()}
             lazy_candidates = [store.vector_candidate(plan) for plan in plans]
@@ -321,3 +325,121 @@ def test_only_naive_and_compiled_are_selectable(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "planned")
     with pytest.raises(ReproError, match="expected one of naive, compiled"):
         modes._initial_engine()
+
+
+def _rewriting_outcome(report) -> tuple:
+    """Every verified candidate of a rewriting report, in report order, with
+    its bucket, verdict, method and estimated cost, plus the rejections."""
+    return (
+        tuple(
+            (bucket, verified.candidate.name, verified.result.verdict,
+             verified.result.method, verified.estimated_cost)
+            for bucket in ("safe", "not_equivalent", "unverified")
+            for verified in getattr(report, bucket)
+        ),
+        tuple(str(rejection) for rejection in report.rejected),
+    )
+
+
+def _observe_warehouse(scenario, extents) -> list:
+    """Set, bag-set and aggregate results of every report and view over the
+    facts and the extents, then every report's rewriting outcome."""
+    _clean()
+    queries = [query for _, query in sorted(scenario.queries.items())]
+    queries += [view.query for view in scenario.views]
+    observed: list = []
+    with engine_scope("compiled"):
+        for query in queries:
+            for database in (scenario.database, extents):
+                observed.append(
+                    (
+                        evaluate_set(query, database),
+                        evaluate_bag_set(query, database),
+                        evaluate(query, database) if query.is_aggregate else None,
+                    )
+                )
+    workspace = Workspace(workers=1, store=False)
+    for view in scenario.views:
+        workspace.register_view(view)
+    for _, report in sorted(scenario.queries.items()):
+        observed.append(_rewriting_outcome(workspace.rewrite(report, database=scenario.database)))
+    return observed
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_matrix_row_order_never_reaches_a_result(order, monkeypatch):
+    """Id matrices are unsorted: reversing or shuffling every matrix a store
+    hands out changes no set, bag-set or aggregate result and no rewriting
+    outcome, on a ``sales`` relation over the real threshold."""
+    scenario = build_view_scenario(stores=6, products=5, sales_per_store=150, seed=5)
+    extents = scenario.materialized()
+    assert len(scenario.database.relation("sales")) >= columnar.VECTOR_THRESHOLD
+    try:
+        expected = _observe_warehouse(scenario, extents)
+        original = columnar.ColumnarStore.matrix
+
+        def permuted(self, predicate, arity):
+            matrix = original(self, predicate, arity)
+            if order == "reversed":
+                return matrix[::-1]
+            return matrix[self.numpy.random.default_rng(len(matrix)).permutation(len(matrix))]
+
+        monkeypatch.setattr(columnar.ColumnarStore, "matrix", permuted)
+        assert _observe_warehouse(scenario, extents) == expected
+        assert REGISTRY.get("engine.dispatch.vector") > 0
+    finally:
+        monkeypatch.undo()
+        _clean()
+
+
+class _Untouchable:
+    """Stands in for NumPy on a small store: any attribute read is recorded
+    and fails."""
+
+    def __init__(self, touched: list) -> None:
+        self._touched = touched
+
+    def __getattr__(self, name: str):
+        self._touched.append(name)
+        raise AssertionError(f"a store below the vector threshold read numpy.{name}")
+
+
+def test_small_stores_never_touch_numpy(monkeypatch):
+    """Every store below the vector threshold gets a NumPy stand-in that
+    fails on any use; a cold catalog sweep and the concrete re-check of its
+    witnesses must run without reading it."""
+    touched: list = []
+    guarded: list = []
+    original = columnar.ColumnarStore.__init__
+
+    def build(self, database):
+        original(self, database)
+        if self._largest < columnar.VECTOR_THRESHOLD:
+            self.numpy = _Untouchable(touched)
+            guarded.append(database)
+
+    monkeypatch.setattr(columnar.ColumnarStore, "__init__", build)
+    queries = _catalog_for_sweep()
+    _clean()
+    try:
+        workspace = Workspace(workers=1, store=False)
+        for name, query in queries.items():
+            workspace.add(query, name=name)
+        cells = workspace.equivalences()
+        witnessed = 0
+        for (first, second), cell in cells.items():
+            counterexample = cell.counterexample
+            if counterexample is None or counterexample.database is None:
+                continue
+            witnessed += 1
+            with engine_scope("compiled"):
+                left = evaluate(queries[first], counterexample.database)
+                right = evaluate(queries[second], counterexample.database)
+            assert left != right, (first, second)
+        assert witnessed > 0
+        assert guarded
+        assert touched == []
+    finally:
+        monkeypatch.undo()
+        _clean()
