@@ -18,7 +18,12 @@ whose verdict, method, details or witness database differ:
 * the staged ``g4``/``g1`` then ``g0`` sum session of
   ``tests/test_session.py`` and the count catalog of
   ``test_cells_keep_their_own_bound_in_a_wider_catalog`` in
-  ``tests/test_sweep.py``, whose cells a catalog-wide BASE would change.
+  ``tests/test_sweep.py``, whose cells a catalog-wide BASE would change;
+* the six reports of ``build_view_scenario(stores=40, products=25,
+  sales_per_store=600, seed=1)`` rewritten and ranked through a cold
+  ``Workspace(workers=1, store=False)`` with ``database=``: per report its
+  direct cost and, in report order, each verified candidate's bucket, name,
+  verdict, method and estimated cost.
 
 Usage::
 
@@ -67,7 +72,7 @@ def _dump() -> dict[str, list]:
     from repro.engine import clear_evaluation_caches, clear_symbolic_caches
     from repro.errors import SearchSpaceBudgetError
     from repro.parallel.tasks import derive_pair_seed
-    from repro.workloads import build_warehouse, equivalence_matrix
+    from repro.workloads import build_view_scenario, build_warehouse, equivalence_matrix
 
     def cold() -> None:
         clear_symbolic_caches()
@@ -133,6 +138,19 @@ def _dump() -> dict[str, list]:
     catalog = {name: parse_query(text) for name, text in own_bound.items()}
     for pair, result in equivalence_matrix(catalog, workers=1, seed=1).items():
         cells[f"own-bound/{pair}"] = _cell(result)
+    cold()
+    scenario = build_view_scenario(stores=40, products=25, sales_per_store=600, seed=1)
+    with Workspace(workers=1, store=False) as rewriting:
+        for view in scenario.views:
+            rewriting.register_view(view)
+        for name, query in scenario.queries.items():
+            report = rewriting.rewrite(query, database=scenario.database)
+            cells[f"rewrite/{name}"] = [report.direct_cost] + [
+                [bucket, verified.candidate.name, verified.result.verdict.value,
+                 verified.result.method, verified.estimated_cost]
+                for bucket in ("safe", "not_equivalent", "unverified")
+                for verified in getattr(report, bucket)
+            ]
     return cells
 
 

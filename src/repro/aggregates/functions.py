@@ -29,6 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ..datalog import parser as _parser
 from ..datalog.terms import Constant, Term
 from ..domains import Domain, NumericValue
 from ..errors import UnsupportedAggregateError
@@ -572,3 +573,7 @@ def get_function(name: str) -> AggregationFunction:
 def registered_function_names() -> list[str]:
     """All names (including aliases) accepted by :func:`get_function`."""
     return sorted(_REGISTRY)
+
+
+# The parser recognizes exactly these names in a query head.
+_parser.AGGREGATE_NAMES = frozenset(registered_function_names())

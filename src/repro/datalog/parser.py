@@ -34,29 +34,11 @@ from .database import Database
 from .queries import AggregateTerm, Query
 from .terms import Constant, Term, Variable, _parse_numeric
 
-#: Names recognized as aggregation functions in a query head.
-AGGREGATE_NAMES = frozenset(
-    {
-        "count",
-        "cntd",
-        "count_distinct",
-        "countd",
-        "parity",
-        "sum",
-        "prod",
-        "product",
-        "avg",
-        "average",
-        "max",
-        "min",
-        "top2",
-        "bot2",
-        "top3",
-        "bot3",
-        "top4",
-        "bot4",
-    }
-)
+#: Names recognized as aggregation functions in a query head: every name the
+#: aggregation registry accepts.  :mod:`repro.aggregates.functions` sets it
+#: once, when it builds the registry, because aggregates import datalog and
+#: not the reverse; ``import repro`` loads the registry before any parse.
+AGGREGATE_NAMES: frozenset[str] = frozenset()
 
 _TOKEN_REGEX = re.compile(
     r"""

@@ -14,9 +14,9 @@
    equivalent* (with a witness database where one was found), *unverified*
    (UNKNOWN or over the search-space budget) and *rejected* (ruled out
    before verification by the unfolder's faithfulness conditions), and
-4. ranks the safe rewritings by estimated evaluation cost against the
-   materialized extents of the views they read when a database is
-   supplied.
+4. ranks the safe rewritings by estimated evaluation cost when a database
+   is supplied, over the extents of the views they read and the base
+   relations (no materialized database is built).
 
 Only candidates in the *safe* bucket may be substituted for the query: the
 equivalence engine proved they agree with it over **every** database, which
@@ -26,7 +26,7 @@ is the paper's criterion for a sound warehouse rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from ..core.equivalence import EquivalenceResult, Verdict
 from ..datalog.database import Database
@@ -48,6 +48,9 @@ TARGET_NAME = "__target__"
 #: Anything accepted where a view catalog is expected.
 ViewsLike = Union[ViewCatalog, Iterable[View], Mapping[str, Query]]
 
+#: The cost model's predicate → rows lookup (``database.relation`` for a database).
+Relations = Callable[[str], Collection[tuple]]
+
 
 def as_view_catalog(views: ViewsLike) -> ViewCatalog:
     """Coerce ``views`` into a :class:`ViewCatalog`."""
@@ -58,7 +61,7 @@ def as_view_catalog(views: ViewsLike) -> ViewCatalog:
     return ViewCatalog(views)
 
 
-def naive_estimated_cost(query: Query, database: Database) -> int:
+def naive_estimated_cost(query: Query, relations: Relations) -> int:
     """The PR 4 cost model, kept as the coarse reference: per disjunct, the
     product of the sizes of the positive atoms' relations (the worst case a
     nested-loop join can enumerate), summed over disjuncts.  It orders a
@@ -68,34 +71,35 @@ def naive_estimated_cost(query: Query, database: Database) -> int:
     for disjunct in query.disjuncts:
         cost = 1
         for atom in disjunct.positive_atoms:
-            cost *= max(1, len(database.relation(atom.predicate)))
+            cost *= max(1, len(relations(atom.predicate)))
         total += cost
     return total
 
 
 def _column_distinct_count(
-    database: Database, predicate: str, position: int, memo: dict
+    relations: Relations, predicate: str, position: int, memo: dict
 ) -> int:
-    """Distinct values in one column of a stored relation (memoized per call
-    — the ranking probes the same view extents for every candidate)."""
+    """Distinct values in one column of a relation (memoized per ranking —
+    it probes the same view extents for every candidate)."""
     key = (predicate, position)
     cached = memo.get(key)
     if cached is None:
-        cached = len({row[position] for row in database.relation(predicate)})
+        cached = len({row[position] for row in relations(predicate)})
         memo[key] = cached
     return cached
 
 
 def estimated_cost(
-    query: Query, database: Database, _memo: Optional[dict] = None
+    query: Query, relations: Relations, _memo: Optional[dict] = None
 ) -> int:
-    """A distinct-count join-cardinality estimate over the stored extents.
+    """A distinct-count join-cardinality estimate over the relations that
+    ``relations`` returns per predicate (view extents and base relations).
 
     Atoms are joined left to right (candidates put their view atom first, so
     its columns bind the residual joins).  Each atom starts from its
     relation's row count; every column already bound by an earlier atom — or
     pinned by a constant — divides the contribution by that column's distinct
-    count in the stored extent, the classic uniform-frequency estimate
+    count in that relation, the classic uniform-frequency estimate
     ``|R| / Π V(R, c)``.  Unlike the plain join-size product
     (:func:`naive_estimated_cost`) this ranks residual-join candidates by
     how selectively the view's exported columns bind them: probing a
@@ -111,12 +115,12 @@ def estimated_cost(
         rows = 1
         bound: set = set()
         for atom in disjunct.positive_atoms:
-            size = max(1, len(database.relation(atom.predicate)))
+            size = max(1, len(relations(atom.predicate)))
             selectivity = 1
             for position, argument in enumerate(atom.arguments):
                 if isinstance(argument, Constant) or argument in bound:
                     selectivity *= max(
-                        1, _column_distinct_count(database, atom.predicate, position, memo)
+                        1, _column_distinct_count(relations, atom.predicate, position, memo)
                     )
             rows *= max(1, size // selectivity)
             bound |= {
@@ -129,7 +133,7 @@ def estimated_cost(
 @dataclass
 class VerifiedRewriting:
     """A candidate together with its verification verdict (and, when a
-    database was supplied, its estimated cost over the materialized views)."""
+    database was supplied, its estimated cost over the view extents)."""
 
     candidate: CandidateRewriting
     result: EquivalenceResult
@@ -324,7 +328,7 @@ class RewritingEngine:
         """Synthesize, verify, and rank rewritings of ``query``.
 
         With ``database`` the safe rewritings are ranked by estimated cost
-        over the materialized view extents (cheapest first) and the report
+        over the view extents (cheapest first) and the report
         records the direct fact-table cost for comparison; without one the
         generation order is kept.
         """
@@ -344,7 +348,8 @@ def assemble_report(
 ) -> RewritingReport:
     """Partition verified candidates into a :class:`RewritingReport` and —
     with a database — rank the safe bucket by estimated cost over the
-    materialized extents of the views the safe candidates read.
+    extent of each view the safe candidates read (:meth:`View.rows`, once
+    each) and the base relations; no database is materialized.
 
     Split out of :meth:`RewritingEngine.rewrite` so a session
     (:meth:`repro.session.Workspace.rewrite`) can cache the expensive
@@ -360,19 +365,22 @@ def assemble_report(
         else:
             report.unverified.append(outcome)
     if database is not None:
-        # The costs read only the relations the safe candidates name, so only
-        # those views are materialized (the clash check still covers all).
+        views.check_clash(database)
         read: set[str] = set()
         for outcome in report.safe:
             read |= outcome.candidate.query.predicates()
-        materialized = views.materialize(
-            database, [name for name in views.names if name in read]
-        )
+        extents = {
+            name: views[name].rows(database) for name in views.names if name in read
+        }
+
+        def relations(predicate: str) -> Collection[tuple]:
+            return extents[predicate] if predicate in extents else database.relation(predicate)
+
         memo: dict = {}
-        report.direct_cost = estimated_cost(query, database)
+        report.direct_cost = estimated_cost(query, relations, memo)
         for outcome in report.safe:
             outcome.estimated_cost = estimated_cost(
-                outcome.candidate.query, materialized, memo
+                outcome.candidate.query, relations, memo
             )
         report.safe.sort(
             key=lambda outcome: (outcome.estimated_cost, outcome.candidate.name)

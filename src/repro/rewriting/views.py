@@ -134,13 +134,11 @@ class ViewCatalog:
 
     def __init__(self, views: Iterable[View] = ()):
         self._views: dict[str, View] = {}
-        base_predicates: set[str] = set()
         for view in views:
             if view.name in self._views:
                 raise RewritingError(f"duplicate view name {view.name!r}")
             self._views[view.name] = view
-            base_predicates |= view.query.predicates()
-        clash = base_predicates & set(self._views)
+        clash = self.base_predicates() & set(self._views)
         if clash:
             names = ", ".join(sorted(clash))
             raise RewritingError(
@@ -182,29 +180,27 @@ class ViewCatalog:
     # ------------------------------------------------------------------
     # Materialization
     # ------------------------------------------------------------------
-    def materialize(
-        self, database: Database, names: Optional[Iterable[str]] = None
-    ) -> Database:
-        """The database extended with the stored relation of every view, or
-        of the views in ``names`` only.
+    def check_clash(self, database: Database) -> None:
+        """Raise unless ``database`` is free of every view predicate of the
+        catalog, used or not: a view's name must denote only its extent."""
+        clash = set(self._views) & database.predicates()
+        if clash:
+            names = ", ".join(sorted(clash))
+            raise RewritingError(
+                f"view name(s) {names} collide with base relations of the database"
+            )
+
+    def materialize(self, database: Database) -> Database:
+        """The database extended with the stored relation of every view.
 
         Rewritten queries may join views against base dimension tables, so
         the materialized instance keeps the base facts alongside the view
-        extents.  No view predicate of the catalog — materialized or not —
-        may already occur in the base data.
+        extents.
         """
-        clash = set(self._views) & set(database.predicates())
-        if clash:
-            names_text = ", ".join(sorted(clash))
-            raise RewritingError(
-                f"view name(s) {names_text} collide with base relations of the database"
-            )
-        views = list(self) if names is None else [self[name] for name in names]
-        facts = []
-        for view in views:
-            for row in view.rows(database):
-                facts.append((view.name, row))
-        return database.add_facts(facts)
+        self.check_clash(database)
+        return database.add_facts(
+            (view.name, row) for view in self for row in view.rows(database)
+        )
 
     @classmethod
     def from_mapping(cls, definitions: Mapping[str, Query]) -> "ViewCatalog":

@@ -39,6 +39,7 @@ import os
 import sqlite3
 import threading
 import time
+import warnings
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -583,6 +584,12 @@ def _environment_key() -> tuple[Optional[str], Optional[int]]:
     try:
         max_mb = int(raw_limit) if raw_limit else None
     except ValueError:
+        warnings.warn(
+            f"ignoring malformed REPRO_STORE_MAX_MB={raw_limit!r} (expected an "
+            "integer); the shared store is not size-capped",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         max_mb = None
     return path, max_mb
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.aggregates import registered_function_names
 from repro.datalog import (
     Comparison,
     ComparisonOp,
@@ -29,6 +30,11 @@ class TestParser:
         assert parse_query("q(x, count()) :- p(x, y)").aggregate_function == "count"
         assert parse_query("q(x, count) :- p(x, y)").aggregate_function == "count"
         assert parse_query("q(x, parity) :- p(x, y)").aggregate_function == "parity"
+
+    @pytest.mark.parametrize("name", registered_function_names())
+    def test_every_registered_function_parses_in_a_head(self, name):
+        query = parse_query(f"q(s, {name}(a)) :- sales(s, p, a)")
+        assert query.aggregate_function == name
 
     def test_negation_forms(self):
         for negation in ("not r(x)", "!r(x)", "~r(x)"):

@@ -415,11 +415,11 @@ class TestCostModel:
         database = Database(facts)
         via_selective = parse_query("q(x, sum(y)) :- fact(x, y), selective(x, z)")
         via_skewed = parse_query("q(x, sum(y)) :- fact(x, y), skewed(x, z)")
-        assert naive_estimated_cost(via_selective, database) == naive_estimated_cost(
-            via_skewed, database
+        assert naive_estimated_cost(via_selective, database.relation) == naive_estimated_cost(
+            via_skewed, database.relation
         )
-        assert estimated_cost(via_selective, database) < estimated_cost(
-            via_skewed, database
+        assert estimated_cost(via_selective, database.relation) < estimated_cost(
+            via_skewed, database.relation
         )
 
     def test_view_probe_still_beats_fact_scan(self, scenario):
@@ -479,7 +479,7 @@ class TestRankingReadsOnlyWhatItRanks:
             assert report.safe, name
             ranked = [(v.candidate.name, v.estimated_cost) for v in report.safe]
             expected = sorted(
-                ((v.candidate.name, estimated_cost(v.candidate.query, full)) for v in report.safe),
+                ((v.candidate.name, estimated_cost(v.candidate.query, full.relation)) for v in report.safe),
                 key=lambda pair: (pair[1], pair[0]),
             )
             assert ranked == expected, name
@@ -490,6 +490,29 @@ class TestRankingReadsOnlyWhatItRanks:
         engine = RewritingEngine(scenario.views)
         with pytest.raises(RewritingError, match="collide with base relations"):
             engine.rewrite(scenario.queries["total_revenue"], database=database, workers=1)
+
+
+class TestRankingBuildsNoDatabase:
+    """Ranking reads view extents and base relations; it builds no database."""
+
+    def test_ranked_rewrites_never_add_facts_or_materialize(self, scenario, monkeypatch):
+        from repro import Database
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ranking built a database")
+
+        with Workspace(workers=1, store=False) as workspace:
+            for view in scenario.views:
+                workspace.register_view(view)
+            for query in scenario.queries.values():
+                workspace.rewrite(query)  # verification, outside the patch
+            monkeypatch.setattr(Database, "add_facts", refuse)
+            monkeypatch.setattr(ViewCatalog, "materialize", refuse)
+            for name, query in scenario.queries.items():
+                report = workspace.rewrite(query, database=scenario.database)
+                assert report.direct_cost is not None, name
+                assert report.safe, name
+                assert all(v.estimated_cost is not None for v in report.safe), name
 
 
 class TestReviewRegressions:

@@ -402,6 +402,13 @@ class TestWorkspaceIntegration:
             assert session.store.persistent
         assert session.store is shared_store()
 
+    def test_malformed_max_mb_warns_and_leaves_the_store_uncapped(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_PATH", raising=False)
+        monkeypatch.setenv("REPRO_STORE_MAX_MB", "ten")
+        with pytest.warns(RuntimeWarning, match="REPRO_STORE_MAX_MB='ten'"):
+            store = shared_store()
+        assert store._max_mb is None
+
     def test_equivalence_matrix_shim_stays_self_contained(self, tmp_path, monkeypatch):
         # The one-shot entry point must not read or write the process store,
         # even when the env var opts the process in.
