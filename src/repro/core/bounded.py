@@ -85,6 +85,10 @@ if TYPE_CHECKING:
 SET_SEMANTICS = "set"
 BAG_SET_SEMANTICS = "bag-set"
 
+#: The default budget of a search: at most this many subsets of BASE, the
+#: ``2 ** base_size(...)`` every search space is checked against.
+DEFAULT_MAX_SUBSETS = 2_000_000
+
 
 @dataclass
 class Counterexample:
@@ -524,7 +528,7 @@ def sweep_equivalence(
     bound: int,
     domain: Domain = Domain.RATIONALS,
     semantics: str = SET_SEMANTICS,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
@@ -811,7 +815,7 @@ def bounded_equivalence(
     bound: int,
     domain: Domain = Domain.RATIONALS,
     semantics: str = SET_SEMANTICS,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
@@ -852,7 +856,7 @@ def local_equivalence(
     second: Query,
     domain: Domain = Domain.RATIONALS,
     semantics: str = SET_SEMANTICS,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,

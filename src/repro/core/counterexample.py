@@ -78,13 +78,16 @@ def _results_differ(first: Query, second: Query, database: Database, semantics: 
 #: reproducible even when no explicit seed is supplied).
 DEFAULT_SEARCH_SEED = 2001
 
+#: Default number of random databases the witness search tries.
+DEFAULT_COUNTEREXAMPLE_TRIALS = 400
+
 
 def find_counterexample(
     first: Query,
     second: Query,
     domain: Domain = Domain.RATIONALS,
     rng: Optional[random.Random] = None,
-    trials: int = 400,
+    trials: int = DEFAULT_COUNTEREXAMPLE_TRIALS,
     max_facts: int = 8,
     semantics: str = SET_SEMANTICS,
     extra_values: Iterable[NumericValue] = (),

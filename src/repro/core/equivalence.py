@@ -35,37 +35,39 @@ exists there (see :func:`aggregation_pin` / :func:`pair_count_reduction`).
 :func:`route_pair` is the one place that choice is made.  The normalization
 is opportunistic: routing takes the caller's ``max_subsets``, and a pair
 whose count forms' local BASE would not fit the budget is routed on its
-originals — decided by arithmetic, before any search runs.
-:func:`are_equivalent` routes a pair once and runs the chosen procedure once;
-the catalog sweep planner (:func:`repro.workloads.batch.plan_catalog_sweep`)
-routes every cell the same way (through :func:`route_reduced_pair`, building
-each query's count form once per plan), groups the cells whose route is
-local equivalence and states each sweep report through :func:`local_result`,
-so a swept cell carries the method, details and witness the pair path gives.
+originals — decided by arithmetic, before any search runs.  A local route
+carries its search space (:class:`SearchSpace`) and subset count, and
+:meth:`PairRoute.fits` is the one budget test.  :func:`are_equivalent`
+routes a pair once and runs the chosen procedure once; the catalog sweep
+planner (:func:`repro.workloads.batch.plan_catalog_sweep`) routes every cell
+through :func:`route_pair` too, groups the local routes that fit by their
+space and states each sweep report through :func:`local_result`, so a swept
+cell carries the method, details and witness the pair path gives.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..aggregates.functions import AggregationFunction, PAPER_FUNCTIONS, get_function
-from ..datalog.atoms import ComparisonOp
 from ..datalog.database import Database
-from ..datalog.queries import AggregateTerm, Query, catalog_predicate_arities, term_size_of_pair
+# The count-form helpers are query rewritings; they stay importable here.
+from ..datalog.queries import Query, aggregation_pin, sum_count_reduction  # noqa: F401
 from ..datalog.terms import Constant
 from ..domains import Domain
 from ..errors import UndecidableError, UnsupportedAggregateError
 from ..obs import span as _span
 from .bounded import (
+    DEFAULT_MAX_SUBSETS,
     Counterexample,
     EquivalenceReport,
     base_size,
     bounded_equivalence,
     local_equivalence,
 )
-from .counterexample import find_counterexample
+from .counterexample import DEFAULT_COUNTEREXAMPLE_TRIALS, find_counterexample
 from .quasilinear import QuasilinearVerdict, is_quasilinear_decidable, quasilinear_equivalent
 
 
@@ -100,95 +102,6 @@ class EquivalenceResult:
         return f"{self.verdict.value} (method: {self.method}) {self.details}".strip()
 
 
-def _equality_closure(disjunct, term) -> set:
-    """The equality class of ``term`` under the disjunct's ``=`` comparisons:
-    every term reachable through a chain like ``y = z, z = 1`` (constants are
-    traversed too, so ``y = 1, 1 = w, w = c`` connects ``y`` with ``c``)."""
-    adjacency: dict[object, set] = {}
-    for comparison in disjunct.comparisons:
-        if comparison.op is ComparisonOp.EQ:
-            adjacency.setdefault(comparison.left, set()).add(comparison.right)
-            adjacency.setdefault(comparison.right, set()).add(comparison.left)
-    seen = {term}
-    frontier = [term]
-    while frontier:
-        current = frontier.pop()
-        for neighbor in adjacency.get(current, ()):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return seen
-
-
-def aggregation_pin(query: Query) -> Optional[Constant]:
-    """The constant every disjunct pins the sum's aggregation variable to,
-    propagated through equality chains (``y = 1`` but also ``y = z, z = 1``
-    and longer chains).
-
-    Returns ``None`` unless the query is a unary ``sum`` and every disjunct's
-    equality closure of the aggregation variable contains exactly one
-    constant, the same in all disjuncts, and that constant is nonzero.  Two
-    distinct constants in one closure make the disjunct unsatisfiable; the
-    rewriting stays out of that corner (a dead disjunct is better surfaced by
-    the decision procedures than silently normalized).  A pin to 0 is also
-    excluded: a sum pinned to 0 returns 0 for every group, so its equivalence
-    with another query degenerates to agreement of the group-key sets —
-    count-equivalence is strictly stronger and a NOT_EQUIVALENT verdict on
-    the count forms would not transfer back.
-    """
-    aggregate = query.aggregate
-    if aggregate is None or aggregate.function != "sum" or len(aggregate.arguments) != 1:
-        return None
-    variable = aggregate.arguments[0]
-    pin: Optional[Constant] = None
-    for disjunct in query.disjuncts:
-        constants = {
-            term for term in _equality_closure(disjunct, variable) if isinstance(term, Constant)
-        }
-        if len(constants) != 1:
-            return None
-        (constant,) = constants
-        if constant.value == 0:
-            return None
-        if pin is None:
-            pin = constant
-        elif pin != constant:
-            # Disjuncts pinning to different constants: sum ≡ c·count needs
-            # per-disjunct agreement on c, otherwise no single multiplier
-            # relates the two aggregates.
-            return None
-    return pin
-
-
-def sum_count_reduction(query: Query) -> Optional[tuple[Query, Constant, Optional[str]]]:
-    """The count form of a query, when it has one: ``(count_query, c, note)``
-    such that the query returns ``c · count_query`` on every database.
-
-    A ``count()`` query is its own count form with multiplier 1 (and no
-    note); a ``sum`` query whose aggregation variable is pinned to a nonzero
-    constant ``c`` in every disjunct (see :func:`aggregation_pin`) reduces to
-    the same body with ``count()`` in the head and multiplier ``c``.  Other
-    queries have no count form.
-    """
-    aggregate = query.aggregate
-    if aggregate is None:
-        return None
-    if aggregate.function == "count":
-        return query, Constant(1), None
-    pin = aggregation_pin(query)
-    if pin is None:
-        return None
-    variable = query.aggregate.arguments[0]
-    rewritten = query.with_aggregate(AggregateTerm("count", ()))
-    if pin.value == 1:
-        note = f"sum({variable}) with {variable} = 1 rewritten to count()"
-    else:
-        note = (
-            f"sum({variable}) with {variable} = {pin} rewritten to {pin}·count()"
-        )
-    return rewritten, pin, note
-
-
 def normalization_method_suffix(multiplier: Constant) -> str:
     """The method annotation for a verdict transferred from the count forms."""
     if multiplier.value == 1:
@@ -211,17 +124,10 @@ def pair_count_reduction(
     plain count) are left alone: ``2·count_1 ≡ count_2`` is not equivalent to
     ``count_1 ≡ count_2``, so no verdict would transfer.
     """
-    return _shared_count_form(sum_count_reduction(first), sum_count_reduction(second))
-
-
-def _shared_count_form(
-    first_reduction, second_reduction
-) -> Optional[tuple[Query, Query, Constant, str]]:
-    """:func:`pair_count_reduction` over both queries' count forms."""
-    if first_reduction is None or second_reduction is None:
+    if first.count_form is None or second.count_form is None:
         return None
-    first_count, first_multiplier, first_note = first_reduction
-    second_count, second_multiplier, second_note = second_reduction
+    first_count, first_multiplier, first_note = first.count_form
+    second_count, second_multiplier, second_note = second.count_form
     if first_multiplier != second_multiplier:
         return None
     if first_note is None and second_note is None:
@@ -260,6 +166,17 @@ LOCAL_PROCEDURES = (SET_LOCAL_EQUIVALENCE, AGGREGATE_LOCAL_EQUIVALENCE)
 COUNTEREXAMPLE_SEARCH = "counterexample search"
 
 
+class SearchSpace(NamedTuple):
+    """What a pair's local search reads: both forms' ``(predicate, arity)``
+    pairs and constants, τ(q, q′) and whether either form compares.  Equal
+    spaces mean the same BASE and orderings: the sweep planner's group key."""
+
+    arities: frozenset
+    constants: frozenset
+    bound: int
+    compares: bool
+
+
 @dataclass(frozen=True)
 class PairRoute:
     """How :func:`are_equivalent` decides one pair.
@@ -269,6 +186,9 @@ class PairRoute:
     :func:`pair_count_reduction` applies, the originals otherwise.  For count
     forms ``multiplier`` is the shared ``c`` and ``notes`` describes the
     rewriting; both are ``None`` when the originals are decided directly.
+    A local route (one of :data:`LOCAL_PROCEDURES`) carries its search
+    ``space`` and the number of BASE ``subsets`` it enumerates; other routes
+    search no BASE and carry ``None`` for both.
     """
 
     procedure: str
@@ -276,13 +196,19 @@ class PairRoute:
     second: Query
     multiplier: Optional[Constant] = None
     notes: Optional[str] = None
+    space: Optional[SearchSpace] = None
+    subsets: Optional[int] = None
+
+    def fits(self, max_subsets: int) -> bool:
+        """Whether the route's search, if any, enumerates ≤ ``max_subsets``."""
+        return self.subsets is None or self.subsets <= max_subsets
 
 
 def route_pair(
     first: Query,
     second: Query,
     domain: Domain = Domain.RATIONALS,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
 ) -> PairRoute:
     """The strongest decision procedure the paper provides for the pair.
 
@@ -293,38 +219,17 @@ def route_pair(
     search would exceed ``max_subsets``, the originals are routed instead
     (for a sum/count pair that is the counterexample-search/UNKNOWN path).
     A same-function sum/sum pair without a shared pin keeps its originals
-    (normalizing one side would push it into the open fragment).
+    (normalizing one side would push it into the open fragment).  Both
+    inputs come from the queries' cached ``count_form`` and ``vocabulary``.
     """
-    return route_reduced_pair(
-        first, second, sum_count_reduction(first), sum_count_reduction(second),
-        domain, max_subsets,
-    )
-
-
-def route_reduced_pair(
-    first: Query,
-    second: Query,
-    first_reduction: Optional[tuple[Query, Constant, Optional[str]]],
-    second_reduction: Optional[tuple[Query, Constant, Optional[str]]],
-    domain: Domain,
-    max_subsets: int,
-) -> PairRoute:
-    """:func:`route_pair` given both queries' :func:`sum_count_reduction`, so
-    a caller routing one query against many builds its count form once."""
     if first.is_aggregate != second.is_aggregate:
         raise UnsupportedAggregateError(
             "cannot compare an aggregate query with a non-aggregate query"
         )
-    reduction = _shared_count_form(first_reduction, second_reduction)
+    reduction = pair_count_reduction(first, second)
     if reduction is not None:
         route = _route(*reduction, domain=domain)
-        if route.procedure not in LOCAL_PROCEDURES:
-            return route
-        # The local search runs over the count forms' own BASE at τ.
-        forms = (route.first, route.second)
-        constants = route.first.constants() | route.second.constants()
-        arities = catalog_predicate_arities(forms).values()
-        if 2 ** base_size(arities, len(constants), term_size_of_pair(*forms)) <= max_subsets:
+        if route.fits(max_subsets):
             return route
     return _route(first, second, domain=domain)
 
@@ -352,7 +257,17 @@ def _route(
             procedure = AGGREGATE_LOCAL_EQUIVALENCE
         else:
             procedure = UNDECIDED_FRAGMENT
-    return PairRoute(procedure, first, second, multiplier, notes)
+    if procedure not in LOCAL_PROCEDURES:
+        return PairRoute(procedure, first, second, multiplier, notes)
+    first_arities, first_constants, first_size, first_compares = first.vocabulary
+    second_arities, second_constants, second_size, second_compares = second.vocabulary
+    arities = first_arities | second_arities
+    constants = first_constants | second_constants
+    # τ(q, q') of the pair, as term_size_of_pair computes it.
+    bound = len(constants) + max(first_size, second_size)
+    space = SearchSpace(arities, constants, bound, first_compares or second_compares)
+    subsets = 2 ** base_size((arity for _predicate, arity in arities), len(constants), bound)
+    return PairRoute(procedure, first, second, multiplier, notes, space, subsets)
 
 
 def _witness(
@@ -412,8 +327,8 @@ def are_equivalent(
     first: Query,
     second: Query,
     domain: Domain = Domain.RATIONALS,
-    max_subsets: int = 2_000_000,
-    counterexample_trials: int = 400,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
+    counterexample_trials: int = DEFAULT_COUNTEREXAMPLE_TRIALS,
     unknown_bound: Optional[int] = None,
     *,
     seed: Optional[int] = None,

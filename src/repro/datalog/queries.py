@@ -13,7 +13,9 @@ A query interns its disjuncts on construction and on unpickling
 one process are one object.
 
 The classes here are purely syntactic; evaluation lives in
-:mod:`repro.engine` and the decision procedures in :mod:`repro.core`.
+:mod:`repro.engine` and the decision procedures in :mod:`repro.core`.  The
+sum ≡ c·count rewriting (:func:`sum_count_reduction`) is syntactic too, so a
+query keeps its count form, like its evaluation key, once computed.
 """
 
 from __future__ import annotations
@@ -272,6 +274,30 @@ class Query:
             object.__setattr__(self, "_cached_evaluation_key", cached)
         return cached
 
+    @property
+    def count_form(self) -> Optional[tuple["Query", Constant, Optional[str]]]:
+        """The query's :func:`sum_count_reduction` (cached): the dispatcher
+        reads both count forms of every pair it routes."""
+        if "_cached_count_form" not in self.__dict__:
+            object.__setattr__(self, "_cached_count_form", sum_count_reduction(self))
+        return self.__dict__["_cached_count_form"]
+
+    @property
+    def vocabulary(self) -> tuple[frozenset, frozenset, int, bool]:
+        """What a local search over the query reads (cached): its
+        ``(predicate, arity)`` pairs, its constants, its variable size and
+        whether it compares."""
+        cached = self.__dict__.get("_cached_vocabulary")
+        if cached is None:
+            cached = (
+                frozenset(self.predicate_arities().items()),
+                frozenset(self.constants()),
+                self.variable_size,
+                self.uses_comparisons,
+            )
+            object.__setattr__(self, "_cached_vocabulary", cached)
+        return cached
+
     def predicate_arities(self) -> dict[str, int]:
         """Map each predicate occurring in the query to its arity.
 
@@ -382,6 +408,93 @@ def combined_predicate_arities(first: Query, second: Query) -> dict[str, int]:
     """The predicates (with arities) occurring in either query, checking that
     shared predicates are used with consistent arities."""
     return catalog_predicate_arities((first, second))
+
+
+def _equality_closure(disjunct, term) -> set:
+    """The equality class of ``term`` under the disjunct's ``=`` comparisons:
+    every term reachable through a chain like ``y = z, z = 1`` (constants are
+    traversed too, so ``y = 1, 1 = w, w = c`` connects ``y`` with ``c``)."""
+    adjacency: dict[object, set] = {}
+    for comparison in disjunct.comparisons:
+        if comparison.op is ComparisonOp.EQ:
+            adjacency.setdefault(comparison.left, set()).add(comparison.right)
+            adjacency.setdefault(comparison.right, set()).add(comparison.left)
+    seen = {term}
+    frontier = [term]
+    while frontier:
+        current = frontier.pop()
+        for neighbor in adjacency.get(current, ()):
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return seen
+
+
+def aggregation_pin(query: Query) -> Optional[Constant]:
+    """The constant every disjunct pins the sum's aggregation variable to,
+    propagated through equality chains (``y = 1`` but also ``y = z, z = 1``
+    and longer chains).
+
+    Returns ``None`` unless the query is a unary ``sum`` and every disjunct's
+    equality closure of the aggregation variable contains exactly one
+    constant, the same in all disjuncts, and that constant is nonzero.  Two
+    distinct constants in one closure make the disjunct unsatisfiable; the
+    rewriting stays out of that corner (a dead disjunct is better surfaced by
+    the decision procedures than silently normalized).  A pin to 0 is also
+    excluded: a sum pinned to 0 returns 0 for every group, so its equivalence
+    with another query degenerates to agreement of the group-key sets —
+    count-equivalence is strictly stronger and a NOT_EQUIVALENT verdict on
+    the count forms would not transfer back.
+    """
+    aggregate = query.aggregate
+    if aggregate is None or aggregate.function != "sum" or len(aggregate.arguments) != 1:
+        return None
+    variable = aggregate.arguments[0]
+    pin: Optional[Constant] = None
+    for disjunct in query.disjuncts:
+        constants = {
+            term for term in _equality_closure(disjunct, variable) if isinstance(term, Constant)
+        }
+        if len(constants) != 1:
+            return None
+        (constant,) = constants
+        if constant.value == 0:
+            return None
+        if pin is None:
+            pin = constant
+        elif pin != constant:
+            # Disjuncts pinning to different constants: sum ≡ c·count needs
+            # per-disjunct agreement on c, otherwise no single multiplier
+            # relates the two aggregates.
+            return None
+    return pin
+
+
+def sum_count_reduction(query: Query) -> Optional[tuple[Query, Constant, Optional[str]]]:
+    """The count form of a query, when it has one: ``(count_query, c, note)``
+    such that the query returns ``c · count_query`` on every database.
+
+    A ``count()`` query is its own count form with multiplier 1 (and no
+    note); a ``sum`` query whose aggregation variable is pinned to a nonzero
+    constant ``c`` in every disjunct (see :func:`aggregation_pin`) reduces to
+    the same body with ``count()`` in the head and multiplier ``c``.  Other
+    queries have no count form.
+    """
+    aggregate = query.aggregate
+    if aggregate is None:
+        return None
+    if aggregate.function == "count":
+        return query, Constant(1), None
+    pin = aggregation_pin(query)
+    if pin is None:
+        return None
+    variable = query.aggregate.arguments[0]
+    rewritten = query.with_aggregate(AggregateTerm("count", ()))
+    if pin.value == 1:
+        note = f"sum({variable}) with {variable} = 1 rewritten to count()"
+    else:
+        note = f"sum({variable}) with {variable} = {pin} rewritten to {pin}·count()"
+    return rewritten, pin, note
 
 
 def equality(left: Term, right: Term) -> Comparison:

@@ -30,6 +30,7 @@ are fully reproducible.)
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -456,12 +457,7 @@ def pair_check_tasks(
     unordered pair.
     """
     if pairs is None:
-        names = sorted(queries)
-        pairs = [
-            (name_a, name_b)
-            for position, name_a in enumerate(names)
-            for name_b in names[position + 1 :]
-        ]
+        pairs = itertools.combinations(sorted(queries), 2)
     tasks: list[PairCheckTask] = []
     for name_a, name_b in pairs:
         tasks.append(

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
+from ..core.bounded import DEFAULT_MAX_SUBSETS
+from ..core.counterexample import DEFAULT_COUNTEREXAMPLE_TRIALS
 from ..core.equivalence import EquivalenceResult, Verdict
 from ..datalog.database import Database
 from ..datalog.queries import Query
@@ -205,8 +207,8 @@ class RewritingEngine:
         views: ViewsLike,
         *,
         domain: Domain = Domain.RATIONALS,
-        max_subsets: int = 2_000_000,
-        counterexample_trials: int = 400,
+        max_subsets: int = DEFAULT_MAX_SUBSETS,
+        counterexample_trials: int = DEFAULT_COUNTEREXAMPLE_TRIALS,
         unknown_bound: Optional[int] = None,
     ):
         self.views = as_view_catalog(views)
@@ -396,7 +398,7 @@ def rewrite(
     workers: Optional[int] = None,
     seed: Optional[int] = None,
     domain: Domain = Domain.RATIONALS,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     limit: int = 32,
 ) -> RewritingReport:
     """Synthesize and verify rewritings of ``query`` over materialized views.

@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from ..core.bounded import DEFAULT_MAX_SUBSETS
 from ..errors import ReproError
 
 #: Prefix of every service configuration environment variable.
@@ -73,7 +74,7 @@ class AdmissionPolicy:
 
     max_tenants: int = 32
     max_queries: int = 256
-    max_subsets: int = 2_000_000
+    max_subsets: int = DEFAULT_MAX_SUBSETS
     max_queued: int = 8
 
     @classmethod

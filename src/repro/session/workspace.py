@@ -40,11 +40,14 @@ workspace pays them once and amortizes them over the session:
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from ..caches import put_bounded
+from ..core.bounded import DEFAULT_MAX_SUBSETS
+from ..core.counterexample import DEFAULT_COUNTEREXAMPLE_TRIALS
 from ..core.equivalence import EquivalenceResult
 from ..datalog.database import Database
 from ..datalog.parser import parse_query
@@ -156,8 +159,8 @@ class Workspace:
         executor: Optional[Executor] = None,
         schema: Optional[Schema] = None,
         domain: Domain = Domain.RATIONALS,
-        max_subsets: int = 2_000_000,
-        counterexample_trials: int = 400,
+        max_subsets: int = DEFAULT_MAX_SUBSETS,
+        counterexample_trials: int = DEFAULT_COUNTEREXAMPLE_TRIALS,
         unknown_bound: Optional[int] = None,
         seed: Optional[int] = None,
         rewrite_limit: int = 32,
@@ -438,12 +441,7 @@ class Workspace:
         self._equivalence_calls += 1
         call = self._equivalence_calls
         engine_used = self._engine_mode or active_engine()
-        names = sorted(self._queries)
-        pairs = [
-            (name_a, name_b)
-            for position, name_a in enumerate(names)
-            for name_b in names[position + 1 :]
-        ]
+        pairs = list(itertools.combinations(sorted(self._queries), 2))
         undecided: list[tuple[str, str]] = []
         for pair in pairs:
             if pair in self._results:

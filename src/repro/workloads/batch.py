@@ -13,9 +13,10 @@ the batched entry points the examples and benchmarks drive:
 
 The planner (:func:`plan_catalog_sweep`) asks the dispatcher how each cell
 is decided (:func:`repro.core.equivalence.route_pair`).  Every cell routed to
-bounded local equivalence joins the *sweep group* of the cells whose search
-reads the same inputs: the same function, vocabulary, constants, τ and
-comparison flag, hence the same BASE and orderings as the cell's own local
+bounded local equivalence within the subset budget joins the *sweep group*
+of the cells whose search reads the same inputs: the same function and the
+same search space the route carries (vocabulary, constants, τ and
+comparison flag), hence the same BASE and orderings as the cell's own local
 check.  Each group is decided by :func:`repro.core.bounded.sweep_equivalence`
 — **one** subset/ordering enumeration for the whole group, with all queries
 evaluated per (S, L) via the shared Γ caches and the pairs compared in-loop —
@@ -35,18 +36,18 @@ work items through the serial executor, so the two can never diverge.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..core.bounded import SET_SEMANTICS, base_size, sweep_equivalence
+from ..core.bounded import DEFAULT_MAX_SUBSETS, SET_SEMANTICS, sweep_equivalence
+from ..core.counterexample import DEFAULT_COUNTEREXAMPLE_TRIALS
 from ..core.equivalence import (
-    LOCAL_PROCEDURES,
     SET_LOCAL_EQUIVALENCE,
     EquivalenceResult,
     PairRoute,
     local_result,
-    route_reduced_pair,
-    sum_count_reduction,
+    route_pair,
 )
 from ..datalog.database import Database
 from ..datalog.queries import Query
@@ -102,7 +103,7 @@ class SweepPlan:
 def plan_catalog_sweep(
     queries: Mapping[str, Query],
     domain: Domain = Domain.RATIONALS,
-    max_subsets: int = 2_000_000,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     pairs: Optional[Sequence[tuple[str, str]]] = None,
 ) -> SweepPlan:
@@ -113,51 +114,30 @@ def plan_catalog_sweep(
     (:func:`repro.core.equivalence.route_pair`) is bounded local
     equivalence — both queries non-aggregate, or both aggregate with one
     shared function, possibly after the sum ≡ c·count normalization unifies
-    them, outside the quasilinear fragment — and its own BASE fits
-    ``max_subsets``.  Cells are grouped by exactly the inputs their local
-    search reads: the route's function, the union of both forms' predicates
-    (with arities), their constants, τ, and whether they carry comparisons.
-    A group's BASE and ordering classes are therefore those of each of its
-    cells, and every swept cell runs the enumeration its pair task would.
-    A query may appear in several groups under different forms (a pinned sum
-    meets counts in count form and unpinned sums in sum form), but every
-    cell is owned by exactly one group or by the pair path.
+    them, outside the quasilinear fragment — and the route fits
+    ``max_subsets`` (:meth:`~repro.core.equivalence.PairRoute.fits`).  Cells
+    are grouped by the route's function and the search space the route
+    carries (:class:`~repro.core.equivalence.SearchSpace`: both forms'
+    predicates with arities, their constants, τ and the comparison flag),
+    exactly the inputs their local search reads.  A group's BASE and
+    ordering classes are therefore those of each of its cells, and every
+    swept cell runs the enumeration its pair task would.  A query may appear
+    in several groups under different forms (a pinned sum meets counts in
+    count form and unpinned sums in sum form), but every cell is owned by
+    exactly one group or by the pair path.
 
-    Routing sees ``max_subsets`` too, so a cell whose count forms would
-    blow the budget is routed on its originals, as
-    :func:`~repro.core.equivalence.are_equivalent` routes it.  Over-budget
-    cells stay on the pair path, where the same budget guard applies.
+    The planner derives nothing the route does not carry: routing sees
+    ``max_subsets`` too, so a cell whose count forms would blow the budget
+    is routed on its originals, as
+    :func:`~repro.core.equivalence.are_equivalent` routes it, and an
+    over-budget local route stays on the pair path, whose budget guard
+    raises.
 
     ``pairs`` restricts the plan to the given cells (each normalized to
     ``name_a < name_b``); ``None`` plans every unordered pair.
     """
-    names = sorted(queries)
-    plan = SweepPlan()
-    grouped: dict[tuple, SweepGroup] = {}
-    # A query meets every other query of the catalog, so its count form and
-    # each form's vocabulary are built once per call rather than once per
-    # cell.
-    count_forms = {name: sum_count_reduction(query) for name, query in queries.items()}
-    vocabularies: dict[Query, tuple[frozenset, frozenset, int, bool]] = {}
-
-    def vocabulary(form: Query) -> tuple[frozenset, frozenset, int, bool]:
-        known = vocabularies.get(form)
-        if known is None:
-            known = (
-                frozenset(form.predicate_arities().items()),
-                frozenset(form.constants()),
-                form.variable_size,
-                form.uses_comparisons,
-            )
-            vocabularies[form] = known
-        return known
-
     if pairs is None:
-        cells = [
-            (name_a, name_b)
-            for position, name_a in enumerate(names)
-            for name_b in names[position + 1 :]
-        ]
+        cells = itertools.combinations(sorted(queries), 2)
     else:
         cells = sorted({tuple(sorted(pair)) for pair in pairs})
         for name_a, name_b in cells:
@@ -165,32 +145,18 @@ def plan_catalog_sweep(
                 raise ReproError(
                     f"sweep plan pair ({name_a!r}, {name_b!r}) names an unknown query"
                 )
-
+    plan = SweepPlan()
+    grouped: dict[tuple, SweepGroup] = {}
     for name_a, name_b in cells:
         first, second = queries[name_a], queries[name_b]
         pair = (name_a, name_b)
         # Mixed shapes have no route; their pair task records them.
-        shapes_match = first.is_aggregate == second.is_aggregate
         route = (
-            route_reduced_pair(
-                first, second, count_forms[name_a], count_forms[name_b], domain, max_subsets
-            )
-            if shapes_match
+            route_pair(first, second, domain, max_subsets)
+            if first.is_aggregate == second.is_aggregate
             else None
         )
-        if route is None or route.procedure not in LOCAL_PROCEDURES:
-            plan.pair_path.append(pair)
-            continue
-        first_arities, first_constants, first_size, first_compares = vocabulary(route.first)
-        second_arities, second_constants, second_size, second_compares = vocabulary(
-            route.second
-        )
-        arities = first_arities | second_arities
-        constants = first_constants | second_constants
-        # τ(q, q') of the pair, as term_size_of_pair computes it.
-        bound = len(constants) + max(first_size, second_size)
-        size = base_size((arity for _predicate, arity in arities), len(constants), bound)
-        if 2**size > max_subsets:
+        if route is None or route.space is None or not route.fits(max_subsets):
             plan.pair_path.append(pair)
             continue
         kind: tuple = (
@@ -198,10 +164,10 @@ def plan_catalog_sweep(
             if route.procedure == SET_LOCAL_EQUIVALENCE
             else ("agg", route.first.aggregate.function)
         )
-        key = kind + (arities, constants, bound, first_compares or second_compares)
+        key = kind + route.space
         group = grouped.get(key)
         if group is None:
-            group = SweepGroup(key=key, queries={}, pairs=[], routes={}, bound=bound)
+            group = SweepGroup(key=key, queries={}, pairs=[], routes={}, bound=route.space.bound)
             grouped[key] = group
             plan.groups.append(group)
         group.queries[name_a] = route.first
@@ -227,8 +193,8 @@ def decide_pairs(
     queries: Mapping[str, Query],
     pairs: Optional[Sequence[tuple[str, str]]] = None,
     domain: Domain = Domain.RATIONALS,
-    counterexample_trials: int = 400,
-    max_subsets: int = 2_000_000,
+    counterexample_trials: int = DEFAULT_COUNTEREXAMPLE_TRIALS,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     unknown_bound: Optional[int] = None,
     *,
     workers: Optional[int] = None,
@@ -320,8 +286,8 @@ def decide_pairs(
 def equivalence_matrix(
     queries: Mapping[str, Query],
     domain: Domain = Domain.RATIONALS,
-    counterexample_trials: int = 400,
-    max_subsets: int = 2_000_000,
+    counterexample_trials: int = DEFAULT_COUNTEREXAMPLE_TRIALS,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
     unknown_bound: Optional[int] = None,
     *,
     workers: Optional[int] = None,

@@ -273,6 +273,26 @@ class TestDifferentialMatrix:
         assert result.verdict is Verdict.EQUIVALENT
         assert "normalization" in result.method
 
+    def test_cold_matrix_builds_each_count_form_once(self, monkeypatch):
+        # A query keeps its count form: the planner and every pair task that
+        # re-routes a cell read it, so the one pinned sum is rewritten once.
+        from repro.datalog.queries import Query
+        from repro.session import Workspace
+
+        builds = []
+        original = Query.with_aggregate
+
+        def counted(self, aggregate):
+            builds.append(self.name)
+            return original(self, aggregate)
+
+        monkeypatch.setattr(Query, "with_aggregate", counted)
+        with Workspace(workers=1, store=False) as workspace:
+            for name, query in _matrix_catalog().items():
+                workspace.add(query, name=name)
+            workspace.equivalences()
+        assert builds == ["units"]
+
     def test_seeded_matrix_is_reproducible(self):
         catalog = _matrix_catalog()
         first = equivalence_matrix(catalog, seed=9, counterexample_trials=60)

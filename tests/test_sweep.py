@@ -316,8 +316,13 @@ class TestSweepPlanner:
                     *(query.constants() for query in group.queries.values())
                 )
                 group_compares = any(query.uses_comparisons for query in group.queries.values())
+                kind_length = 1 if group.key[0] == "plain" else 2
                 for pair in group.pairs:
                     route = group.routes[pair]
+                    # The route's search space is the group key: the planner
+                    # groups by what routing computed, nothing of its own.
+                    assert group.key[kind_length:] == route.space, pair
+                    assert group.bound == route.space.bound, pair
                     forms = (route.first, route.second)
                     assert catalog_predicate_arities(forms) == group_vocabulary, pair
                     assert route.first.constants() | route.second.constants() == group_constants
@@ -331,7 +336,9 @@ class TestSweepPlanner:
                 if first.is_aggregate != second.is_aggregate:
                     continue
                 route = route_pair(first, second)
-                if route.procedure in LOCAL_PROCEDURES:
+                if route.procedure not in LOCAL_PROCEDURES:
+                    assert route.space is None, (name_a, name_b)
+                else:
                     with pytest.raises(SearchSpaceBudgetError):
                         local_equivalence(route.first, route.second, max_subsets=max_subsets)
 
