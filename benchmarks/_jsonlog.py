@@ -23,20 +23,16 @@ def json_record(
     name: str,
     wall_s: float,
     speedup: Optional[float],
-    engine: Optional[str] = None,
+    engine: str = "compiled",
     counters: Optional[dict] = None,
 ) -> dict:
     """One benchmark record; ``speedup`` may be None when no baseline applies.
 
-    ``engine`` defaults to the active engine mode so every record names the
-    back end it measured even when the benchmark did not choose one.
+    ``engine`` names the back end the record measured: ``"compiled"`` (the
+    one engine) unless the record times the naive reference.
     ``counters`` defaults to a snapshot of the metrics registry at the time
     the record is built — the cumulative work counters of the run so far.
     """
-    if engine is None:
-        from repro.engine import active_engine
-
-        engine = active_engine()
     if counters is None:
         from repro.obs import REGISTRY
 

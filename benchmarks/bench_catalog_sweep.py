@@ -134,13 +134,6 @@ def run_benchmark(quick: bool) -> dict:
     sweep_parallel, parallel_results = _timed(
         lambda: equivalence_matrix(catalog, workers=WORKERS, seed=7)
     )
-    # The same sweep under the naive reference: symbolic Γ(q, S_L) runs the
-    # compiled kernels under either mode, while concrete evaluation (the
-    # counterexample searches) runs the nested-loop engine — verdicts must
-    # not move.
-    sweep_naive, naive_engine_results = _timed(
-        lambda: equivalence_matrix(catalog, workers=1, seed=7, engine="naive")
-    )
     pairwise, pairwise_results = _timed(lambda: pairwise_matrix(catalog, seed=7))
 
     # Hard acceptance requirement: cell-for-cell identical verdicts and
@@ -151,7 +144,6 @@ def run_benchmark(quick: bool) -> dict:
         assert sweep_cell.verdict is pairwise_cell.verdict, pair
         assert sweep_cell.method == pairwise_cell.method, pair
         assert parallel_results[pair].verdict is sweep_cell.verdict, pair
-        assert naive_engine_results[pair].verdict is sweep_cell.verdict, pair
 
     normalized_cell = sweep_results[("unit_count", "unit_sum")]
     equivalent_cells = sum(1 for cell in sweep_results.values() if cell.is_equivalent)
@@ -164,7 +156,6 @@ def run_benchmark(quick: bool) -> dict:
         "equivalent_cells": equivalent_cells,
         "sweep_serial": sweep_serial,
         "sweep_parallel": sweep_parallel,
-        "sweep_naive": sweep_naive,
         "pairwise": pairwise,
         "speedup": pairwise / sweep_serial,
         "normalized_verdict": normalized_cell.verdict.value,
@@ -186,8 +177,6 @@ def _render(result: dict) -> list[str]:
         f"{result['sweep_serial']:.2f}s on one core ({result['speedup']:.1f}x, "
         f"floor {_floor(result['quick'])}x); sweep with {WORKERS} workers "
         f"{result['sweep_parallel']:.2f}s",
-        f"[E11:{mode}] engines: sweep under the naive reference "
-        f"{result['sweep_naive']:.2f}s, same verdicts as compiled",
         f"[E11:{mode}] pinned-sum cell: {result['normalized_verdict']} "
         f"[{result['normalized_method']}]",
     ]
@@ -232,12 +221,6 @@ def main() -> int:
                     "catalog_sweep.sweep_workers2",
                     result["sweep_parallel"],
                     result["pairwise"] / result["sweep_parallel"],
-                ),
-                json_record(
-                    "catalog_sweep.sweep_naive_engine",
-                    result["sweep_naive"],
-                    None,
-                    engine="naive",
                 ),
             ],
         )

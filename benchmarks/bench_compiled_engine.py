@@ -46,9 +46,9 @@ from repro.engine import (
     clear_evaluation_caches,
     clear_plan_cache,
     clear_symbolic_caches,
-    engine_scope,
     evaluate,
     kernel_cache_stats,
+    naive_evaluate,
     naive_satisfying_assignments,
     satisfying_assignments,
 )
@@ -90,30 +90,30 @@ def _catalog(warehouse) -> list:
     return [query for _, query in sorted(warehouse.queries.items())]
 
 
-def _evaluate_batch(queries, databases, mode: str) -> float:
-    with engine_scope(mode):
-        start = time.perf_counter()
-        for query in queries:
-            for database in databases:
-                evaluate(query, database)
-        return time.perf_counter() - start
+def _evaluate_batch(queries, databases, evaluator) -> float:
+    """Seconds ``evaluator`` (``evaluate`` or ``naive_evaluate``) takes over
+    every (query, database) pair."""
+    start = time.perf_counter()
+    for query in queries:
+        for database in databases:
+            evaluator(query, database)
+    return time.perf_counter() - start
 
 
-def _measure_warm_total(warehouse, mode: str, repeats: int = 5) -> float:
-    """Catalog-wide warm ``evaluate()`` seconds (kernels/stores/plans hot,
+def _measure_warm_total(warehouse, evaluator, repeats: int = 5) -> float:
+    """Catalog-wide warm ``evaluator`` seconds (kernels/stores/plans hot,
     memoized Γ dropped between repetitions)."""
     database = warehouse.database
     total = 0.0
-    with engine_scope(mode):
-        for _, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)  # warm kernels, store, plans
-            best = float("inf")
-            for _ in range(repeats):
-                _satisfying_assignments_cached.cache_clear()
-                start = time.perf_counter()
-                evaluate(query, database)
-                best = min(best, time.perf_counter() - start)
-            total += best
+    for _, query in sorted(warehouse.queries.items()):
+        evaluator(query, database)  # warm kernels, store, plans
+        best = float("inf")
+        for _ in range(repeats):
+            _satisfying_assignments_cached.cache_clear()
+            start = time.perf_counter()
+            evaluator(query, database)
+            best = min(best, time.perf_counter() - start)
+        total += best
     return total
 
 
@@ -141,16 +141,15 @@ def _measure_obs_overhead(warehouse) -> tuple[int, float]:
     REGISTRY.reset("overhead.")
 
     database = warehouse.database
-    with engine_scope("compiled"):
-        for _, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)  # warm kernels, stores, plans
-        before = REGISTRY.snapshot("engine.")
-        _satisfying_assignments_cached.cache_clear()
-        start = time.perf_counter()
-        for _, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)
-        wall = time.perf_counter() - start
-        after = REGISTRY.snapshot("engine.")
+    for _, query in sorted(warehouse.queries.items()):
+        evaluate(query, database)  # warm kernels, stores, plans
+    before = REGISTRY.snapshot("engine.")
+    _satisfying_assignments_cached.cache_clear()
+    start = time.perf_counter()
+    for _, query in sorted(warehouse.queries.items()):
+        evaluate(query, database)
+    wall = time.perf_counter() - start
+    after = REGISTRY.snapshot("engine.")
     increments = sum(after.values()) - sum(before.values())
     # Spans on the warm path: one kernel.execute per loop-kernel dispatch and
     # one kernel.compile per (warm: zero) compile.
@@ -177,11 +176,9 @@ def run_benchmark(quick: bool) -> dict:
     for seed in range(5):
         database = random_warehouse_database(seed)
         for query in queries:
-            with engine_scope("naive"):
-                naive_result = evaluate(query, database)
-            with engine_scope("compiled"):
-                compiled_result = evaluate(query, database)
-                compiled_assignments = satisfying_assignments(query, database)
+            naive_result = naive_evaluate(query, database)
+            compiled_result = evaluate(query, database)
+            compiled_assignments = satisfying_assignments(query, database)
             naive_assignments = naive_satisfying_assignments(query, database)
             assert naive_result == compiled_result, (seed, query.name)
             assert sorted(naive_assignments, key=repr) == sorted(
@@ -192,18 +189,18 @@ def run_benchmark(quick: bool) -> dict:
     first_batch = [random_warehouse_database(seed) for seed in range(batch)]
     second_batch = [random_warehouse_database(seed) for seed in range(batch, 2 * batch)]
     _cold()
-    multi_naive = _evaluate_batch(queries, first_batch + second_batch, "naive")
+    multi_naive = _evaluate_batch(queries, first_batch + second_batch, naive_evaluate)
     _cold()
-    multi_compiled_first = _evaluate_batch(queries, first_batch, "compiled")
+    multi_compiled_first = _evaluate_batch(queries, first_batch, evaluate)
     stats_after_first = kernel_cache_stats()
-    multi_compiled_second = _evaluate_batch(queries, second_batch, "compiled")
+    multi_compiled_second = _evaluate_batch(queries, second_batch, evaluate)
     stats_after_second = kernel_cache_stats()
     multi_compiled = multi_compiled_first + multi_compiled_second
 
     # 2. Warm catalog evaluation at scale.
     _cold()
-    warm_naive = _measure_warm_total(warehouse, "naive")
-    warm_compiled = _measure_warm_total(warehouse, "compiled")
+    warm_naive = _measure_warm_total(warehouse, naive_evaluate)
+    warm_compiled = _measure_warm_total(warehouse, evaluate)
 
     # 4. Disabled-instrumentation overhead on the (already warm) compiled path.
     obs_ops, obs_overhead_ratio = _measure_obs_overhead(warehouse)
@@ -220,7 +217,7 @@ def run_benchmark(quick: bool) -> dict:
     os.environ["REPRO_NO_NUMPY"] = "1"
     try:
         _cold()
-        loop_compiled = _measure_warm_total(warehouse, "compiled")
+        loop_compiled = _measure_warm_total(warehouse, evaluate)
     finally:
         if previous is None:
             os.environ.pop("REPRO_NO_NUMPY", None)

@@ -37,8 +37,8 @@ import pytest
 from repro.engine import (
     clear_evaluation_caches,
     clear_plan_cache,
-    engine_scope,
     evaluate,
+    naive_evaluate,
     naive_satisfying_assignments,
     satisfying_assignments,
 )
@@ -106,16 +106,16 @@ def _measure(warehouse) -> dict[str, tuple[float, float]]:
             fresh_database = Database(warehouse.database.facts)  # no cached store
             clear_evaluation_caches()
             clear_plan_cache()
-            with engine_scope("compiled"):
-                start = time.perf_counter()
-                satisfying_assignments(query, fresh_database)
+            start = time.perf_counter()
+            satisfying_assignments(query, fresh_database)
             compiled = min(compiled, time.perf_counter() - start)
         timings[name] = (naive, compiled)
     return timings
 
 
-def _measure_warm(warehouse, mode: str, repeats: int = 5) -> dict[str, float]:
-    """Per-query warm ``evaluate()`` seconds under the given engine mode.
+def _measure_warm(warehouse, evaluator, repeats: int = 5) -> dict[str, float]:
+    """Per-query warm seconds of ``evaluator`` (``evaluate`` or the naive
+    reference ``naive_evaluate``).
 
     A first untimed call interns the store, compiles the kernels and plans
     the conditions; each timed repetition then drops only the memoized Γ
@@ -124,16 +124,15 @@ def _measure_warm(warehouse, mode: str, repeats: int = 5) -> dict[str, float]:
     """
     database = warehouse.database
     timings: dict[str, float] = {}
-    with engine_scope(mode):
-        for name, query in sorted(warehouse.queries.items()):
-            evaluate(query, database)  # warm kernels, store, plans
-            best = float("inf")
-            for _ in range(repeats):
-                _satisfying_assignments_cached.cache_clear()
-                start = time.perf_counter()
-                evaluate(query, database)
-                best = min(best, time.perf_counter() - start)
-            timings[name] = best
+    for name, query in sorted(warehouse.queries.items()):
+        evaluator(query, database)  # warm kernels, store, plans
+        best = float("inf")
+        for _ in range(repeats):
+            _satisfying_assignments_cached.cache_clear()
+            start = time.perf_counter()
+            evaluator(query, database)
+            best = min(best, time.perf_counter() - start)
+        timings[name] = best
     return timings
 
 
@@ -143,11 +142,10 @@ def test_cold_compiled_speedup(report_lines):
     mode = "quick" if QUICK else "full"
 
     # The two engines must agree before their timings mean anything.
-    with engine_scope("compiled"):
-        for name, query in sorted(warehouse.queries.items()):
-            naive = naive_satisfying_assignments(query, warehouse.database)
-            compiled = satisfying_assignments(query, warehouse.database)
-            assert sorted(naive, key=repr) == sorted(compiled, key=repr), name
+    for name, query in sorted(warehouse.queries.items()):
+        naive = naive_satisfying_assignments(query, warehouse.database)
+        compiled = satisfying_assignments(query, warehouse.database)
+        assert sorted(naive, key=repr) == sorted(compiled, key=repr), name
 
     timings = _measure(warehouse)
     total_naive = sum(naive for naive, _ in timings.values())
@@ -185,16 +183,14 @@ def test_warm_compiled_speedup(report_lines):
     warehouse = build_warehouse(**SCALE)
     mode = "quick" if QUICK else "full"
 
-    # Agreement first: evaluate() must be engine-invariant on the catalog.
+    # Agreement first: evaluate() must equal the naive reference on the catalog.
     for name, query in sorted(warehouse.queries.items()):
-        with engine_scope("naive"):
-            naive_result = evaluate(query, warehouse.database)
-        with engine_scope("compiled"):
-            compiled_result = evaluate(query, warehouse.database)
-        assert naive_result == compiled_result, name
+        assert naive_evaluate(query, warehouse.database) == evaluate(
+            query, warehouse.database
+        ), name
 
-    naive = _measure_warm(warehouse, "naive")
-    compiled = _measure_warm(warehouse, "compiled")
+    naive = _measure_warm(warehouse, naive_evaluate)
+    compiled = _measure_warm(warehouse, evaluate)
     total_naive = sum(naive.values())
     total_compiled = sum(compiled.values())
     overall = total_naive / total_compiled
@@ -255,8 +251,8 @@ def main() -> int:
           f"{total_compiled_cold * 1000:7.2f} ms  speedup "
           f"{total_naive / total_compiled_cold:6.1f}x")
 
-    naive_warm = _measure_warm(warehouse, "naive")
-    compiled_warm = _measure_warm(warehouse, "compiled")
+    naive_warm = _measure_warm(warehouse, naive_evaluate)
+    compiled_warm = _measure_warm(warehouse, evaluate)
     total_naive_warm = sum(naive_warm.values())
     total_compiled = sum(compiled_warm.values())
     print()

@@ -5,7 +5,7 @@ Two layers guard the invariants the test suite only samples:
 * **Static analysis** (``python -m repro.analysis``): an AST-based checker
   framework (:mod:`repro.analysis.framework`) with five repo-specific rules
   (:mod:`repro.analysis.checkers`) — cache discipline, seeded randomness,
-  verdict soundness, fork safety, and engine threading — run over the
+  verdict soundness, fork safety, and the engine boundary — run over the
   package source and exit-code gated in CI.  Inline suppressions
   (``# repro: allow[rule] -- reason``) require a reason.
 * **Kernel verification** (:mod:`repro.analysis.kernelcheck`): every

@@ -15,10 +15,10 @@ Each checker machine-checks one convention the test suite only samples:
 * ``fork-safety`` — parallel task dataclasses must be picklable by
   construction: no callable/handle-typed fields, no lambda defaults, no
   field defaults referencing module-level caches.
-* ``engine-threading`` — evaluation entry points outside ``engine/`` never
-  touch a backend driver directly and never hard-code an engine mode
-  string; the mode is threaded (``engine=`` / task field) or read from
-  ``active_engine()``.
+* ``engine-boundary`` — code outside ``engine/`` never names a per-backend
+  driver or the naive reference (``naive_evaluate``,
+  ``naive_satisfying_assignments``): production code evaluates only through
+  the public entry points, never through the oracle.
 
 All checks are syntactic (AST-level).  They catch the construction patterns
 the repo actually uses; code determined to evade them can (dataflow through
@@ -459,88 +459,45 @@ class ForkSafetyChecker(Checker):
 
 
 # ----------------------------------------------------------------------
-# engine-threading
+# engine-boundary
 # ----------------------------------------------------------------------
-#: Per-backend driver entry points: only the dispatching layer under
-#: ``engine/`` may name these; everything above goes through the mode-aware
-#: public API (``evaluate_*``, ``satisfying_assignments``, ...).
+#: Per-backend drivers and the naive reference: only ``engine/`` may name
+#: these; everything above goes through the public entry points
+#: (``evaluate_*``, ``satisfying_assignments``, ...), so production code can
+#: never evaluate through the oracle.
 _BACKEND_DRIVERS = frozenset(
     {
         "compiled_evaluate_set", "compiled_evaluate_bag_set", "compiled_evaluate_aggregate",
         "compiled_satisfying_assignments", "compiled_symbolic_assignments",
         "compiled_symbolic_group_index",
-        "naive_satisfying_assignments", "execute_plan_vector",
+        "naive_satisfying_assignments", "naive_evaluate", "execute_plan_vector",
     }
 )
 
 
-class EngineThreadingChecker(Checker):
-    name = "engine-threading"
+class EngineBoundaryChecker(Checker):
+    name = "engine-boundary"
     description = (
-        "evaluation code outside engine/ must not call backend drivers directly "
-        "and must not hard-code an engine mode string; thread engine= or read "
-        "active_engine()"
+        "code outside engine/ must not name a per-backend driver or the naive "
+        "reference; evaluate through the public entry points"
     )
 
     #: Module relpath prefix that owns the backend drivers.
     engine_prefix = "engine/"
-    #: The one module allowed to name mode strings (it defines them).
-    modes_module = "engine/modes.py"
-    #: The multi-tenant service layer: *no* call of ``set_engine`` /
-    #: ``engine_scope`` at all (literal or threaded) — the engine mode is
-    #: process-global, so flipping it from a request handler leaks one
-    #: tenant's mode into every other tenant's decisions.  Service code
-    #: pins the mode per workspace (``Workspace(engine=...)``) instead.
-    service_prefix = "service/"
 
     def check_module(self, module: SourceModule) -> Iterable[Finding]:
+        if module.relpath.startswith(self.engine_prefix):
+            return []
         findings: list[Finding] = []
-        inside_engine = module.relpath.startswith(self.engine_prefix)
-        inside_service = module.relpath.startswith(self.service_prefix)
         for node in ast.walk(module.tree):
-            if (
-                inside_service
-                and isinstance(node, ast.Call)
-                and _call_name(node.func) in ("set_engine", "engine_scope")
-            ):
-                findings.append(
-                    Finding(
-                        self.name,
-                        module.display_path,
-                        node.lineno,
-                        f"{_call_name(node.func)}() mutates the process-global "
-                        "engine mode from the multi-tenant service layer; pin "
-                        "the mode per tenant with Workspace(engine=...)",
-                    )
-                )
-                continue
-            if not inside_engine:
-                if isinstance(node, ast.ImportFrom):
-                    for alias in node.names:
-                        if alias.name in _BACKEND_DRIVERS:
-                            findings.append(self._driver_finding(module, node.lineno, alias.name))
-                elif isinstance(node, ast.Name) and node.id in _BACKEND_DRIVERS:
-                    findings.append(self._driver_finding(module, node.lineno, node.id))
-                elif isinstance(node, ast.Attribute) and node.attr in _BACKEND_DRIVERS:
-                    findings.append(self._driver_finding(module, node.lineno, node.attr))
-            if (
-                isinstance(node, ast.Call)
-                and _call_name(node.func) in ("set_engine", "engine_scope")
-                and module.relpath != self.modes_module
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                findings.append(
-                    Finding(
-                        self.name,
-                        module.display_path,
-                        node.lineno,
-                        f"{_call_name(node.func)}({node.args[0].value!r}) hard-codes an "
-                        "engine backend; thread the mode from the caller (engine= "
-                        "parameter, task field) or read active_engine()",
-                    )
-                )
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in _BACKEND_DRIVERS:
+                        findings.append(self._driver_finding(module, node.lineno, alias.name))
+            elif isinstance(node, ast.Name) and node.id in _BACKEND_DRIVERS:
+                findings.append(self._driver_finding(module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in _BACKEND_DRIVERS:
+                findings.append(self._driver_finding(module, node.lineno, node.attr))
         return findings
 
     def _driver_finding(self, module: SourceModule, line: int, symbol: str) -> Finding:
@@ -548,8 +505,8 @@ class EngineThreadingChecker(Checker):
             self.name,
             module.display_path,
             line,
-            f"{symbol} is a per-backend driver; outside engine/ evaluation must "
-            "go through the mode-aware entry points so engine= stays threaded",
+            f"{symbol} is a per-backend driver or the naive reference; outside "
+            "engine/ evaluation must go through the public entry points",
         )
 
 
@@ -559,5 +516,5 @@ ALL_CHECKERS: tuple[Checker, ...] = (
     SeededRandomnessChecker(),
     VerdictSoundnessChecker(),
     ForkSafetyChecker(),
-    EngineThreadingChecker(),
+    EngineBoundaryChecker(),
 )

@@ -11,17 +11,19 @@ This module implements the semantics of Sections 3.2 and 3.4 of the paper:
   variables, restricting each group to the aggregation variables and applying
   the aggregation function.
 
-Every public entry point dispatches on the active engine mode
-(:mod:`repro.engine.modes`).  ``compiled`` (the default) runs the columnar
-kernels of :mod:`repro.engine.compile`, with the set / bag-set / aggregate
-evaluators skipping :class:`LabeledAssignment` materialization entirely and
-projecting inside the kernels; its ``Γ(q, D)`` is memoized per
-``(query, database)`` pair — both are immutable — so repeated evaluations
-(counterexample searches, equivalence matrices) pay for each distinct pair
-once.  ``naive`` routes Γ through :func:`naive_satisfying_assignments`, the
-original nested-loop engine, kept as an executable specification; the
-differential tests and the scaling benchmark compare the compiled engine
-against it.
+Every public entry point runs the columnar kernels of
+:mod:`repro.engine.compile`, with the set / bag-set / aggregate evaluators
+skipping :class:`LabeledAssignment` materialization entirely and projecting
+inside the kernels; ``Γ(q, D)`` is memoized per ``(query, database)`` pair —
+both are immutable — so repeated evaluations (counterexample searches,
+equivalence matrices) pay for each distinct pair once.
+
+The original nested-loop engine stays as the executable specification of
+the semantics, reached only by name: :func:`naive_satisfying_assignments`
+and :func:`naive_evaluate`.  The differential tests and the scaling
+benchmarks call it beside the compiled entry points; no production path
+evaluates through it (the ``engine-boundary`` checker of
+:mod:`repro.analysis`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from ..domains import NumericValue
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from . import compile as _compile
-from .modes import ENGINE_COMPILED, ENGINE_NAIVE, active_engine
 from .planner import plan_condition  # noqa: F401 -- unused; perfbench/layers.py wraps this binding
 
 
@@ -81,17 +82,15 @@ class LabeledAssignment:
 
 def satisfying_assignments(query: Query, database: Database) -> list[LabeledAssignment]:
     """Γ(q, D): all labeled satisfying assignments of the query over the
-    database, computed by the active engine."""
-    if active_engine() == ENGINE_NAIVE:
-        return naive_satisfying_assignments(query, database)
+    database."""
     return list(_satisfying_assignments_cached(query, database))
 
 
 # A deliberately smaller cache than the symbolic engine's: concrete databases
 # from counterexample searches are mostly one-shot (each trial generates a
 # fresh random database, hit again only when it becomes a witness), so a large
-# cache would mainly retain dead (query, database, assignments) triples.  Only
-# the compiled engine reads it; ``naive`` recomputes every time.
+# cache would mainly retain dead (query, database, assignments) triples.  The
+# naive reference never reads it.
 @lru_cache(maxsize=4096)
 def _satisfying_assignments_cached(
     query: Query, database: Database
@@ -177,6 +176,29 @@ def naive_satisfying_assignments(query: Query, database: Database) -> list[Label
     return results
 
 
+def naive_evaluate(query: Query, database: Database, *, bag: bool = False):
+    """``evaluate`` computed by the naive reference: Γ from
+    :func:`naive_satisfying_assignments`, folded as Section 3 defines it.
+
+    Aggregate queries return ``{group tuple: α(ȳ) ↓ Γ_d̄(q, D)}``, applying
+    the query's aggregation function to each group's bag; non-aggregate
+    queries return the set of answer tuples, or with ``bag=True`` their
+    bag-set ``Counter``.
+    """
+    assignments = naive_satisfying_assignments(query, database)
+    if query.aggregate is not None:
+        function = get_function(query.aggregate.function)
+        aggregation_variables = query.aggregation_variables()
+        groups: dict[tuple, list[tuple]] = {}
+        for assignment in assignments:
+            key = assignment.values_of(query.head_terms)
+            groups.setdefault(key, []).append(assignment.values_of(aggregation_variables))
+        return {key: function.apply(values) for key, values in groups.items()}
+    if bag:
+        return Counter(assignment.values_of(query.head_terms) for assignment in assignments)
+    return {assignment.values_of(query.head_terms) for assignment in assignments}
+
+
 def _naive_assignments_for_condition(
     condition: Condition, database: Database
 ) -> Iterator[dict[Variable, NumericValue]]:
@@ -252,23 +274,13 @@ def _check_residual_literals(
 # ----------------------------------------------------------------------
 def evaluate_set(query: Query, database: Database) -> set[tuple]:
     """Set semantics: the relation q^D of Equation (1)."""
-    if active_engine() == ENGINE_COMPILED:
-        # Projection happens inside the kernels — Γ is never materialized.
-        return _compile.compiled_evaluate_set(query, database)
-    results: set[tuple] = set()
-    for assignment in satisfying_assignments(query, database):
-        results.add(assignment.values_of(query.head_terms))
-    return results
+    # Projection happens inside the kernels — Γ is never materialized.
+    return _compile.compiled_evaluate_set(query, database)
 
 
 def evaluate_bag_set(query: Query, database: Database) -> Counter:
     """Bag-set semantics: each answer tuple with its multiplicity."""
-    if active_engine() == ENGINE_COMPILED:
-        return _compile.compiled_evaluate_bag_set(query, database)
-    results: Counter = Counter()
-    for assignment in satisfying_assignments(query, database):
-        results[assignment.values_of(query.head_terms)] += 1
-    return results
+    return _compile.compiled_evaluate_bag_set(query, database)
 
 
 # ----------------------------------------------------------------------
@@ -296,14 +308,7 @@ def evaluate_aggregate(
         raise EvaluationError("evaluate_aggregate requires an aggregate query")
     if function is None:
         function = get_function(query.aggregate.function)
-    if active_engine() == ENGINE_COMPILED:
-        return _compile.compiled_evaluate_aggregate(query, database, function)
-    aggregation_variables = query.aggregation_variables()
-    results: dict[tuple, object] = {}
-    for key, assignments in group_assignments(query, database).items():
-        bag = [assignment.values_of(aggregation_variables) for assignment in assignments]
-        results[key] = function.apply(bag)
-    return results
+    return _compile.compiled_evaluate_aggregate(query, database, function)
 
 
 def evaluate(query: Query, database: Database):

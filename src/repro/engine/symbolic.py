@@ -13,9 +13,8 @@ representative of its block, so a subset ``S`` paired with an ordering that
 equates terms behaves exactly like its instantiation with a non-injective
 assignment.
 
-Evaluation runs the compiled kernels of :mod:`repro.engine.compile` under
-every engine mode (the ``naive`` reference exists only over concrete
-databases): the symbolic database is interned into a columnar store whose id
+Evaluation runs the compiled kernels of :mod:`repro.engine.compile` (the
+naive reference exists only over concrete databases): the symbolic database is interned into a columnar store whose id
 order mirrors the block order of ``L``, so comparisons decided by the
 ordering become integer comparisons on ids.
 

@@ -4,9 +4,8 @@
 the session knows about *how* a verdict was reached — the dispatch class
 the pair was classified into, the full method string, whether count-form
 normalization was applied, which sweep group (if any) carried the cell,
-which engine evaluated it, whether this verdict was freshly decided or
-served from the structural verdict cache, and the witness when the verdict
-is NOT_EQUIVALENT.
+whether this verdict was freshly decided or served from the structural
+verdict cache, and the witness when the verdict is NOT_EQUIVALENT.
 
 The dispatch class is recovered from the method string the dispatcher
 recorded (`core/equivalence.py` writes one distinctive method per branch),
@@ -75,8 +74,6 @@ class CellExplanation:
     dispatch_class: str
     #: The count-form normalization annotation, or ``None`` when none applied.
     normalization: Optional[str]
-    #: Engine mode the decision ran under (``naive``/``compiled``).
-    engine: str
     #: ``True`` when the verdict was served from the structural verdict
     #: cache; ``False`` when this cell was freshly decided.
     cache_served: bool
@@ -106,8 +103,7 @@ class CellExplanation:
         parts = [
             f"{self.pair[0]} vs {self.pair[1]}: {self.verdict}",
             f"via {self.method}",
-            f"[class={self.dispatch_class}, engine={self.engine}, "
-            f"origin={origin}]",
+            f"[class={self.dispatch_class}, origin={origin}]",
         ]
         if self.normalization:
             parts.append(f"normalized ({self.normalization})")

@@ -47,7 +47,6 @@ from ..caches import put_bounded, register_cache
 from ..core.equivalence import EquivalenceResult, Verdict, are_equivalent
 from ..datalog.queries import Query
 from ..domains import Domain
-from ..engine.modes import DEFAULT_ENGINE, active_engine, engine_scope
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from .executor import Executor, cancellation_requested, in_worker
@@ -139,12 +138,6 @@ class SweepRangeCheckTask:
     domain: Domain
     semantics: str
     ranges: tuple[tuple[int, int], ...]
-    #: The evaluation engine the parent had active when the task was built;
-    #: the runner restores it around the shard so spawn-started workers (which
-    #: re-read ``REPRO_ENGINE`` at import) still decide under the same engine.
-    #: Deliberately absent from ``_setup_key``: setups hold engine-neutral
-    #: state (BASE, orderings), so shards of differing engines may share one.
-    engine: str = DEFAULT_ENGINE
 
     def _setup_key(self) -> tuple:
         return (
@@ -221,9 +214,7 @@ def run_sweep_range_task(task: SweepRangeCheckTask) -> SweepCheckOutcome:
     check the positions the ranges select, until every assigned pair failed
     locally or the pool's cancellation event fires."""
     before = capture_worker_metrics()
-    with engine_scope(task.engine):
-        outcome = _sweep_range_outcome(task)
-    return attach_worker_metrics(outcome, before)
+    return attach_worker_metrics(_sweep_range_outcome(task), before)
 
 
 def _sweep_range_outcome(task: SweepRangeCheckTask) -> SweepCheckOutcome:
@@ -293,7 +284,6 @@ def sweep_range_tasks(
             domain=domain,
             semantics=semantics,
             ranges=ranges,
-            engine=active_engine(),
         )
         for index, ranges in enumerate(block_cyclic_ranges(start, count, shards))
     ]
@@ -387,9 +377,6 @@ class PairCheckTask:
     max_subsets: int
     unknown_bound: Optional[int]
     seed: Optional[int]
-    #: Engine captured at build time; restored by the runner (see
-    #: :class:`SweepRangeCheckTask`).
-    engine: str = DEFAULT_ENGINE
 
 
 @dataclass
@@ -425,16 +412,15 @@ def run_pair_task(task: PairCheckTask) -> PairOutcome:
             details="one query is aggregate and the other is not",
         )
     else:
-        with engine_scope(task.engine):
-            result = are_equivalent(
-                task.first,
-                task.second,
-                domain=task.domain,
-                counterexample_trials=task.counterexample_trials,
-                max_subsets=task.max_subsets,
-                unknown_bound=task.unknown_bound,
-                seed=derive_pair_seed(task.seed, task.name_a, task.name_b),
-            )
+        result = are_equivalent(
+            task.first,
+            task.second,
+            domain=task.domain,
+            counterexample_trials=task.counterexample_trials,
+            max_subsets=task.max_subsets,
+            unknown_bound=task.unknown_bound,
+            seed=derive_pair_seed(task.seed, task.name_a, task.name_b),
+        )
     return attach_worker_metrics(
         PairOutcome(task.index, task.name_a, task.name_b, result), before
     )
@@ -472,7 +458,6 @@ def pair_check_tasks(
                 max_subsets=max_subsets,
                 unknown_bound=unknown_bound,
                 seed=seed,
-                engine=active_engine(),
             )
         )
     return tasks

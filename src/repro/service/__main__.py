@@ -12,7 +12,6 @@ import argparse
 import asyncio
 from typing import Optional, Sequence
 
-from ..engine.modes import ENGINE_MODES
 from .app import ReproService
 
 
@@ -30,12 +29,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="process-pool workers per tenant workspace (default: REPRO_WORKERS)",
     )
     parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINE_MODES),
-        default=None,
-        help="pin every tenant's evaluation engine (default: process mode)",
-    )
-    parser.add_argument(
         "--serialize-reads",
         action="store_true",
         help="take the tenant mutation lock on GETs too (benchmark baseline)",
@@ -45,7 +38,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        engine=args.engine,
         serialize_reads=bool(args.serialize_reads),
     )
 

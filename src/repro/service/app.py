@@ -148,10 +148,8 @@ def _render_response(
 class ReproService:
     """A multi-tenant equivalence server (see the module docstring).
 
-    ``workers`` / ``engine`` are threaded into every tenant workspace
-    (``None``: consult ``REPRO_WORKERS`` / the process engine mode once at
-    workspace construction — the service itself never touches the global
-    engine mode); ``policy`` defaults to
+    ``workers`` is threaded into every tenant workspace (``None``: consult
+    ``REPRO_WORKERS`` once at workspace construction); ``policy`` defaults to
     :meth:`AdmissionPolicy.from_env`; ``serialize_reads=True`` makes GETs
     take the tenant mutation lock instead of reading snapshots (the
     benchmark baseline); ``mutation_threads`` caps concurrently executing
@@ -164,7 +162,6 @@ class ReproService:
         host: str = "127.0.0.1",
         port: int = 8765,
         workers: Optional[int] = None,
-        engine: Optional[str] = None,
         policy: Optional[AdmissionPolicy] = None,
         serialize_reads: bool = False,
         mutation_threads: int = 8,
@@ -172,9 +169,7 @@ class ReproService:
         self._host = host
         self._port = port
         self._policy = policy if policy is not None else AdmissionPolicy.from_env()
-        self._registry = TenantRegistry(
-            policy=self._policy, workers=workers, engine=engine
-        )
+        self._registry = TenantRegistry(policy=self._policy, workers=workers)
         self._serialize_reads = serialize_reads
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, mutation_threads),
@@ -500,7 +495,6 @@ def start_in_thread(
     host: str = "127.0.0.1",
     port: int = 0,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
     policy: Optional[AdmissionPolicy] = None,
     serialize_reads: bool = False,
     mutation_threads: int = 8,
@@ -512,7 +506,6 @@ def start_in_thread(
         host=host,
         port=port,
         workers=workers,
-        engine=engine,
         policy=policy,
         serialize_reads=serialize_reads,
         mutation_threads=mutation_threads,

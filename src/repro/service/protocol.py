@@ -271,7 +271,6 @@ def explanation_payload(explanation: CellExplanation) -> dict[str, object]:
         "method": explanation.method,
         "dispatch_class": explanation.dispatch_class,
         "normalization": explanation.normalization,
-        "engine": explanation.engine,
         "cache_served": explanation.cache_served,
         "decision_path": explanation.decision_path,
         "decided_in_call": explanation.decided_in_call,

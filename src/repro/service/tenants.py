@@ -19,11 +19,8 @@ token, so independent registries (one per service instance; many per test
 run) share the module-level store without colliding, and a registry's
 :meth:`~TenantRegistry.close` tears down exactly its own tenants.
 
-Engine pinning: the registry passes its ``engine`` into every
-``Workspace`` it creates and *never* touches the process-global engine
-mode — ``set_engine`` / ``engine_scope`` would leak one tenant's mode into
-every other tenant's decisions (the ``engine-threading`` checker of
-:mod:`repro.analysis` forbids both calls anywhere under ``service/``).
+Tenants share no evaluation setting: every workspace decides through the
+one compiled engine, so the only per-tenant state is the workspace itself.
 """
 
 from __future__ import annotations
@@ -113,12 +110,10 @@ class TenantRegistry:
         *,
         policy: AdmissionPolicy,
         workers: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self._token = next(_REGISTRY_TOKENS)
         self._policy = policy
         self._workers = workers
-        self._engine = engine
 
     # ------------------------------------------------------------------
     # Key namespace
@@ -165,7 +160,6 @@ class TenantRegistry:
             workspace=Workspace(
                 workers=self._workers,
                 max_subsets=self._policy.max_subsets,
-                engine=self._engine,
                 # Every tenant shares the one process-wide verdict store
                 # (disk-backed when REPRO_STORE_PATH is set, in-memory
                 # otherwise): tenant A's settled cells serve tenant B's

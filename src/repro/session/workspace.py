@@ -53,7 +53,6 @@ from ..datalog.database import Database
 from ..datalog.parser import parse_query
 from ..datalog.queries import Query
 from ..domains import Domain
-from ..engine.modes import ENGINE_MODES, active_engine, engine_scope
 from ..engine.planner import plan_cache_stats
 from ..errors import ReproError, RewritingError
 from ..obs import REGISTRY as _OBS
@@ -139,10 +138,7 @@ class Workspace:
     parameters (``domain``, ``max_subsets``, ``counterexample_trials``,
     ``unknown_bound``, ``seed``) mirror
     :func:`repro.workloads.batch.equivalence_matrix` and apply to every
-    decision the session makes.  ``engine`` pins the evaluation engine
-    (``"naive"`` | ``"compiled"``) for every decision and
-    rewriting verification of the session; ``None`` follows the process-wide
-    mode (``REPRO_ENGINE``, default ``compiled``).  ``store`` selects the
+    decision the session makes.  ``store`` selects the
     second verdict tier behind the structural cache: a
     :class:`~repro.store.VerdictStore` to use one explicitly, ``True`` for
     the process-wide shared store, ``False`` for none, and ``None`` (the
@@ -164,14 +160,8 @@ class Workspace:
         unknown_bound: Optional[int] = None,
         seed: Optional[int] = None,
         rewrite_limit: int = 32,
-        engine: Optional[str] = None,
         store: Union[VerdictStore, bool, None] = None,
     ) -> None:
-        if engine is not None and engine not in ENGINE_MODES:
-            raise ReproError(
-                f"unknown engine mode {engine!r}; expected one of {', '.join(ENGINE_MODES)}"
-            )
-        self._engine_mode = engine
         self._domain = domain
         self._max_subsets = max_subsets
         self._counterexample_trials = counterexample_trials
@@ -210,8 +200,8 @@ class Workspace:
         self._store_hits = 0
         self._rewrite_cache_hits = 0
         # Per-cell decision provenance feeding explain(): how each settled
-        # cell was decided (sweep group / pair task / verdict cache), under
-        # which engine, and in which equivalences() call.
+        # cell was decided (sweep group / pair task / verdict cache) and in
+        # which equivalences() call.
         self._provenance: dict[tuple[str, str], dict[str, object]] = {}
         self._equivalence_calls = 0
         self._closed = False
@@ -440,7 +430,6 @@ class Workspace:
         self._require_open()
         self._equivalence_calls += 1
         call = self._equivalence_calls
-        engine_used = self._engine_mode or active_engine()
         pairs = list(itertools.combinations(sorted(self._queries), 2))
         undecided: list[tuple[str, str]] = []
         for pair in pairs:
@@ -460,13 +449,12 @@ class Workspace:
                 _OBS.inc("session.verdict_cache.hits")
                 self._provenance[pair] = {
                     "path": "cache",
-                    "engine": engine_used,
                     "cache_served": True,
                     "call": call,
                 }
                 continue
             served = (
-                self._store.serve(cache_key[0], cache_key[1], self._domain, self._engine_mode)
+                self._store.serve(cache_key[0], cache_key[1], self._domain)
                 if self._store is not None
                 else None
             )
@@ -483,7 +471,6 @@ class Workspace:
                 _OBS.inc("session.store.hits")
                 self._provenance[pair] = {
                     "path": "store",
-                    "engine": engine_used,
                     "cache_served": True,
                     "call": call,
                 }
@@ -505,7 +492,6 @@ class Workspace:
                     workers=self._workers,
                     executor=self._executor,
                     seed=self._seed,
-                    engine=self._engine_mode,
                     provenance=decision_paths,
                 )
             for pair, result in decided.items():
@@ -514,7 +500,6 @@ class Workspace:
                 self._decided_cells += 1
                 self._provenance[pair] = {
                     "path": decision_paths.get(pair, "unknown"),
-                    "engine": engine_used,
                     "cache_served": False,
                     "call": call,
                 }
@@ -527,7 +512,6 @@ class Workspace:
                         self._queries[pair[1]],
                         self._domain,
                         result,
-                        engine=self._engine_mode,
                     )
         return {pair: self._results[pair] for pair in sorted(pairs)}
 
@@ -539,10 +523,10 @@ class Workspace:
         :class:`~repro.obs.CellExplanation` combines the stored verdict
         (method string, dispatch class, normalization annotation, search
         counters, witness) with the session's provenance record for the cell
-        (sweep group vs pair task vs verdict cache, engine mode, deciding
-        call ordinal).  Unsettled cells raise — explanations never trigger
-        new decisions.  Works on a closed workspace — explaining is pure
-        introspection over already-settled state.
+        (sweep group vs pair task vs verdict cache, deciding call ordinal).
+        Unsettled cells raise — explanations never trigger new decisions.
+        Works on a closed workspace — explaining is pure introspection over
+        already-settled state.
         """
         return explain_cell(self._queries, self._results, self._provenance, first, second)
 
@@ -598,16 +582,13 @@ class Workspace:
         cached = self._rewrite_cache.get(key)
         if cached is None:
             candidates, rejected = engine.candidates(parsed, limit=cap)
-            # The scope makes the verification task builders capture the
-            # session's engine, so pool workers verify under it too.
-            with engine_scope(self._engine_mode):
-                verified = engine.verify(
-                    parsed,
-                    candidates,
-                    workers=self._workers,
-                    executor=self._executor,
-                    seed=self._seed,
-                )
+            verified = engine.verify(
+                parsed,
+                candidates,
+                workers=self._workers,
+                executor=self._executor,
+                seed=self._seed,
+            )
             cached = (verified, rejected)
             put_bounded(self._rewrite_cache, key, cached, _REWRITE_CACHE_LIMIT)
         else:
@@ -676,7 +657,6 @@ def explain_cell(
         method=result.method,
         dispatch_class=dispatch_class_of(result.method),
         normalization=normalization_of(result.method),
-        engine=str(record.get("engine", "unknown")),
         cache_served=bool(record.get("cache_served", False)),
         decision_path=str(record.get("path", "unknown")),
         decided_in_call=_maybe_int(record.get("call")),

@@ -13,7 +13,7 @@ query pair.  This package makes settled verdicts durable and shared:
   ``REPRO_STORE_PATH`` / bounded by ``REPRO_STORE_MAX_MB``.
 * :mod:`repro.store.witness` — stored NOT_EQUIVALENT verdicts with a
   concrete witness are only served after the witness re-reproduces the
-  disagreement under the caller's current engine.
+  disagreement on the caller's own queries.
 
 :class:`~repro.session.Workspace` consults the store as a second tier
 behind its structural verdict cache; the PR 9 service shares one

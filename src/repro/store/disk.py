@@ -186,19 +186,18 @@ class StoredRecord:
     method: str
     details: str
     domain: str
-    engine: str
     #: A hash of the catalog-wide BASE recipe, written by stores from before
     #: every cell was decided over its own BASE.  Kept so those files stay
     #: servable; new rows write ``""`` and serving ignores it.
     base_fingerprint: str
     payload: dict[str, Any] = field(default_factory=dict)
-    #: Per-engine witness-revalidation memo, filled by
-    #: :func:`repro.store.witness.realize_result`: ``engine -> (database,
-    #: left, right)`` in *stored* orientation, recorded after the witness
+    #: Witness-revalidation memo, filled by
+    #: :func:`repro.store.witness.realize_result`: ``(database, left,
+    #: right)`` in *stored* orientation, recorded after the witness
     #: reproduced its disagreement once in this process.  Never persisted —
     #: a row rewrite builds a fresh record and re-triggers validation.
-    revalidation: dict[str, tuple[Any, Any, Any]] = field(
-        default_factory=dict, repr=False, compare=False
+    revalidation: Optional[tuple[Any, Any, Any]] = field(
+        default=None, repr=False, compare=False
     )
 
 
@@ -343,14 +342,14 @@ class VerdictStore:
                     _OBS.inc("store.disk.hits")
                     return cached
             row = self._connection.execute(
-                "SELECT schema_version, verdict, method, details, domain, engine,"
+                "SELECT schema_version, verdict, method, details, domain,"
                 " base_fingerprint, payload FROM verdicts WHERE pair_key = ?",
                 (key,),
             ).fetchone()
             if row is None or int(row[0]) != SCHEMA_VERSION:
                 return None
             try:
-                payload = json.loads(row[7])
+                payload = json.loads(row[6])
             except (TypeError, ValueError):
                 return None
             record = StoredRecord(
@@ -359,8 +358,7 @@ class VerdictStore:
                 method=str(row[2]),
                 details=str(row[3]),
                 domain=str(row[4]),
-                engine=str(row[5]),
-                base_fingerprint=str(row[6]),
+                base_fingerprint=str(row[5]),
                 payload=payload if isinstance(payload, dict) else {},
             )
             # Recency refresh is advisory (it only steers max_mb eviction),
@@ -383,10 +381,12 @@ class VerdictStore:
             if self._connection is None:
                 return
             now = time.time()
+            # The engine column holds the evaluation mode stores recorded
+            # before there was one engine; rows write "" and nothing reads it.
             self._connection.execute(
                 "INSERT OR REPLACE INTO verdicts (pair_key, schema_version, verdict,"
                 " method, details, domain, engine, base_fingerprint, payload,"
-                " created_s, last_used_s) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " created_s, last_used_s) VALUES (?, ?, ?, ?, ?, ?, '', ?, ?, ?, ?)",
                 (
                     record.pair_key,
                     SCHEMA_VERSION,
@@ -394,7 +394,6 @@ class VerdictStore:
                     record.method,
                     record.details,
                     record.domain,
-                    record.engine,
                     record.base_fingerprint,
                     json.dumps(record.payload, sort_keys=True),
                     now,
@@ -427,13 +426,13 @@ class VerdictStore:
             return
         rows = self._connection.execute(
             "SELECT pair_key, schema_version, verdict, method, details, domain,"
-            " engine, base_fingerprint, payload FROM verdicts"
+            " base_fingerprint, payload FROM verdicts"
         ).fetchall()
         for row in rows:
             if int(row[1]) != SCHEMA_VERSION or row[0] in self._records:
                 continue
             try:
-                payload = json.loads(row[8])
+                payload = json.loads(row[7])
             except (TypeError, ValueError):
                 continue
             self._remember(
@@ -443,8 +442,7 @@ class VerdictStore:
                     method=str(row[3]),
                     details=str(row[4]),
                     domain=str(row[5]),
-                    engine=str(row[6]),
-                    base_fingerprint=str(row[7]),
+                    base_fingerprint=str(row[6]),
                     payload=payload if isinstance(payload, dict) else {},
                 )
             )
@@ -497,13 +495,12 @@ class VerdictStore:
         first: Query,
         second: Query,
         domain: Domain = Domain.RATIONALS,
-        engine: Optional[str] = None,
     ) -> Optional[EquivalenceResult]:
         """A previously settled verdict for the pair, or ``None``.
 
         NOT_EQUIVALENT verdicts with a concrete witness are revalidated by
-        re-evaluating both *caller* queries on the stored database under the
-        caller's engine; a stale witness deletes the row and misses.
+        re-evaluating both *caller* queries on the stored database; a stale
+        witness deletes the row and misses.
         """
         if self._closed:
             return None
@@ -513,7 +510,7 @@ class VerdictStore:
             return None
         from .witness import realize_result
 
-        result = realize_result(record, first, second, flipped=key.flipped, engine=engine)
+        result = realize_result(record, first, second, flipped=key.flipped)
         if result is None:
             self.delete(key.key)
             return None
@@ -525,8 +522,6 @@ class VerdictStore:
         second: Query,
         domain: Domain,
         result: EquivalenceResult,
-        *,
-        engine: Optional[str] = None,
     ) -> None:
         """Persist a freshly settled verdict for the pair."""
         if self._closed:
@@ -547,7 +542,6 @@ class VerdictStore:
                 method=result.method,
                 details=result.details,
                 domain=domain.value,
-                engine=engine or "",
                 base_fingerprint="",
                 payload=payload,
             )

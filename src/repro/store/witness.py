@@ -2,13 +2,13 @@
 
 A stored EQUIVALENT (or UNKNOWN) is a theorem about the two queries — the
 decision procedures are sound over every database, so the verdict transfers
-to any caller, any BASE, any engine.  A stored NOT_EQUIVALENT with a
+to any caller and any BASE.  A stored NOT_EQUIVALENT with a
 concrete witness database is different in kind: it is an *empirical* claim
 ("on this database the answers differ") whose serialized form could have
 gone stale — written by older code, mangled on disk, or simply no longer a
 disagreement for the caller's literal queries.  So before such a verdict is
 served, the witness is deserialized and **both caller queries are
-re-evaluated on it under the caller's current engine**; only a reproduced
+re-evaluated on it**; only a reproduced
 disagreement is served (with the freshly computed answers, counted as
 ``store.witness.revalidated``).  Anything else — agreement, undecodable
 payload, evaluation error — counts as ``store.witness.stale`` and misses,
@@ -34,7 +34,6 @@ from ..core.equivalence import EquivalenceResult, Verdict
 from ..datalog.queries import Query
 from ..domains import Domain
 from ..engine.evaluator import evaluate
-from ..engine.modes import engine_scope
 from ..obs import REGISTRY as _OBS
 from .disk import StoredRecord, StoreCodecError, decode_database, decode_report, decode_value
 
@@ -45,7 +44,6 @@ def realize_result(
     second: Query,
     *,
     flipped: bool,
-    engine: Optional[str] = None,
 ) -> Optional[EquivalenceResult]:
     """Reconstruct an :class:`EquivalenceResult` from a stored record, in
     the caller's (first, second) orientation, or ``None`` when the record
@@ -62,14 +60,14 @@ def realize_result(
         _OBS.inc("store.witness.stale")
         return None
     try:
-        counterexample = _realize_counterexample(record, first, second, flipped, engine)
+        counterexample = _realize_counterexample(record, first, second, flipped)
     except StoreCodecError:
         _OBS.inc("store.witness.stale")
         return None
     if verdict is Verdict.NOT_EQUIVALENT and record.payload.get("counterexample") is not None:
         if counterexample is None:
-            # The stored disagreement did not reproduce under the current
-            # engine: the row is stale and the caller must re-decide.
+            # The stored disagreement did not reproduce: the row is stale
+            # and the caller must re-decide.
             _OBS.inc("store.witness.stale")
             return None
         _OBS.inc("store.witness.revalidated")
@@ -89,7 +87,6 @@ def _realize_counterexample(
     first: Query,
     second: Query,
     flipped: bool,
-    engine: Optional[str],
 ) -> Optional[Counterexample]:
     encoded = record.payload.get("counterexample")
     if encoded is None:
@@ -109,12 +106,11 @@ def _realize_counterexample(
         raise StoreCodecError("malformed witness database")
     # Canonically-equal queries are semantically equivalent (the invariant
     # the canonical keying is built on), so once this record's witness has
-    # reproduced its disagreement under an engine, later serves of the same
-    # in-memory record — typically renamed duplicates of the pair — reuse
-    # the reproduced answers instead of re-evaluating.  A row rewrite
-    # replaces the record object and re-triggers validation.
-    memo_key = engine or ""
-    memo = record.revalidation.get(memo_key)
+    # reproduced its disagreement, later serves of the same in-memory
+    # record — typically renamed duplicates of the pair — reuse the
+    # reproduced answers instead of re-evaluating.  A row rewrite replaces
+    # the record object and re-triggers validation.
+    memo = record.revalidation
     if memo is not None:
         database, left, right = memo
         if flipped:
@@ -122,14 +118,13 @@ def _realize_counterexample(
         return Counterexample(database=database, left_result=left, right_result=right)
     database = decode_database(encoded_database)
     try:
-        with engine_scope(engine):
-            left = evaluate(first, database)
-            right = evaluate(second, database)
+        left = evaluate(first, database)
+        right = evaluate(second, database)
     except Exception as error:  # noqa: BLE001 - any failure means "stale"
         raise StoreCodecError(f"witness re-evaluation failed: {error}") from error
     if left == right:
         return None
-    record.revalidation[memo_key] = (
+    record.revalidation = (
         (database, right, left) if flipped else (database, left, right)
     )
     return Counterexample(database=database, left_result=left, right_result=right)

@@ -54,25 +54,19 @@ from ..datalog.queries import Query
 from ..domains import Domain
 from ..errors import ReproError
 from ..engine.evaluator import evaluate
-from ..engine.modes import engine_scope
 from ..obs import span as _span
 from ..parallel.executor import Executor, SerialExecutor, resolve_executor
 from ..parallel.tasks import absorb_worker_metrics, pair_check_tasks, run_pair_task
 
 
-def evaluate_many(
-    queries: Mapping[str, Query], database: Database, *, engine: Optional[str] = None
-) -> dict[str, object]:
+def evaluate_many(queries: Mapping[str, Query], database: Database) -> dict[str, object]:
     """Evaluate every query of the catalog over the database.
 
     Returns ``{name: result}`` where each result follows
     :func:`repro.engine.evaluate` (a dict for aggregate queries, a set of
-    tuples otherwise).  ``engine`` pins the evaluation engine for this batch
-    (``"naive"`` | ``"compiled"``); ``None`` uses the active
-    mode.
+    tuples otherwise).
     """
-    with engine_scope(engine):
-        return {name: evaluate(query, database) for name, query in queries.items()}
+    return {name: evaluate(query, database) for name, query in queries.items()}
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +195,6 @@ def decide_pairs(
     executor: Optional[Executor] = None,
     seed: Optional[int] = None,
     pair_runner=run_pair_task,
-    engine: Optional[str] = None,
     provenance: Optional[dict] = None,
 ) -> dict[tuple[str, str], EquivalenceResult]:
     """Decide a set of catalog cells: the shared engine behind
@@ -223,16 +216,12 @@ def decide_pairs(
     then the pair tasks run on that one executor, so a one-shot
     ``workers=N`` call forks at most one pool.
 
-    ``engine`` pins the evaluation engine for the whole batch (``None`` keeps
-    the active mode); the task builders capture it, so worker processes decide
-    under the same engine as the caller.
-
     ``provenance``, when given a dict, receives one entry per decided cell
     describing *how* it was decided — ``"sweep:<group label>"`` for cells a
     shared single-sweep enumeration carried, ``"pair"`` for standalone pair
     tasks.  The session layer feeds this into ``Workspace.explain``.
     """
-    with engine_scope(engine), resolve_executor(workers, executor) as pool:
+    with resolve_executor(workers, executor) as pool:
         results: dict[tuple[str, str], EquivalenceResult] = {}
         with _span("sweep.plan", cells=-1 if pairs is None else len(pairs)) as plan_span:
             plan = plan_catalog_sweep(
@@ -293,7 +282,6 @@ def equivalence_matrix(
     workers: Optional[int] = None,
     executor: Optional[Executor] = None,
     seed: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> dict[tuple[str, str], EquivalenceResult]:
     """Pairwise equivalence over a query catalog.
 
@@ -330,7 +318,6 @@ def equivalence_matrix(
         max_subsets=max_subsets,
         unknown_bound=unknown_bound,
         seed=seed,
-        engine=engine,
         # One-shot matrices stay self-contained: no verdict-store tier, so
         # this entry point's results never depend on process-wide state
         # (REPRO_STORE_PATH included).  Sessions wanting the store use

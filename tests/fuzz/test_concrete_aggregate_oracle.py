@@ -19,7 +19,7 @@ threshold (nothing is monkeypatched), on seeded databases of 300 to 1,500
 * every registered aggregation function runs on every query whose
   aggregated tuple has the function's arity.
 
-The oracle is the naive engine's grouping folded by ``apply``; the compiled
+The oracle is the naive reference's grouping folded by ``apply``; the compiled
 engine must match it in value and type, with NumPy and under
 ``REPRO_NO_NUMPY=1``.
 """
@@ -35,9 +35,8 @@ from repro import Database, parse_query
 from repro.aggregates import get_function, registered_function_names
 from repro.engine import (
     clear_evaluation_caches,
-    engine_scope,
     evaluate_aggregate,
-    group_assignments,
+    naive_satisfying_assignments,
     store_for,
 )
 from repro.engine.columnar import VECTOR_THRESHOLD, numpy_module
@@ -128,15 +127,15 @@ def _typed(result: dict) -> dict:
 
 
 def _naive_bags(query, database) -> dict:
-    """``{group key: bag}`` by the naive engine (what its
-    ``evaluate_aggregate`` folds with ``apply``), shared by every function."""
-    with engine_scope("naive"):
-        groups = group_assignments(query, database)
+    """``{group key: bag}`` over the naive reference's Γ (what
+    ``naive_evaluate`` folds with ``apply``), shared by every function."""
     variables = query.aggregation_variables()
-    return {
-        key: [assignment.values_of(variables) for assignment in assignments]
-        for key, assignments in groups.items()
-    }
+    bags: dict = {}
+    for assignment in naive_satisfying_assignments(query, database):
+        bags.setdefault(assignment.values_of(query.head_terms), []).append(
+            assignment.values_of(variables)
+        )
+    return bags
 
 
 def _naive(query, database, function) -> dict:
@@ -144,8 +143,7 @@ def _naive(query, database, function) -> dict:
 
 
 def _compiled(query, database, function) -> dict:
-    with engine_scope("compiled"):
-        return evaluate_aggregate(query, database, function)
+    return evaluate_aggregate(query, database, function)
 
 
 @pytest.fixture(scope="module")

@@ -40,9 +40,8 @@ from repro.datalog.conditions import Condition
 from repro.datalog.queries import Query
 from repro.datalog.terms import Constant, Variable
 from repro.domains import Domain
-from repro.engine import evaluate
+from repro.engine import naive_evaluate
 from repro.engine.compile import compiled_symbolic_group_index
-from repro.engine.modes import engine_scope
 from repro.engine.symbolic import SymbolicDatabase
 from repro.obs import REGISTRY
 from repro.orderings.complete_orderings import enumerate_complete_orderings
@@ -184,12 +183,11 @@ def _assert_same_results(queries: list[Query], generator: QueryGenerator) -> Non
             assert compiled_symbolic_group_index(other, database) == expected, (
                 reference, other, database,
             )
-    with engine_scope("naive"):
-        for _ in range(DATABASES):
-            database = generator.database(max_facts=8)
-            expected = evaluate(reference, database)
-            for other in others:
-                assert evaluate(other, database) == expected, (reference, other, database)
+    for _ in range(DATABASES):
+        database = generator.database(max_facts=8)
+        expected = naive_evaluate(reference, database)
+        for other in others:
+            assert naive_evaluate(other, database) == expected, (reference, other, database)
 
 
 @pytest.mark.parametrize("profile_name", sorted(PROFILES))

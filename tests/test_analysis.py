@@ -24,7 +24,7 @@ from repro.analysis import (
 )
 from repro.analysis.checkers import (
     CacheDisciplineChecker,
-    EngineThreadingChecker,
+    EngineBoundaryChecker,
     ForkSafetyChecker,
     SeededRandomnessChecker,
     VerdictSoundnessChecker,
@@ -322,55 +322,42 @@ class TestForkSafety:
 
 
 # ----------------------------------------------------------------------
-# engine-threading
+# engine-boundary
 # ----------------------------------------------------------------------
-class TestEngineThreading:
-    checker = EngineThreadingChecker()
+class TestEngineBoundary:
+    checker = EngineBoundaryChecker()
 
     def test_driver_import_outside_engine_is_flagged(self):
         source = "from .engine.compile import compiled_evaluate_set\n"
         findings = findings_for({"core/decide.py": source}, self.checker)
-        assert locations(findings) == [("core/decide.py", 1, "engine-threading")]
+        assert locations(findings) == [("core/decide.py", 1, "engine-boundary")]
 
     def test_driver_call_outside_engine_is_flagged(self):
         source = "import repro.engine.compile as c\nrows = c.compiled_evaluate_set(q, db)\n"
         findings = findings_for({"core/decide.py": source}, self.checker)
-        assert ("core/decide.py", 2, "engine-threading") in locations(findings)
+        assert ("core/decide.py", 2, "engine-boundary") in locations(findings)
 
     def test_driver_use_inside_engine_is_clean(self):
         source = "from .compile import compiled_evaluate_set\nrows = compiled_evaluate_set(q, db)\n"
         assert findings_for({"engine/dispatch.py": source}, self.checker) == []
 
-    def test_hardcoded_mode_string_is_flagged(self):
-        source = 'with engine_scope("compiled"):\n    pass\n'
-        findings = findings_for({"workloads/batch.py": source}, self.checker)
-        assert locations(findings) == [("workloads/batch.py", 1, "engine-threading")]
+    def test_naive_reference_outside_engine_is_flagged(self):
+        # The oracle is for tests and benchmarks: production code that
+        # evaluated through it would silently drop the compiled engine.
+        source = "from ..engine import naive_evaluate\nrows = naive_evaluate(q, db)\n"
+        findings = findings_for({"store/witness.py": source}, self.checker)
+        assert locations(findings) == [
+            ("store/witness.py", 1, "engine-boundary"),
+            ("store/witness.py", 2, "engine-boundary"),
+        ]
 
-    def test_threaded_mode_variable_is_clean(self):
-        source = "with engine_scope(task.engine):\n    pass\n"
-        assert findings_for({"workloads/batch.py": source}, self.checker) == []
-
-    def test_modes_module_may_name_modes(self):
-        source = 'set_engine("compiled")\n'
-        assert findings_for({"engine/modes.py": source}, self.checker) == []
-
-    def test_service_may_not_call_engine_scope_even_threaded(self):
-        # Outside service/, a *threaded* mode variable is fine; the
-        # multi-tenant service layer may not flip the process-global mode
-        # at all — one tenant's scope would leak into every other tenant.
-        source = "with engine_scope(request.engine):\n    pass\n"
-        findings = findings_for({"service/app.py": source}, self.checker)
-        assert locations(findings) == [("service/app.py", 1, "engine-threading")]
-        assert "Workspace(engine=...)" in findings[0].message
-
-    def test_service_may_not_call_set_engine(self):
-        source = "def handler(mode):\n    set_engine(mode)\n"
-        findings = findings_for({"service/tenants.py": source}, self.checker)
-        assert locations(findings) == [("service/tenants.py", 2, "engine-threading")]
-
-    def test_service_workspace_pinning_is_clean(self):
-        source = "ws = Workspace(engine=engine, workers=workers)\n"
-        assert findings_for({"service/tenants.py": source}, self.checker) == []
+    def test_naive_reference_inside_engine_is_clean(self):
+        # engine/ defines the reference and may fold over it.
+        source = (
+            "def naive_evaluate(query, database):\n"
+            "    return naive_satisfying_assignments(query, database)\n"
+        )
+        assert findings_for({"engine/evaluator.py": source}, self.checker) == []
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.core.bounded import CheckStats, check_subset_sweep, prepare_sweep_run
 from repro.core.counterexample import exhaustive_counterexample
-from repro.engine import engine_scope, evaluate_bag_set
+from repro.engine import naive_evaluate
 from repro.errors import ReproError, UnsupportedAggregateError
 
 
@@ -204,8 +204,9 @@ class TestNonAggregateSemantics:
             report = bounded_equivalence(first, second, 2, semantics=BAG_SET_SEMANTICS)
             assert not report.equivalent, (first, second)
             witness = report.counterexample.database
-            with engine_scope("naive"):
-                assert evaluate_bag_set(first, witness) != evaluate_bag_set(second, witness)
+            assert naive_evaluate(first, witness, bag=True) != naive_evaluate(
+                second, witness, bag=True
+            )
 
     def test_unknown_semantics_rejected(self):
         first = parse_query("q(x) :- p(x)")

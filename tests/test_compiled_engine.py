@@ -15,31 +15,31 @@ counterpart, Γ(q, S_L) against its definition over δ(S), lives in
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from repro import Domain, Workspace
+from repro import Workspace
 from repro.engine import (
-    ENGINE_MODES,
     clear_evaluation_caches,
     clear_symbolic_caches,
-    engine_scope,
     evaluate,
     evaluate_bag_set,
     evaluate_set,
     kernel_cache_stats,
+    naive_evaluate,
     naive_satisfying_assignments,
     plan_condition,
     satisfying_assignments,
     store_cache_stats,
     store_for,
 )
-from repro.engine import columnar, modes
+from repro.engine import columnar
 from repro.engine.columnar import numpy_module
-from repro.errors import ReproError
 from repro.obs import REGISTRY
-from repro.parallel.tasks import pair_check_tasks
 from repro.rewriting import RewritingEngine
 from repro.workloads import (
     build_view_scenario,
@@ -48,17 +48,10 @@ from repro.workloads import (
     random_warehouse_database,
 )
 
-ENGINES = ("naive", "compiled")
-
 
 def _clean() -> None:
     clear_evaluation_caches()
     clear_symbolic_caches()
-
-
-def _evaluate_under(mode: str, query, database):
-    with engine_scope(mode):
-        return evaluate(query, database)
 
 
 def _scenario_catalogs():
@@ -80,8 +73,7 @@ def _scenario_catalogs():
 def test_scenario_catalogs_agree_across_engines(label, queries, database):
     _clean()
     for name, query in sorted(queries.items()):
-        results = {mode: _evaluate_under(mode, query, database) for mode in ENGINES}
-        assert results["naive"] == results["compiled"], (label, name)
+        assert evaluate(query, database) == naive_evaluate(query, database), (label, name)
 
 
 def test_random_instances_agree_across_engines():
@@ -93,13 +85,10 @@ def test_random_instances_agree_across_engines():
     for seed in range(30):
         database = random_warehouse_database(seed)
         for name, query in queries:
-            with engine_scope("naive"):
-                naive_gamma = Counter(naive_satisfying_assignments(query, database))
-            with engine_scope("compiled"):
-                compiled_gamma = Counter(satisfying_assignments(query, database))
+            naive_gamma = Counter(naive_satisfying_assignments(query, database))
+            compiled_gamma = Counter(satisfying_assignments(query, database))
             assert naive_gamma == compiled_gamma, (seed, name)
-            results = {mode: _evaluate_under(mode, query, database) for mode in ENGINES}
-            assert results["naive"] == results["compiled"], (seed, name)
+            assert evaluate(query, database) == naive_evaluate(query, database), (seed, name)
 
 
 def _catalog_for_sweep() -> dict:
@@ -135,19 +124,16 @@ def _summarize(results) -> dict:
 
 def test_decide_pairs_parity_across_engines_and_workers():
     """The sweep path must produce identical verdicts, methods, and witness
-    presence serially, sharded over two workers, and with the concrete
-    counterexample search run by the naive reference."""
+    presence serially and sharded over two workers, and every concrete
+    witness must be confirmed by the naive reference."""
     queries = _catalog_for_sweep()
 
     _clean()
-    compiled = decide_pairs(queries, seed=11, engine="compiled")
+    compiled = decide_pairs(queries, seed=11)
     _clean()
-    compiled_parallel = decide_pairs(queries, seed=11, workers=2, engine="compiled")
-    _clean()
-    naive = decide_pairs(queries, seed=11, engine="naive")
+    compiled_parallel = decide_pairs(queries, seed=11, workers=2)
 
     assert _summarize(compiled) == _summarize(compiled_parallel)
-    assert _summarize(compiled) == _summarize(naive)
 
     # Witness exactness: every concrete witness the compiled sweep reports
     # must be confirmed by the naive oracle — the queries really differ on it.
@@ -157,9 +143,8 @@ def test_decide_pairs_parity_across_engines_and_workers():
         if counterexample is None or counterexample.database is None:
             continue
         witnessed += 1
-        with engine_scope("naive"):
-            left = evaluate(queries[pair[0]], counterexample.database)
-            right = evaluate(queries[pair[1]], counterexample.database)
+        left = naive_evaluate(queries[pair[0]], counterexample.database)
+        right = naive_evaluate(queries[pair[1]], counterexample.database)
         assert left != right, pair
         assert left == counterexample.left_result, pair
         assert right == counterexample.right_result, pair
@@ -175,15 +160,13 @@ def test_forced_vectorized_path_agrees(monkeypatch):
     try:
         warehouse = build_warehouse(stores=4, products=5, sales_per_store=10, seed=7)
         for name, query in sorted(warehouse.queries.items()):
-            naive = _evaluate_under("naive", query, warehouse.database)
-            compiled = _evaluate_under("compiled", query, warehouse.database)
-            assert naive == compiled, name
+            assert naive_evaluate(query, warehouse.database) == evaluate(
+                query, warehouse.database
+            ), name
         for seed in range(10):
             database = random_warehouse_database(seed)
             for name, query in sorted(warehouse.queries.items()):
-                assert _evaluate_under("naive", query, database) == _evaluate_under(
-                    "compiled", query, database
-                ), (seed, name)
+                assert naive_evaluate(query, database) == evaluate(query, database), (seed, name)
         assert REGISTRY.get("engine.dispatch.vector") > 0
     finally:
         monkeypatch.undo()
@@ -198,9 +181,9 @@ def test_no_numpy_fallback_agrees(monkeypatch):
     try:
         warehouse = build_warehouse(stores=4, products=5, sales_per_store=10, seed=7)
         for name, query in sorted(warehouse.queries.items()):
-            naive = _evaluate_under("naive", query, warehouse.database)
-            compiled = _evaluate_under("compiled", query, warehouse.database)
-            assert naive == compiled, name
+            assert naive_evaluate(query, warehouse.database) == evaluate(
+                query, warehouse.database
+            ), name
     finally:
         monkeypatch.undo()
         _clean()
@@ -230,8 +213,7 @@ def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
             query = best.candidate.query
             _clean()
             vector_before = REGISTRY.get("engine.dispatch.vector")
-            with engine_scope("compiled"):
-                result = evaluate(query, materialized)
+            result = evaluate(query, materialized)
             assert (REGISTRY.get("engine.dispatch.vector") > vector_before) == (
                 backend == "numpy"
             ), name
@@ -246,10 +228,9 @@ def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
             assert lazy_sizes == {p: len(store.row_set(p)) for p in materialized.predicates()}
             assert [store.vector_candidate(plan) for plan in plans] == lazy_candidates
             assert lazy_candidates == [backend == "numpy"] * len(plans), name
-            with engine_scope("compiled"):
-                assert evaluate(query, materialized) == result, name
-            assert result == _evaluate_under("naive", query, materialized), name
-            assert result == _evaluate_under("naive", report, scenario.database), name
+            assert evaluate(query, materialized) == result, name
+            assert result == naive_evaluate(query, materialized), name
+            assert result == naive_evaluate(report, scenario.database), name
     finally:
         monkeypatch.undo()
         _clean()
@@ -266,15 +247,13 @@ def test_clear_evaluation_caches_drops_kernels_and_stores():
     baseline_kernels = kernel_cache_stats()["compiles"]
     baseline_stores = store_cache_stats()["builds"]
 
-    with engine_scope("compiled"):
-        evaluate(query, warehouse.database)
+    evaluate(query, warehouse.database)
     after_first = kernel_cache_stats()
     assert after_first["compiles"] > baseline_kernels
     assert store_cache_stats()["builds"] > baseline_stores
 
     # A second evaluation reuses both caches: hits move, compiles do not.
-    with engine_scope("compiled"):
-        evaluate(query, warehouse.database)
+    evaluate(query, warehouse.database)
     after_second = kernel_cache_stats()
     assert after_second["compiles"] == after_first["compiles"]
 
@@ -283,48 +262,31 @@ def test_clear_evaluation_caches_drops_kernels_and_stores():
     assert kernel_cache_stats()["entries"] == 0
     recompile_baseline = kernel_cache_stats()["compiles"]
     rebuild_baseline = store_cache_stats()["builds"]
-    with engine_scope("compiled"):
-        evaluate(query, warehouse.database)
+    evaluate(query, warehouse.database)
     assert kernel_cache_stats()["compiles"] > recompile_baseline
     assert store_cache_stats()["builds"] > rebuild_baseline
 
 
-def test_task_builders_capture_active_engine():
-    """Parallel task builders snapshot the engine mode at build time so
-    worker processes replay the exact engine the driver ran under."""
-    queries = {
-        name: query
-        for name, query in list(
-            sorted(build_warehouse(stores=2, products=3, sales_per_store=4).queries.items())
-        )[:2]
-    }
-    for mode in ENGINES:
-        with engine_scope(mode):
-            tasks = pair_check_tasks(
-                queries,
-                domain=Domain.RATIONALS,
-                counterexample_trials=5,
-                max_subsets=100,
-                unknown_bound=None,
-                seed=3,
-            )
-        assert tasks, mode
-        assert all(task.engine == mode for task in tasks)
-
-
-def test_only_naive_and_compiled_are_selectable(monkeypatch):
-    """The naive reference and the compiled engine are the two modes; any
-    other value — through the scope, a workspace, or ``REPRO_ENGINE`` — is
-    rejected with a message naming both."""
-    assert ENGINE_MODES == ENGINES
-    with pytest.raises(ReproError, match="expected one of naive, compiled"):
-        with engine_scope("planned"):
-            pass
-    with pytest.raises(ReproError, match="expected one of naive, compiled"):
-        Workspace(engine="planned")
-    monkeypatch.setenv("REPRO_ENGINE", "planned")
-    with pytest.raises(ReproError, match="expected one of naive, compiled"):
-        modes._initial_engine()
+def test_repro_engine_variable_selects_nothing():
+    """``REPRO_ENGINE`` is no longer read: a process started with it set to
+    ``naive`` imports cleanly and still evaluates through compiled kernels."""
+    script = (
+        "from repro import parse_database, parse_query\n"
+        "from repro.engine import evaluate, kernel_cache_stats\n"
+        "query = parse_query('q(x, sum(y)) :- p(x, y)')\n"
+        "print(evaluate(query, parse_database('p(1, 2). p(1, 3).')))\n"
+        "print(kernel_cache_stats()['compiles'] > 0)\n"
+    )
+    env = dict(os.environ, REPRO_ENGINE="naive")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["{(1,):", "5}", "True"]
 
 
 def _rewriting_outcome(report) -> tuple:
@@ -348,16 +310,15 @@ def _observe_warehouse(scenario, extents) -> list:
     queries = [query for _, query in sorted(scenario.queries.items())]
     queries += [view.query for view in scenario.views]
     observed: list = []
-    with engine_scope("compiled"):
-        for query in queries:
-            for database in (scenario.database, extents):
-                observed.append(
-                    (
-                        evaluate_set(query, database),
-                        evaluate_bag_set(query, database),
-                        evaluate(query, database) if query.is_aggregate else None,
-                    )
+    for query in queries:
+        for database in (scenario.database, extents):
+            observed.append(
+                (
+                    evaluate_set(query, database),
+                    evaluate_bag_set(query, database),
+                    evaluate(query, database) if query.is_aggregate else None,
                 )
+            )
     workspace = Workspace(workers=1, store=False)
     for view in scenario.views:
         workspace.register_view(view)
@@ -433,9 +394,8 @@ def test_small_stores_never_touch_numpy(monkeypatch):
             if counterexample is None or counterexample.database is None:
                 continue
             witnessed += 1
-            with engine_scope("compiled"):
-                left = evaluate(queries[first], counterexample.database)
-                right = evaluate(queries[second], counterexample.database)
+            left = evaluate(queries[first], counterexample.database)
+            right = evaluate(queries[second], counterexample.database)
             assert left != right, (first, second)
         assert witnessed > 0
         assert guarded

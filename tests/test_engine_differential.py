@@ -1,7 +1,7 @@
 """Differential tests: the compiled engine against the naive reference.
 
-The naive nested-loop engine (``naive_satisfying_assignments``) is retained as
-an executable specification of the Section 3 semantics.  These tests drive
+The naive nested-loop engine (``naive_satisfying_assignments`` and
+``naive_evaluate``) is retained as an executable specification of the Section 3 semantics.  These tests drive
 randomized queries — covering every structural dimension the generator knows:
 disjuncts, negation, comparisons, constants, repeated predicates — over
 randomized databases and require the two engines to produce identical
@@ -22,12 +22,14 @@ from repro.core.counterexample import random_database
 from repro.engine import (
     clear_evaluation_caches,
     columnar,
-    engine_scope,
     evaluate_aggregate,
     evaluate_bag_set,
     evaluate_set,
+    kernel_cache_stats,
+    naive_evaluate,
     naive_satisfying_assignments,
     satisfying_assignments,
+    store_cache_stats,
 )
 from repro.engine.columnar import numpy_module
 from repro.obs import REGISTRY
@@ -80,18 +82,7 @@ def test_engines_agree_on_random_workloads(profile_name):
             a.values_of(query.head_terms) for a in naive
         )
         if query.is_aggregate:
-            from repro.aggregates.functions import get_function
-
-            function = get_function(query.aggregate.function)
-            expected: dict = {}
-            groups: dict = {}
-            for assignment in naive:
-                groups.setdefault(assignment.values_of(query.head_terms), []).append(
-                    assignment.values_of(query.aggregation_variables())
-                )
-            for key, bag in groups.items():
-                expected[key] = function.apply(bag)
-            assert evaluate_aggregate(query, database) == expected
+            assert evaluate_aggregate(query, database) == naive_evaluate(query, database)
 
 
 def test_engines_agree_on_equality_defined_variables():
@@ -111,6 +102,36 @@ def test_engines_agree_on_fractional_values():
     compiled = satisfying_assignments(query, database)
     assert _gamma_multiset(naive) == _gamma_multiset(compiled)
     assert evaluate_aggregate(query, database) == {(1,): Fraction(3, 4), (2,): 2}
+
+
+def test_naive_evaluate_folds_each_semantics():
+    """The reference entry point folds naive Γ into the set, bag-set and
+    aggregate answers of Section 3, checked against hand-computed values."""
+    database = parse_database("p(1, 2). p(1, 3). p(2, 2). p(3, 4). r(3).")
+    plain = parse_query("q(x) :- p(x, y), not r(x)")
+    assert naive_evaluate(plain, database) == {(1,), (2,)}
+    assert naive_evaluate(plain, database, bag=True) == Counter({(1,): 2, (2,): 1})
+    summed = parse_query("q(x, sum(y)) :- p(x, y), not r(x)")
+    assert naive_evaluate(summed, database) == {(1,): 5, (2,): 2}
+    # ``bag`` only selects between the non-aggregate semantics.
+    assert naive_evaluate(summed, database, bag=True) == {(1,): 5, (2,): 2}
+    assert naive_evaluate(parse_query("q(cntd(y)) :- p(x, y)"), database) == {(): 3}
+    assert naive_evaluate(parse_query("q(x, max(y)) :- p(x, y), y < 2"), database) == {}
+
+
+def test_naive_reference_reads_no_compiled_cache():
+    """The oracle shares nothing with the engine it checks: no kernel is
+    compiled and no columnar store is built or hit on its behalf."""
+    clear_evaluation_caches()
+    query = parse_query("q(x, count()) :- p(x, y), not r(y), y > 0")
+    database = parse_database("p(1, 2). p(1, 3). p(2, 5). r(3).")
+    before = (kernel_cache_stats(), store_cache_stats())
+    expected = {(1,): 1, (2,): 1}
+    assert naive_evaluate(query, database) == expected
+    assert len(naive_satisfying_assignments(query, database)) == 2
+    assert (kernel_cache_stats(), store_cache_stats()) == before
+    assert evaluate_aggregate(query, database) == expected
+    assert kernel_cache_stats()["compiles"] > before[0]["compiles"]
 
 
 def test_memoized_results_are_stable_copies():
@@ -147,10 +168,8 @@ def test_aggregate_evaluation_agrees_on_warehouse_reports_and_views(backend, mon
             if not query.is_aggregate:
                 continue
             for database in (scenario.database, warehouse.database):
-                with engine_scope("naive"):
-                    expected = evaluate_aggregate(query, database)
-                with engine_scope("compiled"):
-                    compiled = evaluate_aggregate(query, database)
+                expected = naive_evaluate(query, database)
+                compiled = evaluate_aggregate(query, database)
                 assert compiled == expected, name
                 assert {key: type(value) for key, value in compiled.items()} == {
                     key: type(value) for key, value in expected.items()

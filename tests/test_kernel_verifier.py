@@ -13,7 +13,7 @@ import pytest
 
 from repro import evaluate, parse_query
 from repro.analysis import verify_kernel_source
-from repro.engine import clear_evaluation_caches, engine_scope
+from repro.engine import clear_evaluation_caches
 from repro.engine.compile import (
     _KERNEL_CACHE,
     kernel_cache_stats,
@@ -50,8 +50,7 @@ GOOD_KERNEL = (
 class TestGeneratedKernelsVerify:
     def test_warehouse_catalog_kernels_verify(self, verified_kernels):
         scenario = build_warehouse(stores=3, products=5, sales_per_store=6, seed=11)
-        with engine_scope("compiled"):
-            scenario.evaluate_all()
+        scenario.evaluate_all()
         stats = kernel_cache_stats()
         assert stats["compiles"] > 0
         assert REGISTRY.get("engine.kernel.verified") == stats["compiles"]
@@ -59,17 +58,15 @@ class TestGeneratedKernelsVerify:
     def test_view_scenario_kernels_verify(self, verified_kernels):
         scenario = build_view_scenario(stores=3, products=4, sales_per_store=5, seed=7)
         database = scenario.materialized()
-        with engine_scope("compiled"):
-            for query in scenario.queries.values():
-                evaluate(query, database)
+        for query in scenario.queries.values():
+            evaluate(query, database)
         stats = kernel_cache_stats()
         assert stats["compiles"] > 0
         assert REGISTRY.get("engine.kernel.verified") == stats["compiles"]
 
     def test_every_cached_kernel_source_reverifies_standalone(self, verified_kernels):
         scenario = build_warehouse(stores=3, products=5, sales_per_store=6, seed=11)
-        with engine_scope("compiled"):
-            scenario.evaluate_all()
+        scenario.evaluate_all()
         assert _KERNEL_CACHE
         for kernel in _KERNEL_CACHE.values():
             verify_kernel_source(kernel._source)
@@ -79,11 +76,10 @@ class TestGeneratedKernelsVerify:
         from repro import parse_database
 
         database = parse_database("p(1, 2). p(1, 3). p(2, 5).")
-        with engine_scope("compiled"):
-            evaluate(query, database)
-            verified = REGISTRY.get("engine.kernel.verified")
-            assert verified == kernel_cache_stats()["compiles"]
-            evaluate(query, database)
+        evaluate(query, database)
+        verified = REGISTRY.get("engine.kernel.verified")
+        assert verified == kernel_cache_stats()["compiles"]
+        evaluate(query, database)
         assert REGISTRY.get("engine.kernel.verified") == verified
         assert kernel_cache_stats()["hits"] > 0
 

@@ -418,7 +418,6 @@ class TestWorkspaceObservability:
             assert explanation.dispatch_class != "unknown", result.method
             assert explanation.decision_path != "unknown"
             assert explanation.decision_path.startswith(("sweep:", "pair", "cache"))
-            assert explanation.engine in ("naive", "compiled")
             assert explanation.decided_in_call == 1
             assert explanation.cache_served is False
             assert explanation.domain in ("integers", "rationals")

@@ -355,6 +355,15 @@ class TestProtocolErrors:
         with pytest.raises(ProtocolError):
             decode_body(b"[1, 2]")
 
+    def test_cli_has_no_engine_option(self, capsys):
+        # One engine serves every tenant: the command line offers no switch.
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--port", "0", "--engine", "naive"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine naive" in capsys.readouterr().err
+
     def test_worker_crash_error_serializes_as_retryable_503(self):
         status, payload = error_payload(WorkerCrashError("pool worker died"))
         assert status == 503

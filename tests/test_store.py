@@ -214,6 +214,43 @@ class TestVerdictStore:
         }
         reader.close()
 
+    def test_rows_naming_an_evaluation_mode_are_served(self, tmp_path):
+        # Stores written while the naive engine was a selectable mode carry
+        # "naive" or "compiled" in the engine column; new rows write "" and
+        # serving ignores the column, so those files keep serving — witness
+        # revalidation included.
+        import sqlite3
+
+        path = str(tmp_path / "moded.sqlite3")
+        pairs = [
+            (parse_query("q(x) :- R(x), S(x)"), parse_query("q(b) :- S(b), R(b)")),
+            (parse_query("q(x) :- R(x)"), parse_query("q(x) :- R(x), x > 0")),
+        ]
+        writer = VerdictStore(path)
+        results = [settle(first, second) for first, second in pairs]
+        for (first, second), result in zip(pairs, results):
+            writer.record(first, second, Domain.RATIONALS, result)
+        writer.close()
+        connection = sqlite3.connect(path)
+        assert {row[0] for row in connection.execute("SELECT engine FROM verdicts")} == {""}
+        for (first, second), mode in zip(pairs, ("compiled", "naive")):
+            connection.execute(
+                "UPDATE verdicts SET engine = ? WHERE pair_key = ?",
+                (mode, pair_key(first, second).key),
+            )
+        connection.commit()
+        connection.close()
+        reader = VerdictStore(path)
+        before = REGISTRY.get("store.witness.revalidated")
+        for (first, second), result in zip(pairs, results):
+            served = reader.serve(renamed_copy(first), renamed_copy(second), Domain.RATIONALS)
+            assert served is not None
+            assert served.verdict == result.verdict
+            assert served.method == result.method
+            assert served.details == result.details
+        assert REGISTRY.get("store.witness.revalidated") == before + 1
+        reader.close()
+
     def test_closed_store_is_a_silent_miss(self):
         first = parse_query("q(x) :- R(x)")
         second = parse_query("q(x) :- S(x)")
@@ -272,6 +309,33 @@ class TestWitnessRevalidation:
         witness = served.counterexample
         assert witness.database is not None
         assert witness.left_result != witness.right_result
+
+    def test_reproduced_witness_is_memoized_on_the_record(self, monkeypatch):
+        # Once a record's witness has reproduced its disagreement, later
+        # serves of that record — either orientation — reuse the answers
+        # instead of re-evaluating the queries on the witness.
+        import repro.store.witness as witness_module
+
+        store, first, second = self._settled_store()
+        calls: list = []
+        real_evaluate = witness_module.evaluate
+
+        def counting_evaluate(query, database):
+            calls.append(query)
+            return real_evaluate(query, database)
+
+        monkeypatch.setattr(witness_module, "evaluate", counting_evaluate)
+        forward = store.serve(first, second, Domain.RATIONALS)
+        assert len(calls) == 2
+        record = store.lookup(pair_key(first, second).key)
+        assert record.revalidation is not None
+        backward = store.serve(second, first, Domain.RATIONALS)
+        again = store.serve(renamed_copy(first), second, Domain.RATIONALS)
+        assert len(calls) == 2
+        assert backward.counterexample.left_result == forward.counterexample.right_result
+        assert backward.counterexample.right_result == forward.counterexample.left_result
+        assert again.counterexample.left_result == forward.counterexample.left_result
+        assert again.counterexample.right_result == forward.counterexample.right_result
 
     def test_stale_witness_is_rejected_and_dropped(self):
         # Simulate a BASE change that invalidated the stored witness: replace
