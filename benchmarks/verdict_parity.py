@@ -9,9 +9,11 @@ whose verdict, method, details or witness database differ:
 * the warehouse catalog's ``equivalence_matrix``, and each of its same-shape
   cells decided alone by ``are_equivalent``;
 * ``bounded_equivalence`` on the ``DIFFERENTIAL_PAIRS`` of
-  ``tests/test_parallel.py`` at seeds 0 and 5;
-* the fuzz oracle's ``generated_catalog`` (``tests/fuzz/test_sweep_oracle.py``)
-  for every profile at the oracle's seeds 0, 1, 3 and 4, through
+  ``parity_inputs.py`` (which ``tests/test_parallel.py`` decides) at seeds
+  0 and 5;
+* ``parity_inputs.generated_catalog`` (the catalogs of the fuzz oracle
+  ``tests/fuzz/test_sweep_oracle.py``) for every profile at the oracle's
+  seeds 0, 1, 3 and 4, through
   ``equivalence_matrix`` — renamed members, equivalent members that are not
   renamings, and comparison-carrying classes side by side (a catalog over
   the oracle's subset budget is recorded as such);
@@ -30,7 +32,9 @@ Usage::
     python benchmarks/verdict_parity.py --against /path/to/other/checkout
 
 The comparison inputs always come from this checkout, so the two sides decide
-the same catalogs.  Exits 1 when any comparison differs.
+the same catalogs; they import no test module, so the comparison needs no
+test dependency, and only ``repro`` names every checkout has.  Exits 1 when
+any comparison differs.
 """
 
 from __future__ import annotations
@@ -58,14 +62,9 @@ def _cell(result) -> list:
 
 def _dump() -> dict[str, list]:
     """Decide every comparison with the ``repro`` on ``sys.path``."""
-    sys.path[:0] = [
-        os.path.join(ROOT, "perfbench"),
-        os.path.join(ROOT, "tests"),
-        os.path.join(ROOT, "tests", "fuzz"),
-    ]
+    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "benchmarks")]
     from catalog import audit_catalog
-    from test_parallel import DIFFERENTIAL_PAIRS
-    from test_sweep_oracle import MAX_SUBSETS, PROFILES, TRIALS, generated_catalog
+    from parity_inputs import DIFFERENTIAL_PAIRS, MAX_SUBSETS, PROFILES, TRIALS, generated_catalog
 
     from repro import Workspace, are_equivalent, parse_query
     from repro.core.bounded import bounded_equivalence

@@ -21,7 +21,7 @@ class Database:
     ``(predicate, values)`` pairs; values are normalized to exact numbers.
     """
 
-    __slots__ = ("_facts", "_by_predicate", "_carrier", "_sorted_carrier")
+    __slots__ = ("_facts", "_by_predicate", "_arities", "_carrier", "_sorted_carrier")
 
     def __init__(self, facts: Iterable = ()):  # noqa: ANN001 - heterogeneous input
         self._index(frozenset(_coerce_fact(fact) for fact in facts))
@@ -44,6 +44,7 @@ class Database:
         self._by_predicate: dict[str, frozenset[tuple]] = {
             predicate: frozenset(rows) for predicate, rows in by_predicate.items()
         }
+        self._arities: dict[str, frozenset[int]] = _arities_of(by_predicate)
         self._carrier: frozenset[NumericValue] = frozenset(carrier)
         self._sorted_carrier: tuple[NumericValue, ...] | None = None
 
@@ -68,6 +69,13 @@ class Database:
     def relation(self, predicate: str) -> frozenset[tuple]:
         """All tuples of the given predicate (empty when absent)."""
         return self._by_predicate.get(predicate, frozenset())
+
+    @property
+    def relation_arities(self) -> Mapping[str, frozenset[int]]:
+        """``{predicate: the lengths of its rows}``, recorded while the rows
+        are grouped by predicate (a predicate may be stored at several
+        arities)."""
+        return self._arities
 
     def contains(self, predicate: str, values: Sequence[NumericValue]) -> bool:
         return tuple(values) in self._by_predicate.get(predicate, frozenset())
@@ -134,9 +142,13 @@ class Database:
             by_predicate[predicate] = self.relation(predicate) | rows
             for row in rows:
                 carrier.update(row)
+        arities = dict(self._arities)
+        for predicate, lengths in _arities_of(added).items():
+            arities[predicate] = arities.get(predicate, frozenset()) | lengths
         database = Database.__new__(Database)
         database._facts = self._facts | new
         database._by_predicate = by_predicate
+        database._arities = arities
         if carrier <= self._carrier:
             database._carrier = self._carrier
             database._sorted_carrier = self._sorted_carrier
@@ -186,6 +198,11 @@ class Database:
 
     def to_relations(self) -> dict[str, set[tuple]]:
         return {predicate: set(rows) for predicate, rows in self._by_predicate.items()}
+
+
+def _arities_of(by_predicate: Mapping[str, Iterable[tuple]]) -> dict[str, frozenset[int]]:
+    """``{predicate: the lengths of its rows}`` over rows grouped by predicate."""
+    return {predicate: frozenset(map(len, rows)) for predicate, rows in by_predicate.items()}
 
 
 def _coerce_fact(fact) -> GroundAtom:  # noqa: ANN001

@@ -41,7 +41,16 @@ the relation's id rows in sorted order; the vectorized path reads
 int64 matrix with ``np.fromiter`` over the id map.  Id matrices are
 unsorted — their rows follow the value rows' iteration order — and no
 result depends on row order: every consumer treats rows as a bag.
-Relation sizes come from the value rows, which interning maps one-to-one.
+Relation sizes come from the value rows, which interning maps one-to-one,
+and row arities from the set each database records per relation while it
+groups the rows (a predicate may be stored at several arities; an atom
+reads only the rows of its own), so no read scans row lengths.
+
+Past the join, :func:`pack_rows` packs each row of a result matrix into one
+int64 key that sorts like the row: the compiled drivers
+(:mod:`repro.engine.compile`) deduplicate set and bag-set answers with one
+``np.unique`` and group aggregates with one ``np.argsort`` over those keys,
+and decode only the distinct rows and group keys.
 
 Ids of the decode-only extension region (:meth:`ColumnarStore.decode_id`)
 come after the carrier whatever their value, so only carrier ids are
@@ -107,6 +116,7 @@ class ColumnarStore:
         "_id_of",
         "_canonical",
         "_relations",
+        "_arities",
         "_interned",
         "_rows",
         "_indexes",
@@ -143,6 +153,7 @@ class ColumnarStore:
         self.carrier_len = len(self.decode_values)
         self.numpy = numpy_module()
         self._relations = relations
+        self._arities = database.relation_arities
         self._interned: dict[str, tuple[tuple[int, ...], ...]] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...], int], dict] = {}
@@ -162,6 +173,10 @@ class ColumnarStore:
     def size(self, predicate: str) -> int:
         return self._sizes.get(predicate, 0)
 
+    def _single_arity(self, predicate: str, arity: int) -> bool:
+        """Whether every row of the relation has ``arity`` columns."""
+        return self._arities.get(predicate, frozenset()) <= {arity}
+
     def _id_rows(self, predicate: str) -> tuple[tuple[int, ...], ...]:
         """The relation's id rows, sorted; interned on the first read."""
         cached = self._interned.get(predicate)
@@ -179,7 +194,7 @@ class ColumnarStore:
         cached = self._rows.get(key)
         if cached is None:
             everything = self._id_rows(predicate)
-            if set(map(len, everything)) <= {arity}:
+            if self._single_arity(predicate, arity):
                 cached = everything
             else:
                 cached = tuple(row for row in everything if len(row) == arity)
@@ -275,7 +290,7 @@ class ColumnarStore:
         if cached is None:
             np = self.numpy
             rows = self._relations.get(predicate, ())
-            if not set(map(len, rows)) <= {arity}:
+            if not self._single_arity(predicate, arity):
                 rows = [row for row in rows if len(row) == arity]
             cached = np.fromiter(
                 map(self._id_of.__getitem__, chain.from_iterable(rows)),
@@ -301,9 +316,9 @@ class ColumnarStore:
 
     def vectorized(self) -> bool:
         """Whether NumPy is on and some relation clears
-        :data:`VECTOR_THRESHOLD` — the store-level gate of concrete
-        aggregation's id-space fold (a store that fails it never touches
-        NumPy)."""
+        :data:`VECTOR_THRESHOLD` — the store-level gate of the id-space
+        dedup of set and bag-set answers and of concrete aggregation's
+        id-space fold (a store that fails it never touches NumPy)."""
         return self.numpy is not None and self._largest >= VECTOR_THRESHOLD
 
     def vector_candidate(self, plan: Plan) -> bool:
@@ -387,6 +402,28 @@ def _pack(np, base: int, columns: list):  # noqa: ANN001
     for column in columns[1:]:
         packed = packed * base + (column.astype(np.int64) + 1)
     return packed
+
+
+def pack_rows(np, matrix, base: int):  # noqa: ANN001, ANN201
+    """One int64 key per row of an id matrix whose ids lie in
+    ``[0, base - 2]``; keys sort like the rows do lexicographically, so
+    equal rows are equal keys and the leading columns are the high digits.
+    ``None`` when the matrix has no column or ``base ** width`` exceeds
+    :data:`INT64_HEADROOM`."""
+    try:
+        return _pack(np, base, [matrix[:, column] for column in range(matrix.shape[1])])
+    except _VectorFallback:
+        return None
+
+
+def unpack_rows(np, keys, base: int, width: int):  # noqa: ANN001, ANN201
+    """The ``(len(keys), width)`` id matrix whose rows :func:`pack_rows`
+    packed into ``keys`` with this ``base``."""
+    columns = []
+    for _ in range(width):
+        keys, digit = np.divmod(keys, base)
+        columns.append(digit - 1)
+    return np.stack(columns[::-1], axis=1)
 
 
 def _constant_map(plan: Plan) -> dict[Variable, Constant]:

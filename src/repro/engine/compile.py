@@ -28,27 +28,37 @@ The drivers at the bottom are the compiled engine's entry points, mirroring
 the public evaluation API: concrete set / bag-set / aggregate evaluation and
 Γ(q, D), plus symbolic Γ and the symbolic group index.  They decode
 id rows back to values (or block representatives) only at the projection
-boundary — group keys once per distinct group, never per tuple — which is
-where much of the engine's end-to-end speed comes from.  Each entry point
-routes through :func:`repro.engine.columnar.execute_plan_vector` first when the
-store's relations are large enough to clear the NumPy threshold.
+boundary — each distinct answer row or group key once, never per tuple —
+which is where much of the engine's end-to-end speed comes from.  Each entry
+point routes through :func:`repro.engine.columnar.execute_plan_vector` first
+when the store's relations are large enough to clear the NumPy threshold.
+
+Set and bag-set semantics count the head's id rows and decode only the
+distinct ones (:func:`_distinct_head_rows`).  On a store with a relation of
+at least ``VECTOR_THRESHOLD`` rows (and NumPy on) every disjunct's id matrix
+is stacked, each row packs into one int64 key
+(:func:`~repro.engine.columnar.pack_rows`, base the decode table's length
+plus one, so decode-extension ids fit), and one ``np.unique`` finds the
+distinct keys and their multiplicities; the keys unpack into the distinct
+id rows.  Every other store, an empty head,
+and a head whose key would not fit int64 count the rows in a loop.
 
 Aggregation takes one of two paths, by store:
 
-* On a store with a relation of at least ``VECTOR_THRESHOLD`` rows (and
-  NumPy on), a function with an ``id_fold``
+* On such a vectorized store, a function with an ``id_fold``
   (:attr:`~repro.aggregates.functions.AggregationFunction.id_fold`) stays in
   id space from relation to fold (:func:`_fold_id_matrix`): every
-  disjunct's id matrix is stacked, one ``np.lexsort`` over the key columns
-  gives group starts and counts, and each group folds on ids —
+  disjunct's id matrix is stacked, one ``np.argsort`` over one packed key
+  per row (the key columns; the whole row for ``cntd``) sorts it, group
+  starts are where the sorted key changes, and each group folds on ids —
   ``count``/``parity`` from the counts, ``cntd`` from the distinct ``(key,
   element)`` rows, ``max``/``min`` by ``np.maximum``/``np.minimum.reduceat``
   over carrier ids (id order is value order there; ids of the decode
   extension region are not, so a bag holding one falls back), ``sum``/``avg``
   by an exact int64 ``np.add.reduceat`` when every value is an ``int`` and
   ``max|v| · rows < 2**62``.  Only each distinct key and each folded value
-  is decoded.  A fallback (``Fraction`` data, a possible overflow) counts
-  the stacked rows like the loop path below.
+  is decoded.  A fallback (``Fraction`` data, a possible overflow, a sort
+  key too wide to pack) counts the stacked rows like the loop path below.
 * Every other store and function (``prod``, ``topK``/``botK``) — and the
   symbolic group index, whose stores are small — counts id rows in one
   grouping loop (:func:`_counted_groups`) into ``{key ids: {element ids:
@@ -62,7 +72,9 @@ Aggregation takes one of two paths, by store:
 from __future__ import annotations
 
 import os
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable
 
 from ..caches import put_bounded, register_cache
@@ -74,7 +86,14 @@ from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan, plan_condition
-from .columnar import INT64_HEADROOM, ColumnarStore, execute_plan_vector, store_for
+from .columnar import (
+    INT64_HEADROOM,
+    ColumnarStore,
+    execute_plan_vector,
+    pack_rows,
+    store_for,
+    unpack_rows,
+)
 
 #: Python source operators per comparison op (``EQ.symbol`` is ``"="``, which
 #: is not valid Python — hence an explicit table rather than ``op.symbol``).
@@ -353,28 +372,56 @@ def condition_rows(
         return get_kernel(plan, output_terms)(store)
 
 
-def _decoded_rows(
-    query: Query, store: ColumnarStore, output_terms: tuple[Term, ...]
-) -> Iterable[tuple]:
+def _distinct_head_rows(query: Query, store: ColumnarStore) -> tuple[list[tuple], list[int]]:
+    """The distinct rows of the head projection over every disjunct,
+    decoded, and the multiplicity of each.
+
+    On a vectorized store the disjuncts' id matrices are stacked and one
+    ``np.unique`` over packed row keys finds the distinct rows; an empty
+    head, or one too wide to pack into int64, counts the rows in a loop, as
+    every smaller store does."""
+    head = tuple(query.head_terms)
+    if head and store.vectorized():
+        np = store.numpy
+        matrix = _stacked_matrix(query, store, head)
+        # Packed after execution: head constants absent from the carrier
+        # have appended their decode-extension ids by now.
+        base = len(store.decode_values) + 1
+        keys = pack_rows(np, matrix, base)
+        if keys is not None:
+            distinct, counts = np.unique(keys, return_counts=True)
+            return _decoded(store, unpack_rows(np, distinct, base, len(head))), counts.tolist()
+        rows: Iterable[tuple] = map(tuple, matrix.tolist())
+    else:
+        rows = chain.from_iterable(
+            condition_rows(disjunct, store, head) for disjunct in query.disjuncts
+        )
+    counted = Counter(rows)
     value_of = store.decode_values.__getitem__
-    for disjunct in query.disjuncts:
-        for row in condition_rows(disjunct, store, output_terms):
-            yield tuple(map(value_of, row))
+    return [tuple(map(value_of, row)) for row in counted], list(counted.values())
+
+
+def _decoded(store: ColumnarStore, matrix) -> list[tuple]:  # noqa: ANN001
+    """The rows of an id matrix with at least one column as value tuples,
+    decoded a column at a time."""
+    value_of = store.decode_values.__getitem__
+    return list(zip(*[map(value_of, column) for column in matrix.T.tolist()]))
 
 
 # ----------------------------------------------------------------------
 # Concrete drivers
 # ----------------------------------------------------------------------
 def compiled_evaluate_set(query: Query, database) -> set:  # noqa: ANN001
-    store = store_for(database)
-    return set(_decoded_rows(query, store, tuple(query.head_terms)))
+    """Set semantics: each distinct head row decoded once."""
+    rows, _counts = _distinct_head_rows(query, store_for(database))
+    return set(rows)
 
 
-def compiled_evaluate_bag_set(query: Query, database):  # noqa: ANN001
-    from collections import Counter
-
-    store = store_for(database)
-    return Counter(_decoded_rows(query, store, tuple(query.head_terms)))
+def compiled_evaluate_bag_set(query: Query, database) -> Counter:  # noqa: ANN001
+    """Bag-set semantics: each distinct head row decoded once, with its
+    multiplicity."""
+    rows, counts = _distinct_head_rows(query, store_for(database))
+    return Counter(dict(zip(rows, counts)))
 
 
 def compiled_evaluate_aggregate(query: Query, database, function):  # noqa: ANN001
@@ -387,7 +434,9 @@ def compiled_evaluate_aggregate(query: Query, database, function):  # noqa: ANN0
     store = store_for(database)
     if function.id_fold is not None and store.vectorized():
         key_width = len(query.head_terms)
-        matrix = _stacked_matrix(query, store)
+        matrix = _stacked_matrix(
+            query, store, tuple(query.head_terms) + tuple(query.aggregation_variables())
+        )
         folded = _fold_id_matrix(matrix, key_width, store, function)
         if folded is not None:
             return folded
@@ -492,11 +541,12 @@ def _count_rows(groups: dict, rows: Iterable[tuple[int, ...]], key_width: int) -
 # ----------------------------------------------------------------------
 # Id-space aggregation (vectorized stores)
 # ----------------------------------------------------------------------
-def _stacked_matrix(query: Query, store: ColumnarStore):  # noqa: ANN202
-    """Every disjunct's id rows (head projection, then aggregation
-    variables) stacked into one unsorted int64 matrix."""
+def _stacked_matrix(
+    query: Query, store: ColumnarStore, output_terms: tuple[Term, ...]
+):  # noqa: ANN202
+    """Every disjunct's id rows, projected onto ``output_terms``, stacked
+    into one unsorted int64 matrix."""
     np = store.numpy
-    output_terms = tuple(query.head_terms) + tuple(query.aggregation_variables())
     parts = []
     for disjunct in query.disjuncts:
         rows = condition_rows(disjunct, store, output_terms, as_matrix=True)
@@ -508,11 +558,14 @@ def _stacked_matrix(query: Query, store: ColumnarStore):  # noqa: ANN202
 
 def _fold_id_matrix(matrix, key_width: int, store: ColumnarStore, function):  # noqa: ANN001, ANN202
     """Aggregate semantics without leaving id space, or ``None`` when the
-    data rule the function's id fold out (:func:`_id_fold`).
+    data rule the function's id fold out (:func:`_id_fold`) or the sort key
+    cannot be packed into int64.
 
-    One ``np.lexsort`` groups the matrix: over the key columns, and over
-    whole rows for ``cntd``, which counts runs of equal rows.  Only each
-    distinct key and each folded value is decoded.
+    One ``np.argsort`` over one packed int64 key per row groups the matrix:
+    the key columns, or the whole row for ``cntd``, which then keeps one row
+    per distinct ``(key, element)`` and counts them.  Group starts are where
+    the sorted key part changes.  Only each distinct key and each folded
+    value is decoded.
     """
     if not len(matrix):
         return {}
@@ -520,24 +573,33 @@ def _fold_id_matrix(matrix, key_width: int, store: ColumnarStore, function):  # 
     fold = _id_fold(np, store, function, matrix[:, key_width:])
     if fold is None:
         return None
-    sort_width = matrix.shape[1] if function.id_fold == "distinct" else key_width
-    if sort_width:
-        # lexsort's last key is its primary one: key columns outrank elements.
-        matrix = matrix[np.lexsort(matrix[:, sort_width - 1 :: -1].T)]
-    keys, elements = matrix[:, :key_width], matrix[:, key_width:]
-    starts = np.flatnonzero(_changes(np, keys)) if key_width else np.zeros(1, dtype=np.intp)
+    distinct = function.id_fold == "distinct"
+    starts = np.zeros(1, dtype=np.intp)
+    if key_width or distinct:
+        width = matrix.shape[1] if distinct else key_width
+        base = len(store.decode_values) + 1
+        packed = pack_rows(np, matrix[:, :width], base)
+        if packed is None:
+            return None
+        order = np.argsort(packed)
+        matrix, packed = matrix[order], packed[order]
+        if distinct:
+            fresh = _run_starts(np, packed)
+            # Key columns are the high digits of the whole-row key.
+            matrix, packed = matrix[fresh], packed[fresh] // base ** (width - key_width)
+        if key_width:
+            starts = np.flatnonzero(_run_starts(np, packed))
     counts = np.diff(np.append(starts, len(matrix)))
-    value_of = store.decode_values.__getitem__
-    decoded_keys = [tuple(map(value_of, key)) for key in keys[starts].tolist()]
-    return dict(zip(decoded_keys, fold(elements, starts, counts)))
+    keys = _decoded(store, matrix[starts, :key_width]) if key_width else [()]
+    return dict(zip(keys, fold(matrix[:, key_width:], starts, counts)))
 
 
-def _changes(np, rows):  # noqa: ANN001, ANN202
-    """Per row of a sorted matrix: whether it differs from the row before
-    (the first row always does)."""
-    changed = np.ones(len(rows), dtype=bool)
-    changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return changed
+def _run_starts(np, keys):  # noqa: ANN001, ANN202
+    """Per entry of a sorted key array: whether it differs from the entry
+    before (the first always does)."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
 
 
 def _id_fold(np, store: ColumnarStore, function, elements):  # noqa: ANN001, ANN202
@@ -546,21 +608,14 @@ def _id_fold(np, store: ColumnarStore, function, elements):  # noqa: ANN001, ANN
     over these (unsorted) element columns, or ``None`` when the groups must
     fold through ``apply_counted``: a ``max``/``min`` over an id outside the
     carrier, and a ``sum``/``avg`` over a non-``int`` value or one the int64
-    guard rejects.  Each fold equals ``apply_counted`` in value and type."""
+    guard rejects.  ``cntd`` counts the groups of the deduplicated rows
+    :func:`_fold_id_matrix` hands it.  Each fold equals ``apply_counted`` in
+    value and type."""
     kind = function.id_fold
-    if kind == "count":
+    if kind in ("count", "distinct"):
         return lambda elements, starts, counts: counts.tolist()
     if kind == "parity":
         return lambda elements, starts, counts: (counts % 2).tolist()
-    if kind == "distinct":
-        # Rows are sorted by key, then element: a new (key, element) run
-        # starts wherever the element changes or a group starts.
-        def distinct(elements, starts, counts):  # noqa: ANN001, ANN202
-            fresh = _changes(np, elements)
-            fresh[starts] = True
-            return np.add.reduceat(fresh, starts, dtype=np.int64).tolist()
-
-        return distinct
     if elements.shape[1] != 1:
         return None
     column = elements[:, 0]

@@ -109,13 +109,26 @@ class SymbolicDatabase:
     @cached_property
     def canonical_relations(self) -> dict[str, frozenset[tuple[Term, ...]]]:
         """The atoms of the database with every term replaced by its block
-        representative, grouped by predicate."""
+        representative, grouped by predicate.  The same pass records
+        :attr:`relation_arities`."""
         representative = _representative_map(self.ordering)
         relations: dict[str, set[tuple[Term, ...]]] = {}
         for atom in self.atoms:
             row = tuple(representative[argument] for argument in atom.arguments)
             relations.setdefault(atom.predicate, set()).add(row)
+        # cached_property stores in the instance dict, as this does.
+        self.__dict__["relation_arities"] = {
+            predicate: frozenset(map(len, rows)) for predicate, rows in relations.items()
+        }
         return {predicate: frozenset(rows) for predicate, rows in relations.items()}
+
+    @cached_property
+    def relation_arities(self) -> dict[str, frozenset[int]]:
+        """``{predicate: the lengths of its rows}``, recorded by the pass
+        that builds :attr:`canonical_relations` (reached here only before
+        that pass has run)."""
+        self.canonical_relations  # noqa: B018 - the pass records the arities
+        return self.__dict__["relation_arities"]
 
     @cached_property
     def carrier_terms(self) -> frozenset[Term]:

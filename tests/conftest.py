@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 import pytest
 
 from repro import Domain, parse_database, parse_query
 from repro.store import reset_shared_store
 from repro.workloads import QueryGenerator, QueryProfile, build_warehouse
+
+# Comparison inputs the tests share with benchmarks/verdict_parity.py
+# (benchmarks/parity_inputs.py) import from the benchmarks directory.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks"))
 
 
 @pytest.fixture(autouse=True)

@@ -11,7 +11,9 @@ equivalent as well as non-equivalent cells.  The oracles:
 * a catalog whose search space exceeds the budget raises
   ``SearchSpaceBudgetError`` on both sides.
 
-The seeds are fixed, so the slice is deterministic.  Seed 2 is left out:
+The catalogs and budgets come from ``benchmarks/parity_inputs.py``, which
+``benchmarks/verdict_parity.py`` also reads.  The seeds are fixed, so the
+slice is deterministic.  Seed 2 is left out:
 its ``max`` catalog alone takes about 4 s on a 2-core machine.
 """
 
@@ -19,40 +21,12 @@ from __future__ import annotations
 
 import pytest
 
+from parity_inputs import MAX_SUBSETS, PROFILES, TRIALS, generated_catalog
+from repro.engine import naive_evaluate
 from repro.errors import SearchSpaceBudgetError
 from repro.parallel.executor import default_workers
-from repro.workloads import QueryGenerator, QueryProfile, equivalence_matrix
-from repro.workloads.generators import renamed_copy
+from repro.workloads import equivalence_matrix
 from test_sweep import _assert_cells_match, _pairwise_matrix
-
-#: Subset budget of both sides: BASEs of up to 12 atoms, so pairs with up
-#: to three terms are searched and larger ones raise.
-MAX_SUBSETS = 2**12
-#: Witness-search trials per cell, on both sides.
-TRIALS = 40
-
-PROFILES = {
-    "count": {"aggregation_function": "count", "max_comparisons": 0},
-    "sum": {"aggregation_function": "sum", "max_comparisons": 0},
-    "max": {"aggregation_function": "max", "max_comparisons": 1},
-    "plain": {"aggregation_function": None, "max_comparisons": 0},
-}
-
-
-def generated_catalog(profile_name: str, seed: int, size: int = 2) -> dict:
-    profile = QueryProfile(
-        predicates={"p": 2, "r": 1},
-        constants=(1,),
-        max_positive_atoms=2,
-        **PROFILES[profile_name],
-    )
-    generator = QueryGenerator(profile, seed=seed)
-    catalog = {}
-    for index in range(size):
-        query = generator.query(f"g{index}")
-        catalog[f"g{index}"] = query
-        catalog[f"g{index}_c"] = renamed_copy(query)
-    return catalog
 
 
 def _decide(decide):
@@ -83,10 +57,6 @@ def test_sweep_matches_the_per_pair_reference(profile_name, seed):
     # Under REPRO_WORKERS the reference's bounded searches run on a pool,
     # where early-exit races may pick a different, equally valid witness.
     _assert_cells_match(swept, pairwise, require_same_witness_db=default_workers() == 1)
-    # Imported here: benchmarks/verdict_parity.py loads this module's catalog
-    # inputs against other checkouts' src/, which may predate naive_evaluate.
-    from repro.engine import naive_evaluate
-
     for (name_a, name_b), result in swept.items():
         witness = result.counterexample
         if witness is None or witness.database is None:

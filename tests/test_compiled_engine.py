@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro import Workspace
+from repro import Workspace, parse_query
 from repro.engine import (
     clear_evaluation_caches,
     clear_symbolic_caches,
@@ -400,6 +400,60 @@ def test_small_stores_never_touch_numpy(monkeypatch):
         assert witnessed > 0
         assert guarded
         assert touched == []
+    finally:
+        monkeypatch.undo()
+        _clean()
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
+def test_heads_too_wide_to_pack_take_the_loop_path(monkeypatch):
+    """On a vectorized store, a head whose packed row key would pass
+    ``INT64_HEADROOM`` is counted by the loop path instead; set, bag-set,
+    ``sum`` and ``cntd`` results still equal the naive reference.  The
+    ``cntd`` head is one column narrower: its group key packs, its whole
+    row does not."""
+    from repro.engine import compile as compiled
+
+    scenario = build_view_scenario(stores=6, products=5, sales_per_store=150, seed=5)
+    database = scenario.database
+    _clean()
+    packed: list = []
+    original = compiled.pack_rows
+
+    def spy(np, matrix, base):
+        keys = original(np, matrix, base)
+        packed.append((matrix.shape[1], keys is not None))
+        return keys
+
+    monkeypatch.setattr(compiled, "pack_rows", spy)
+    try:
+        store = store_for(database)
+        assert store.vectorized()
+        base = store.carrier_len + 1
+        width = 1
+        while base**width <= columnar.INT64_HEADROOM:
+            width += 1
+        def head(names, columns):  # the names repeated to `columns` wide
+            return ", ".join(names[column % len(names)] for column in range(columns))
+
+        texts = [
+            f"q({head('spa', width)}) :- sales(s, p, a), a > 3",
+            f"q({head('sp', width)}, sum(a)) :- sales(s, p, a) ; sales(s, p, a), p = 2",
+            f"q({head('sa', width - 1)}, cntd(p)) :- sales(s, x, a), p = 7 ; sales(s, p, a)",
+        ]
+        for text in texts:
+            query = parse_query(text)
+            if query.is_aggregate:
+                assert evaluate(query, database) == naive_evaluate(query, database), text
+            else:
+                assert evaluate_set(query, database) == naive_evaluate(query, database), text
+                assert evaluate_bag_set(query, database) == naive_evaluate(
+                    query, database, bag=True
+                ), text
+        # Every head of `width` columns failed to pack (the two set-semantics
+        # calls, the sum key, cntd's whole row); cntd's narrower key was not
+        # asked for, since its whole row decides.
+        assert packed == [(width, False)] * 4
     finally:
         monkeypatch.undo()
         _clean()

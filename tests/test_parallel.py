@@ -13,6 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 import pytest
 
+from parity_inputs import DIFFERENTIAL_PAIRS
 from repro import Verdict, parse_query
 from repro.core import (
     are_equivalent,
@@ -129,15 +130,9 @@ class TestCanonicalEnumeration:
 
 # ----------------------------------------------------------------------
 # Differential: serial vs parallel bounded equivalence
+# (DIFFERENTIAL_PAIRS lives in benchmarks/parity_inputs.py, which
+# benchmarks/verdict_parity.py also reads)
 # ----------------------------------------------------------------------
-DIFFERENTIAL_PAIRS = [
-    ("q(count()) :- p(y), not r(y)", "q(count()) :- p(y)", 2, None),
-    ("q(max(y)) :- p(y)", "q(max(y)) :- p(y) ; p(y)", 2, None),
-    ("q(sum(y)) :- p(y)", "q(sum(y)) :- p(y) ; p(y)", 2, None),
-    ("q(count()) :- p(y), p(z), y < z", "q(count()) :- p(y), p(z), y != z", 2, None),
-    ("q(x) :- p(x, y)", "q(x) :- p(x, y), p(x, z)", 2, "set"),
-    ("q(x) :- p(x, y)", "q(x) :- p(x, y), p(x, z)", 2, "bag-set"),
-]
 
 
 def _witness_is_valid(first, second, counterexample, semantics):

@@ -231,6 +231,32 @@ class TestDatabase:
                     assert result.relation(predicate) is base.relation(predicate), name
         assert base.add_facts(cases["already present"]) == base
 
+    def test_relation_arities_equal_a_scan_of_the_rows(self):
+        """Every way to build a database records, per predicate, the set of
+        its row lengths; the record must equal a scan of the rows, also for
+        a predicate stored at two arities and a nullary fact."""
+        first = Database([("p", (1, 2)), ("p", (3,)), ("r", (2.0,)), ("s", ())])
+        second = Database.from_relations({"p": [(1, 2), (4, 5, 6)], "r": [(3,)]})
+        cases = {
+            "init": first,
+            "from_relations": second,
+            "union": first.union(second),
+            "intersection": first.intersection(second),
+            "difference": first.difference(second),
+            "restrict": first.restrict_to_predicates(["p"]),
+            "add_facts new arity": first.add_facts([("p", (7, 8, 9)), ("q", (1,))]),
+            "add_facts same arity": first.add_facts([("p", (7, 8)), ("r", (4,))]),
+            "add_facts nothing new": first.add_facts([("p", (1, 2))]),
+            "empty": Database(),
+        }
+        for name, database in cases.items():
+            scanned = {
+                predicate: frozenset(map(len, rows))
+                for predicate, rows in database.to_relations().items()
+            }
+            assert dict(database.relation_arities) == scanned, name
+        assert cases["union"].relation_arities["p"] == {1, 2, 3}
+
     def test_duplicate_facts_collapse(self):
         assert len(Database([("p", (1,)), ("p", (1,))])) == 1
 

@@ -65,6 +65,27 @@ class TestSymbolicDatabase:
         )
         assert len(database.instantiate()) == 1
 
+    def test_relation_arities_equal_a_scan_of_the_rows(self):
+        """The pass that groups the canonical relations records each
+        predicate's row lengths, read before or after the relations."""
+        atoms = [
+            RelationalAtom("p", (U0, U1)),
+            RelationalAtom("p", (U2,)),
+            RelationalAtom("r", (U1,)),
+            RelationalAtom("s", ()),
+        ]
+        blocks = [{U0}, {U1, U2}]
+        for read_relations_first in (True, False):
+            database = sdb(atoms, blocks)
+            if read_relations_first:
+                database.canonical_relations
+            assert database.relation_arities == {
+                predicate: frozenset(map(len, rows))
+                for predicate, rows in database.canonical_relations.items()
+            }
+            assert database.relation_arities["p"] == {1, 2}
+        assert sdb([], [{U0}]).relation_arities == {}
+
 
 class TestSymbolicEvaluation:
     def test_positive_matching(self):
