@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ..domains import Domain, NumericValue, normalize_value
 from ..errors import DomainError
 from .atoms import GroundAtom
+from .encoding import VECTOR_THRESHOLD, intern_matrix, numpy_module, rows_of_arity
 
 
 class Database:
@@ -19,9 +20,20 @@ class Database:
 
     Facts can be supplied either as :class:`GroundAtom` objects or as
     ``(predicate, values)`` pairs; values are normalized to exact numbers.
+
+    Building a database groups its rows by predicate and records each
+    relation's row arities.  When NumPy is on and the largest relation has
+    at least :data:`~repro.datalog.encoding.VECTOR_THRESHOLD` rows, it also
+    sorts the carrier and encodes every relation into int64 id matrices, one
+    per ``(predicate, arity)``, in no row order (:attr:`encoding`; a value's
+    id is its rank in :meth:`sorted_carrier`).  The encoding is part of the
+    immutable value, built by the constructor and carried by ``add_facts``
+    and pickling; equality and hashing are by facts alone.
     """
 
-    __slots__ = ("_facts", "_by_predicate", "_arities", "_carrier", "_sorted_carrier")
+    __slots__ = (
+        "_facts", "_by_predicate", "_arities", "_carrier", "_sorted_carrier", "_encoding"
+    )
 
     def __init__(self, facts: Iterable = ()):  # noqa: ANN001 - heterogeneous input
         self._index(frozenset(_coerce_fact(fact) for fact in facts))
@@ -47,6 +59,23 @@ class Database:
         self._arities: dict[str, frozenset[int]] = _arities_of(by_predicate)
         self._carrier: frozenset[NumericValue] = frozenset(carrier)
         self._sorted_carrier: tuple[NumericValue, ...] | None = None
+        self._encoding: dict | None = None
+        np = _encoder(self._by_predicate)
+        if np is not None:
+            self._encode(np)
+
+    def _encode(self, np) -> None:  # noqa: ANN001
+        """Sort the carrier (unless already sorted) and encode every relation
+        (the database's rows and arities are already indexed)."""
+        carrier = self.sorted_carrier()
+        id_of = {value: rank for rank, value in enumerate(carrier)}.__getitem__
+        self._encoding = {
+            (predicate, arity): intern_matrix(
+                np, rows_of_arity(rows, self._arities[predicate], arity), arity, id_of
+            )
+            for predicate, rows in self._by_predicate.items()
+            for arity in self._arities[predicate]
+        }
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -80,11 +109,21 @@ class Database:
     def contains(self, predicate: str, values: Sequence[NumericValue]) -> bool:
         return tuple(values) in self._by_predicate.get(predicate, frozenset())
 
+    @property
+    def encoding(self) -> Mapping[tuple[str, int], object] | None:
+        """``{(predicate, arity): the relation's rows of that arity as an
+        (n, arity) int64 id matrix}``, in no row order, or ``None`` when the
+        database was built below the vector threshold or with NumPy off.
+        Never filled later: the columnar store interns the relations of an
+        unencoded database itself."""
+        return self._encoding
+
     def sorted_carrier(self) -> tuple[NumericValue, ...]:
         """carr(D) sorted ascending — the interning order of the columnar
         store: a constant's *rank* in this tuple is its interned id, so id
-        comparisons and value comparisons agree.  Computed lazily once (the
-        database is immutable)."""
+        comparisons and value comparisons agree.  Sorted when the database
+        is built if it carries an :attr:`encoding`, otherwise lazily on the
+        first call (the database is immutable)."""
         cached = self._sorted_carrier
         if cached is None:
             cached = tuple(sorted(self._carrier))
@@ -129,7 +168,8 @@ class Database:
     def add_facts(self, facts: Iterable) -> "Database":  # noqa: ANN001
         """The database with ``facts`` added.  Only the new facts are
         indexed: the other relations and the carrier are shared with (or
-        unioned onto) this database's."""
+        unioned onto) this database's.  A result over the vector threshold is
+        encoded in full, like any other constructor's."""
         new = {_coerce_fact(fact) for fact in facts} - self._facts
         if not new:
             return self
@@ -155,6 +195,10 @@ class Database:
         else:
             database._carrier = self._carrier | carrier
             database._sorted_carrier = None
+        database._encoding = None
+        np = _encoder(by_predicate)
+        if np is not None:
+            database._encode(np)
         return database
 
     def restrict_to_predicates(self, predicates: Iterable[str]) -> "Database":
@@ -198,6 +242,15 @@ class Database:
 
     def to_relations(self) -> dict[str, set[tuple]]:
         return {predicate: set(rows) for predicate, rows in self._by_predicate.items()}
+
+
+def _encoder(by_predicate: Mapping[str, frozenset[tuple]]):  # noqa: ANN202
+    """The NumPy module when it is on and the largest relation has at least
+    ``VECTOR_THRESHOLD`` rows — the rule for whether a database encodes —
+    else ``None``."""
+    if max(map(len, by_predicate.values()), default=0) < VECTOR_THRESHOLD:
+        return None
+    return numpy_module()
 
 
 def _arities_of(by_predicate: Mapping[str, Iterable[tuple]]) -> dict[str, frozenset[int]]:

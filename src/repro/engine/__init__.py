@@ -23,7 +23,10 @@ beside it sits a reference oracle that no production path calls.
    projection inside the kernel, one kernel shared by every database the
    plan runs over.  Large relations route through a NumPy
    ``searchsorted`` join executor when NumPy is importable
-   (``REPRO_NO_NUMPY=1`` forces the pure-python kernels).
+   (``REPRO_NO_NUMPY=1`` forces the pure-python kernels); a database over
+   the threshold carries their id matrices from its construction
+   (:attr:`repro.datalog.database.Database.encoding`), so stores read them
+   instead of interning them again.
 
    Index invariants: databases are immutable, so a store's index never goes
    stale; an index maps each projection of a row onto the indexed columns to

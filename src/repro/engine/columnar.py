@@ -33,18 +33,24 @@ to the generated loop kernels, which share the exact same store.  A store
 whose relations all stay below the threshold never touches NumPy.
 
 Building a store interns only the carrier (the id of every value or block
-representative); each relation is interned on its first read, so evaluating
-a query over a large database interns the relations the query reads and no
-others.  The loop path reads ``rows``, ``index`` and ``row_set``, built from
-the relation's id rows in sorted order; the vectorized path reads
-``matrix``, which interns the relation straight into an ``(n, arity)``
-int64 matrix with ``np.fromiter`` over the id map.  Id matrices are
-unsorted — their rows follow the value rows' iteration order — and no
-result depends on row order: every consumer treats rows as a bag.
-Relation sizes come from the value rows, which interning maps one-to-one,
-and row arities from the set each database records per relation while it
-groups the rows (a predicate may be stored at several arities; an atom
-reads only the rows of its own), so no read scans row lengths.
+representative).  The vectorized path reads ``matrix``, an ``(n, arity)``
+int64 id matrix per relation and arity.  A concrete database over the
+threshold built while NumPy was on carries those matrices already
+(:attr:`~repro.datalog.database.Database.encoding`, encoded once when the
+database is built, with the same ranks), and the store hands them out as
+they are; for any other database (symbolic ones, and databases below the
+threshold or built with NumPy off) the store interns a relation on its first
+read, straight from the value rows through the id map
+(:func:`~repro.datalog.encoding.intern_matrix`), so evaluating a query
+interns the relations the query reads and no others.  The loop path reads
+``rows``, ``index`` and ``row_set``, built on first read from the relation's
+id rows in sorted order.  Id matrices are unsorted — their rows follow no
+particular order — and no result depends on row order: every consumer
+treats rows as a bag.  Relation sizes come from the value rows, which
+interning maps one-to-one, and row arities from the set each database
+records per relation while it groups the rows (a predicate may be stored at
+several arities; an atom reads only the rows of its own), so no read scans
+row lengths.
 
 Past the join, :func:`pack_rows` packs each row of a result matrix into one
 int64 key that sorts like the row: the compiled drivers
@@ -64,34 +70,15 @@ cache — both database classes hash by value, so sweeps re-creating equal
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from itertools import chain
 from operator import itemgetter
 
 from ..caches import put_bounded, register_cache
+from ..datalog.encoding import VECTOR_THRESHOLD, intern_matrix, numpy_module, rows_of_arity
 from ..datalog.terms import Constant, Term, Variable
 from ..errors import EvaluationError
 from ..obs import REGISTRY as _OBS
 from .planner import AtomStep, BindStep, CompareStep, NegationStep, Plan
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
-
-
-def numpy_module():
-    """The NumPy module the stores use, or ``None`` (not importable, or
-    disabled via ``REPRO_NO_NUMPY``).  Read per store build, so tests can
-    toggle the fallback without reloading modules."""
-    if os.environ.get("REPRO_NO_NUMPY", "").strip().lower() in ("1", "true", "yes"):
-        return None
-    return _numpy
-
-
-#: Minimum relation size for the vectorized join path.
-VECTOR_THRESHOLD = 512
 
 
 #: Int64 headroom: packed join keys, and the ``max|v| · rows`` bound of an
@@ -144,12 +131,14 @@ class ColumnarStore:
             self._id_of: dict = {term: index for index, term in enumerate(representatives)}
             self._canonical = database.canonical
             relations = database.canonical_relations
+            encoding = None
         else:
             carrier = database.sorted_carrier()
             self.decode_values = list(carrier)
             self._id_of = {value: index for index, value in enumerate(carrier)}
             self._canonical = None
             relations = database._by_predicate
+            encoding = database.encoding
         self.carrier_len = len(self.decode_values)
         self.numpy = numpy_module()
         self._relations = relations
@@ -158,7 +147,9 @@ class ColumnarStore:
         self._rows: dict[tuple[str, int], tuple[tuple[int, ...], ...]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...], int], dict] = {}
         self._row_sets: dict[str, frozenset] = {}
-        self._matrices: dict[tuple[str, int], object] = {}
+        # An encoded database hands over its id matrices (ids are ranks in
+        # the same sorted carrier); the store interns only what it lacks.
+        self._matrices: dict[tuple[str, int], object] = dict(encoding or {})
         self._packed: dict[tuple[str, int], object] = {}
         self._bounds: dict[Constant, tuple[int, int, int]] = {}
         self._decode_ids: dict[Constant, int] = {}
@@ -172,10 +163,6 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     def size(self, predicate: str) -> int:
         return self._sizes.get(predicate, 0)
-
-    def _single_arity(self, predicate: str, arity: int) -> bool:
-        """Whether every row of the relation has ``arity`` columns."""
-        return self._arities.get(predicate, frozenset()) <= {arity}
 
     def _id_rows(self, predicate: str) -> tuple[tuple[int, ...], ...]:
         """The relation's id rows, sorted; interned on the first read."""
@@ -193,11 +180,9 @@ class ColumnarStore:
         key = (predicate, arity)
         cached = self._rows.get(key)
         if cached is None:
-            everything = self._id_rows(predicate)
-            if self._single_arity(predicate, arity):
-                cached = everything
-            else:
-                cached = tuple(row for row in everything if len(row) == arity)
+            cached = tuple(
+                rows_of_arity(self._id_rows(predicate), self._arities.get(predicate, ()), arity)
+            )
             self._rows[key] = cached
         return cached
 
@@ -283,20 +268,17 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     def matrix(self, predicate: str, arity: int):
         """The relation's ``arity``-ary id rows as an ``(n, arity)`` int64
-        matrix, in no particular row order: interned straight from the value
-        rows through the id map, with no tuple rows in between."""
+        matrix, in no particular row order: the database's own matrix when
+        it carries an :attr:`~repro.datalog.database.Database.encoding`,
+        otherwise interned on this first read straight from the value rows
+        (:func:`~repro.datalog.encoding.intern_matrix`)."""
         key = (predicate, arity)
         cached = self._matrices.get(key)
         if cached is None:
-            np = self.numpy
-            rows = self._relations.get(predicate, ())
-            if not self._single_arity(predicate, arity):
-                rows = [row for row in rows if len(row) == arity]
-            cached = np.fromiter(
-                map(self._id_of.__getitem__, chain.from_iterable(rows)),
-                dtype=np.int64,
-                count=len(rows) * arity,
-            ).reshape(len(rows), arity)
+            rows = rows_of_arity(
+                self._relations.get(predicate, ()), self._arities.get(predicate, ()), arity
+            )
+            cached = intern_matrix(self.numpy, rows, arity, self._id_of.__getitem__)
             self._matrices[key] = cached
         return cached
 
@@ -364,8 +346,9 @@ def store_for(database) -> ColumnarStore:  # noqa: ANN001
 
 
 def clear_store_cache() -> None:
-    """Drop every cached store (and with them the column indexes, matrices,
-    and packed keys they hold)."""
+    """Drop every cached store (and with them the column indexes, interned
+    matrices, and packed keys they hold; a database's own encoding is part
+    of the database and stays)."""
     _STORE_CACHE.clear()
     _OBS.reset("engine.store.")
 
@@ -568,10 +551,15 @@ def _run_vector(np, plan: Plan, store: ColumnarStore, output_terms):  # noqa: AN
                 else:
                     parts.append(columns[argument])
             if packed.size:
+                # Probe in sorted order (binary searches over ascending keys
+                # stay cache-warm), then scatter the hits back to row order.
                 query_keys = _pack(np, base, parts)
-                positions = np.searchsorted(packed, query_keys)
+                order = np.argsort(query_keys)
+                sorted_keys = query_keys[order]
+                positions = np.searchsorted(packed, sorted_keys)
                 clipped = np.minimum(positions, packed.size - 1)
-                found = (positions < packed.size) & (packed[clipped] == query_keys)
+                found = np.empty(count, dtype=bool)
+                found[order] = (positions < packed.size) & (packed[clipped] == sorted_keys)
                 apply_mask(~found)
     if count == 0:
         return _no_rows(np, output_terms)

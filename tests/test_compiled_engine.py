@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro import Workspace, parse_query
+from repro import Database, Workspace, parse_query
 from repro.engine import (
     clear_evaluation_caches,
     clear_symbolic_caches,
@@ -191,12 +191,12 @@ def test_no_numpy_fallback_agrees(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["numpy", "loop"])
 def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
-    """A store interns a relation on its first read: evaluating each
-    report's best rewriting over the materialized extents interns the
-    relations that rewriting reads and no others (as sorted id rows on the
-    loop path, as an id matrix on the NumPy path), while ``size``,
-    ``vector_candidate`` and the results equal those of a store with every
-    relation interned."""
+    """A store over a database without an encoding interns a relation on
+    its first read: evaluating each report's best rewriting over the
+    materialized extents interns the relations that rewriting reads and no
+    others (as sorted id rows on the loop path, as an id matrix on the
+    NumPy path), while ``size``, ``vector_candidate`` and the results equal
+    those of a store with every relation interned."""
     if backend == "numpy":
         if numpy_module() is None:
             pytest.skip("NumPy unavailable")
@@ -205,6 +205,8 @@ def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     scenario = build_view_scenario(stores=6, products=5, sales_per_store=40, seed=3)
     materialized = scenario.materialized()
+    # Below the threshold the database carries no id matrices of its own.
+    assert materialized.encoding is None
     engine = RewritingEngine(scenario.views)
     try:
         for name, report in sorted(scenario.queries.items()):
@@ -231,6 +233,50 @@ def test_stores_intern_only_the_relations_a_query_reads(backend, monkeypatch):
             assert evaluate(query, materialized) == result, name
             assert result == naive_evaluate(query, materialized), name
             assert result == naive_evaluate(report, scenario.database), name
+    finally:
+        monkeypatch.undo()
+        _clean()
+
+
+@pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
+def test_encoded_databases_are_not_interned_again(monkeypatch):
+    """A database over the threshold is encoded when it is built: a cold
+    evaluation after ``clear_evaluation_caches`` of every report and view
+    over the facts, and of every best rewriting over the extents, reads the
+    database's matrices and interns no relation into a matrix, while a
+    database below the threshold on a forced NumPy path still does."""
+    scenario = build_view_scenario(stores=6, products=5, sales_per_store=150, seed=5)
+    extents = scenario.materialized()
+    assert scenario.database.encoding is not None and extents.encoding is not None
+    engine = RewritingEngine(scenario.views)
+    work = [(query, scenario.database) for _, query in sorted(scenario.queries.items())]
+    work += [(view.query, scenario.database) for view in scenario.views]
+    for _, report in sorted(scenario.queries.items()):
+        best = engine.rewrite(report, database=scenario.database, workers=1).best
+        work.append((best.candidate.query, extents))
+    interned: list = []
+    original = columnar.intern_matrix
+
+    def spy(np, rows, arity, id_of):
+        interned.append(len(rows))
+        return original(np, rows, arity, id_of)
+
+    monkeypatch.setattr(columnar, "intern_matrix", spy)
+    vectorized = 0
+    try:
+        for query, database in work:
+            _clean()
+            assert evaluate(query, database) == naive_evaluate(query, database), query
+            vectorized += REGISTRY.get("engine.dispatch.vector")
+        assert vectorized > 0
+        assert interned == []
+        small = build_view_scenario(stores=3, products=4, sales_per_store=8, seed=11)
+        assert small.database.encoding is None
+        monkeypatch.setattr(columnar, "VECTOR_THRESHOLD", 0)
+        _clean()
+        query = sorted(small.queries.items())[0][1]
+        assert evaluate(query, small.database) == naive_evaluate(query, small.database)
+        assert interned
     finally:
         monkeypatch.undo()
         _clean()
@@ -368,8 +414,9 @@ class _Untouchable:
 
 def test_small_stores_never_touch_numpy(monkeypatch):
     """Every store below the vector threshold gets a NumPy stand-in that
-    fails on any use; a cold catalog sweep and the concrete re-check of its
-    witnesses must run without reading it."""
+    fails on any use, and its database carries no encoding; a cold catalog
+    sweep and the concrete re-check of its witnesses must run without
+    reading it."""
     touched: list = []
     guarded: list = []
     original = columnar.ColumnarStore.__init__
@@ -379,6 +426,9 @@ def test_small_stores_never_touch_numpy(monkeypatch):
         if self._largest < columnar.VECTOR_THRESHOLD:
             self.numpy = _Untouchable(touched)
             guarded.append(database)
+            # Databases below the threshold carry no id matrices either.
+            assert getattr(database, "encoding", None) is None
+            assert self._matrices == {}
 
     monkeypatch.setattr(columnar.ColumnarStore, "__init__", build)
     queries = _catalog_for_sweep()
@@ -399,6 +449,7 @@ def test_small_stores_never_touch_numpy(monkeypatch):
             assert left != right, (first, second)
         assert witnessed > 0
         assert guarded
+        assert any(isinstance(database, Database) for database in guarded)
         assert touched == []
     finally:
         monkeypatch.undo()

@@ -1,5 +1,8 @@
 """Tests for the Datalog parser, the query builder and databases."""
 
+import pickle
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +18,17 @@ from repro.datalog import (
     parse_database,
     parse_query,
 )
+from repro.datalog.encoding import VECTOR_THRESHOLD, numpy_module
 from repro.domains import Domain
+from repro.engine import (
+    clear_evaluation_caches,
+    evaluate,
+    evaluate_bag_set,
+    naive_evaluate,
+    store_for,
+)
 from repro.errors import DomainError, MalformedQueryError, QuerySyntaxError
+from repro.obs import REGISTRY
 
 
 class TestParser:
@@ -269,3 +281,173 @@ class TestDatabase:
     def test_values_normalized(self):
         database = Database([("p", (2.0,))])
         assert database.contains("p", (2,))
+
+
+# ----------------------------------------------------------------------
+# The id encoding a large database carries
+# ----------------------------------------------------------------------
+def _value(rng: random.Random):
+    """Integers and halves, so ranks interleave the two kinds."""
+    return Fraction(rng.randrange(80), 2) if rng.random() < 0.3 else rng.randrange(40)
+
+
+def _facts(seed: int, sales: int, extra: int = 0) -> list:
+    """``sales`` ternary rows, a binary ``returns``, and ``p`` at arities 2
+    and 3; values drawn from a small domain, so relations share values."""
+    rng = random.Random(seed)
+    facts = [("sales", (rng.randrange(12), rng.randrange(9), _value(rng))) for _ in range(sales)]
+    facts += [("returns", (rng.randrange(12), rng.randrange(9))) for _ in range(40 + extra)]
+    facts += [("p", (rng.randrange(9), _value(rng))) for _ in range(60 + extra)]
+    facts += [("p", (rng.randrange(9), rng.randrange(9), _value(rng))) for _ in range(30)]
+    return facts
+
+
+def _encoding_routes() -> dict:
+    """Databases built through every constructor and set-algebra route."""
+    large = Database(_facts(1, 900))
+    other = Database.from_relations(
+        {
+            predicate: [values for name, values in _facts(2, 800) if name == predicate]
+            for predicate in ("sales", "returns", "p")
+        }
+    )
+    small = Database(_facts(3, 300))
+    assert max(map(len, small.to_relations().values())) < VECTOR_THRESHOLD
+    below = min(large.carrier()) - 1
+    routes = {
+        "init": large,
+        "from_relations": other,
+        "union": large.union(other),
+        "intersection": large.union(small).intersection(large.union(other)),
+        "difference": large.difference(small),
+        "restrict": large.restrict_to_predicates(["sales", "p"]),
+        "add_facts carrier unchanged": large.add_facts(
+            [("sales", (0, 0, 1)), ("returns", (3, 1)), ("p", (0, 1, 2))]
+        ),
+        # New values below, between and above the old ones: every old id moves.
+        "add_facts carrier grown": large.add_facts(
+            [("sales", (below, Fraction(1, 3), 1000)), ("p", (Fraction(7, 3), 500))]
+        ),
+        "add_facts new predicate": large.add_facts(
+            [("view", (s, Fraction(2 * s + 1, 4))) for s in range(30)]
+        ),
+        "add_facts new arity": large.add_facts([("returns", (1, 2, 3)), ("returns", (4,))]),
+        "add_facts crossing the threshold": small.add_facts(_facts(4, 400)),
+        "add_facts chained": large.add_facts([("view", (-7, 1))]).add_facts(
+            [("view", (Fraction(-1, 2), 3)), ("sales", (1, 1, -3))]
+        ),
+    }
+    for name, database in routes.items():
+        assert max(map(len, database.to_relations().values())) >= VECTOR_THRESHOLD, name
+    return routes
+
+
+_ENCODING_QUERIES = [
+    "q(s, sum(a)) :- sales(s, p, a), not returns(s, p)",
+    "q(s, p) :- sales(s, p, a), a > 7/2, a <= 15",
+    "q(x, count) :- p(x, y), not sales(x, x, y)",
+    "q(x, max(z)) :- p(x, y, z), returns(x, y) ; p(x, z), x < 3",
+    "q(y, cntd(x)) :- p(x, y), sales(x, w, y)",
+    "q(x, y) :- returns(x, y), not returns(y, x)",
+]
+
+
+def _interned_from_scratch(database: Database) -> dict:
+    """``{(predicate, arity): Counter of id rows}``, each value replaced by its
+    rank in the sorted carrier."""
+    rank = {value: index for index, value in enumerate(sorted(database.carrier()))}
+    expected: dict = {}
+    for predicate, rows in database.to_relations().items():
+        for row in rows:
+            key = (predicate, len(row))
+            expected.setdefault(key, Counter())[tuple(rank[value] for value in row)] += 1
+    return expected
+
+
+def _encoded_rows(database: Database) -> dict:
+    encoding = database.encoding
+    assert encoding is not None
+    for (predicate, arity), matrix in encoding.items():
+        assert matrix.dtype.name == "int64" and matrix.shape[1:] == (arity,), predicate
+    return {key: Counter(map(tuple, matrix.tolist())) for key, matrix in encoding.items()}
+
+
+def _results(database: Database) -> tuple[list, int]:
+    """Every query's answer over the database, each from a fresh store, and
+    how many plans ran on the NumPy path."""
+    results = []
+    vectorized = 0
+    for text in _ENCODING_QUERIES:
+        query = parse_query(text)
+        clear_evaluation_caches()
+        expected = naive_evaluate(query, database)
+        assert evaluate(query, database) == expected, text
+        if not query.is_aggregate:
+            bag = evaluate_bag_set(query, database)
+            assert bag == naive_evaluate(query, database, bag=True), text
+        vectorized += REGISTRY.get("engine.dispatch.vector")
+        results.append(expected)
+    return results, vectorized
+
+
+class TestEncoding:
+    """A database whose largest relation reaches the vector threshold,
+    built while NumPy is on, encodes every relation when it is built; the
+    encoding must be the from-scratch interning of its rows against its
+    sorted carrier, whatever route built it."""
+
+    @pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
+    def test_every_route_encodes_as_a_fresh_interning(self):
+        try:
+            for name, database in _encoding_routes().items():
+                assert database.sorted_carrier() == tuple(sorted(database.carrier())), name
+                assert _encoded_rows(database) == _interned_from_scratch(database), name
+                assert _encoded_rows(database) == _encoded_rows(Database(database.facts)), name
+                assert _results(database)[1] > 0, name
+                # The store hands out the database's own matrices.
+                clear_evaluation_caches()
+                store = store_for(database)
+                for (predicate, arity), matrix in database.encoding.items():
+                    assert store.matrix(predicate, arity) is matrix, name
+        finally:
+            clear_evaluation_caches()
+
+    def test_no_encoding_below_the_threshold(self):
+        small = Database(_facts(3, 300))
+        other = Database(_facts(5, 200))
+        for database in (
+            small,
+            Database.from_relations({"p": [(1, 2)]}),
+            small.union(other),
+            small.add_facts(_facts(6, 100)),
+            Database(),
+        ):
+            assert database.encoding is None
+            assert database._sorted_carrier is None  # sorted lazily
+        assert small.add_facts([("p", (1, 2))]).encoding is None
+
+    def test_no_encoding_without_numpy(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        try:
+            for name, database in _encoding_routes().items():
+                assert database.encoding is None, name
+            assert _results(_encoding_routes()["add_facts carrier grown"])[1] == 0
+        finally:
+            monkeypatch.undo()
+            clear_evaluation_caches()
+
+    @pytest.mark.skipif(numpy_module() is None, reason="NumPy unavailable")
+    def test_pickling_keeps_the_encoding(self):
+        routes = _encoding_routes()
+        try:
+            for name in ("init", "add_facts carrier grown"):
+                database = routes[name]
+                copy = pickle.loads(pickle.dumps(database))
+                assert copy == database and hash(copy) == hash(database), name
+                assert copy.sorted_carrier() == database.sorted_carrier(), name
+                assert copy.encoding.keys() == database.encoding.keys(), name
+                for key, matrix in database.encoding.items():
+                    assert (copy.encoding[key] == matrix).all(), (name, key)
+                assert _results(copy) == _results(database), name
+        finally:
+            clear_evaluation_caches()
