@@ -27,7 +27,9 @@ the gate.
 The ``--phase cold|warm`` CLI mode splits the two runs across *real*
 processes for the CI restart smoke: ``cold`` writes the store and a state
 file of expected cells; ``warm`` (a fresh interpreter) replays against the
-same store and asserts parity plus ``store.disk.hits > 0``.
+same store and asserts parity plus ``store.disk.hits > 0``, and that the
+fresh process computes no canonical form (``store.canon.misses == 0``): the
+unchanged catalog's hashes come from the store file.
 
 Run under pytest (``pytest benchmarks/bench_verdict_store.py``) or
 standalone (``python benchmarks/bench_verdict_store.py [--quick]
@@ -198,9 +200,16 @@ def run_warm_phase(quick: bool, store_path: str, state_path: str) -> int:
     if disk_hits <= 0:
         print("FAIL: restart never hit the disk store")
         return 1
+    # The cold process persisted every query's canonical hash with its
+    # verdicts, so the unchanged catalog needs no canonical form here.
+    canon_misses = REGISTRY.get("store.canon.misses")
+    if canon_misses != 0:
+        print(f"FAIL: restart computed {canon_misses} canonical form(s) for an unchanged catalog")
+        return 1
     print(
         f"warm: {stats.store_hits} cell(s) served from the store in {wall:.3f}s "
-        f"({disk_hits} disk hit(s)); parity with the cold run confirmed"
+        f"({disk_hits} disk hit(s), {REGISTRY.get('store.canon.persisted_hits')} persisted "
+        "hash(es), no canonical form computed); parity with the cold run confirmed"
     )
     return 0
 

@@ -24,8 +24,7 @@ Facts for databases can be parsed with :func:`parse_database`::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..errors import QuerySyntaxError
 from .atoms import Comparison, ComparisonOp, GroundAtom, RelationalAtom
@@ -55,8 +54,7 @@ _TOKEN_REGEX = re.compile(
 _NEGATION_WORDS = {"not", "neg"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
@@ -64,15 +62,16 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    match_at = _TOKEN_REGEX.match
     position = 0
-    while position < len(text):
-        match = _TOKEN_REGEX.match(text, position)
+    end = len(text)
+    while position < end:
+        match = match_at(text, position)
         if match is None:
             raise QuerySyntaxError("unexpected character", text, position)
         kind = match.lastgroup or ""
-        token_text = match.group()
         if kind != "ws":
-            tokens.append(_Token(kind, token_text, position))
+            tokens.append(_Token(kind, match.group(), position))
         position = match.end()
     return tokens
 

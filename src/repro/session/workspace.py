@@ -68,6 +68,7 @@ from ..rewriting.engine import (
 )
 from ..rewriting.views import View, ViewCatalog
 from ..sql.translate import Schema, SqlTranslator
+from ..store.canon import QueryHash
 from ..store.disk import VerdictStore, default_store, shared_store
 
 #: Cap on the structural verdict cache; on overflow the least-recently-used
@@ -432,6 +433,19 @@ class Workspace:
         call = self._equivalence_calls
         pairs = list(itertools.combinations(sorted(self._queries), 2))
         undecided: list[tuple[str, str]] = []
+        store = self._store
+        # Each query's canonical hash is resolved once per call, on its
+        # first store-bound cell; a cell's store key is then one comparison
+        # of two hex strings, and write-backs reuse the same hashes.
+        hashes: dict[str, QueryHash] = {}
+
+        def hashes_of(pair: tuple[str, str]) -> tuple[QueryHash, QueryHash]:
+            assert store is not None
+            for name in pair:
+                if name not in hashes:
+                    hashes[name] = store.query_hash(self._queries[name], self._domain)
+            return hashes[pair[0]], hashes[pair[1]]
+
         for pair in pairs:
             if pair in self._results:
                 continue
@@ -454,8 +468,8 @@ class Workspace:
                 }
                 continue
             served = (
-                self._store.serve(cache_key[0], cache_key[1], self._domain)
-                if self._store is not None
+                store.serve(cache_key[0], cache_key[1], self._domain, hashes=hashes_of(pair))
+                if store is not None
                 else None
             )
             if served is not None:
@@ -503,15 +517,16 @@ class Workspace:
                     "cache_served": False,
                     "call": call,
                 }
-                if self._store is not None:
+                if store is not None:
                     # Write-back: every freshly settled cell (UNKNOWN too —
                     # re-deriving an UNKNOWN is as expensive as any other
                     # verdict) becomes servable to other sessions.
-                    self._store.record(
+                    store.record(
                         self._queries[pair[0]],
                         self._queries[pair[1]],
                         self._domain,
                         result,
+                        hashes=hashes_of(pair),
                     )
         return {pair: self._results[pair] for pair in sorted(pairs)}
 

@@ -10,7 +10,9 @@ query pair.  This package makes settled verdicts durable and shared:
   step preserves semantics).
 * :mod:`repro.store.disk` — :class:`VerdictStore`: an in-process record
   LRU over an optional stdlib-``sqlite3`` file (WAL), env-gated by
-  ``REPRO_STORE_PATH`` / bounded by ``REPRO_STORE_MAX_MB``.
+  ``REPRO_STORE_PATH`` / bounded by ``REPRO_STORE_MAX_MB``.  The file also
+  persists each recorded query's canonical hash, so a restart over
+  unchanged queries computes no canonical form.
 * :mod:`repro.store.witness` — stored NOT_EQUIVALENT verdicts with a
   concrete witness are only served after the witness re-reproduces the
   disagreement on the caller's own queries.
@@ -20,7 +22,15 @@ behind its structural verdict cache; the PR 9 service shares one
 process-wide store across all tenants (:func:`shared_store`).
 """
 
-from .canon import PairKey, canon_cache_stats, canonical_form, canonical_hash, pair_key
+from .canon import (
+    PairKey,
+    QueryHash,
+    canon_cache_stats,
+    canonical_form,
+    canonical_hash,
+    hash_row_key,
+    pair_key,
+)
 from .disk import (
     SCHEMA_VERSION,
     StoredRecord,
@@ -34,6 +44,7 @@ from .witness import realize_result
 
 __all__ = [
     "PairKey",
+    "QueryHash",
     "SCHEMA_VERSION",
     "StoreCodecError",
     "StoredRecord",
@@ -41,6 +52,7 @@ __all__ = [
     "canon_cache_stats",
     "canonical_form",
     "canonical_hash",
+    "hash_row_key",
     "default_store",
     "pair_key",
     "realize_result",

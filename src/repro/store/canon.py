@@ -30,23 +30,38 @@ isomorphic.
 The pair key of ``(q1, q2)`` is the sorted hash pair plus an orientation
 flag recording whether the caller's order matched the sorted order, so a
 symmetric lookup can map a stored witness's left/right results back to the
-caller's orientation.
+caller's orientation.  A caller that already holds both hashes (a matrix
+resolves each query once, not once per cell) passes them in, and the key
+is then one comparison of two hex strings.
 
 Canonical forms are memoized per ``(query, domain)`` in a module-level LRU
 registered with the cache registry under ``clear_service_caches`` — the
 store serves many tenants, so its caches reset with the service layer's.
+
+**Persisted hashes.**  Because the hash is a function of the query alone —
+not of the pair, the catalog or the process — a disk-backed store may keep
+it across restarts (:class:`~repro.store.disk.VerdictStore`): its
+``canon_hashes`` table maps :func:`hash_row_key` — :data:`CANON_VERSION`,
+the domain and an exact, type-tagged serialization of the query, names
+included — to the digest.  The serialization is injective on query values,
+so a row is only ever read back for a query equal to the one whose hash was
+computed, and a persisted hash is exactly as sound as a fresh one.  A
+renamed or reordered query has another row key: it misses the table and is
+hashed afresh (and still meets its renamed twin at the verdict row).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from ..caches import register_cache
 from ..core.reduction import reduction_for_keying
+from ..datalog.atoms import Literal, RelationalAtom
 from ..datalog.canonical import canonical_naming, serialize_body
 from ..datalog.queries import Query
+from ..datalog.terms import Term, Variable
 from ..domains import Domain
 from ..obs import REGISTRY as _OBS
 
@@ -66,8 +81,7 @@ _CANON_LRU: "OrderedDict[tuple[Query, Domain], str]" = OrderedDict()
 register_cache("store/canon.py:_CANON_LRU", "clear_service_caches", _CANON_LRU.clear)
 
 
-@dataclass(frozen=True)
-class PairKey:
+class PairKey(NamedTuple):
     """The store key of one unordered query pair.
 
     ``key`` is the sorted canonical hash pair joined with ``:``;
@@ -78,6 +92,19 @@ class PairKey:
 
     key: str
     flipped: bool
+
+
+class QueryHash(NamedTuple):
+    """A query's canonical hash as a store resolved it.
+
+    ``unwritten_row`` is the :func:`hash_row_key` a disk-backed store has no
+    row for yet (the digest was computed afresh); recording a verdict of the
+    query writes that row.  ``None`` when the row exists or the store keeps
+    no hash table.
+    """
+
+    digest: str
+    unwritten_row: Optional[str] = None
 
 
 def canonical_form(query: Query, domain: Domain = Domain.RATIONALS) -> str:
@@ -113,14 +140,58 @@ def canonical_hash(query: Query, domain: Domain = Domain.RATIONALS) -> str:
     return digest
 
 
-def pair_key(first: Query, second: Query, domain: Domain = Domain.RATIONALS) -> PairKey:
+def hash_row_key(query: Query, domain: Domain = Domain.RATIONALS) -> str:
+    """The key a disk store persists the query's canonical hash under:
+    ``CANON_VERSION|domain|<exact serialization>``.
+
+    The serialization is the ``repr`` of nested tuples of the query's
+    fields — name, head terms, aggregate and every literal of every
+    disjunct, in order — with each term tagged by its Python type (a
+    variable is its quoted name, a constant its ``int`` or ``Fraction``).
+    Equal keys therefore mean equal query values, whatever names the
+    variables and predicates carry.
+    """
+    aggregate = query.aggregate
+    exact = (
+        query.name,
+        tuple(map(_exact_term, query.head_terms)),
+        None
+        if aggregate is None
+        else (aggregate.function, tuple(map(_exact_term, aggregate.arguments))),
+        tuple(tuple(map(_exact_literal, disjunct.literals)) for disjunct in query.disjuncts),
+    )
+    return f"{CANON_VERSION}|{domain.value}|{exact!r}"
+
+
+def _exact_term(term: Term) -> object:
+    return term.name if isinstance(term, Variable) else term.value
+
+
+def _exact_literal(literal: Literal) -> tuple[object, ...]:
+    if isinstance(literal, RelationalAtom):
+        return (literal.negated, literal.predicate, tuple(map(_exact_term, literal.arguments)))
+    return (literal.op.value, _exact_term(literal.left), _exact_term(literal.right))
+
+
+def pair_key(
+    first: Query,
+    second: Query,
+    domain: Domain = Domain.RATIONALS,
+    *,
+    digests: Optional[tuple[str, str]] = None,
+) -> PairKey:
     """The symmetric store key of ``(first, second)`` with its orientation.
 
     The key is identical regardless of argument order; ``flipped`` is True
     exactly when the sorted storage order reverses the caller's order.
+    ``digests`` are the two queries' canonical hashes when the caller
+    already holds them; otherwise both are taken from :func:`canonical_hash`.
     """
-    first_hash = canonical_hash(first, domain)
-    second_hash = canonical_hash(second, domain)
+    if digests is None:
+        first_hash = canonical_hash(first, domain)
+        second_hash = canonical_hash(second, domain)
+    else:
+        first_hash, second_hash = digests
     if first_hash <= second_hash:
         return PairKey(f"{first_hash}:{second_hash}", False)
     return PairKey(f"{second_hash}:{first_hash}", True)

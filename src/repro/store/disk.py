@@ -22,6 +22,23 @@ disagree.  EQUIVALENT and UNKNOWN verdicts transfer as-is — the decision
 procedures are sound theorems about the queries, not about any particular
 BASE.
 
+**Persisted canonical hashes.**  A disk-backed store also keeps a
+``canon_hashes`` table: :func:`~repro.store.canon.hash_row_key` (the canon
+version, the domain and the query's exact serialization) → the query's
+canonical hash.  A restart over unchanged queries then reads each hash
+instead of reducing and naming every query again.  The hash depends on the
+query alone (reduction and canonical naming preserve equivalence, Section 7
+of the paper), and the row key is injective on query values, so a
+persisted hash is as sound as a fresh one.  Rows are written only by
+:meth:`VerdictStore.record`, in the commit of the verdict they key: serving
+never writes, so a catalog of renamed queries hashes them afresh and writes
+nothing.  The table is read in the same first-read scan as the verdicts,
+when it fits the LRU, and by point ``SELECT`` otherwise; ``max_mb``
+eviction drops the hash rows no remaining verdict names.  Files from
+before the table existed gain it empty (``IF NOT EXISTS``) and serve as
+before.  An in-memory store keeps no hash table: it hashes through the
+module memo of :mod:`repro.store.canon`.
+
 The process-wide store is reached through :func:`shared_store` (always
 available; in-memory unless ``REPRO_STORE_PATH`` is set) and
 :func:`default_store` (the `Workspace` default: the shared store only when
@@ -43,7 +60,7 @@ import warnings
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..caches import register_cache
 from ..core.bounded import Counterexample, EquivalenceReport
@@ -52,7 +69,8 @@ from ..datalog.database import Database
 from ..datalog.queries import Query
 from ..domains import Domain
 from ..obs import REGISTRY as _OBS
-from .canon import pair_key
+from .canon import QueryHash, canonical_hash, hash_row_key, pair_key
+from .witness import realize_result
 
 #: Bump when the row layout or the payload codec changes: rows written under
 #: another version are ignored (a miss), never misread.
@@ -81,6 +99,13 @@ CREATE TABLE IF NOT EXISTS verdicts (
     payload          TEXT NOT NULL,
     created_s        REAL NOT NULL,
     last_used_s      REAL NOT NULL
+)
+"""
+
+_HASH_TABLE_DDL = """
+CREATE TABLE IF NOT EXISTS canon_hashes (
+    hash_key TEXT PRIMARY KEY,
+    digest   TEXT NOT NULL
 )
 """
 
@@ -191,13 +216,14 @@ class StoredRecord:
     #: servable; new rows write ``""`` and serving ignores it.
     base_fingerprint: str
     payload: dict[str, Any] = field(default_factory=dict)
-    #: Witness-revalidation memo, filled by
-    #: :func:`repro.store.witness.realize_result`: ``(database, left,
-    #: right)`` in *stored* orientation, recorded after the witness
-    #: reproduced its disagreement once in this process.  Never persisted —
-    #: a row rewrite builds a fresh record and re-triggers validation.
-    revalidation: Optional[tuple[Any, Any, Any]] = field(
-        default=None, repr=False, compare=False
+    #: Realized-result memo, filled by
+    #: :func:`repro.store.witness.realize_result`: ``{flipped: result}``,
+    #: so the record's verdict, report and witness are decoded once per
+    #: orientation and every later serve copies the result; a witness that
+    #: reproduced in one orientation is swapped, not re-evaluated, for the
+    #: other.  Never persisted; :meth:`VerdictStore.write` clears it.
+    realized: dict[bool, EquivalenceResult] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
 
@@ -286,6 +312,13 @@ class VerdictStore:
         self._writes_since_size_check = 0
         self._pending_touches: dict[str, float] = {}
         self._preloaded = False
+        #: Persisted canonical hashes (disk stores only): hash row key ->
+        #: digest, LRU-bounded like the records.  ``_hashes_complete`` says
+        #: it holds every row of the table, so a miss needs no SELECT (a row
+        #: another process writes later is not seen: that query is only
+        #: hashed afresh).
+        self._hashes: "OrderedDict[str, str]" = OrderedDict()
+        self._hashes_complete = False
         self._connection: Optional[sqlite3.Connection] = None
         if path is not None:
             directory = os.path.dirname(os.path.abspath(path))
@@ -294,6 +327,7 @@ class VerdictStore:
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.execute(_TABLE_DDL)
+            connection.execute(_HASH_TABLE_DDL)
             connection.commit()
             self._connection = connection
 
@@ -330,10 +364,6 @@ class VerdictStore:
             if self._connection is None:
                 return None
             if not self._preloaded:
-                # First disk read after open: when the whole table fits in
-                # the record LRU, one sequential scan replaces hundreds of
-                # point SELECTs (the restart-heavy access pattern).
-                self._preloaded = True
                 self._preload()
                 cached = self._records.get(key)
                 if cached is not None:
@@ -371,11 +401,16 @@ class VerdictStore:
             _OBS.inc("store.disk.hits")
             return record
 
-    def write(self, record: StoredRecord) -> None:
-        """Insert or replace a record (LRU and, when persistent, disk)."""
+    def write(self, record: StoredRecord, hash_rows: Sequence[tuple[str, str]] = ()) -> None:
+        """Insert or replace a record (LRU and, when persistent, disk).
+
+        ``hash_rows`` are ``(hash row key, digest)`` pairs of the record's
+        queries, written to the hash table in the verdict's commit (rows the
+        store already holds are skipped)."""
         with self._lock:
             if self._closed:
                 return
+            record.realized.clear()
             self._remember(record)
             _OBS.inc("store.disk.writes")
             if self._connection is None:
@@ -400,6 +435,16 @@ class VerdictStore:
                     now,
                 ),
             )
+            new_rows = [
+                (row, digest) for row, digest in hash_rows if self._hashes.get(row) != digest
+            ]
+            if new_rows:
+                self._connection.executemany(
+                    "INSERT OR REPLACE INTO canon_hashes (hash_key, digest) VALUES (?, ?)",
+                    new_rows,
+                )
+                for row, digest in new_rows:
+                    self._remember_hash(row, digest)
             self._connection.commit()
             self._writes_since_size_check += 1
             if self._max_mb is not None and self._writes_since_size_check >= _SIZE_CHECK_INTERVAL:
@@ -416,11 +461,43 @@ class VerdictStore:
                 self._connection.execute("DELETE FROM verdicts WHERE pair_key = ?", (key,))
                 self._connection.commit()
 
+    def _persisted_hash(self, row: str) -> Optional[str]:
+        """The digest persisted under hash row key ``row``, or ``None``."""
+        with self._lock:
+            if self._connection is None:
+                return None
+            if not self._preloaded:
+                self._preload()
+            digest = self._hashes.get(row)
+            if digest is not None:
+                self._hashes.move_to_end(row)
+                return digest
+            if self._hashes_complete:
+                return None
+            found = self._connection.execute(
+                "SELECT digest FROM canon_hashes WHERE hash_key = ?", (row,)
+            ).fetchone()
+            if found is None:
+                return None
+            self._remember_hash(row, str(found[0]))
+            return str(found[0])
+
     def _preload(self) -> None:
-        """Load every current-schema row into the record LRU in one scan
-        (caller holds the lock).  Skipped when the table outgrows the LRU —
-        point lookups stay correct either way."""
+        """First disk read after open (caller holds the lock): when a whole
+        table fits its LRU, one sequential scan replaces hundreds of point
+        SELECTs (the restart-heavy access pattern).  A table that outgrows
+        its LRU is skipped — point lookups stay correct either way."""
         assert self._connection is not None
+        self._preloaded = True
+        hash_count = int(
+            self._connection.execute("SELECT COUNT(*) FROM canon_hashes").fetchone()[0]
+        )
+        if hash_count <= self._lru_capacity - len(self._hashes):
+            for row, digest in self._connection.execute(
+                "SELECT hash_key, digest FROM canon_hashes"
+            ).fetchall():
+                self._hashes.setdefault(str(row), str(digest))
+            self._hashes_complete = True
         count = int(self._connection.execute("SELECT COUNT(*) FROM verdicts").fetchone()[0])
         if count == 0 or count > self._lru_capacity - len(self._records):
             return
@@ -464,6 +541,13 @@ class VerdictStore:
         while len(self._records) > self._lru_capacity:
             self._records.popitem(last=False)
 
+    def _remember_hash(self, row: str, digest: str) -> None:
+        self._hashes[row] = digest
+        self._hashes.move_to_end(row)
+        while len(self._hashes) > self._lru_capacity:
+            self._hashes.popitem(last=False)
+            self._hashes_complete = False
+
     def _enforce_size_limit(self) -> None:
         """Evict least-recently-used rows until the file fits ``max_mb``."""
         assert self._connection is not None and self._max_mb is not None
@@ -483,20 +567,56 @@ class VerdictStore:
                 self._connection.execute("DELETE FROM verdicts WHERE pair_key = ?", (victim,))
                 self._records.pop(victim, None)
                 _OBS.inc("store.disk.evicted")
+            self._evict_unreferenced_hashes()
             self._connection.commit()
             self._connection.execute("PRAGMA incremental_vacuum")
             self._connection.commit()
 
+    def _evict_unreferenced_hashes(self) -> None:
+        """Drop the hash rows whose digest no remaining verdict's pair key
+        names (caller holds the lock; the caller commits)."""
+        assert self._connection is not None
+        rows = self._connection.execute(
+            "SELECT hash_key FROM canon_hashes WHERE digest NOT IN ("
+            " SELECT substr(pair_key, 1, instr(pair_key, ':') - 1) FROM verdicts"
+            " UNION SELECT substr(pair_key, instr(pair_key, ':') + 1) FROM verdicts)"
+        ).fetchall()
+        if not rows:
+            return
+        self._connection.executemany("DELETE FROM canon_hashes WHERE hash_key = ?", rows)
+        for (row,) in rows:
+            self._hashes.pop(row, None)
+        _OBS.inc("store.disk.hashes_evicted", len(rows))
+
     # ------------------------------------------------------------------
     # Query-level API (what Workspace talks to)
     # ------------------------------------------------------------------
+    def query_hash(self, query: Query, domain: Domain = Domain.RATIONALS) -> QueryHash:
+        """The query's canonical hash: the persisted one when a disk store
+        holds it (counted as ``store.canon.persisted_hits``), else
+        :func:`~repro.store.canon.canonical_hash`.  Never writes."""
+        if self._connection is None:
+            return QueryHash(canonical_hash(query, domain))
+        row = hash_row_key(query, domain)
+        digest = self._persisted_hash(row)
+        if digest is not None:
+            _OBS.inc("store.canon.persisted_hits")
+            return QueryHash(digest)
+        return QueryHash(canonical_hash(query, domain), row)
+
     def serve(
         self,
         first: Query,
         second: Query,
         domain: Domain = Domain.RATIONALS,
+        *,
+        hashes: Optional[tuple[QueryHash, QueryHash]] = None,
     ) -> Optional[EquivalenceResult]:
         """A previously settled verdict for the pair, or ``None``.
+
+        ``hashes`` are the two queries' :meth:`query_hash` results when the
+        caller already holds them (a matrix resolves each query once per
+        call); otherwise they are resolved here.
 
         NOT_EQUIVALENT verdicts with a concrete witness are revalidated by
         re-evaluating both *caller* queries on the stored database; a stale
@@ -504,12 +624,12 @@ class VerdictStore:
         """
         if self._closed:
             return None
-        key = pair_key(first, second, domain)
+        if hashes is None:
+            hashes = (self.query_hash(first, domain), self.query_hash(second, domain))
+        key = pair_key(first, second, domain, digests=(hashes[0].digest, hashes[1].digest))
         record = self.lookup(key.key)
         if record is None or record.domain != domain.value:
             return None
-        from .witness import realize_result
-
         result = realize_result(record, first, second, flipped=key.flipped)
         if result is None:
             self.delete(key.key)
@@ -522,11 +642,19 @@ class VerdictStore:
         second: Query,
         domain: Domain,
         result: EquivalenceResult,
+        *,
+        hashes: Optional[tuple[QueryHash, QueryHash]] = None,
     ) -> None:
-        """Persist a freshly settled verdict for the pair."""
+        """Persist a freshly settled verdict for the pair, with the hash
+        rows of those queries whose hashes were computed afresh.
+
+        ``hashes`` are the two queries' :meth:`query_hash` results when the
+        caller already holds them; otherwise they are resolved here."""
         if self._closed:
             return
-        key = pair_key(first, second, domain)
+        if hashes is None:
+            hashes = (self.query_hash(first, domain), self.query_hash(second, domain))
+        key = pair_key(first, second, domain, digests=(hashes[0].digest, hashes[1].digest))
         try:
             payload = encode_result(result, flipped=key.flipped)
         except StoreCodecError:
@@ -544,7 +672,8 @@ class VerdictStore:
                 domain=domain.value,
                 base_fingerprint="",
                 payload=payload,
-            )
+            ),
+            [(hashed.unwritten_row, hashed.digest) for hashed in hashes if hashed.unwritten_row],
         )
 
     # ------------------------------------------------------------------
@@ -555,6 +684,7 @@ class VerdictStore:
                 return
             self._closed = True
             self._records.clear()
+            self._hashes.clear()
             if self._connection is not None:
                 self._flush_touches()
                 self._connection.commit()

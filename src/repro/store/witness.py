@@ -23,11 +23,19 @@ Re-evaluating with the caller's own queries also makes orientation and
 renaming worries vanish for witnesses: the answers are computed fresh, so
 the served counterexample's left/right always match the caller's
 (first, second) order no matter how the pair was stored.
+
+A record is decoded once per orientation: the realized result is memoized
+on the in-memory record (``StoredRecord.realized``), and every serve hands
+out a fresh copy of it.  So a witness is re-checked on the record's first
+serve in the process, and its later serves — renamed duplicates of the
+pair, typically, or the other orientation — are counted as
+``store.witness.revalidated`` and reuse the reproduced answers, which is
+sound because canonically equal queries are equivalent.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core.bounded import Counterexample
 from ..core.equivalence import EquivalenceResult, Verdict
@@ -35,7 +43,12 @@ from ..datalog.queries import Query
 from ..domains import Domain
 from ..engine.evaluator import evaluate
 from ..obs import REGISTRY as _OBS
-from .disk import StoredRecord, StoreCodecError, decode_database, decode_report, decode_value
+
+if TYPE_CHECKING:
+    from .disk import StoredRecord
+
+# The store's serve path (repro.store.disk) imports this module, so the
+# payload codec is imported where a record is first decoded, not here.
 
 
 def realize_result(
@@ -53,6 +66,35 @@ def realize_result(
     stored left/right results swap on the way out (moot for concrete
     witnesses, which are re-evaluated instead of trusted).
     """
+    realized = record.realized.get(flipped)
+    if realized is None:
+        realized = _realize(record, first, second, flipped)
+        if realized is None:
+            return None
+        record.realized[flipped] = realized
+    if realized.verdict is Verdict.NOT_EQUIVALENT and realized.counterexample is not None:
+        _OBS.inc("store.witness.revalidated")
+    return EquivalenceResult(
+        verdict=realized.verdict,
+        method=realized.method,
+        domain=realized.domain,
+        details=realized.details,
+        counterexample=realized.counterexample,
+        report=realized.report,
+    )
+
+
+def _realize(
+    record: StoredRecord,
+    first: Query,
+    second: Query,
+    flipped: bool,
+) -> Optional[EquivalenceResult]:
+    """Decode the record in the caller's orientation and re-check its
+    witness; ``None`` (counted as ``store.witness.stale``) when it must not
+    be served."""
+    from .disk import StoreCodecError, decode_report
+
     try:
         verdict = Verdict(record.verdict)
         domain = Domain(record.domain)
@@ -70,7 +112,6 @@ def realize_result(
             # and the caller must re-decide.
             _OBS.inc("store.witness.stale")
             return None
-        _OBS.inc("store.witness.revalidated")
     report = decode_report(record, counterexample)
     return EquivalenceResult(
         verdict=verdict,
@@ -88,6 +129,8 @@ def _realize_counterexample(
     second: Query,
     flipped: bool,
 ) -> Optional[Counterexample]:
+    from .disk import StoreCodecError, decode_database, decode_value
+
     encoded = record.payload.get("counterexample")
     if encoded is None:
         return None
@@ -106,16 +149,16 @@ def _realize_counterexample(
         raise StoreCodecError("malformed witness database")
     # Canonically-equal queries are semantically equivalent (the invariant
     # the canonical keying is built on), so once this record's witness has
-    # reproduced its disagreement, later serves of the same in-memory
-    # record — typically renamed duplicates of the pair — reuse the
-    # reproduced answers instead of re-evaluating.  A row rewrite replaces
-    # the record object and re-triggers validation.
-    memo = record.revalidation
-    if memo is not None:
-        database, left, right = memo
-        if flipped:
-            left, right = right, left
-        return Counterexample(database=database, left_result=left, right_result=right)
+    # reproduced its disagreement in one orientation, the other orientation
+    # swaps the reproduced answers instead of re-evaluating.
+    other = record.realized.get(not flipped)
+    if other is not None and other.counterexample is not None:
+        reproduced = other.counterexample
+        return Counterexample(
+            database=reproduced.database,
+            left_result=reproduced.right_result,
+            right_result=reproduced.left_result,
+        )
     database = decode_database(encoded_database)
     try:
         left = evaluate(first, database)
@@ -124,7 +167,4 @@ def _realize_counterexample(
         raise StoreCodecError(f"witness re-evaluation failed: {error}") from error
     if left == right:
         return None
-    record.revalidation = (
-        (database, right, left) if flipped else (database, left, right)
-    )
     return Counterexample(database=database, left_result=left, right_result=right)

@@ -21,19 +21,34 @@ group's first one (equivalence is transitive, so that covers every pair):
 A differing hash is only a store miss, so pairs across groups are not
 checked.  The seeds are fixed and no hypothesis strategy runs, so the slice
 is deterministic.
+
+A disk store also persists each recorded query's hash, so a restarted
+process reads hashes instead of computing them.  The last slice writes a
+store file over the same corpus (under both domains, plus pairs that are
+equivalent over the integers only), re-opens it in a fresh interpreter with
+another hash seed, and checks the groups of queries whose *persisted*
+hashes are equal the same way, under the domain they were read for.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
-from repro.core.equivalence import Verdict, are_equivalent, route_pair
+import repro
+from repro import Domain, parse_query
+from repro.core.equivalence import EquivalenceResult, Verdict, are_equivalent, route_pair
+from repro.datalog.database import Database
 from repro.datalog.queries import Query
 from repro.engine import naive_evaluate
 from repro.obs import REGISTRY
-from repro.store import canonical_hash
+from repro.store import VerdictStore, canonical_hash
 from repro.workloads import QueryGenerator, QueryProfile
 from test_evaluation_key_oracle import _near_misses, _variants
 
@@ -114,3 +129,113 @@ def test_equal_store_keys_mean_equivalent_queries(profile_name):
     )
     assert pairs > 0, summary
     assert not unsound and not undecided, (summary, unsound, undecided)
+
+
+#: Pairs whose hashes are equal over the integers (``0 < y < 2`` pins ``y``
+#: to 1) but not over the rationals, where the queries are not equivalent:
+#: a hash row read under the wrong domain would join them.
+INTEGER_ONLY_PAIRS = (
+    ("q(x, count()) :- p(x, y), y > 0, y < 2", "q(x, count()) :- p(x, 1)"),
+    ("q(x, count()) :- r(x), 0 < x, x < 2", "q(x, count()) :- r(x), x = 1"),
+)
+
+def _within(domain: Domain, database: Database) -> Database:
+    """The database's facts whose values all lie in ``domain``."""
+    if domain is Domain.RATIONALS:
+        return database
+    return Database(
+        [fact for fact in database.facts if all(isinstance(value, int) for value in fact.values)]
+    )
+
+
+#: What the fresh interpreter runs: open the store file, resolve every
+#: query's hash under each domain, and report the persisted digests.
+_READER = """
+import json, pickle, sys
+from repro import Domain
+from repro.obs import REGISTRY
+from repro.store import VerdictStore
+
+with open(sys.argv[1], "rb") as handle:
+    queries = pickle.load(handle)
+store = VerdictStore(sys.argv[2])
+report = {}
+for domain in Domain:
+    hashes = [store.query_hash(query, domain) for query in queries]
+    report[domain.value] = [
+        hashed.digest if hashed.unwritten_row is None else None for hashed in hashes
+    ]
+store.close()
+report["canon_misses"] = REGISTRY.get("store.canon.misses")
+print(json.dumps(report))
+"""
+
+
+def test_persisted_hashes_join_only_equivalent_queries_in_a_fresh_process(tmp_path):
+    corpus: list[Query] = []
+    for profile in PROFILES.values():
+        for members in _groups_by_hash(profile).values():
+            corpus.extend(members)
+    for first, second in INTEGER_ONLY_PAIRS:
+        corpus.extend((parse_query(first), parse_query(second)))
+    store_path = str(tmp_path / "verdicts.sqlite3")
+    writer = VerdictStore(store_path)
+    # Integers first: a row key without the domain would then hand the
+    # integer hashes to the rationals reader.
+    for domain in (Domain.INTEGERS, Domain.RATIONALS):
+        identical = EquivalenceResult(Verdict.EQUIVALENT, "identical queries", domain)
+        for query in corpus:
+            writer.record(query, query, domain, identical)
+    writer.close()
+    corpus_path = str(tmp_path / "corpus.pickle")
+    with open(corpus_path, "wb") as handle:
+        pickle.dump(corpus, handle)
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    environment = {**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": "4321"}
+    environment.pop("REPRO_STORE_PATH", None)
+    completed = subprocess.run(
+        [sys.executable, "-c", _READER, corpus_path, store_path],
+        env=environment,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert report["canon_misses"] == 0, "the fresh process computed canonical forms"
+    databases = QueryGenerator(PROFILES["count"], seed=SEEDS[0])
+    joined_pairs = {}
+    unsound: list[tuple[Query, Query, str, str]] = []
+    for domain in (Domain.INTEGERS, Domain.RATIONALS):
+        digests = report[domain.value]
+        assert None not in digests, f"{digests.count(None)} hash(es) not persisted"
+        groups: dict[str, list[Query]] = {}
+        for query, digest in zip(corpus, digests):
+            members = groups.setdefault(digest, [])
+            if query not in members:
+                members.append(query)
+        pairs = 0
+        for reference, *others in groups.values():
+            for other in others:
+                pairs += 1
+                result = are_equivalent(
+                    reference, other, domain, max_subsets=MAX_SUBSETS, seed=pairs
+                )
+                if result.verdict is not Verdict.EQUIVALENT:
+                    unsound.append((reference, other, domain.value, result.method))
+            for _ in range(DATABASES):
+                database = _within(domain, databases.database(max_facts=8))
+                expected = naive_evaluate(reference, database)
+                for other in others:
+                    assert naive_evaluate(other, database) == expected, (reference, other, database)
+        joined_pairs[domain] = {
+            pair
+            for pair in INTEGER_ONLY_PAIRS
+            if len({digests[corpus.index(parse_query(text))] for text in pair}) == 1
+        }
+        assert pairs > 0, domain
+    assert not unsound, unsound
+    # The slice exercises the domain in the key: the integer-only pairs
+    # join under the integers and stay apart under the rationals.
+    assert joined_pairs[Domain.INTEGERS] == set(INTEGER_ONLY_PAIRS)
+    assert joined_pairs[Domain.RATIONALS] == set()

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro import Domain, parse_query
-from repro.core.equivalence import Verdict, are_equivalent
+from repro.core.equivalence import EquivalenceResult, Verdict, are_equivalent
 from repro.datalog.queries import Query
 from repro.datalog.terms import Variable
 from repro.obs import REGISTRY
@@ -25,6 +25,7 @@ from repro.store import (
     VerdictStore,
     canonical_form,
     canonical_hash,
+    hash_row_key,
     pair_key,
     shared_store,
 )
@@ -47,8 +48,8 @@ def renamed_catalog(catalog: dict, prefix: str = "zz") -> dict:
     return {name: renamed_copy(query, prefix) for name, query in catalog.items()}
 
 
-def scenario_catalogs() -> list[dict]:
-    """Every scenario catalog the suite exercises canonical keying on."""
+def audit_catalog(quick: bool) -> dict:
+    """The rewriting-audit catalog of ``benchmarks/bench_catalog_sweep.py``."""
     import importlib.util
     import pathlib
 
@@ -56,9 +57,14 @@ def scenario_catalogs() -> list[dict]:
     spec = importlib.util.spec_from_file_location("bench_catalog_sweep", bench)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module.build_audit_catalog(quick=quick)
+
+
+def scenario_catalogs() -> list[dict]:
+    """Every scenario catalog the suite exercises canonical keying on."""
     return [
         build_warehouse(stores=2, products=3, sales_per_store=4, seed=3).queries,
-        module.build_audit_catalog(quick=True),
+        audit_catalog(quick=True),
     ]
 
 
@@ -276,6 +282,65 @@ class TestVerdictStore:
         assert len(store) < written
         store.close()
 
+    def test_max_mb_eviction_also_removes_hash_rows(self, tmp_path):
+        import sqlite3
+
+        path = str(tmp_path / "bounded.sqlite3")
+        store = VerdictStore(path, max_mb=0)  # every size check overflows
+        result = settle(parse_query("q(x) :- R(x)"), parse_query("q(x) :- S(x)"))
+        queries = [parse_query(f"q(x) :- T{index}(x)") for index in range(70)]
+        evicted_before = REGISTRY.get("store.disk.hashes_evicted")
+        for index in range(len(queries) - 1):
+            store.record(queries[index], queries[index + 1], Domain.RATIONALS, result)
+        store.close()
+        assert REGISTRY.get("store.disk.hashes_evicted") > evicted_before
+        connection = sqlite3.connect(path)
+        named = set()
+        for (key,) in connection.execute("SELECT pair_key FROM verdicts"):
+            named.update(key.split(":"))
+        digests = [digest for (digest,) in connection.execute("SELECT digest FROM canon_hashes")]
+        connection.close()
+        # Every row that survived names a digest some remaining verdict
+        # uses, and the table shrank with the verdicts.
+        assert set(digests) <= named
+        assert len(digests) < len(queries)
+
+    def test_realized_results_decode_once_per_orientation(self, monkeypatch):
+        import repro.store.disk as disk_module
+
+        first = parse_query("q(x) :- R(x)")
+        second = parse_query("q(x) :- R(x), x > 0")
+        result = settle(first, second)
+        assert result.verdict == Verdict.NOT_EQUIVALENT
+        store = VerdictStore()
+        store.record(first, second, Domain.RATIONALS, result)
+        revalidated_before = REGISTRY.get("store.witness.revalidated")
+        decoded: list = []
+        real_decode = disk_module.decode_report
+
+        def counting_decode(record, counterexample):
+            decoded.append(record.pair_key)
+            return real_decode(record, counterexample)
+
+        monkeypatch.setattr(disk_module, "decode_report", counting_decode)
+        served = [store.serve(first, second, Domain.RATIONALS) for _ in range(3)]
+        served.append(store.serve(second, first, Domain.RATIONALS))
+        served.append(store.serve(renamed_copy(second), first, Domain.RATIONALS))
+        assert len(decoded) == 2
+        # Every served cell still counts as a revalidated witness, and the
+        # answers follow each caller's orientation.
+        assert REGISTRY.get("store.witness.revalidated") == revalidated_before + len(served)
+        forward, backward = served[0].counterexample, served[3].counterexample
+        assert backward.left_result == forward.right_result
+        assert backward.right_result == forward.left_result
+        # Every cell gets its own result object.
+        assert len({id(result) for result in served}) == len(served)
+        assert {result.method for result in served} == {served[0].method}
+        # A rewrite of the row drops the memo.
+        store.write(store.lookup(pair_key(first, second).key))
+        store.serve(first, second, Domain.RATIONALS)
+        assert len(decoded) == 3
+
     def test_database_codec_round_trips_exact_values(self):
         from fractions import Fraction
 
@@ -283,6 +348,194 @@ class TestVerdictStore:
 
         database = Database([("R", (1, Fraction(1, 3))), ("S", (-2,))])
         assert decode_database(encode_database(database)).facts == database.facts
+
+
+# ----------------------------------------------------------------------
+# Persisted canonical hashes
+# ----------------------------------------------------------------------
+#: The verdicts table as the first stores created it, before the
+#: ``canon_hashes`` table existed.
+_OLD_VERDICTS_DDL = """
+CREATE TABLE verdicts (
+    pair_key         TEXT PRIMARY KEY,
+    schema_version   INTEGER NOT NULL,
+    verdict          TEXT NOT NULL,
+    method           TEXT NOT NULL,
+    details          TEXT NOT NULL,
+    domain           TEXT NOT NULL,
+    engine           TEXT NOT NULL,
+    base_fingerprint TEXT NOT NULL,
+    payload          TEXT NOT NULL,
+    created_s        REAL NOT NULL,
+    last_used_s      REAL NOT NULL
+)
+"""
+
+
+#: The verdict of a query against itself.
+IDENTICAL = EquivalenceResult(Verdict.EQUIVALENT, "identical queries", Domain.RATIONALS)
+
+
+def fuzz_corpus() -> list[Query]:
+    """Generated queries (negation, comparisons, constants, up to two
+    disjuncts) and a renamed copy of each."""
+    from repro.workloads import QueryGenerator, QueryProfile
+    from repro.workloads.generators import renamed_copy as renamed_variables
+
+    corpus = []
+    for function in ("count", "sum", None):
+        profile = QueryProfile(
+            aggregation_function=function,
+            comparison_operators=("<", "<=", ">", ">=", "!=", "="),
+        )
+        generator = QueryGenerator(profile, seed=11)
+        for index in range(12):
+            query = generator.query(f"g{index}")
+            corpus.extend((query, renamed_variables(query)))
+    return corpus
+
+
+def hash_rows(path: str) -> dict[str, str]:
+    import sqlite3
+
+    connection = sqlite3.connect(path)
+    try:
+        return dict(connection.execute("SELECT hash_key, digest FROM canon_hashes"))
+    finally:
+        connection.close()
+
+
+def restart_session(path: str, catalog: dict):
+    """A restarted process over the store file: every in-process cache
+    dropped, a new store instance, the catalog added; returns the matrix,
+    the session statistics and the store counters' growth."""
+    from repro.service import clear_service_caches
+
+    clear_service_caches()
+    before = REGISTRY.snapshot("store.")
+    with Workspace(workers=1, store=VerdictStore(path)) as session:
+        for name, query in catalog.items():
+            session.add(query, name=name)
+        matrix = session.equivalences()
+        stats = session.stats()
+    after = REGISTRY.snapshot("store.")
+    growth = {name: value - before.get(name, 0) for name, value in after.items()}
+    return matrix, stats, growth
+
+
+class TestPersistedHashes:
+    def test_restart_computes_no_canonical_form_for_unchanged_queries(self, tmp_path):
+        path = str(tmp_path / "verdicts.sqlite3")
+        catalog = small_catalog()
+        original, _stats, _growth = restart_session(path, catalog)
+        assert set(hash_rows(path)) == {hash_row_key(query) for query in catalog.values()}
+        rerun, stats, growth = restart_session(path, catalog)
+        assert stats.decided_cells == 0 and stats.store_hits == len(rerun)
+        assert growth.get("store.canon.misses", 0) == 0
+        assert growth["store.canon.persisted_hits"] == len(catalog)
+        for pair, result in rerun.items():
+            assert result.verdict == original[pair].verdict, pair
+            assert result.method == original[pair].method, pair
+
+    def test_file_without_hash_table_serves_a_restart(self, tmp_path):
+        import sqlite3
+
+        catalog = small_catalog()
+        current = str(tmp_path / "current.sqlite3")
+        original, _stats, _growth = restart_session(current, catalog)
+        old = str(tmp_path / "old.sqlite3")
+        connection = sqlite3.connect(old)
+        connection.execute(_OLD_VERDICTS_DDL)
+        connection.execute("ATTACH DATABASE ? AS current", (current,))
+        connection.execute("INSERT INTO verdicts SELECT * FROM current.verdicts")
+        connection.commit()
+        connection.execute("DETACH DATABASE current")
+        tables = {name for (name,) in connection.execute("SELECT name FROM sqlite_master")}
+        connection.close()
+        assert "canon_hashes" not in tables
+        rerun, stats, growth = restart_session(old, catalog)
+        assert stats.decided_cells == 0 and stats.store_hits == len(rerun)
+        # No persisted hash: every query is hashed afresh, and serving
+        # writes no hash row.
+        assert growth["store.canon.misses"] == len(catalog)
+        assert growth.get("store.canon.persisted_hits", 0) == 0
+        assert hash_rows(old) == {}
+        for pair, result in rerun.items():
+            assert result.verdict == original[pair].verdict, pair
+            assert result.method == original[pair].method, pair
+            assert (result.counterexample is None) == (original[pair].counterexample is None)
+
+    def test_persisted_hash_equals_a_fresh_hash(self, tmp_path):
+        from repro.service import clear_service_caches
+
+        queries = [*audit_catalog(quick=False).values(), *fuzz_corpus()]
+        path = str(tmp_path / "verdicts.sqlite3")
+        writer = VerdictStore(path)
+        for query in queries:
+            # A query is equivalent to itself: the record exists for its
+            # hash rows.
+            writer.record(query, query, Domain.RATIONALS, IDENTICAL)
+        writer.close()
+        rows = hash_rows(path)
+        assert len(rows) == len({hash_row_key(query) for query in queries})
+        clear_service_caches()
+        reader = VerdictStore(path)
+        misses_before = REGISTRY.get("store.canon.misses")
+        persisted = [reader.query_hash(query) for query in queries]
+        assert REGISTRY.get("store.canon.misses") == misses_before
+        reader.close()
+        clear_service_caches()
+        for query, hashed in zip(queries, persisted):
+            assert hashed.unwritten_row is None, query
+            assert hashed.digest == rows[hash_row_key(query)] == canonical_hash(query), query
+
+    def test_other_domain_misses(self, tmp_path):
+        path = str(tmp_path / "verdicts.sqlite3")
+        first = parse_query("q(x, count()) :- p(x, y), y > 0, y < 2")
+        second = parse_query("q(x, count()) :- p(x, 1)")
+        writer = VerdictStore(path)
+        writer.record(first, second, Domain.RATIONALS, settle(first, second))
+        writer.close()
+        reader = VerdictStore(path)
+        assert reader.query_hash(first, Domain.RATIONALS).unwritten_row is None
+        other = reader.query_hash(first, Domain.INTEGERS)
+        assert other.unwritten_row == hash_row_key(first, Domain.INTEGERS)
+        assert other.digest == canonical_hash(first, Domain.INTEGERS)
+        # Over the integers the two queries are equivalent and hash equal;
+        # over the rationals they are not, so a row read across domains
+        # would join them.
+        assert other.digest == canonical_hash(second, Domain.INTEGERS)
+        assert reader.query_hash(first).digest != reader.query_hash(second).digest
+        reader.close()
+
+    def test_restart_over_renamed_queries_writes_no_hash_row(self, tmp_path):
+        path = str(tmp_path / "verdicts.sqlite3")
+        catalog = small_catalog()
+        original, _stats, _growth = restart_session(path, catalog)
+        rows = hash_rows(path)
+        renamed = renamed_catalog(catalog)
+        rerun, stats, growth = restart_session(path, renamed)
+        assert stats.decided_cells == 0 and stats.store_hits == len(rerun)
+        assert growth["store.canon.misses"] == len(renamed)
+        assert growth.get("store.canon.persisted_hits", 0) == 0
+        assert growth.get("store.disk.writes", 0) == 0
+        assert hash_rows(path) == rows
+        for pair, result in rerun.items():
+            assert result.verdict == original[pair].verdict, pair
+
+    def test_row_keys_separate_queries_their_text_conflates(self):
+        from repro.datalog.atoms import RelationalAtom
+        from repro.datalog.conditions import Condition
+        from repro.datalog.terms import Constant
+
+        def query(second_argument):
+            atom = RelationalAtom("R", (Variable("x"), second_argument))
+            return Query("q", (Variable("x"),), (Condition((atom,)),))
+
+        variable, constant = query(Variable("1")), query(Constant(1))
+        assert str(variable) == str(constant)
+        assert hash_row_key(variable) != hash_row_key(constant)
+        assert canonical_hash(variable) != canonical_hash(constant)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +581,7 @@ class TestWitnessRevalidation:
         forward = store.serve(first, second, Domain.RATIONALS)
         assert len(calls) == 2
         record = store.lookup(pair_key(first, second).key)
-        assert record.revalidation is not None
+        assert record.realized
         backward = store.serve(second, first, Domain.RATIONALS)
         again = store.serve(renamed_copy(first), second, Domain.RATIONALS)
         assert len(calls) == 2
