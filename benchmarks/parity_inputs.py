@@ -8,10 +8,15 @@ comparison must still run against.
 * ``DIFFERENTIAL_PAIRS``: the query pairs ``tests/test_parallel.py``
   decides serially and through a pool;
 * ``generated_catalog`` with ``PROFILES``, ``MAX_SUBSETS`` and ``TRIALS``:
-  the catalogs of the sweep fuzz oracle (``tests/fuzz/test_sweep_oracle.py``).
+  the catalogs of the sweep fuzz oracle (``tests/fuzz/test_sweep_oracle.py``);
+* ``audit_catalog``: the seeded 28-query catalog of the ``audit-matrix``
+  benchmark workload, read from ``perfbench/catalog.py``.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import os
 
 from repro.workloads import QueryGenerator, QueryProfile
 from repro.workloads.generators import renamed_copy
@@ -57,3 +62,16 @@ def generated_catalog(profile_name: str, seed: int, size: int = 2) -> dict:
         catalog[f"g{index}"] = query
         catalog[f"g{index}_c"] = renamed_copy(query)
     return catalog
+
+
+def audit_catalog(seed: int) -> dict[str, tuple[str, str]]:
+    """``{name: (datalog text, equivalence class)}``: the benchmark's
+    seeded audit catalog (``perfbench/catalog.py``), loaded by path so that
+    no ``perfbench`` module name enters ``sys.path``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "catalog.py")
+    spec = importlib.util.spec_from_file_location("perfbench_catalog", path)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.audit_catalog(seed)

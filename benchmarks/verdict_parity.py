@@ -2,7 +2,8 @@
 
 Decides a fixed set of comparisons with this checkout's ``src/`` and with the
 other checkout's, each in a fresh interpreter, and lists every comparison
-whose verdict, method, details or witness database differ:
+whose verdict, method, details, witness database or witness results (the
+``repr`` of each side's answer on the witness) differ:
 
 * the seeded 28-query audit catalog of ``perfbench/catalog.py`` (378 cells)
   at seeds 1-3, through a cold ``Workspace(workers=1, store=False)``;
@@ -51,9 +52,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _witness(counterexample) -> object:
     if counterexample is None:
         return None
+    results = [repr(counterexample.left_result), repr(counterexample.right_result)]
     if counterexample.database is None:
-        return "symbolic"
-    return [repr(fact) for fact in counterexample.database.to_sorted_facts()]
+        return ["symbolic", *results]
+    return [repr(fact) for fact in counterexample.database.to_sorted_facts()] + results
 
 
 def _cell(result) -> list:

@@ -32,8 +32,10 @@ without search; the other pairs are compared once per class pair.
 Searching and witness building are separate steps.  The search (serial, or
 sharded across processes) only locates each class pair's first failing
 (subset, ordering) — a :class:`Failure`; a concrete witness is a
-by-product of that position, so every member pair's witness is realized
-once, after the search, from the pair's own queries and seed.
+by-product of that position.  Isomorphic queries agree on every database,
+so after the search one witness is realized per class pair, failure place
+and (when an ordered identity failed) witness seed, and every member pair
+receives its own copy of it.
 
 Two more search-space reductions keep the double-exponential procedure
 tractable:
@@ -57,7 +59,7 @@ sweep through :mod:`repro.parallel`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..aggregates.functions import AggregationFunction, get_function
@@ -146,7 +148,7 @@ def build_catalog_base(
     all_constants: set[Constant] = set(extra_constants)
     taken_names: set[str] = set()
     for query in queries:
-        all_constants |= query.constants()
+        all_constants |= query.vocabulary[1]
         taken_names |= {variable.name for variable in query.variables()}
     constants = sorted(all_constants, key=lambda c: (str(c)))
     fresh: list[Variable] = []
@@ -553,8 +555,12 @@ def sweep_equivalence(
     verdict and witness (none) the search would give.  A call whose pairs
     all lie inside isomorphism classes prepares no run at all.  The other
     pairs are searched as pairs of isomorphism classes, one group index per
-    class (:func:`check_subset_sweep`); each member pair of a failing class
-    pair then realizes its own witness at the class pair's first failure.
+    class (:func:`check_subset_sweep`); a failing class pair's witness is
+    then realized once at its first failure (once per member seed when an
+    ordered identity failed and the member pairs' witness seeds differ) and
+    copied to each member pair — the database, results, ordering and atoms
+    the member pair would realize itself, since isomorphic queries agree on
+    every database.
     :func:`bounded_equivalence` and :func:`local_equivalence` always search,
     so they stay the per-pair reference the sweep is tested against.
 
@@ -637,7 +643,7 @@ def _check_searchable(
     _resolve_catalog_function(queries, domain)
     constants: set[Constant] = set()
     for query in queries:
-        constants |= query.constants()
+        constants |= query.vocabulary[1]
     size = base_size(catalog_predicate_arities(queries).values(), len(constants), bound)
     subset_count = 2**size
     if subset_count > max_subsets:
@@ -662,24 +668,16 @@ def _sweep(
     subset, serially (``executor=None``) or sharded across ``executor``.
     ``pair_seeds`` names the pairs to decide and the seed of each pair's
     witness search.  The search only locates each class pair's first
-    :class:`Failure`; every member pair's witness is realized afterwards,
-    here and nowhere else."""
+    :class:`Failure`; witnesses are realized afterwards, here and nowhere
+    else: one per ``(class pair, failure place, seed if the ordered identity
+    failed else None)`` — the seed only drives the random realizations
+    that follow δ(S) — counted under ``sweep.witnesses.realized``, and each
+    member pair's report receives its own copy."""
     setup = prepare_sweep_run(catalog, bound, domain, semantics)
     reports = {
         pair: EquivalenceReport(equivalent=True, bound=bound, domain=domain)
         for pair in pair_seeds
     }
-    if not setup.orderings:
-        # Degenerate corner: no terms at all (no constants and N = 0).  The
-        # only database to compare over is the empty one.
-        empty = Database(())
-        for pair in pair_seeds:
-            _settle(
-                reports[pair],
-                _witness(catalog[pair[0]], catalog[pair[1]], empty, setup.function, semantics),
-            )
-        return reports
-
     # Each isomorphism class is named by its representative, the first
     # catalog query with its evaluation key; the search runs on class pairs.
     representatives: dict[str, str] = {}
@@ -688,6 +686,23 @@ def _sweep(
         for name, query in catalog.items()
     }
     class_pair = {pair: (classes[pair[0]], classes[pair[1]]) for pair in pair_seeds}
+    # The witnesses realized so far: by class pair in the degenerate corner
+    # below, by (class pair, failure place, seed) after a search.
+    realized: dict[tuple, Optional[Counterexample]] = {}
+    if not setup.orderings:
+        # Degenerate corner: no terms at all (no constants and N = 0).  The
+        # only database to compare over is the empty one.
+        empty = Database(())
+        for pair in pair_seeds:
+            key = class_pair[pair]
+            if key not in realized:
+                _OBS.inc("sweep.witnesses.realized")
+                realized[key] = _witness(
+                    catalog[key[0]], catalog[key[1]], empty, setup.function, semantics
+                )
+            _settle(reports[pair], realized[key])
+        return reports
+
     failures: dict[tuple[str, str], Failure] = {}
     stats = CheckStats()
     enumerator = CanonicalSubsetEnumerator(setup.base, setup.fresh)
@@ -766,29 +781,35 @@ def _sweep(
         enumerator.skipped,
     )
 
-    # Every failing member pair realizes its own witness from its own
-    # queries and seed; pairs failing at one (subset, ordering) share the
-    # symbolic database and δ(S).
+    # A witness is realized once per (class pair, failure place, seed of
+    # the random realizations when an identity failed), from the class
+    # representatives, whose kernels the search has compiled: isomorphic
+    # queries agree on every database, so every member pair of a class pair
+    # stops at the same database with equal results.  Each member's report
+    # gets its own copy of the witness.
     databases: dict[tuple[tuple[int, ...], int], tuple[SymbolicDatabase, Database]] = {}
     for pair, seed in pair_seeds.items():
         failure = failures.get(class_pair[pair])
-        if failure is not None:
-            place = (failure.subset, failure.ordering)
+        if failure is None:
+            continue
+        place = (failure.subset, failure.ordering)
+        key = (class_pair[pair], place, seed if failure.identity_failed else None)
+        if key not in realized:
+            _OBS.inc("sweep.witnesses.realized")
             if place not in databases:
                 database = SymbolicDatabase(
                     frozenset(base[i] for i in failure.subset), setup.orderings[failure.ordering]
                 )
                 databases[place] = (database, database.instantiate())
             database, delta = databases[place]
-            _settle(
-                reports[pair],
-                _witness(
-                    catalog[pair[0]], catalog[pair[1]], delta, setup.function, semantics,
-                    database,
-                    attempts=_WITNESS_ATTEMPTS if failure.identity_failed else 0,
-                    seed=seed,
-                ),
+            representative_a, representative_b = class_pair[pair]
+            realized[key] = _witness(
+                catalog[representative_a], catalog[representative_b], delta,
+                setup.function, semantics, database,
+                attempts=_WITNESS_ATTEMPTS if failure.identity_failed else 0,
+                seed=seed,
             )
+        _settle(reports[pair], realized[key])
     for report in reports.values():
         stats.merge_into(report)
         report.subsets_skipped_by_symmetry = enumerator.skipped
@@ -799,11 +820,11 @@ def _sweep(
 
 
 def _settle(report: EquivalenceReport, counterexample: Optional[Counterexample]) -> None:
-    """Record a pair's witness on its report: the one place a sweep report
-    becomes NOT_EQUIVALENT."""
+    """Record a copy of a pair's witness on its report: the one place a
+    sweep report becomes NOT_EQUIVALENT."""
     if counterexample is not None:
         report.equivalent = False
-        report.counterexample = counterexample
+        report.counterexample = replace(counterexample)
 
 
 # ----------------------------------------------------------------------

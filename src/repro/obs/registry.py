@@ -18,10 +18,15 @@ the *scope* that owns the counter's reset semantics:
   ``clear_evaluation_caches`` resets the whole evaluation slice it drops
   (kernel + store + dispatch).
 * ``sweep.`` — decision-procedure counters (subsets examined / skipped by
-  symmetry, ordering classes examined, identities checked, and
+  symmetry, ordering classes examined, identities checked,
   ``sweep.pairs.isomorphic``: pairs settled without search because their
-  evaluation keys are equal).  Never reset by the cache clears; they
-  describe *work performed*, not cache state.
+  evaluation keys are equal, and ``sweep.witnesses.realized``: witnesses
+  built after a search, one per class pair and failure place).  Never
+  reset by the cache clears; they describe *work performed*, not cache
+  state.
+* ``batch.`` — ``batch.pair_tasks``: pair tasks a matrix ran, one per
+  isomorphism class pair for the cells settled by a counterexample search
+  when no seed is given.  Like ``sweep.``, work performed.
 * ``datalog.`` — ``datalog.key.tie_bailouts``: evaluation keys whose
   symmetric-tie search exceeded its budget and fell back to variable-name
   order (such a key only loses sharing).

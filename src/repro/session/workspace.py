@@ -432,7 +432,9 @@ class Workspace:
         self._equivalence_calls += 1
         call = self._equivalence_calls
         pairs = list(itertools.combinations(sorted(self._queries), 2))
-        undecided: list[tuple[str, str]] = []
+        # The undecided cells, each with its ``(Query, Query)`` key, built
+        # once per cell and reused by the verdict cache and the store.
+        undecided: dict[tuple[str, str], tuple[Query, Query]] = {}
         store = self._store
         # Each query's canonical hash is resolved once per call, on its
         # first store-bound cell; a cell's store key is then one comparison
@@ -480,7 +482,7 @@ class Workspace:
                 # arrive here only after their witness re-reproduced the
                 # disagreement (repro.store.witness).
                 self._results[pair] = served
-                self._cache_verdict(pair, served)
+                self._cache_verdict(cache_key, served)
                 self._store_hits += 1
                 _OBS.inc("session.store.hits")
                 self._provenance[pair] = {
@@ -489,7 +491,7 @@ class Workspace:
                     "call": call,
                 }
             else:
-                undecided.append(pair)
+                undecided[pair] = cache_key
         if undecided:
             from ..workloads.batch import decide_pairs
 
@@ -498,7 +500,7 @@ class Workspace:
             with _span("session.equivalences", cells=len(undecided), call=call):
                 decided = decide_pairs(
                     self._queries,
-                    undecided,
+                    list(undecided),
                     domain=self._domain,
                     counterexample_trials=self._counterexample_trials,
                     max_subsets=self._max_subsets,
@@ -509,8 +511,9 @@ class Workspace:
                     provenance=decision_paths,
                 )
             for pair, result in decided.items():
+                cache_key = undecided[pair]
                 self._results[pair] = result
-                self._cache_verdict(pair, result)
+                self._cache_verdict(cache_key, result)
                 self._decided_cells += 1
                 self._provenance[pair] = {
                     "path": decision_paths.get(pair, "unknown"),
@@ -522,8 +525,8 @@ class Workspace:
                     # re-deriving an UNKNOWN is as expensive as any other
                     # verdict) becomes servable to other sessions.
                     store.record(
-                        self._queries[pair[0]],
-                        self._queries[pair[1]],
+                        cache_key[0],
+                        cache_key[1],
                         self._domain,
                         result,
                         hashes=hashes_of(pair),
@@ -560,8 +563,7 @@ class Workspace:
         copied too, since :meth:`equivalences` mutates them in place)."""
         return {pair: dict(record) for pair, record in self._provenance.items()}
 
-    def _cache_verdict(self, pair: tuple[str, str], result: EquivalenceResult) -> None:
-        key = (self._queries[pair[0]], self._queries[pair[1]])
+    def _cache_verdict(self, key: tuple[Query, Query], result: EquivalenceResult) -> None:
         if key not in self._verdict_cache and len(self._verdict_cache) >= _VERDICT_CACHE_LIMIT:
             # Evict the least-recently-*used* quarter: lookups refresh
             # recency (move_to_end), so a pair that keeps getting served

@@ -25,7 +25,9 @@ turning the Γ work from O(pairs) into O(queries);
 path would.  Cells outside every group (mixed shapes, different functions,
 quasilinear pairs, undecided fragments, cells whose BASE would blow the
 subset budget) run as independent, picklable pair tasks through
-:func:`repro.core.equivalence.are_equivalent`.
+:func:`repro.core.equivalence.are_equivalent` — one task per isomorphism
+class pair for the cells settled by a seeded counterexample search, whose
+outcome is the same for every member cell.
 
 Both kinds of work route through the parallel subsystem
 (:mod:`repro.parallel`): ``workers=N`` shards the sweep's subset stream and
@@ -37,13 +39,15 @@ work items through the serial executor, so the two can never diverge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from ..core.bounded import DEFAULT_MAX_SUBSETS, SET_SEMANTICS, sweep_equivalence
 from ..core.counterexample import DEFAULT_COUNTEREXAMPLE_TRIALS
 from ..core.equivalence import (
+    DIFFERENT_FUNCTIONS,
     SET_LOCAL_EQUIVALENCE,
+    UNDECIDED_FRAGMENT,
     EquivalenceResult,
     PairRoute,
     local_result,
@@ -54,6 +58,7 @@ from ..datalog.queries import Query
 from ..domains import Domain
 from ..errors import ReproError
 from ..engine.evaluator import evaluate
+from ..obs import REGISTRY as _OBS
 from ..obs import span as _span
 from ..parallel.executor import Executor, SerialExecutor, resolve_executor
 from ..parallel.tasks import absorb_worker_metrics, pair_check_tasks, run_pair_task
@@ -88,10 +93,12 @@ class SweepGroup:
 @dataclass
 class SweepPlan:
     """The output of :func:`plan_catalog_sweep`: sweep groups plus the cells
-    left on the per-pair task path."""
+    left on the per-pair task path, with each such cell's route (``None``
+    for a cell mixing an aggregate with a non-aggregate query)."""
 
     groups: list[SweepGroup] = field(default_factory=list)
     pair_path: list[tuple[str, str]] = field(default_factory=list)
+    pair_routes: dict[tuple[str, str], Optional[PairRoute]] = field(default_factory=dict)
 
 
 def plan_catalog_sweep(
@@ -125,7 +132,9 @@ def plan_catalog_sweep(
     is routed on its originals, as
     :func:`~repro.core.equivalence.are_equivalent` routes it, and an
     over-budget local route stays on the pair path, whose budget guard
-    raises.
+    raises.  Each pair-path cell's route is kept in
+    :attr:`SweepPlan.pair_routes`, from which :func:`decide_pairs` finds the
+    counterexample searches an isomorphism class pair can share.
 
     ``pairs`` restricts the plan to the given cells (each normalized to
     ``name_a < name_b``); ``None`` plans every unordered pair.
@@ -144,14 +153,15 @@ def plan_catalog_sweep(
     for name_a, name_b in cells:
         first, second = queries[name_a], queries[name_b]
         pair = (name_a, name_b)
-        # Mixed shapes have no route; their pair task records them.
-        route = (
-            route_pair(first, second, domain, max_subsets)
-            if first.is_aggregate == second.is_aggregate
-            else None
-        )
-        if route is None or route.space is None or not route.fits(max_subsets):
+        if first.is_aggregate != second.is_aggregate:
+            # Mixed shapes have no route; their pair task records them.
             plan.pair_path.append(pair)
+            plan.pair_routes[pair] = None
+            continue
+        route = route_pair(first, second, domain, max_subsets)
+        if route.space is None or not route.fits(max_subsets):
+            plan.pair_path.append(pair)
+            plan.pair_routes[pair] = route
             continue
         kind: tuple = (
             ("plain",)
@@ -210,6 +220,12 @@ def decide_pairs(
     rewriting engine uses this to degrade budget-blown cells to UNKNOWN
     instead of aborting the batch).  Sweep-eligible cells are decided in
     single-sweep groups; everything else runs through ``pair_runner``.
+    Without a ``seed``, the cells whose route is a counterexample search
+    (``DIFFERENT_FUNCTIONS``, or ``UNDECIDED_FRAGMENT`` without
+    ``unknown_bound``) run one task per ``(class key a, class key b)``;
+    every other cell runs its own task (:func:`_pair_task_cells`).  A cell
+    sharing another cell's task receives a copy of its result and witness;
+    tasks run are counted under ``batch.pair_tasks``.
 
     ``workers`` / ``executor`` are resolved once
     (:func:`repro.parallel.executor.resolve_executor`): every sweep group and
@@ -253,6 +269,7 @@ def decide_pairs(
                 )
                 if provenance is not None:
                     provenance[(name_a, name_b)] = f"sweep:{label}"
+        task_cells = _pair_task_cells(queries, plan, seed, unknown_bound)
         tasks = pair_check_tasks(
             queries,
             domain=domain,
@@ -260,16 +277,67 @@ def decide_pairs(
             max_subsets=max_subsets,
             unknown_bound=unknown_bound,
             seed=seed,
-            pairs=plan.pair_path,
+            pairs=list(dict.fromkeys(task_cells.values())),
         )
+        if tasks:
+            _OBS.inc("batch.pair_tasks", len(tasks))
         runner = SerialExecutor().run if pool is None else pool.run
         outcomes = runner(pair_runner, tasks)
         absorb_worker_metrics(outcomes)
-        for outcome in sorted(outcomes, key=lambda outcome: outcome.task_index):
-            results[(outcome.name_a, outcome.name_b)] = outcome.result
+        decided = {(outcome.name_a, outcome.name_b): outcome.result for outcome in outcomes}
+        for pair, task_pair in task_cells.items():
+            result = decided[task_pair]
+            if pair != task_pair:
+                result = replace(
+                    result,
+                    counterexample=None
+                    if result.counterexample is None
+                    else replace(result.counterexample),
+                )
+            results[pair] = result
             if provenance is not None:
-                provenance[(outcome.name_a, outcome.name_b)] = "pair"
+                provenance[pair] = "pair"
         return results
+
+
+#: The pair-path procedures whose outcome is a seeded counterexample search
+#: on the original queries: the only pair tasks one isomorphism class pair
+#: can share.
+_SEARCH_PROCEDURES = (DIFFERENT_FUNCTIONS, UNDECIDED_FRAGMENT)
+
+
+def _pair_task_cells(
+    queries: Mapping[str, Query],
+    plan: SweepPlan,
+    seed: Optional[int],
+    unknown_bound: Optional[int],
+) -> dict[tuple[str, str], tuple[str, str]]:
+    """Map every pair-path cell, in plan order, to the cell whose pair task
+    decides it: itself, or the first cell of its isomorphism class pair.
+
+    A counterexample-search route (:data:`_SEARCH_PROCEDURES`) draws its
+    databases from the pair's predicates, arities and constants and the
+    pair seed, and isomorphic queries agree on every database — so cells
+    with equal ``(evaluation key a, evaluation key b)`` under the shared
+    default seed find the same witness and state the same outcome.  With an
+    explicit ``seed`` the derived pair seeds differ per cell, so nothing is
+    shared.  An undecided-fragment cell with an ``unknown_bound`` also runs
+    a bounded search, whose fresh terms avoid the queries' own variable
+    names, so it runs its own task; so do quasilinear and all other routes,
+    whose results carry the cell's own isomorphism and reduced queries."""
+    owner = {pair: pair for pair in plan.pair_path}
+    if seed is not None:
+        return owner
+    first_cell: dict[tuple, tuple[str, str]] = {}
+    for pair in plan.pair_path:
+        route = plan.pair_routes.get(pair)
+        if route is None or route.procedure not in _SEARCH_PROCEDURES:
+            continue
+        if route.procedure == UNDECIDED_FRAGMENT and unknown_bound is not None:
+            continue
+        classes = (queries[pair[0]].evaluation_key, queries[pair[1]].evaluation_key)
+        owner[pair] = first_cell.setdefault(classes, pair)
+    return owner
 
 
 def equivalence_matrix(

@@ -11,6 +11,20 @@ equivalent as well as non-equivalent cells.  The oracles:
 * a catalog whose search space exceeds the budget raises
   ``SearchSpaceBudgetError`` on both sides.
 
+A second slice checks that deciding once per isomorphism class pair still
+states every cell as its own: on the benchmark's audit catalog (seeds 1-3)
+on the count, sum and max generated catalogs side by side (their
+cross-profile cells are counterexample searches shared by four member
+cells each), and on a catalog whose class pairs first fail at one shared
+place with different answers, serially and with ``workers=2``, with the default
+``seed=None`` under which pair tasks are shared:
+
+* every NOT_EQUIVALENT witness re-evaluates, compiled and naive, to that
+  cell's own left and right results;
+* every quasilinear cell carries the reductions of its own query forms;
+* every pair-path cell equals ``are_equivalent`` on that cell alone;
+* every planned route equals ``route_pair`` on the cell, field for field.
+
 The catalogs and budgets come from ``benchmarks/parity_inputs.py``, which
 ``benchmarks/verdict_parity.py`` also reads.  The seeds are fixed, so the
 slice is deterministic.  Seed 2 is left out:
@@ -21,11 +35,18 @@ from __future__ import annotations
 
 import pytest
 
-from parity_inputs import MAX_SUBSETS, PROFILES, TRIALS, generated_catalog
-from repro.engine import naive_evaluate
+from parity_inputs import MAX_SUBSETS, PROFILES, TRIALS, audit_catalog, generated_catalog
+from repro import Verdict, parse_query
+from repro.core import are_equivalent
+from repro.core.equivalence import route_pair
+from repro.core.reduction import reduce_query
+from repro.domains import Domain
+from repro.engine import evaluate, naive_evaluate
 from repro.errors import SearchSpaceBudgetError
 from repro.parallel.executor import default_workers
 from repro.workloads import equivalence_matrix
+from repro.workloads.batch import plan_catalog_sweep
+from repro.workloads.generators import renamed_copy
 from test_sweep import _assert_cells_match, _pairwise_matrix
 
 
@@ -64,3 +85,94 @@ def test_sweep_matches_the_per_pair_reference(profile_name, seed):
         assert naive_evaluate(catalog[name_a], witness.database) != naive_evaluate(
             catalog[name_b], witness.database
         ), (name_a, name_b)
+
+
+#: Three queries over one search space, each beside a renaming: the class
+#: pairs (a, b) and (b, c) first fail at the same (subset, ordering), with
+#: different answers, so a witness may be shared only within a class pair.
+_OVERLAPPING_FAILURES = {
+    "a": "q(x) :- p(x), r(x)",
+    "b": "q(x) :- p(x), r(y)",
+    "c": "q(x) :- p(x), r(x), r(y)",
+}
+
+
+def _class_pair_catalog(source: str) -> tuple[dict, dict]:
+    """A catalog and the ``equivalence_matrix`` options it is decided with."""
+    if source == "overlapping":
+        catalog = {}
+        for name, text in _OVERLAPPING_FAILURES.items():
+            catalog[name] = parse_query(text)
+            catalog[f"{name}_c"] = renamed_copy(catalog[name])
+        return catalog, {}
+    kind, seed = source.split("-")
+    if kind == "audit":
+        catalog = {
+            name: parse_query(text) for name, (text, _class) in audit_catalog(int(seed)).items()
+        }
+        return catalog, {}
+    catalog = {
+        f"{profile}_{name}": query
+        for profile in ("count", "sum", "max")
+        for name, query in generated_catalog(profile, int(seed)).items()
+    }
+    return catalog, {"max_subsets": MAX_SUBSETS, "counterexample_trials": TRIALS}
+
+
+def _cell_fields(result) -> list:
+    witness, verdict = result.counterexample, result.quasilinear
+    return [
+        result.verdict, result.method, result.details,
+        None if witness is None else (
+            witness.database, repr(witness.left_result), repr(witness.right_result),
+            witness.ordering, witness.symbolic_atoms,
+        ),
+        None if verdict is None else (
+            verdict.equivalent, verdict.reason, verdict.isomorphism,
+            verdict.reduced_first, verdict.reduced_second,
+        ),
+    ]
+
+
+# Mixed generated catalogs 1, 2 and 4 fit the oracle budget (0 and 3 do not).
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "source",
+    ["audit-1", "audit-2", "audit-3", "generated-1", "generated-2", "generated-4", "overlapping"],
+)
+def test_class_pair_work_states_every_cell_as_its_own(source, workers):
+    catalog, options = _class_pair_catalog(source)
+    max_subsets = options.get("max_subsets", 2_000_000)
+    matrix = equivalence_matrix(catalog, workers=workers, **options)
+    plan = plan_catalog_sweep(catalog, max_subsets=max_subsets)
+
+    planned = dict(plan.pair_routes)
+    for group in plan.groups:
+        planned.update(group.routes)
+    assert planned.keys() == matrix.keys()
+    for (name_a, name_b), route in planned.items():
+        first, second = catalog[name_a], catalog[name_b]
+        if first.is_aggregate != second.is_aggregate:
+            assert route is None
+        else:
+            assert route == route_pair(first, second, max_subsets=max_subsets), (name_a, name_b)
+
+    for (name_a, name_b), result in matrix.items():
+        first, second = catalog[name_a], catalog[name_b]
+        witness = result.counterexample
+        if witness is not None and witness.database is not None:
+            assert result.verdict is Verdict.NOT_EQUIVALENT
+            for evaluated in (evaluate, naive_evaluate):
+                assert evaluated(first, witness.database) == witness.left_result, (name_a, name_b)
+                assert evaluated(second, witness.database) == witness.right_result, (name_a, name_b)
+        verdict = result.quasilinear
+        if verdict is not None and verdict.reduced_first is not None:
+            route = planned[(name_a, name_b)]
+            assert verdict.reduced_first == reduce_query(route.first, Domain.RATIONALS)
+            assert verdict.reduced_second == reduce_query(route.second, Domain.RATIONALS)
+
+    for name_a, name_b in plan.pair_path:
+        first, second = catalog[name_a], catalog[name_b]
+        if first.is_aggregate == second.is_aggregate:
+            alone = are_equivalent(first, second, workers=1, **options)
+            assert _cell_fields(matrix[(name_a, name_b)]) == _cell_fields(alone), (name_a, name_b)

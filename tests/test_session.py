@@ -231,8 +231,8 @@ class TestDeltaDifferential:
                 ws.add(f"q(x) :- r{index}(x)", name=f"q{index}")
             fabricated = EquivalenceResult(Verdict.UNKNOWN, "fabricated", Domain.RATIONALS)
             filled = [("q0", "q1"), ("q0", "q2"), ("q0", "q3"), ("q1", "q2")]
-            for pair in filled:
-                ws._cache_verdict(pair, fabricated)
+            for name_a, name_b in filled:
+                ws._cache_verdict((ws[name_a], ws[name_b]), fabricated)
             # Settle every cell except (q0, q1), then ask for the matrix:
             # the one remaining cell is served from the structural cache —
             # a *hit*, which must refresh the entry's recency.
@@ -246,7 +246,7 @@ class TestDeltaDifferential:
             # The next insertion overflows the (limit 4) cache.  LRU order
             # after the hit is (q0,q2), (q0,q3), (q1,q2), (q0,q1): the
             # refreshed oldest-inserted entry survives and (q0, q2) goes.
-            ws._cache_verdict(("q1", "q3"), fabricated)
+            ws._cache_verdict((ws["q1"], ws["q3"]), fabricated)
             assert (ws["q0"], ws["q1"]) in ws._verdict_cache
             assert (ws["q0"], ws["q2"]) not in ws._verdict_cache
 
