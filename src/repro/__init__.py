@@ -23,7 +23,7 @@ Quick start::
 
 For anything session-shaped — a growing catalog, repeated rewrites — use
 the stateful :class:`repro.Workspace` (:mod:`repro.session`), which keeps
-the symbolic caches, verdict caches, and worker pool alive across calls and
+the symbolic caches, settled cells, and worker pool alive across calls and
 decides only the delta cells of each ``equivalences()`` re-query::
 
     from repro import Workspace

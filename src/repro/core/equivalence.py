@@ -345,8 +345,9 @@ def are_equivalent(
     .. deprecated:: for repeated checks over a growing catalog prefer
        :class:`repro.session.Workspace` — each one-shot call here re-warms
        the Γ / signature caches and (with ``workers``) re-forks a pool that
-       a session keeps alive, and a workspace additionally serves repeated
-       cells from its verdict cache.
+       a session keeps alive, and a workspace additionally settles each cell
+       once per session and serves cells other sessions settled from its
+       verdict store.
     """
     with _span(
         "dispatch.classify", first=first.name, second=second.name

@@ -4,8 +4,8 @@
 the session knows about *how* a verdict was reached — the dispatch class
 the pair was classified into, the full method string, whether count-form
 normalization was applied, which sweep group (if any) carried the cell,
-whether this verdict was freshly decided or served from the structural
-verdict cache, and the witness when the verdict is NOT_EQUIVALENT.
+whether this verdict was freshly decided or served from the verdict store,
+and the witness when the verdict is NOT_EQUIVALENT.
 
 The dispatch class is recovered from the method string the dispatcher
 recorded (`core/equivalence.py` writes one distinctive method per branch),
@@ -74,12 +74,12 @@ class CellExplanation:
     dispatch_class: str
     #: The count-form normalization annotation, or ``None`` when none applied.
     normalization: Optional[str]
-    #: ``True`` when the verdict was served from the structural verdict
-    #: cache; ``False`` when this cell was freshly decided.
+    #: ``True`` when the verdict was served from the verdict store;
+    #: ``False`` when this cell was freshly decided.
     cache_served: bool
-    #: How the cell was decided: ``"sweep:<group>"`` when a shared
+    #: How the cell was settled: ``"sweep:<group>"`` when a shared
     #: single-sweep enumeration carried it, ``"pair"`` for a standalone pair
-    #: task, ``"cache"`` when only ever cache-served, ``"unknown"`` for
+    #: task, ``"store"`` when the verdict store served it, ``"unknown"`` for
     #: verdicts that predate provenance recording.
     decision_path: str
     #: 1-based ordinal of the ``equivalences()`` call that decided the cell
@@ -99,11 +99,10 @@ class CellExplanation:
 
     def summary(self) -> str:
         """A one-line human rendering of the provenance."""
-        origin = "cache" if self.cache_served else self.decision_path
         parts = [
             f"{self.pair[0]} vs {self.pair[1]}: {self.verdict}",
             f"via {self.method}",
-            f"[class={self.dispatch_class}, origin={origin}]",
+            f"[class={self.dispatch_class}, origin={self.decision_path}]",
         ]
         if self.normalization:
             parts.append(f"normalized ({self.normalization})")

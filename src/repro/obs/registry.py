@@ -31,8 +31,11 @@ the *scope* that owns the counter's reset semantics:
   symmetric-tie search exceeded its budget and fell back to variable-name
   order (such a key only loses sharing).
 * ``parallel.`` — executor counters (pool forks).
-* ``session.`` — workspace-layer counters (verdict-cache hits/misses).
-  Like ``sweep.``, these survive every cache clear.
+* ``session.`` — workspace-layer counters: ``session.store.hits``, cells
+  the verdict store served, and ``session.verdict_cache.misses``, cells
+  sent to ``decide_pairs``.  The second keeps its historical name because
+  the perfbench harness reads it as ``session.cells_decided``.  Like
+  ``sweep.``, these survive every cache clear.
 * ``worker.`` — the aggregated deltas merged back from pool workers: a
   worker-side increment of ``engine.kernel.compiles`` lands here as
   ``worker.engine.kernel.compiles``.  This is the slice that makes worker

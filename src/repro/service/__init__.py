@@ -3,7 +3,7 @@
 The library's session layer (:mod:`repro.session`) made the *session* the
 unit of reuse; this package makes the session a *served resource*: a
 stdlib-only HTTP/JSON front end hosting named tenant workspaces, each with
-its own catalog, verdict caches, and persistent worker pool.
+its own catalog, settled cells, and persistent worker pool.
 
 Layering (each module one concern):
 

@@ -346,13 +346,6 @@ class ReproService:
     def _publish(self, tenant: Tenant) -> None:
         tenant.version += 1
         snapshots.publish(tenant.key, tenant.name, tenant.version, tenant.workspace)
-        hits = tenant.workspace.stats().verdict_cache_hits
-        if hits != tenant.verdict_hits_reported:
-            _OBS.inc(
-                f"service.tenant.{tenant.name}.verdict_cache_hits",
-                hits - tenant.verdict_hits_reported,
-            )
-            tenant.verdict_hits_reported = hits
 
     async def _handle_add(
         self, name: str, body: bytes

@@ -327,7 +327,6 @@ def stats_payload(stats: WorkspaceStats) -> dict[str, object]:
         "queries": stats.queries,
         "views": stats.views,
         "decided_cells": stats.decided_cells,
-        "verdict_cache_hits": stats.verdict_cache_hits,
         "store_hits": stats.store_hits,
         "rewrite_cache_hits": stats.rewrite_cache_hits,
         "pool_forks": stats.pool_forks,

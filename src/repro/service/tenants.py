@@ -78,9 +78,6 @@ class Tenant:
     version: int = 0
     #: Mutations currently queued on (or holding) the lock.
     queued: int = 0
-    #: Workspace verdict-cache hits already exported to the metrics
-    #: registry (the per-tenant counter publishes deltas, not totals).
-    verdict_hits_reported: int = 0
 
 
 #: The process-wide tenant LRU, in access order (least recent first).

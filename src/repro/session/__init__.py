@@ -6,7 +6,7 @@ Every one-shot entry point of the library (``are_equivalent``,
 earlier calls already settled — waste the paper's decision procedures do not
 require, since a verdict depends only on the query pair.  The workspace
 makes the *session* the API unit instead: queries and views are ingested
-through one front door (Datalog, SQL, or AST), the verdict caches and worker
+through one front door (Datalog, SQL, or AST), the settled cells and worker
 pool persist across calls, and :meth:`Workspace.equivalences` decides only
 the delta cells each time the catalog grows.
 

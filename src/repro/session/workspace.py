@@ -17,11 +17,13 @@ workspace pays them once and amortizes them over the session:
   the full matrix of the current catalog but decides only the cells no
   earlier call settled (new-query × catalog).  Delta cells are decided
   through :func:`repro.workloads.batch.decide_pairs`; each cell's search
-  runs over the pair's own BASE, so a cell decided early is exactly the cell
-  a from-scratch matrix over the grown catalog reports, witness database
-  included.  A structural verdict cache keyed by the query pair itself
-  (queries hash by their cached structural hash) short-circuits cells whose
-  exact ASTs were already decided under different names.
+  runs over the pair's own BASE, so a cell the session decides, early or
+  late, is exactly the cell a from-scratch matrix over the grown catalog
+  reports, witness database included.  Duplicate work inside one call is
+  removed there, per isomorphism class pair; duplicate work across calls
+  and sessions is removed by the attached verdict store, keyed by the
+  reduced canonical form, whose cells carry the stored witness, re-checked
+  on the session's own queries.
 
 * **A persistent pool.**  With ``workers=N`` the workspace owns one
   :class:`~repro.parallel.executor.ProcessExecutor` for its lifetime, where
@@ -41,7 +43,6 @@ workspace pays them once and amortizes them over the session:
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -71,14 +72,9 @@ from ..sql.translate import Schema, SqlTranslator
 from ..store.canon import QueryHash
 from ..store.disk import VerdictStore, default_store, shared_store
 
-#: Cap on the structural verdict cache; on overflow the least-recently-used
-#: quarter is evicted (hits refresh recency), bounding a very long session
-#: while keeping its hot pairs resident.
-_VERDICT_CACHE_LIMIT = 65536
-
 #: Cap on the rewrite-verification cache.  Entries are heavy (full
-#: VerifiedRewriting lists with equivalence reports), so the cap is much
-#: lower than the verdict cache's; eviction is oldest-quarter, same scheme.
+#: VerifiedRewriting lists with equivalence reports), so the cap is low;
+#: eviction drops the oldest quarter.
 _REWRITE_CACHE_LIMIT = 256
 
 #: Anything :meth:`Workspace.add` accepts.
@@ -101,7 +97,6 @@ class WorkspaceStats:
     queries: int
     views: int
     decided_cells: int
-    verdict_cache_hits: int
     store_hits: int
     rewrite_cache_hits: int
     pool_forks: int
@@ -113,8 +108,8 @@ class WorkspaceStats:
         """The hierarchical text rendering of every layer's counters."""
         lines = ["workspace:"]
         for label in (
-            "queries", "views", "decided_cells", "verdict_cache_hits",
-            "store_hits", "rewrite_cache_hits", "pool_forks", "workers",
+            "queries", "views", "decided_cells", "store_hits",
+            "rewrite_cache_hits", "pool_forks", "workers",
         ):
             lines.append(f"  {label}: {getattr(self, label)}")
         if self.plan_cache:
@@ -140,7 +135,7 @@ class Workspace:
     ``unknown_bound``, ``seed``) mirror
     :func:`repro.workloads.batch.equivalence_matrix` and apply to every
     decision the session makes.  ``store`` selects the
-    second verdict tier behind the structural cache: a
+    verdict store that serves cells other sessions settled: a
     :class:`~repro.store.VerdictStore` to use one explicitly, ``True`` for
     the process-wide shared store, ``False`` for none, and ``None`` (the
     default) for the shared store exactly when ``REPRO_STORE_PATH`` opts the
@@ -184,7 +179,6 @@ class Workspace:
         self._views: dict[str, View] = {}
         self._queries: dict[str, Query] = {}
         self._results: dict[tuple[str, str], EquivalenceResult] = {}
-        self._verdict_cache: "OrderedDict[tuple[Query, Query], EquivalenceResult]" = OrderedDict()
         if isinstance(store, VerdictStore):
             self._store: Optional[VerdictStore] = store
         elif store is None:
@@ -197,11 +191,10 @@ class Workspace:
             tuple[list[VerifiedRewriting], list[RejectedCandidate]],
         ] = {}
         self._decided_cells = 0
-        self._verdict_cache_hits = 0
         self._store_hits = 0
         self._rewrite_cache_hits = 0
         # Per-cell decision provenance feeding explain(): how each settled
-        # cell was decided (sweep group / pair task / verdict cache) and in
+        # cell was settled (sweep group / pair task / verdict store) and in
         # which equivalences() call.
         self._provenance: dict[tuple[str, str], dict[str, object]] = {}
         self._equivalence_calls = 0
@@ -212,8 +205,8 @@ class Workspace:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """End the session: terminate the owned worker pool and drop the
-        per-session caches (the structural verdict cache, the rewrite
-        verification cache, the rewriting engine).
+        per-session caches (the rewrite verification cache, the rewriting
+        engine).
         Idempotent; a closed workspace refuses further *work* but keeps its
         settled cells and provenance, so :meth:`explain` stays available.
 
@@ -221,7 +214,6 @@ class Workspace:
         best-effort ``__del__``, and service-layer tenant eviction
         (:class:`repro.service.tenants.TenantRegistry`) all funnel here."""
         self._closed = True
-        self._verdict_cache.clear()
         self._rewrite_cache.clear()
         self._engine = None
         if self._owns_executor and self._executor is not None:
@@ -271,8 +263,8 @@ class Workspace:
 
     @property
     def store(self) -> Optional[VerdictStore]:
-        """The verdict-store tier behind the structural cache (``None``
-        means the session runs with today's in-memory caches only)."""
+        """The verdict store the session serves from and records into
+        (``None`` means every unsettled cell is decided)."""
         return self._store
 
     def __len__(self) -> int:
@@ -288,14 +280,13 @@ class Workspace:
             raise ReproError(f"workspace has no query named {name!r}") from None
 
     def stats(self) -> WorkspaceStats:
-        """Reuse counters: decided vs cache-served cells, pool forks, plus
+        """Reuse counters: decided vs store-served cells, pool forks, plus
         the hierarchical registry report (engine / sweep / parallel scopes
         and the ``worker.*`` deltas merged back from pool workers)."""
         return WorkspaceStats(
             queries=len(self._queries),
             views=len(self._views),
             decided_cells=self._decided_cells,
-            verdict_cache_hits=self._verdict_cache_hits,
             store_hits=self._store_hits,
             rewrite_cache_hits=self._rewrite_cache_hits,
             pool_forks=getattr(self._executor, "forks", 0) if self._executor else 0,
@@ -421,20 +412,20 @@ class Workspace:
         """The equivalence matrix of the current catalog.
 
         Returns ``{(name_a, name_b): result}`` for every unordered pair with
-        ``name_a < name_b`` — exactly what
-        :func:`repro.workloads.equivalence_matrix` returns for the same
-        catalog — but only the *delta* cells (pairs no earlier call settled)
-        are decided; everything else is served from the session.  Delta cells
-        go through the structural verdict cache first, then to
-        :func:`~repro.workloads.batch.decide_pairs` on the session executor.
+        ``name_a < name_b``.  Each cell is settled once per session, in one
+        of three ways, tried in order: an earlier call already settled it;
+        the attached store serves it (with its stored witness, re-checked on
+        the session's own queries); or
+        :func:`~repro.workloads.batch.decide_pairs` decides it on the session
+        executor.  A cell decided here equals the cell
+        :func:`repro.workloads.equivalence_matrix` reports for the same
+        catalog and ``seed``, witness included.
         """
         self._require_open()
         self._equivalence_calls += 1
         call = self._equivalence_calls
         pairs = list(itertools.combinations(sorted(self._queries), 2))
-        # The undecided cells, each with its ``(Query, Query)`` key, built
-        # once per cell and reused by the verdict cache and the store.
-        undecided: dict[tuple[str, str], tuple[Query, Query]] = {}
+        undecided: list[tuple[str, str]] = []
         store = self._store
         # Each query's canonical hash is resolved once per call, on its
         # first store-bound cell; a cell's store key is then one comparison
@@ -451,47 +442,28 @@ class Workspace:
         for pair in pairs:
             if pair in self._results:
                 continue
-            cache_key = (self._queries[pair[0]], self._queries[pair[1]])
-            cached = self._verdict_cache.get(cache_key)
-            if cached is not None:
-                # A structurally identical pair was already decided (under
-                # other names).  Verdict/method/details transfer verbatim;
-                # hand out a copy so per-cell consumers never alias.  The
-                # hit refreshes the entry's recency so hot pairs survive
-                # the LRU eviction of :meth:`_cache_verdict`.
-                self._verdict_cache.move_to_end(cache_key)
-                self._results[pair] = replace(cached)
-                self._verdict_cache_hits += 1
-                _OBS.inc("session.verdict_cache.hits")
-                self._provenance[pair] = {
-                    "path": "cache",
-                    "cache_served": True,
-                    "call": call,
-                }
-                continue
             served = (
-                store.serve(cache_key[0], cache_key[1], self._domain, hashes=hashes_of(pair))
+                store.serve(
+                    self._queries[pair[0]],
+                    self._queries[pair[1]],
+                    self._domain,
+                    hashes=hashes_of(pair),
+                )
                 if store is not None
                 else None
             )
-            if served is not None:
-                # Second tier: another workspace (tenant, or an earlier
-                # process when the store is disk-backed) settled a
-                # canonically identical pair — possibly under renamed
-                # variables or reordered literals.  NOT_EQUIVALENT verdicts
-                # arrive here only after their witness re-reproduced the
-                # disagreement (repro.store.witness).
-                self._results[pair] = served
-                self._cache_verdict(cache_key, served)
-                self._store_hits += 1
-                _OBS.inc("session.store.hits")
-                self._provenance[pair] = {
-                    "path": "store",
-                    "cache_served": True,
-                    "call": call,
-                }
-            else:
-                undecided[pair] = cache_key
+            if served is None:
+                undecided.append(pair)
+                continue
+            # Another workspace (tenant, or an earlier process when the
+            # store is disk-backed) settled a canonically identical pair,
+            # possibly under renamed variables or reordered literals.
+            # NOT_EQUIVALENT verdicts arrive here only after their witness
+            # re-reproduced the disagreement (repro.store.witness).
+            self._results[pair] = served
+            self._store_hits += 1
+            _OBS.inc("session.store.hits")
+            self._provenance[pair] = {"path": "store", "cache_served": True, "call": call}
         if undecided:
             from ..workloads.batch import decide_pairs
 
@@ -500,7 +472,7 @@ class Workspace:
             with _span("session.equivalences", cells=len(undecided), call=call):
                 decided = decide_pairs(
                     self._queries,
-                    list(undecided),
+                    undecided,
                     domain=self._domain,
                     counterexample_trials=self._counterexample_trials,
                     max_subsets=self._max_subsets,
@@ -511,9 +483,7 @@ class Workspace:
                     provenance=decision_paths,
                 )
             for pair, result in decided.items():
-                cache_key = undecided[pair]
                 self._results[pair] = result
-                self._cache_verdict(cache_key, result)
                 self._decided_cells += 1
                 self._provenance[pair] = {
                     "path": decision_paths.get(pair, "unknown"),
@@ -525,8 +495,8 @@ class Workspace:
                     # re-deriving an UNKNOWN is as expensive as any other
                     # verdict) becomes servable to other sessions.
                     store.record(
-                        cache_key[0],
-                        cache_key[1],
+                        self._queries[pair[0]],
+                        self._queries[pair[1]],
                         self._domain,
                         result,
                         hashes=hashes_of(pair),
@@ -541,7 +511,7 @@ class Workspace:
         :class:`~repro.obs.CellExplanation` combines the stored verdict
         (method string, dispatch class, normalization annotation, search
         counters, witness) with the session's provenance record for the cell
-        (sweep group vs pair task vs verdict cache, deciding call ordinal).
+        (sweep group vs pair task vs verdict store, settling call ordinal).
         Unsettled cells raise — explanations never trigger new decisions.
         Works on a closed workspace — explaining is pure introspection over
         already-settled state.
@@ -562,16 +532,6 @@ class Workspace:
         :func:`explain_cell` (one level deep: the per-cell records are
         copied too, since :meth:`equivalences` mutates them in place)."""
         return {pair: dict(record) for pair, record in self._provenance.items()}
-
-    def _cache_verdict(self, key: tuple[Query, Query], result: EquivalenceResult) -> None:
-        if key not in self._verdict_cache and len(self._verdict_cache) >= _VERDICT_CACHE_LIMIT:
-            # Evict the least-recently-*used* quarter: lookups refresh
-            # recency (move_to_end), so a pair that keeps getting served
-            # stays resident no matter how early it was inserted.
-            for _ in range(_VERDICT_CACHE_LIMIT // 4):
-                self._verdict_cache.popitem(last=False)
-        self._verdict_cache[key] = result
-        self._verdict_cache.move_to_end(key)
 
     # ------------------------------------------------------------------
     # Rewriting

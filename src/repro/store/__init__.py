@@ -17,8 +17,8 @@ query pair.  This package makes settled verdicts durable and shared:
   concrete witness are only served after the witness re-reproduces the
   disagreement on the caller's own queries.
 
-:class:`~repro.session.Workspace` consults the store as a second tier
-behind its structural verdict cache; the PR 9 service shares one
+:class:`~repro.session.Workspace` consults the store for every cell no
+earlier call settled, before deciding it; the service shares one
 process-wide store across all tenants (:func:`shared_store`).
 """
 

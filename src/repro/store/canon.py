@@ -1,11 +1,11 @@
 """Canonical, rename-insensitive pair keys for the verdict store.
 
-Equivalence verdicts are properties of the *semantics* of a query pair, but
-the session's structural verdict cache keys on the literal ASTs: the same
-pair with renamed variables, reordered literals, or reordered disjuncts —
-the most common duplicate in a machine-generated workload — misses.  This
-module maps each query to a canonical byte form by composing two
-equivalence-preserving steps:
+Equivalence verdicts are properties of the *semantics* of a query pair, so
+the store keys a pair by what its queries mean, not by their literal ASTs:
+the same pair with renamed variables, reordered literals, or reordered
+disjuncts — the most common duplicate in a machine-generated workload —
+must map to one key.  This module maps each query to a canonical byte form
+by composing two equivalence-preserving steps:
 
 * **reduction** (:func:`repro.core.reduction.reduction_for_keying`) — the
   Section 7 machinery substitutes entailed equalities away, so ``y = 1``

@@ -202,53 +202,38 @@ class TestDeltaDifferential:
             assert ws.stats().decided_cells == decided  # nothing re-decided
             assert again.keys() == first.keys()
 
-    def test_structural_verdict_cache_serves_renamed_duplicates(self):
-        with Workspace(seed=5) as ws:
-            ws.add("q(x, sum(y)) :- p(x, y)", name="a")
-            ws.add("q(x, sum(y)) :- p(x, y), not r(x)", name="b")
+    @pytest.mark.parametrize("seed", [None, 7, 11])
+    def test_grown_session_with_renamed_duplicates_is_the_one_shot_matrix(self, seed):
+        """Identical queries added under new names are decided like any
+        other cell: with an explicit seed each cell draws its own search
+        seed, so a grown session must not reuse the witness of an earlier,
+        structurally identical cell."""
+        texts = {
+            "a": "q(x, sum(y)) :- p(x, y), y > 0",
+            "b": "q(x, max(y)) :- p(x, y), y > 0",
+        }
+        with Workspace(workers=1, store=False, seed=seed) as ws:
+            for name, text in texts.items():
+                ws.add(text, name=name)
             ws.equivalences()
-            # The same ASTs under fresh names: the (a2, b2) cell is the
-            # structurally identical pair, served from the verdict cache.
-            ws.add("q(x, sum(y)) :- p(x, y)", name="a2")
-            ws.add("q(x, sum(y)) :- p(x, y), not r(x)", name="b2")
-            results = ws.equivalences()
-            assert ws.stats().verdict_cache_hits >= 1
-            assert results[("a2", "b2")].verdict is results[("a", "b")].verdict
-            assert results[("a2", "b2")].method == results[("a", "b")].method
-
-    def test_verdict_cache_eviction_is_lru_not_insertion_order(self, monkeypatch):
-        """Overflow must evict the least-recently-*used* entries: a pair the
-        session keeps serving survives eviction no matter how early it was
-        inserted (before the fix, the oldest-*inserted* quarter was dropped,
-        so the hottest entries were exactly the ones lost)."""
-        from repro.core.equivalence import EquivalenceResult
-        from repro.domains import Domain
-        from repro.session import workspace as workspace_module
-
-        monkeypatch.setattr(workspace_module, "_VERDICT_CACHE_LIMIT", 4)
-        with Workspace(workers=1, store=False) as ws:
-            for index in range(5):
-                ws.add(f"q(x) :- r{index}(x)", name=f"q{index}")
-            fabricated = EquivalenceResult(Verdict.UNKNOWN, "fabricated", Domain.RATIONALS)
-            filled = [("q0", "q1"), ("q0", "q2"), ("q0", "q3"), ("q1", "q2")]
-            for name_a, name_b in filled:
-                ws._cache_verdict((ws[name_a], ws[name_b]), fabricated)
-            # Settle every cell except (q0, q1), then ask for the matrix:
-            # the one remaining cell is served from the structural cache —
-            # a *hit*, which must refresh the entry's recency.
-            names = sorted(ws.queries)
-            for position, name_a in enumerate(names):
-                for name_b in names[position + 1 :]:
-                    if (name_a, name_b) != ("q0", "q1"):
-                        ws._results[(name_a, name_b)] = fabricated
-            ws.equivalences()
-            assert ws.stats().verdict_cache_hits == 1
-            # The next insertion overflows the (limit 4) cache.  LRU order
-            # after the hit is (q0,q2), (q0,q3), (q1,q2), (q0,q1): the
-            # refreshed oldest-inserted entry survives and (q0, q2) goes.
-            ws._cache_verdict((ws["q1"], ws["q3"]), fabricated)
-            assert (ws["q0"], ws["q1"]) in ws._verdict_cache
-            assert (ws["q0"], ws["q2"]) not in ws._verdict_cache
+            for name, text in texts.items():
+                ws.add(text, name=f"{name}2")
+            grown = ws.equivalences()
+            catalog = ws.queries
+        scratch = equivalence_matrix(catalog, workers=1, seed=seed)
+        assert grown.keys() == scratch.keys()
+        for pair, cell in grown.items():
+            expected = scratch[pair]
+            assert cell.verdict is expected.verdict, pair
+            assert cell.method == expected.method, pair
+            assert cell.details == expected.details, pair
+            assert (cell.counterexample is None) == (expected.counterexample is None), pair
+            if cell.counterexample is None:
+                continue
+            assert cell.counterexample.database == expected.counterexample.database, pair
+            assert cell.counterexample.left_result == expected.counterexample.left_result, pair
+            assert cell.counterexample.right_result == expected.counterexample.right_result, pair
+        assert grown[("a2", "b2")].verdict is Verdict.NOT_EQUIVALENT
 
 
 class TestSessionRewriting:

@@ -437,6 +437,37 @@ class TestPersistedHashes:
             assert result.verdict == original[pair].verdict, pair
             assert result.method == original[pair].method, pair
 
+    def test_restart_hashes_no_query_structure_per_cell(self, tmp_path):
+        """A store-served restart keys each cell by two persisted digests
+        looked up by catalog name, so the queries themselves are hashed at
+        most once each, not once or more per cell."""
+        from repro.service import clear_service_caches
+
+        path = str(tmp_path / "verdicts.sqlite3")
+        catalog = audit_catalog(quick=False)
+        restart_session(path, catalog)
+        clear_service_caches()
+        calls = 0
+        query_hash = Query.__hash__
+
+        def counting_hash(query):
+            nonlocal calls
+            calls += 1
+            return query_hash(query)
+
+        with Workspace(workers=1, store=VerdictStore(path)) as session:
+            for name, query in catalog.items():
+                session.add(query, name=name)
+            Query.__hash__ = counting_hash
+            try:
+                matrix = session.equivalences()
+            finally:
+                Query.__hash__ = query_hash
+            stats = session.stats()
+        assert stats.decided_cells == 0 and stats.store_hits == len(matrix)
+        assert len(matrix) == len(catalog) * (len(catalog) - 1) // 2
+        assert calls <= len(catalog)
+
     def test_file_without_hash_table_serves_a_restart(self, tmp_path):
         import sqlite3
 
@@ -684,6 +715,7 @@ class TestWorkspaceIntegration:
             explanation = second_session.explain("ra", "rb")
         assert explanation.decision_path == "store"
         assert explanation.cache_served is True
+        assert "origin=store" in explanation.summary()
 
     def test_restart_round_trip_on_disk(self, tmp_path):
         path = str(tmp_path / "verdicts.sqlite3")
