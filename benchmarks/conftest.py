@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Each ``bench_*.py`` file regenerates one artifact of the paper (Table 1,
-Table 2, or a complexity claim) or measures one subsystem against its
-floor; the module docstring of each file names what it measures.
+Each ``bench_*.py`` file measures one subsystem against its floor; the
+module docstring of each file names what it measures.  Tables 1 and 2 of
+the paper are regenerated by ``examples/decision_procedures_tour.py``.
 
 Besides the timing numbers collected by pytest-benchmark, every benchmark
 appends one or more human-readable result rows to a session-wide report; the

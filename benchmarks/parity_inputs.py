@@ -22,7 +22,8 @@ from repro.workloads import QueryGenerator, QueryProfile
 from repro.workloads.generators import renamed_copy
 
 #: ``(first, second, bound, semantics)``; ``None`` semantics is the
-#: aggregate default.
+#: aggregate default.  A ``"set"`` row is decided on the queries themselves,
+#: a ``"bag-set"`` row on their count-queries (``as_count_query``, Section 8).
 DIFFERENTIAL_PAIRS = [
     ("q(count()) :- p(y), not r(y)", "q(count()) :- p(y)", 2, None),
     ("q(max(y)) :- p(y)", "q(max(y)) :- p(y) ; p(y)", 2, None),

@@ -11,7 +11,7 @@ whose verdict, method, details, witness database or witness results (the
   cells decided alone by ``are_equivalent``;
 * ``bounded_equivalence`` on the ``DIFFERENTIAL_PAIRS`` of
   ``parity_inputs.py`` (which ``tests/test_parallel.py`` decides) at seeds
-  0 and 5;
+  0 and 5, a bag-set row on its count-queries;
 * ``parity_inputs.generated_catalog`` (the catalogs of the fuzz oracle
   ``tests/fuzz/test_sweep_oracle.py``) for every profile at the oracle's
   seeds 0, 1, 3 and 4, through
@@ -69,6 +69,7 @@ def _dump() -> dict[str, list]:
     from parity_inputs import DIFFERENTIAL_PAIRS, MAX_SUBSETS, PROFILES, TRIALS, generated_catalog
 
     from repro import Workspace, are_equivalent, parse_query
+    from repro.core.bagset import as_count_query
     from repro.core.bounded import bounded_equivalence
     from repro.engine import clear_evaluation_caches, clear_symbolic_caches
     from repro.errors import SearchSpaceBudgetError
@@ -101,10 +102,10 @@ def _dump() -> dict[str, list]:
     for seed in (0, 5):
         for index, (first, second, bound, semantics) in enumerate(DIFFERENTIAL_PAIRS):
             cold()
-            report = bounded_equivalence(
-                parse_query(first), parse_query(second), bound,
-                semantics=semantics or "set", workers=1, seed=seed,
-            )
+            first, second = parse_query(first), parse_query(second)
+            if semantics == "bag-set":
+                first, second = as_count_query(first), as_count_query(second)
+            report = bounded_equivalence(first, second, bound, workers=1, seed=seed)
             cells[f"bounded/{seed}/{index}"] = [report.equivalent, _witness(report.counterexample)]
     for profile in sorted(PROFILES):
         for seed in (0, 1, 3, 4):

@@ -441,7 +441,7 @@ class PropertyRow:
         )
 
 
-#: The paper's Table 1, transcribed for comparison in tests and benchmarks.
+#: The paper's Table 1, transcribed for comparison by :func:`table1_matches_paper`.
 PAPER_TABLE1: dict[str, tuple[bool, bool, str, bool]] = {
     "count": (True, True, "yes", True),
     "max": (True, True, "yes", True),

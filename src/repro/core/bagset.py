@@ -5,7 +5,8 @@ Two non-aggregate queries are equivalent under *bag-set semantics* iff the
 are equivalent.  Since ``count`` is a group aggregation function, equivalence
 of ``count``-queries reduces to local equivalence (Theorem 6.5), so bag-set
 equivalence of non-aggregate disjunctive queries with negation is decidable —
-one of the corollaries the paper highlights.
+one of the corollaries the paper highlights.  That reduction is the only
+bag-set route: the symbolic search itself always compares answer sets.
 
 For *set* semantics the reduction to small databases follows the Levy–Sagiv
 argument recalled at the start of Section 5: an answer of a non-aggregate
@@ -18,12 +19,7 @@ from __future__ import annotations
 from ..datalog.queries import AggregateTerm, Query
 from ..domains import Domain
 from ..errors import MalformedQueryError
-from .bounded import (
-    BAG_SET_SEMANTICS,
-    SET_SEMANTICS,
-    EquivalenceReport,
-    local_equivalence,
-)
+from .bounded import EquivalenceReport, local_equivalence
 
 
 def as_count_query(query: Query, name_suffix: str = "_count") -> Query:
@@ -42,22 +38,17 @@ def bag_set_equivalent(
     first: Query,
     second: Query,
     domain: Domain = Domain.RATIONALS,
-    via_count_queries: bool = True,
     **kwargs,
 ) -> EquivalenceReport:
-    """Decide equivalence of two non-aggregate queries under bag-set semantics.
-
-    By default the decision goes through the ``count``-query reduction; setting
-    ``via_count_queries=False`` compares answer multiplicities directly in the
-    symbolic procedure (both routes must agree — the tests check this).
-    """
+    """Decide equivalence of two non-aggregate queries under bag-set semantics:
+    local equivalence of their ``count``-queries (Section 8).  A
+    NOT_EQUIVALENT report's witness database gives the two original queries
+    different answer multiplicities."""
     if first.is_aggregate or second.is_aggregate:
         raise MalformedQueryError("bag-set equivalence is defined for non-aggregate queries")
-    if via_count_queries:
-        return local_equivalence(
-            as_count_query(first), as_count_query(second), domain=domain, **kwargs
-        )
-    return local_equivalence(first, second, domain=domain, semantics=BAG_SET_SEMANTICS, **kwargs)
+    return local_equivalence(
+        as_count_query(first), as_count_query(second), domain=domain, **kwargs
+    )
 
 
 def set_equivalent(
@@ -70,4 +61,4 @@ def set_equivalent(
     checking agreement over all databases with at most τ(q, q') constants."""
     if first.is_aggregate or second.is_aggregate:
         raise MalformedQueryError("set_equivalent is defined for non-aggregate queries")
-    return local_equivalence(first, second, domain=domain, semantics=SET_SEMANTICS, **kwargs)
+    return local_equivalence(first, second, domain=domain, **kwargs)

@@ -14,12 +14,13 @@ decidable exactly when α is order-decidable, and its proof is a procedure:
    ``L`` iff they produce the same group keys and, for every group, the
    ordered identity ``L → α(B) = α(B')`` is valid.
 
-This module implements that procedure, plus the bounded-equivalence variants
-for non-aggregate queries under set and bag-set semantics that the other
-decision procedures build on.  There is one search loop: the catalog sweep
-(:func:`sweep_equivalence`) decides every assigned pair of a sub-catalog in a
-single enumeration, and :func:`bounded_equivalence` is its one-pair case —
-for two queries the catalog BASE is the pair BASE.
+This module implements that procedure, plus its non-aggregate case, which
+compares answer sets and which the other decision procedures build on
+(bag-set semantics is not a mode of the search: it reduces to the
+``count``-queries, :mod:`repro.core.bagset`).  There is one search loop:
+the catalog sweep (:func:`sweep_equivalence`) decides every assigned pair of
+a sub-catalog in a single enumeration, and :func:`bounded_equivalence` is
+its one-pair case — for two queries the catalog BASE is the pair BASE.
 
 The sweep works per *isomorphism class*, not per query.  Queries with equal
 :attr:`~repro.datalog.queries.Query.evaluation_key` differ only in variable
@@ -73,7 +74,7 @@ from ..datalog.queries import (
 )
 from ..datalog.terms import Constant, Term, Variable
 from ..domains import Domain
-from ..engine.evaluator import evaluate_aggregate, evaluate_bag_set, evaluate_set
+from ..engine.evaluator import evaluate_aggregate, evaluate_set
 from ..engine.symbolic import SymbolicDatabase, symbolic_group_index
 from ..errors import ReproError, SearchSpaceBudgetError, UnsupportedAggregateError
 from ..obs import REGISTRY as _OBS
@@ -82,10 +83,6 @@ from ..orderings.complete_orderings import CompleteOrdering, enumerate_complete_
 
 if TYPE_CHECKING:
     from ..parallel.executor import Executor
-
-#: Semantics under which non-aggregate queries are compared.
-SET_SEMANTICS = "set"
-BAG_SET_SEMANTICS = "bag-set"
 
 #: The default budget of a search: at most this many subsets of BASE, the
 #: ``2 ** base_size(...)`` every search space is checked against.
@@ -372,12 +369,11 @@ DEFAULT_SWEEP_WARM_PREFIX = 64
 @dataclass
 class SweepRunSetup:
     """Everything a sweep-level (subset, ordering) check needs, derivable
-    deterministically from (queries, bound, domain, semantics) — workers
-    rebuild it locally instead of shipping it through pickles."""
+    deterministically from (queries, bound, domain) — workers rebuild it
+    locally instead of shipping it through pickles."""
 
     queries: dict[str, Query]
     function: Optional[AggregationFunction]
-    semantics: str
     terms: list[Term]
     base: list[RelationalAtom]  # canonical (str-sorted) order
     fresh: list[Variable]
@@ -395,7 +391,6 @@ def prepare_sweep_run(
     queries: "dict[str, Query] | Sequence[tuple[str, Query]]",
     bound: int,
     domain: Domain,
-    semantics: str,
 ) -> SweepRunSetup:
     """Validate the catalog and build the shared run state (terms, BASE in
     canonical order, satisfiable orderings grouped into classes) for a
@@ -412,7 +407,6 @@ def prepare_sweep_run(
     return SweepRunSetup(
         queries=catalog,
         function=function,
-        semantics=semantics,
         terms=terms,
         base=canonical_base_order(base),
         fresh=fresh,
@@ -448,8 +442,8 @@ def check_subset_sweep(
     named by their representatives, since isomorphic queries have the same
     index over every S_L.  Aggregate and non-aggregate pairs share the form:
     a non-aggregate index maps each answer to ``Counter({(): multiplicity})``,
-    so set semantics compares the keys and bag-set semantics the whole
-    index.  Returns ``(pair, ordering_position, identity_failed)`` for the
+    and a non-aggregate pair compares only the keys (its answer sets).
+    Returns ``(pair, ordering_position, identity_failed)`` for the
     pairs that fail on this subset; pairs absent from the result remain
     open.  No witness is built here: the caller realizes one per failing
     pair once the search is over.
@@ -459,7 +453,7 @@ def check_subset_sweep(
     check per pair), so sweep reports are not comparable count-for-count
     with per-pair reports.
     """
-    function, semantics = setup.function, setup.semantics
+    function = setup.function
     settled: list[tuple[tuple[str, str], int, bool]] = []
     open_pairs = list(pairs)
     for representative, members in setup.ordering_classes:
@@ -478,7 +472,7 @@ def check_subset_sweep(
         still_open: list[tuple[str, str]] = []
         for pair in open_pairs:
             failure = _first_failure(
-                indexes[pair[0]], indexes[pair[1]], members, function, semantics, stats
+                indexes[pair[0]], indexes[pair[1]], members, function, stats
             )
             if failure is None:
                 still_open.append(pair)
@@ -493,24 +487,22 @@ def _first_failure(
     right_index: dict,
     members: tuple[tuple[int, CompleteOrdering], ...],
     function: Optional[AggregationFunction],
-    semantics: str,
     stats,
 ) -> Optional[tuple[int, bool]]:
     """The first ordering of an ordering class on which two group indexes
     give different results: ``None`` when they agree on every member,
     ``(position, False)`` when they differ before any ordered identity is
     read (different answers, or different group keys), and
-    ``(position, True)`` for the first ordering whose identity fails."""
+    ``(position, True)`` for the first ordering whose identity fails.  A
+    ``None`` function (non-aggregate queries) compares the keys alone."""
     if left_index is right_index or left_index == right_index:
         # Identical bags in every group: α(B) = α(B) holds under any
         # ordering of the class, no identity checks needed.
         return None
-    if function is None:
-        if semantics == SET_SEMANTICS and left_index.keys() == right_index.keys():
-            return None
-        return members[0][0], False
     if left_index.keys() != right_index.keys():
         return members[0][0], False
+    if function is None:
+        return None
     residual = [
         (list(left_index[group_key].elements()), list(right_index[group_key].elements()))
         for group_key in left_index
@@ -529,7 +521,6 @@ def sweep_equivalence(
     pairs: Sequence[tuple[str, str]],
     bound: int,
     domain: Domain = Domain.RATIONALS,
-    semantics: str = SET_SEMANTICS,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     workers: Optional[int] = None,
@@ -586,7 +577,7 @@ def sweep_equivalence(
         if name_a not in catalog or name_b not in catalog:
             raise ReproError(f"sweep pair ({name_a!r}, {name_b!r}) names an unknown query")
     _check_searchable(
-        list(catalog.values()), bound, domain, semantics, max_subsets,
+        list(catalog.values()), bound, domain, max_subsets,
         space="catalog-sweep",
         advice="reduce the bound, shrink the sweep group, or raise max_subsets",
     )
@@ -609,7 +600,7 @@ def sweep_equivalence(
     reports: dict[tuple[str, str], EquivalenceReport] = {}
     if searched:
         with resolve_executor(workers, executor) as pool:
-            reports = _sweep(catalog, searched, bound, domain, semantics, executor=pool)
+            reports = _sweep(catalog, searched, bound, domain, executor=pool)
     if isomorphic:
         _OBS.inc("sweep.pairs.isomorphic", len(isomorphic))
     for pair in isomorphic:
@@ -627,19 +618,16 @@ def _check_searchable(
     queries: Sequence[Query],
     bound: int,
     domain: Domain,
-    semantics: str,
     max_subsets: int,
     *,
     space: str,
     advice: str,
 ) -> None:
-    """Reject a search that cannot run — an unknown semantics, incomparable
-    queries, or a subset space beyond ``max_subsets`` — before anything is
-    enumerated.  The budget is checked arithmetically, BEFORE enumerating
-    orderings: Fubini(|T|) ordering enumeration on an over-budget instance
-    would burn minutes just to reach the guard."""
-    if semantics not in (SET_SEMANTICS, BAG_SET_SEMANTICS):
-        raise ReproError(f"unknown semantics {semantics!r}")
+    """Reject a search that cannot run — incomparable queries, or a subset
+    space beyond ``max_subsets`` — before anything is enumerated.  The
+    budget is checked arithmetically, BEFORE enumerating orderings:
+    Fubini(|T|) ordering enumeration on an over-budget instance would burn
+    minutes just to reach the guard."""
     _resolve_catalog_function(queries, domain)
     constants: set[Constant] = set()
     for query in queries:
@@ -658,7 +646,6 @@ def _sweep(
     pair_seeds: dict[tuple[str, str], int],
     bound: int,
     domain: Domain,
-    semantics: str,
     *,
     executor: Optional[Executor],
 ) -> dict[tuple[str, str], EquivalenceReport]:
@@ -673,7 +660,7 @@ def _sweep(
     failed else None)`` — the seed only drives the random realizations
     that follow δ(S) — counted under ``sweep.witnesses.realized``, and each
     member pair's report receives its own copy."""
-    setup = prepare_sweep_run(catalog, bound, domain, semantics)
+    setup = prepare_sweep_run(catalog, bound, domain)
     reports = {
         pair: EquivalenceReport(equivalent=True, bound=bound, domain=domain)
         for pair in pair_seeds
@@ -698,7 +685,7 @@ def _sweep(
             if key not in realized:
                 _OBS.inc("sweep.witnesses.realized")
                 realized[key] = _witness(
-                    catalog[key[0]], catalog[key[1]], empty, setup.function, semantics
+                    catalog[key[0]], catalog[key[1]], empty, setup.function
                 )
             _settle(reports[pair], realized[key])
         return reports
@@ -758,7 +745,6 @@ def _sweep(
                     pairs=open_pairs,
                     bound=bound,
                     domain=domain,
-                    semantics=semantics,
                     start=stats.subsets_examined,
                     count=tail,
                     stats=stats,
@@ -805,7 +791,7 @@ def _sweep(
             representative_a, representative_b = class_pair[pair]
             realized[key] = _witness(
                 catalog[representative_a], catalog[representative_b], delta,
-                setup.function, semantics, database,
+                setup.function, database,
                 attempts=_WITNESS_ATTEMPTS if failure.identity_failed else 0,
                 seed=seed,
             )
@@ -835,7 +821,6 @@ def bounded_equivalence(
     second: Query,
     bound: int,
     domain: Domain = Domain.RATIONALS,
-    semantics: str = SET_SEMANTICS,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     workers: Optional[int] = None,
@@ -845,8 +830,9 @@ def bounded_equivalence(
     """Decide whether ``first ≡_N second`` for ``N = bound`` (Theorem 4.8).
 
     For aggregate queries both must carry the same aggregation function, which
-    must be order-decidable over the domain.  For non-aggregate queries the
-    ``semantics`` parameter selects set or bag-set semantics.
+    must be order-decidable over the domain.  Non-aggregate queries are
+    compared by their answer sets; their bag-set equivalence is the
+    ``count``-query reduction of :func:`repro.core.bagset.bag_set_equivalent`.
 
     The check is the one-pair case of :func:`sweep_equivalence` — for two
     queries the catalog BASE is the pair BASE — over the orbit-canonical
@@ -858,7 +844,7 @@ def bounded_equivalence(
     """
     pair = ("first", "second")
     _check_searchable(
-        (first, second), bound, domain, semantics, max_subsets,
+        (first, second), bound, domain, max_subsets,
         space="bounded-equivalence",
         advice="reduce the bound or raise max_subsets explicitly",
     )
@@ -866,7 +852,7 @@ def bounded_equivalence(
 
     with resolve_executor(workers, executor) as pool:
         reports = _sweep(
-            {"first": first, "second": second}, {pair: seed}, bound, domain, semantics,
+            {"first": first, "second": second}, {pair: seed}, bound, domain,
             executor=pool,
         )
     return reports[pair]
@@ -876,7 +862,6 @@ def local_equivalence(
     first: Query,
     second: Query,
     domain: Domain = Domain.RATIONALS,
-    semantics: str = SET_SEMANTICS,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     *,
     workers: Optional[int] = None,
@@ -895,7 +880,6 @@ def local_equivalence(
         second,
         term_size_of_pair(first, second),
         domain=domain,
-        semantics=semantics,
         max_subsets=max_subsets,
         workers=workers,
         executor=executor,
@@ -952,15 +936,14 @@ def _witness(
     second: Query,
     delta: Database,
     function: Optional[AggregationFunction],
-    semantics: str,
     context: Optional[SymbolicDatabase] = None,
     *,
     attempts: int = 0,
     seed: int = 0,
 ) -> Optional[Counterexample]:
     """The witness of a pair: the first concrete database on which the two
-    queries' results — aggregate results, or answers under ``semantics`` —
-    differ, recording the symbolic ``context`` it instantiates.
+    queries' results — aggregate results, or answer sets — differ,
+    recording the symbolic ``context`` it instantiates.
 
     ``delta`` is tried first; in the search it is δ(S) of ``context``:
     distinct blocks get distinct values under δ, so when the answers or
@@ -985,8 +968,8 @@ def _witness(
             left_result = evaluate_aggregate(first, database, function)
             right_result = evaluate_aggregate(second, database, function)
         else:
-            evaluate = evaluate_bag_set if semantics == BAG_SET_SEMANTICS else evaluate_set
-            left_result, right_result = evaluate(first, database), evaluate(second, database)
+            left_result = evaluate_set(first, database)
+            right_result = evaluate_set(second, database)
         if left_result != right_result:
             break
     else:

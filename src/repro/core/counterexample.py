@@ -25,7 +25,11 @@ from ..datalog.queries import Query, combined_predicate_arities
 from ..domains import Domain, NumericValue
 from ..engine.evaluator import evaluate, evaluate_bag_set
 from ..errors import UnsupportedAggregateError
-from .bounded import BAG_SET_SEMANTICS, SET_SEMANTICS
+
+#: Semantics under which the brute-force search compares non-aggregate
+#: queries: answer sets, or answers with their multiplicities.
+SET_SEMANTICS = "set"
+BAG_SET_SEMANTICS = "bag-set"
 
 
 def value_pool(

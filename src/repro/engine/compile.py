@@ -75,7 +75,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..caches import put_bounded, register_cache
 from ..datalog.atoms import ComparisonOp
@@ -452,14 +452,12 @@ def compiled_evaluate_aggregate(query: Query, database, function):  # noqa: ANN0
     }
 
 
-def compiled_satisfying_assignments(query: Query, database) -> list:  # noqa: ANN001
-    """Γ(q, D) through the compiled kernels: full labeled assignments, for
-    callers (grouping, witness inspection) that need every variable."""
-    from .evaluator import LabeledAssignment
-
+def _decoded_assignments(query: Query, database, assignment) -> Iterator:  # noqa: ANN001
+    """Γ(q, D) through the compiled kernels, one ``assignment(mapping,
+    disjunct index)`` per satisfying assignment: each disjunct's variables,
+    sorted by name, paired with their decoded values."""
     store = store_for(database)
     decode = store.decode_values
-    results: list = []
     for index, disjunct in enumerate(query.disjuncts):
         variables = tuple(sorted(disjunct.variables(), key=lambda v: v.name))
         for row in condition_rows(disjunct, store, variables):
@@ -467,8 +465,15 @@ def compiled_satisfying_assignments(query: Query, database) -> list:  # noqa: AN
                 (variable, decode[identifier])
                 for variable, identifier in zip(variables, row)
             )
-            results.append(LabeledAssignment(mapping, index))
-    return results
+            yield assignment(mapping, index)
+
+
+def compiled_satisfying_assignments(query: Query, database) -> list:  # noqa: ANN001
+    """Γ(q, D) through the compiled kernels: full labeled assignments, for
+    callers (grouping, witness inspection) that need every variable."""
+    from .evaluator import LabeledAssignment
+
+    return list(_decoded_assignments(query, database, LabeledAssignment))
 
 
 # ----------------------------------------------------------------------
@@ -479,18 +484,7 @@ def compiled_symbolic_assignments(query: Query, database) -> tuple:  # noqa: ANN
     representatives instead of numeric values."""
     from .symbolic import SymbolicAssignment
 
-    store = store_for(database)
-    decode = store.decode_values
-    results: list = []
-    for index, disjunct in enumerate(query.disjuncts):
-        variables = tuple(sorted(disjunct.variables(), key=lambda v: v.name))
-        for row in condition_rows(disjunct, store, variables):
-            mapping = tuple(
-                (variable, decode[identifier])
-                for variable, identifier in zip(variables, row)
-            )
-            results.append(SymbolicAssignment(mapping, index))
-    return tuple(results)
+    return tuple(_decoded_assignments(query, database, SymbolicAssignment))
 
 
 def compiled_symbolic_group_index(query: Query, database) -> dict:  # noqa: ANN001

@@ -273,7 +273,8 @@ def symbolic_answer_multiset(
     query: Query, database: SymbolicDatabase
 ) -> dict[tuple[Term, ...], int]:
     """For non-aggregate queries: the answer tuples with multiplicities
-    (bag-set semantics, used by the bag-set equivalence reduction)."""
+    (bag-set semantics over S_L; the decision procedures compare bag-set
+    answers through the ``count``-queries instead)."""
     return {
         answer: sum(bag.values())
         for answer, bag in _compile.compiled_symbolic_group_index(query, database).items()

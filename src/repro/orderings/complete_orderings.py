@@ -423,7 +423,7 @@ def _insert_variables(
 
 def count_complete_orderings(term_count: int) -> int:
     """The number of ordered set partitions (Fubini number) of ``term_count``
-    distinct variables — a rough size indicator used by benchmarks."""
+    distinct variables: how many complete orderings of them exist."""
     fubini = [1]
     for n in range(1, term_count + 1):
         total = 0

@@ -136,16 +136,10 @@ class SweepRangeCheckTask:
     pairs: tuple[tuple[str, str], ...]
     bound: int
     domain: Domain
-    semantics: str
     ranges: tuple[tuple[int, int], ...]
 
     def _setup_key(self) -> tuple:
-        return (
-            self.queries,
-            self.bound,
-            self.domain,
-            self.semantics,
-        )
+        return (self.queries, self.bound, self.domain)
 
 
 @dataclass
@@ -177,9 +171,7 @@ def _memoized_setup(key: tuple, build):
 def _sweep_setup_for(task: SweepRangeCheckTask) -> SweepRunSetup:
     return _memoized_setup(
         task._setup_key(),
-        lambda: prepare_sweep_run(
-            dict(task.queries), task.bound, task.domain, task.semantics
-        ),
+        lambda: prepare_sweep_run(dict(task.queries), task.bound, task.domain),
     )
 
 
@@ -269,7 +261,6 @@ def sweep_range_tasks(
     pairs: Sequence[tuple[str, str]],
     bound: int,
     domain: Domain,
-    semantics: str,
     start: int,
     count: int,
     shards: int,
@@ -282,7 +273,6 @@ def sweep_range_tasks(
             pairs=tuple(pairs),
             bound=bound,
             domain=domain,
-            semantics=semantics,
             ranges=ranges,
         )
         for index, ranges in enumerate(block_cyclic_ranges(start, count, shards))
@@ -295,7 +285,6 @@ def parallel_sweep_search(
     pairs: Sequence[tuple[str, str]],
     bound: int,
     domain: Domain,
-    semantics: str,
     start: int,
     count: int,
     stats: CheckStats,
@@ -327,7 +316,7 @@ def parallel_sweep_search(
     failure, so pairs left standing really survived the whole enumeration.
     """
     tasks = sweep_range_tasks(
-        tuple(setup.queries.items()), pairs, bound, domain, semantics,
+        tuple(setup.queries.items()), pairs, bound, domain,
         start, count, executor.workers,
     )
     if tasks:

@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from ..core.bounded import DEFAULT_MAX_SUBSETS, SET_SEMANTICS, sweep_equivalence
+from ..core.bounded import DEFAULT_MAX_SUBSETS, sweep_equivalence
 from ..core.counterexample import DEFAULT_COUNTEREXAMPLE_TRIALS
 from ..core.equivalence import (
     DIFFERENT_FUNCTIONS,
@@ -255,7 +255,6 @@ def decide_pairs(
                     group.pairs,
                     group.bound,
                     domain=domain,
-                    semantics=SET_SEMANTICS,
                     max_subsets=max_subsets,
                     # Already resolved: ``pool=None`` means serial.
                     workers=1,

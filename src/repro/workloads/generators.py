@@ -194,9 +194,9 @@ def linear_chain_query(
     """A linear query joining a chain of ``length`` distinct binary predicates:
     ``q(x0, α(y)) ← e0(x0, x1), e1(x1, x2), …, e_{n-1}(x_{n-1}, y)``.
 
-    Used by the quasilinear scaling benchmark (Corollary 7.5): the query is
-    linear, so equivalence with a renamed copy must be decided in polynomial
-    time however large ``length`` grows.
+    Used by the quasilinear tests (Corollary 7.5): the query is linear, so
+    equivalence with a renamed copy must be decided in polynomial time
+    however large ``length`` grows.
     """
     if length < 1:
         raise ValueError("length must be at least 1")

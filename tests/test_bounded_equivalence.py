@@ -6,8 +6,7 @@ import pytest
 
 from repro import Domain, parse_query
 from repro.core import (
-    BAG_SET_SEMANTICS,
-    SET_SEMANTICS,
+    as_count_query,
     bounded_equivalence,
     build_base,
     local_equivalence,
@@ -22,7 +21,7 @@ def _full_enumeration(first, second, bound):
     """Reference search without symmetry reduction: every subset of BASE, in
     (size, lexicographic) order, through the sweep's per-subset check.
     Returns ``(equivalent, subsets_examined)``."""
-    setup = prepare_sweep_run({"a": first, "b": second}, bound, Domain.RATIONALS, SET_SEMANTICS)
+    setup = prepare_sweep_run({"a": first, "b": second}, bound, Domain.RATIONALS)
     stats = CheckStats()
     for size in range(len(setup.base) + 1):
         for combination in itertools.combinations(setup.base, size):
@@ -96,6 +95,14 @@ class TestAggregateBoundedEquivalence:
         second = parse_query("q(count()) :- p(y), y = 1")
         assert bounded_equivalence(first, second, 1, domain=Domain.INTEGERS).equivalent
         assert not bounded_equivalence(first, second, 1, domain=Domain.RATIONALS).equivalent
+
+    def test_negation_needs_one_fresh_term(self):
+        # With no constants, N = 0 leaves only the empty database.
+        first = parse_query("q(count()) :- p(y), not r(y)")
+        second = parse_query("q(count()) :- p(y)")
+        assert bounded_equivalence(first, second, 0).equivalent
+        for bound in (1, 2):
+            assert not bounded_equivalence(first, second, bound).equivalent
 
     def test_zero_bound_compares_constant_only_databases(self):
         first = parse_query("q(count()) :- p(1)")
@@ -199,16 +206,12 @@ class TestNonAggregateSemantics:
             assert bounded_equivalence(first, second, 2).equivalent, (first, second)
 
     def test_bag_set_semantics_distinguishes_projection(self):
+        # Bag-set semantics is compared on the count-queries (Section 8).
         for first, second in PROJECTION_PAIRS:
             first, second = parse_query(first), parse_query(second)
-            report = bounded_equivalence(first, second, 2, semantics=BAG_SET_SEMANTICS)
+            report = bounded_equivalence(as_count_query(first), as_count_query(second), 2)
             assert not report.equivalent, (first, second)
             witness = report.counterexample.database
             assert naive_evaluate(first, witness, bag=True) != naive_evaluate(
                 second, witness, bag=True
             )
-
-    def test_unknown_semantics_rejected(self):
-        first = parse_query("q(x) :- p(x)")
-        with pytest.raises(ReproError):
-            bounded_equivalence(first, first, 1, semantics="three-valued")

@@ -157,6 +157,8 @@ class TestEnumeration:
         assert count_complete_orderings(2) == 3
         assert count_complete_orderings(3) == 13
         assert count_complete_orderings(4) == 75
+        terms = [Variable(f"u{i}") for i in range(4)]
+        assert sum(1 for _ in enumerate_complete_orderings(terms, Domain.RATIONALS)) == 75
 
     def test_constants_stay_ordered(self):
         orderings = list(

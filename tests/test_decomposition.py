@@ -176,3 +176,46 @@ class TestLocalToGlobalTransfer:
         for _ in range(25):
             database = generator.database(max_facts=14)
             assert evaluate_aggregate(first, database) == evaluate_aggregate(second, database)
+
+
+def _growing_database(size: int) -> Database:
+    """``size`` p-facts spread over three groups, and an r-fact blocking
+    roughly every fourth aggregation value."""
+    import random
+
+    rng = random.Random(size)
+    facts = []
+    for index in range(size):
+        value = rng.randint(-4, 8)
+        facts.append(("p", (index % 3 + 1, value)))
+        if index % 4 == 0:
+            facts.append(("r", (value,)))
+    return Database(facts)
+
+
+class TestRecombinationOnGrowingDatabases:
+    """Propositions 5.1/5.2 on every group of databases of growing size."""
+
+    @pytest.mark.parametrize("size", [6, 12, 20])
+    def test_sum_decomposes_and_recombines(self, queries, size):
+        first, second = queries
+        database = _growing_database(size)
+        function = get_function("sum")
+        for group in group_assignments(first, database):
+            parts = decomposition(first, second, database, group)
+            assert verify_decomposition(first, second, database, group, parts).is_decomposition
+            assert direct_aggregate(function, first, database, group) == recombine_group(
+                function, first, parts, group
+            )
+
+    @pytest.mark.parametrize("size", [6, 12, 20])
+    def test_max_recombines_idempotently(self, size):
+        first = parse_query("q(x, max(y)) :- p(x, y), not r(y)")
+        second = parse_query("q(x, max(y)) :- p(x, y), not r(y) ; p(x, y), not r(y), p(x, y)")
+        database = _growing_database(size)
+        function = get_function("max")
+        for group in group_assignments(first, database):
+            parts = decomposition(first, second, database, group)
+            assert direct_aggregate(function, first, database, group) == recombine_idempotent(
+                function, first, parts, group
+            )

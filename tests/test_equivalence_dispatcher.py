@@ -12,7 +12,8 @@ from repro.core import (
     format_table2,
     table2_matches_paper,
 )
-from repro.core.bounded import local_equivalence
+from repro.core.bounded import bounded_equivalence, local_equivalence
+from repro.core.counterexample import exhaustive_counterexample
 from repro.core.equivalence import QUASILINEAR_ISOMORPHISM, route_pair
 from repro.errors import UndecidableError, UnsupportedAggregateError
 
@@ -205,7 +206,53 @@ class TestKnownEquivalencesFromThePaper:
         assert bag_set_equivalent(first, second).equivalent == count_result.is_equivalent
 
 
+#: Bodies of a small query family, with the verdict for idempotent
+#: functions and for the others: ``(body, body, idempotent, other)``.
+TABLE2_FAMILY = [
+    ("p(y), not r(y)", "p(y), not r(y)", True, True),
+    ("p(y) ; p(y), r(y)", "p(y)", True, False),
+    ("p(y), y > 0", "p(y), 0 < y", True, True),
+    ("p(y)", "p(y), not r(y)", False, False),
+]
+
+
+def _table2_query(function: str, body: str):
+    head = f"q({function}())" if function in ("count", "parity") else f"q({function}(y))"
+    return parse_query(f"{head} :- {body}")
+
+
 class TestTable2:
+    @pytest.mark.parametrize(
+        "function", ["count", "max", "sum", "prod", "top2", "avg", "cntd", "parity"]
+    )
+    def test_bounded_equivalence_terminates(self, function):
+        reports = [
+            bounded_equivalence(_table2_query(function, body_a), _table2_query(function, body_b), 1)
+            for body_a, body_b, _, _ in TABLE2_FAMILY
+        ]
+        assert reports[0].equivalent  # identical bodies
+
+    @pytest.mark.parametrize("function", ["count", "max", "sum", "parity", "top2", "prod"])
+    def test_decidable_classes_are_decided(self, function):
+        """Where the equivalence column says yes, the checker decides the
+        family and every non-equivalent pair has a concrete witness."""
+        for body_a, body_b, idempotent, other in TABLE2_FAMILY:
+            first, second = _table2_query(function, body_a), _table2_query(function, body_b)
+            result = are_equivalent(first, second)
+            assert result.verdict is not Verdict.UNKNOWN
+            expected = idempotent if function in ("max", "top2") else other
+            assert result.is_equivalent == expected, (function, body_a, body_b)
+            if not expected:
+                witness = exhaustive_counterexample(first, second, values=[0, 1, 2], max_facts=3)
+                assert witness is not None
+
+    @pytest.mark.parametrize("function", ["avg", "cntd"])
+    def test_open_classes_do_not_guess(self, function):
+        first = _table2_query(function, "p(y) ; p(y), r(y)")
+        second = _table2_query(function, "p(y) ; p(y), s(y)")
+        verdict = are_equivalent(first, second, counterexample_trials=100).verdict
+        assert verdict in (Verdict.UNKNOWN, Verdict.NOT_EQUIVALENT)
+
     def test_generated_table_matches_paper(self):
         assert table2_matches_paper(build_table2(Domain.RATIONALS))
 

@@ -17,6 +17,7 @@ from parity_inputs import DIFFERENTIAL_PAIRS
 from repro import Verdict, parse_query
 from repro.core import (
     are_equivalent,
+    as_count_query,
     pair_count_reduction,
     sum_count_reduction,
 )
@@ -27,7 +28,7 @@ from repro.core.bounded import (
 )
 from repro.datalog.atoms import RelationalAtom
 from repro.datalog.terms import Constant, Variable
-from repro.engine import evaluate_aggregate, evaluate_bag_set, evaluate_set
+from repro.engine import evaluate_aggregate, evaluate_set
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
@@ -135,15 +136,13 @@ class TestCanonicalEnumeration:
 # ----------------------------------------------------------------------
 
 
-def _witness_is_valid(first, second, counterexample, semantics):
+def _witness_is_valid(first, second, counterexample):
     database = counterexample.database
     if database is None:
         # Non-shiftable corner: only the symbolic context could be reported.
         return counterexample.symbolic_atoms is not None
     if first.is_aggregate:
         return evaluate_aggregate(first, database) != evaluate_aggregate(second, database)
-    if semantics == "bag-set":
-        return evaluate_bag_set(first, database) != evaluate_bag_set(second, database)
     return evaluate_set(first, database) != evaluate_set(second, database)
 
 
@@ -164,11 +163,11 @@ class TestDifferentialBounded:
         self, forked_pool, first_text, second_text, bound, semantics
     ):
         first, second = parse_query(first_text), parse_query(second_text)
-        kwargs = {"semantics": semantics} if semantics else {}
-        serial = bounded_equivalence(first, second, bound, workers=1, **kwargs)
-        parallel = bounded_equivalence(
-            first, second, bound, executor=forked_pool, **kwargs
-        )
+        if semantics == "bag-set":
+            # Bag-set equivalence is equivalence of the count-queries.
+            first, second = as_count_query(first), as_count_query(second)
+        serial = bounded_equivalence(first, second, bound, workers=1)
+        parallel = bounded_equivalence(first, second, bound, executor=forked_pool)
         assert serial.equivalent == parallel.equivalent
         assert parallel.workers_used == 2
         if serial.equivalent:
@@ -181,12 +180,8 @@ class TestDifferentialBounded:
             )
         else:
             assert parallel.counterexample is not None
-            assert _witness_is_valid(
-                first, second, parallel.counterexample, semantics or "set"
-            )
-            assert _witness_is_valid(
-                first, second, serial.counterexample, semantics or "set"
-            )
+            assert _witness_is_valid(first, second, parallel.counterexample)
+            assert _witness_is_valid(first, second, serial.counterexample)
 
     def test_generated_pairs_agree(self, forked_pool):
         """Differential property test over generated query pairs."""
@@ -211,7 +206,7 @@ class TestDifferentialBounded:
             parallel = bounded_equivalence(first, second, 2, executor=forked_pool)
             assert serial.equivalent == parallel.equivalent, (first, second)
             if not serial.equivalent:
-                assert _witness_is_valid(first, second, parallel.counterexample, "set")
+                assert _witness_is_valid(first, second, parallel.counterexample)
             checked += 1
 
     def test_parallel_witnesses_are_valid_across_runs(self, forked_pool):
@@ -226,7 +221,7 @@ class TestDifferentialBounded:
         ]
         for report in runs:
             assert not report.equivalent
-            assert _witness_is_valid(first, second, report.counterexample, "set")
+            assert _witness_is_valid(first, second, report.counterexample)
 
 
 # ----------------------------------------------------------------------
@@ -362,10 +357,10 @@ class TestExecutors:
             "a": parse_query("q(count()) :- p(y), not r(y)"),
             "b": parse_query("q(count()) :- not r(y), p(y)"),
         }
-        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS)
         count = len(list(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         tasks = sweep_range_tasks(
-            tuple(catalog.items()), [("a", "b")], 2, Domain.RATIONALS, "set",
+            tuple(catalog.items()), [("a", "b")], 2, Domain.RATIONALS,
             0, count, shards=3,
         )
         owned = [
@@ -667,14 +662,14 @@ class TestRangeShippingShards:
             "b": parse_query("q(count()) :- p(y, x)"),
         }
         queries = tuple(catalog.items())
-        setup = prepare_sweep_run(catalog, 4, Domain.RATIONALS, "set")
+        setup = prepare_sweep_run(catalog, 4, Domain.RATIONALS)
         subsets = [
             (position, indices)
             for position, indices in enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh))
         ]
         assert len(subsets) > 1000  # large enough for payloads to dominate
         ranges = sweep_range_tasks(
-            queries, [("a", "b")], 4, Domain.RATIONALS, "set", 0, len(subsets), 4
+            queries, [("a", "b")], 4, Domain.RATIONALS, 0, len(subsets), 4
         )
         # The ranges stand in for the positioned subset rows they cover.
         assert len(pickle.dumps(ranges)) < len(pickle.dumps(subsets)) / 10
@@ -695,7 +690,7 @@ class TestRangeShippingShards:
         }
         queries = tuple(catalog.items())
         pairs = [("a", "b")]
-        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS)
         subsets = list(enumerate(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         # Serial reference: walk the parent's positioned stream in order until
         # the pair fails.
@@ -714,7 +709,7 @@ class TestRangeShippingShards:
                 break
         assert expected  # the pair is not equivalent
         (range_task,) = sweep_range_tasks(
-            queries, pairs, 2, Domain.RATIONALS, "set", 0, len(subsets), 1
+            queries, pairs, 2, Domain.RATIONALS, 0, len(subsets), 1
         )
         range_outcome = run_sweep_range_task(range_task)
         assert list(range_outcome.found) == expected
@@ -804,10 +799,10 @@ class TestWitnessRealizedOnce:
             "a": parse_query("q(count()) :- p(x, y)"),
             "b": parse_query("q(count()) :- p(x, y), r(y)"),
         }
-        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS, "set")
+        setup = prepare_sweep_run(catalog, 2, Domain.RATIONALS)
         count = len(list(CanonicalSubsetEnumerator(setup.base, setup.fresh)))
         tasks = sweep_range_tasks(
-            tuple(catalog.items()), [("a", "b")], 2, Domain.RATIONALS, "set", 0, count, 2
+            tuple(catalog.items()), [("a", "b")], 2, Domain.RATIONALS, 0, count, 2
         )
         assert len(tasks) == 2
         for task in tasks:

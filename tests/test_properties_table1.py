@@ -99,13 +99,18 @@ class TestDecompositionPrinciples:
     def test_idempotent_principle(self, function, rng):
         assert idempotent_decomposition_counterexample(function, rng, trials=80) is None
 
-    @pytest.mark.parametrize("function", [COUNT, SUM, PARITY], ids=lambda f: f.name)
+    @pytest.mark.parametrize("function", [COUNT, SUM, PROD, PARITY], ids=lambda f: f.name)
     def test_group_principle(self, function, rng):
         assert group_decomposition_counterexample(function, rng, trials=60) is None
 
     def test_principles_do_not_apply_to_non_monoidal_functions(self, rng):
         assert idempotent_decomposition_counterexample(AVG, rng) is None
         assert group_decomposition_counterexample(CNTD, rng) is None
+        for function in PAPER_FUNCTIONS:
+            if not function.is_idempotent_monoidal:
+                assert idempotent_decomposition_counterexample(function, rng) is None
+            if not function.is_group_monoidal:
+                assert group_decomposition_counterexample(function, rng) is None
 
     def test_inclusion_exclusion_reduces_to_cardinality_for_count(self):
         # Equation (9): |A ∪ B| = |A| + |B| - |A ∩ B| with count.

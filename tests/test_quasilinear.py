@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.core.quasilinear import positive_projections_isomorphic
 from repro.errors import UndecidableError
+from repro.workloads import linear_chain_query, renamed_copy
 
 
 class TestFragmentDetection:
@@ -126,6 +127,10 @@ class TestAgainstGeneralProcedure:
         ("q(sum(y)) :- p(y), y > 0", "q(sum(y)) :- p(y), 0 < y"),
         ("q(sum(y)) :- p(y), y > 0", "q(sum(y)) :- p(y), y >= 0"),
         ("q(count()) :- p(y), not r(y)", "q(count()) :- p(y), not s(y)"),
+        (
+            str(linear_chain_query(1, function="max", with_comparisons=False)),
+            str(renamed_copy(linear_chain_query(1, function="max", with_comparisons=False))),
+        ),
     ]
 
     @pytest.mark.parametrize("first_text,second_text", PAIRS)
@@ -141,3 +146,13 @@ class TestAgainstGeneralProcedure:
         # Positive parts are isomorphic even though the queries are not equivalent.
         assert positive_projections_isomorphic(first, second)
         assert not quasilinear_equivalent(first, second).equivalent
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_linear_chains(length):
+    """Corollary 7.5 on linear chain queries of growing length: a renamed
+    copy is equivalent, the chain without its comparison is not."""
+    query = linear_chain_query(length, function="sum")
+    assert quasilinear_equivalent(query, renamed_copy(query)).equivalent
+    other = linear_chain_query(length, function="sum", with_comparisons=False)
+    assert not quasilinear_equivalent(query, other).equivalent

@@ -475,13 +475,6 @@ class TestSweepEquivalence:
         with pytest.raises(ReproError):
             sweep_equivalence(catalog, [("agg", "plain")], 1)
 
-    def test_unknown_semantics_raises(self):
-        # An agreeing pair never reaches a comparison that could reject the
-        # semantics, so the check must come before enumeration.
-        query = parse_query("q(x) :- p(x)")
-        with pytest.raises(ReproError):
-            sweep_equivalence({"a": query, "b": query}, [("a", "b")], 1, semantics="three-valued")
-
     def test_early_exit_counts_only_pulled_subsets(self):
         # The serial sweep must stop right after the last pair settles: the
         # skipped count is that of an enumerator advanced exactly
